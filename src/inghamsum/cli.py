@@ -6,8 +6,8 @@ Outputs are deterministic: the same configuration and build produce
 byte-identical CSV/JSON artifacts.
 
 Exit statuses: 0 success (all checks passed where applicable), 2 parse
-or validation error, 3 capacity error, 4 numerical non-convergence,
-5 I/O error.
+or validation error, 3 capacity error, 4 numerical failure (quadrature
+non-convergence or a singular Euler factor), 5 I/O error.
 
 Every long option can also be supplied through an environment variable
 prefixed INGHAMSUM_ (e.g. INGHAMSUM_QUAD_TOL); explicit flags win.
@@ -25,7 +25,7 @@ import time
 import numpy as np
 
 from .dirichlet import EvalParams, euler_product
-from .errors import CapacityError, QuadratureError, SpecFormatError
+from .errors import CapacityError, QuadratureError, SingularFactorError, SpecFormatError
 from .report import (
     CSV_COLUMNS,
     ReportRow,
@@ -104,7 +104,8 @@ def parse_grid(text: str) -> list[int]:
         while value <= end * (1 + 1e-9):
             out.append(round(value))
             value *= factor
-        return out
+        # Small factors round several steps to one integer; keep each once.
+        return list(dict.fromkeys(out))
     try:
         out = [round(float(x)) for x in text.split(",") if x.strip()]
     except ValueError as exc:
@@ -300,11 +301,10 @@ _INGHAM_COLUMNS = (
 
 def _cmd_ingham(args) -> int:
     grid = parse_grid(args.n)
-    workers = int(_opt(args.workers, "workers", os.cpu_count() or 1, int))
     table = _get_table(grid[-1])
     seq = resolve_coeffs(args.coeffs, grid[-1], table)
     rows = []
-    for v in batch_sums(seq, grid, workers=workers):
+    for v in batch_sums(seq, grid):
         rows.append(
             {
                 "n": v.n,
@@ -646,7 +646,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingham", help="Ingham sums A(n), S(n) along a grid")
     p.add_argument("--coeffs", required=True, help=f"builtin ({', '.join(BUILTIN_SEQUENCES)}) or JSON path")
     p.add_argument("--n", required=True, help="n grid")
-    p.add_argument("--workers", type=int, default=None)
     _add_io(p)
     p.set_defaults(func=_cmd_ingham)
 
@@ -694,7 +693,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3
-    except QuadratureError as exc:
+    except (QuadratureError, SingularFactorError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 4
     except (SpecFormatError, ValueError, KeyError) as exc:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accumulate import csum, rsum
-from .sequences import CoefficientSequence, MultiplicativeSpec
+from .sequences import CoefficientSequence, MultiplicativeSpec, prime_candidates
 from .sieve import SieveTable
 from .summation import TruncatedSum
 from .errors import SingularFactorError
@@ -136,13 +136,8 @@ def euler_product(
         raise ValueError(f"sigma must be >= 1, got {sigma}")
     if limit > table.limit:
         raise ValueError(f"limit {limit} exceeds sieve limit {table.limit}")
-    top = min(limit, spec.cutoff)
-    if spec.default == 1:
-        candidates = [p for p in sorted(spec.prime_values) if p <= top]
-    else:
-        candidates = table.primes[table.primes <= top].tolist()
     product = 1.0 + 0j
-    for p in candidates:
+    for p in prime_candidates(spec, table, min(limit, spec.cutoff)):
         fp = spec.value_at(p)
         if fp == 1:
             continue
@@ -205,13 +200,8 @@ def _prime_deviation_sum(
     spec: MultiplicativeSpec, table: SieveTable, n: int, alpha: float
 ) -> float:
     """sum over primes p <= n of |f(p) - 1|^alpha log(p) / p."""
-    top = min(n, spec.cutoff)
-    if spec.default == 1:
-        candidates = [p for p in sorted(spec.prime_values) if p <= top]
-    else:
-        candidates = table.primes[table.primes <= top].tolist()
     terms = []
-    for p in candidates:
+    for p in prime_candidates(spec, table, min(n, spec.cutoff)):
         dev = abs(spec.value_at(p) - 1.0)
         if dev != 0.0:
             terms.append(dev**alpha * math.log(p) / p)

@@ -140,19 +140,51 @@ class MultiplicativeSpec:
         return self.prime_values.get(p, self.default)
 
 
+def _divisor_lattice(weights: np.ndarray, f: np.ndarray | None = None) -> np.ndarray:
+    """out[d q] += weights[d] * f[q] over nonzero weights[d] and d q <= N,
+    where N = weights.size - 1 and f = None means f[q] = 1 (plain add).
+
+    Hyperbola split at r = isqrt(N): every d <= r is one strided
+    slice-add over its multiples; every larger d has cofactor q <= N/(r+1),
+    so those are handled as one fancy-indexed add per q, q descending.
+    Each out[m] therefore still accumulates its terms in ascending d,
+    which keeps the result bit-identical to one strided pass per d.
+    """
+    n = weights.size - 1
+    out = np.zeros(n + 1, dtype=np.complex128)
+    nz = np.flatnonzero(weights[1:]) + 1
+    r = math.isqrt(max(n, 0))
+    split = int(np.searchsorted(nz, r, "right"))
+    for d, w in zip(nz[:split].tolist(), weights[nz[:split]].tolist()):
+        out[d::d] += w if f is None else w * f[1 : n // d + 1]
+    big = nz[split:]
+    wbig = weights[big]
+    for q in range(n // (r + 1), 0, -1):
+        k = int(np.searchsorted(big, n // q, "right"))
+        out[big[:k] * q] += wbig[:k] if f is None else wbig[:k] * f[q]
+    return out
+
+
+def prime_candidates(spec: MultiplicativeSpec, table: SieveTable, top: int) -> list[int]:
+    """Ascending primes p <= top at which f(p) may differ from 1.
+
+    With default 1 only the listed primes can; otherwise every prime of
+    the table up to ``top`` is a candidate.
+    """
+    if spec.default == 1:
+        return [p for p in sorted(spec.prime_values) if p <= top]
+    return table.primes[: np.searchsorted(table.primes, top, "right")].tolist()
+
+
 def sum_over_divisors(values: np.ndarray) -> np.ndarray:
     """Divisor-lattice transform: out[m] = sum of values[d] over d | m.
 
-    One pass over the stored indices with a strided slice-add per nonzero
-    entry, O(N log N) total work; zero coefficients cost nothing.
+    Hyperbola split (see :func:`_divisor_lattice`): one strided
+    slice-add per nonzero entry d <= sqrt(N), then one fancy-indexed add
+    per cofactor q for all nonzero d > sqrt(N). O(N log N) total work;
+    zero coefficients cost nothing, and each out[m] sums in ascending d.
     """
-    values = np.asarray(values)
-    n = values.size - 1
-    out = np.zeros(n + 1, dtype=np.complex128)
-    for d in np.nonzero(values)[0].tolist():
-        if d >= 1:
-            out[d::d] += values[d]
-    return out
+    return _divisor_lattice(np.asarray(values))
 
 
 def f_from_a(table: SieveTable, seq: CoefficientSequence) -> np.ndarray:
@@ -168,7 +200,9 @@ def a_from_f(table: SieveTable, f: np.ndarray) -> CoefficientSequence:
     """Invert ``f_from_a``: a_m = sum of mu(m/d) f(d) over d | m.
 
     Implemented as the mu-weighted lattice pass a[e q] += mu(e) f(q),
-    which round-trips with :func:`f_from_a` to machine precision.
+    hyperbola-split like :func:`sum_over_divisors` (strided for
+    e <= sqrt(n), one fancy-indexed add per cofactor q above), which
+    round-trips with :func:`f_from_a` to machine precision.
     """
     f = np.asarray(f, dtype=np.complex128)
     n = f.size - 1
@@ -176,10 +210,7 @@ def a_from_f(table: SieveTable, f: np.ndarray) -> CoefficientSequence:
         raise ValueError(f"array length {n} exceeds sieve limit {table.limit}")
     if n < 1:
         raise ValueError("index-aligned array must cover at least m = 1")
-    mu = table.mobius_array
-    out = np.zeros(n + 1, dtype=np.complex128)
-    for e in np.nonzero(mu[: n + 1])[0].tolist():
-        out[e::e] += int(mu[e]) * f[1 : n // e + 1]
+    out = _divisor_lattice(table.mobius_array[: n + 1], f)
     return CoefficientSequence.from_index_aligned(out)
 
 
@@ -197,14 +228,7 @@ def extend_completely_multiplicative(
         raise ValueError(f"extension length {n} exceeds sieve limit {table.limit}")
     f = np.ones(n + 1, dtype=np.complex128)
     f[0] = 0
-    top = min(n, spec.cutoff)
-    if spec.default == 1 and not spec.prime_values:
-        return f
-    if spec.default == 1:
-        candidates = [p for p in sorted(spec.prime_values) if p <= top]
-    else:
-        candidates = table.primes[table.primes <= top].tolist()
-    for p in candidates:
+    for p in prime_candidates(spec, table, min(n, spec.cutoff)):
         fp = spec.value_at(p)
         if fp == 1:
             continue

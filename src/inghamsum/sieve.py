@@ -55,15 +55,26 @@ class SieveTable:
 
     @property
     def mobius_array(self) -> np.ndarray:
-        """int8 array with mobius_array[m] = mu(m); index 0 is unused."""
+        """int8 array with mobius_array[m] = mu(m); index 0 is unused.
+
+        Only the primes p <= sqrt(limit) are sieved: each flips the sign
+        on its multiples, zeroes the multiples of p^2 and multiplies p
+        into an int32 product of small prime divisors. A squarefree m
+        whose product falls short of m has exactly one prime factor above
+        sqrt(limit), so one vectorized pass negates mu there.
+        """
         if self._mobius_arr is None:
-            mu = np.ones(self.limit + 1, dtype=np.int8)
+            n = self.limit
+            mu = np.ones(n + 1, dtype=np.int8)
             mu[0] = 0
-            for p in self.primes.tolist():
+            # Products of small primes stay <= n, so int32 suffices at the cap.
+            itype = np.int32 if n < 2**31 else np.int64
+            small = np.ones(n + 1, dtype=itype)
+            for p in self.primes[: np.searchsorted(self.primes, math.isqrt(n), "right")].tolist():
                 mu[p::p] *= -1
-                sq = p * p
-                if sq <= self.limit:
-                    mu[sq::sq] = 0
+                mu[p * p :: p * p] = 0
+                small[p::p] *= p
+            np.negative(mu, out=mu, where=small != np.arange(n + 1, dtype=itype))
             mu.flags.writeable = False
             self._mobius_arr = mu
         return self._mobius_arr

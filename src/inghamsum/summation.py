@@ -9,13 +9,17 @@ Both are evaluated by floor-quotient block decomposition: floor(n/k) is
 constant on O(sqrt n) maximal blocks of k, so prefix sums of a_k and of
 a_k log k turn each query into O(sqrt n) work. Dense sweeps over every
 n <= N instead go through one divisor-lattice pass plus a cumulative
-sum, which is how batch verification grids stay affordable.
+sum, which is how batch verification grids stay affordable. The lattice
+pass is hyperbola-split: strided slice-adds for divisors d <= sqrt(N),
+one vectorized add per cofactor N/d for the rest. The Mobius table
+behind a_from_f sieves only the primes up to sqrt(N) and fixes the sign
+of the numbers with one larger prime factor in a single prime-cofactor
+pass.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,14 +120,11 @@ def _summation_value(n: int, A: complex, S: complex) -> SummationValue:
     return SummationValue(n=n, A=A, S=S, normalized_A=A / n, normalized_S=norm_s)
 
 
-def batch_sums(
-    seq: CoefficientSequence, grid, workers: int = 1
-) -> list[SummationValue]:
+def batch_sums(seq: CoefficientSequence, grid) -> list[SummationValue]:
     """Per-point A(n), S(n) for a strictly ascending grid of n values.
 
-    Each grid point is an independent block-decomposed query, so the
-    grid may be partitioned across threads; results are returned in grid
-    order and are identical to per-point calls.
+    Each grid point is an independent block-decomposed query; results
+    are returned in grid order and are identical to per-point calls.
     """
     grid = [int(n) for n in grid]
     if not grid:
@@ -142,13 +143,7 @@ def batch_sums(
         pa = seq.prefix_a[: top + 1].tolist()
         pl = seq.prefix_alog[: top + 1].tolist()
 
-    def one(n: int) -> SummationValue:
-        return _summation_value(n, _block_sum(pa, n), _block_sum(pl, n))
-
-    if workers > 1 and len(grid) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, grid))
-    return [one(n) for n in grid]
+    return [_summation_value(n, _block_sum(pa, n), _block_sum(pl, n)) for n in grid]
 
 
 def cumulative_sums(

@@ -31,6 +31,7 @@ from .dirichlet import (
     mu_n_alpha,
     zeta_real,
     zeta_tail,
+    _EM_COEFFS,
     _prime_deviation_sum,
 )
 from .quadrature import integral_sigma_to_inf, integral_zero_to_inf
@@ -430,7 +431,7 @@ class _SeriesTail:
         poch = u
         power = big ** (-u - 1.0)
         minv = big**-2.0
-        for k, coeff in enumerate(_EM_COEFFS_LOCAL):
+        for k, coeff in enumerate(_EM_COEFFS):
             z += coeff * poch * power
             poch *= (u + 2 * k + 1) * (u + 2 * k + 2)
             power *= minv
@@ -452,9 +453,6 @@ class _SeriesTail:
         seg = np.add.reduceat(pw, self.starts)
         total = float(np.dot(seg, self._zeta_tails(sigma)))
         return total + abs(self.s_edge) * self.edge**-sigma
-
-
-_EM_COEFFS_LOCAL = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0)
 
 
 def _divisors_trial(m: int) -> list[int]:

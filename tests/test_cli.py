@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -48,6 +49,8 @@ def test_parse_grid_explicit():
 def test_parse_grid_geometric():
     assert parse_grid("1e3:1e6:x10") == [1000, 10_000, 100_000, 1_000_000]
     assert parse_grid("5:40:x2") == [5, 10, 20, 40]
+    # Rounding repeats points of a slowly growing grid; each is kept once.
+    assert parse_grid("1:3:x1.1") == [1, 2, 3]
 
 
 def test_parse_grid_errors():
@@ -279,3 +282,22 @@ def test_exit_quadrature_error(monkeypatch):
 
     monkeypatch.setattr(cli_mod, "lemma_ratio_suite", boom)
     assert cli_mod.main(["lemma", "--out", os.devnull]) == 4
+
+
+def test_exit_singular_euler_factor_is_4(tmp_path, capsys):
+    # f(2) = 2^sigma with sigma = 1 + 1/log 10, the theorem1 exponent at
+    # n = 10, so the Euler factor at p = 2 has a vanishing denominator.
+    spec = tmp_path / "singular.json"
+    spec.write_text(
+        json.dumps(
+            {
+                "type": "completely_multiplicative",
+                "cutoff": 100,
+                "bound_check": False,
+                "default": [1, 0],
+                "primes": {"2": [2.0 ** (1 + 1 / math.log(10)), 0]},
+            }
+        )
+    )
+    assert main(["verify", "theorem1", "--spec", str(spec), "--grid", "10"]) == 4
+    assert capsys.readouterr().err.startswith("numerical error:")
