@@ -5,9 +5,15 @@ wintner,axer}, lemma, identity {sdiff,sdecomp,smult,difference}, report.
 Outputs are deterministic: the same configuration and build produce
 byte-identical CSV/JSON artifacts.
 
-Exit statuses: 0 success (all checks passed where applicable), 2 parse
-or validation error, 3 capacity error, 4 numerical failure (quadrature
-non-convergence or a singular Euler factor), 5 I/O error.
+Every subcommand returns one VerificationReport, which ``main`` writes.
+``mean`` and ``verify theorem1 --spec`` size the sieve to cover the
+spec's Euler product (see README).
+
+Exit statuses: 0 the report was written (a failed verdict shows as
+"pass": false in its summary, not in the status), 2 parse or validation
+error, 3 capacity error (e.g. a spec cutoff above the sieve cap), 4
+numerical failure (quadrature non-convergence or a singular Euler
+factor), 5 I/O error.
 
 Every long option can also be supplied through an environment variable
 prefixed INGHAMSUM_ (e.g. INGHAMSUM_QUAD_TOL); explicit flags win.
@@ -20,20 +26,12 @@ import json
 import math
 import os
 import sys
-import time
 
 import numpy as np
 
-from .dirichlet import EvalParams, euler_product
+from .dirichlet import EvalParams
 from .errors import CapacityError, QuadratureError, SingularFactorError, SpecFormatError
-from .report import (
-    CSV_COLUMNS,
-    ReportRow,
-    VerificationReport,
-    canonical_json_bytes,
-    csv_bytes,
-    jsonable,
-)
+from .report import VerificationReport, csv_layout
 from .sequences import (
     BUILTIN_SEQUENCES,
     CoefficientSequence,
@@ -43,20 +41,22 @@ from .sequences import (
     named_sequence,
 )
 from .sieve import SieveTable, build_sieve
-from .summation import batch_sums, ingham_A
+from .summation import batch_sums
 from .verify import (
     LEMMA_ENVELOPE,
     TrendPolicy,
-    check_axer,
-    check_wintner,
+    axer_report,
     difference_identity_check,
     lemma_ratio_suite,
+    mean_report,
     s_decomposition_identity,
     s_difference_identity,
     s_multiplicative_identity,
-    theorem1_residual,
+    theorem1_report,
+    theorem1_spec_report,
     theorem2_conditions,
-    theorem3_check,
+    theorem3_report,
+    wintner_report,
 )
 
 _ENV_PREFIX = "INGHAMSUM_"
@@ -75,14 +75,10 @@ def _get_table(limit: int) -> SieveTable:
     return _TABLE_CACHE[limit]
 
 
-def _env(name: str):
-    return os.environ.get(_ENV_PREFIX + name.upper().replace("-", "_"))
-
-
 def _opt(value, name: str, default, cast=float):
     if value is not None:
         return value
-    raw = _env(name)
+    raw = os.environ.get(_ENV_PREFIX + name.upper().replace("-", "_"))
     if raw is not None:
         return cast(raw)
     return default
@@ -188,43 +184,25 @@ def resolve_coeffs(name_or_path: str, n: int, table: SieveTable) -> CoefficientS
     return CoefficientSequence.from_values(loaded[:n])
 
 
-def _load_multiplicative(path: str) -> MultiplicativeSpec:
+def _load_multiplicative(path: str | None) -> MultiplicativeSpec:
+    if path is None:
+        raise SpecFormatError("a multiplicative spec is required (--spec)")
     loaded = load_spec_file(path)
     if not isinstance(loaded, MultiplicativeSpec):
         raise SpecFormatError(f"{path}: expected a completely_multiplicative spec")
     return loaded
 
 
-def _write(out: str, payload: bytes) -> None:
-    if out == "-":
-        sys.stdout.buffer.write(payload)
-        sys.stdout.buffer.flush()
-    else:
-        with open(out, "wb") as fh:
-            fh.write(payload)
+def _spec_table(spec: MultiplicativeSpec, top: int) -> SieveTable:
+    """A table up to top that also covers the spec's Euler product, so a
+    row's g does not depend on the other grid points."""
+    return _get_table(max(top, spec.euler_limit))
 
 
-def _emit(args, experiment_id: str, columns, rows, summary) -> None:
-    if args.format == "csv":
-        _write(args.out, csv_bytes(columns, rows))
-    else:
-        payload = {
-            "experiment_id": experiment_id,
-            "rows": [jsonable(r) for r in rows],
-            "summary": jsonable(summary),
-        }
-        _write(args.out, canonical_json_bytes(payload))
+# -- subcommands: each turns its arguments into one report ----------------
 
 
-def _emit_report(args, report: VerificationReport) -> None:
-    payload = report.to_csv_bytes() if args.format == "csv" else report.to_json_bytes()
-    _write(args.out, payload)
-
-
-# -- subcommand implementations ----------------------------------------
-
-
-def _cmd_sieve(args) -> int:
+def _cmd_sieve(args) -> VerificationReport:
     n = parse_grid(args.n)[-1]
     table = build_sieve(n)
     mu = table.mobius_array
@@ -240,69 +218,19 @@ def _cmd_sieve(args) -> int:
         }
         for m in range(2, n + 1)
     ]
-    _emit(args, "sieve", ("m", "spf", "mu", "mangoldt", "psi"), rows, {"limit": n})
-    return 0
+    return VerificationReport("sieve", rows, {"limit": n})
 
 
-def _cmd_mean(args) -> int:
+def _cmd_mean(args) -> VerificationReport:
     grid = parse_grid(args.n)
-    alpha = _opt(args.alpha, "alpha", 2.0)
-    table = _get_table(grid[-1])
     spec = _load_multiplicative(args.spec)
-    f = extend_completely_multiplicative(spec, table, grid[-1])
-    rows = []
-    ratios = []
-    t0 = time.perf_counter()
-    for n in grid:
-        chk = theorem3_check(spec, table, n, alpha, f_values=f)
-        sigma = 1.0 + 1.0 / math.log(n)
-        rows.append(
-            ReportRow(
-                n=n,
-                mean=chk.mean,
-                g=euler_product(spec, table, sigma, min(spec.cutoff, table.limit)),
-                euler_product_at_1=chk.product,
-                residual_t3=chk.residual,
-                mu_alpha=chk.mu,
-                ratio=chk.ratio,
-                ratio_infinite=chk.ratio_infinite,
-                passed=not chk.ratio_infinite,
-            )
-        )
-        if chk.ratio is not None:
-            ratios.append(chk.ratio)
-    report = VerificationReport(
-        "mean",
-        rows,
-        {
-            "pass": all(r.passed for r in rows),
-            "max_residual": max((r.residual_t3 for r in rows), default=0.0),
-            "ratio_estimate": max(ratios, default=0.0),
-            "alpha": alpha,
-            "wall_time_s": time.perf_counter() - t0,
-        },
-    )
-    _emit_report(args, report)
-    return 0
+    alpha = _opt(args.alpha, "alpha", 2.0)
+    return mean_report(spec, _spec_table(spec, grid[-1]), grid, alpha)
 
 
-_INGHAM_COLUMNS = (
-    "n",
-    "re_A",
-    "im_A",
-    "re_S",
-    "im_S",
-    "re_norm_a",
-    "im_norm_a",
-    "re_norm_s",
-    "im_norm_s",
-)
-
-
-def _cmd_ingham(args) -> int:
+def _cmd_ingham(args) -> VerificationReport:
     grid = parse_grid(args.n)
-    table = _get_table(grid[-1])
-    seq = resolve_coeffs(args.coeffs, grid[-1], table)
+    seq = resolve_coeffs(args.coeffs, grid[-1], _get_table(grid[-1]))
     rows = []
     for v in batch_sums(seq, grid):
         rows.append(
@@ -318,158 +246,43 @@ def _cmd_ingham(args) -> int:
                 "im_norm_s": None if v.normalized_S is None else v.normalized_S.imag,
             }
         )
-    _emit(args, "ingham", _INGHAM_COLUMNS, rows, {"coeffs": args.coeffs})
-    return 0
+    return VerificationReport("ingham", rows, {"coeffs": args.coeffs})
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> VerificationReport:
     grid = parse_grid(args.n)
-    table = _get_table(grid[-1])
     policy = TrendPolicy()
-    alpha = _opt(args.alpha, "alpha", 2.0)
-    t0 = time.perf_counter()
-
+    if args.check == "theorem3":
+        spec = _load_multiplicative(args.spec)
+        alpha = _opt(args.alpha, "alpha", 2.0)
+        envelope = _opt(args.envelope, "envelope", policy.t3_ratio_envelope)
+        return theorem3_report(spec, _get_table(grid[-1]), grid, alpha, envelope)
     if args.check == "theorem1":
         envelope = _opt(args.envelope, "envelope", policy.t1_envelope)
-        if not args.spec and not args.coeffs:
-            raise SpecFormatError("verify theorem1 needs --spec or --coeffs")
-        spec = _load_multiplicative(args.spec) if args.spec else None
-        if spec is not None:
-            f = extend_completely_multiplicative(spec, table, grid[-1])
-            seq = a_from_f(table, f)
-        else:
-            seq = resolve_coeffs(args.coeffs, grid[-1], table)
-        rows = []
-        for n in grid:
-            residual = theorem1_residual(seq, n, spec=spec, table=table)
-            sigma = 1.0 + 1.0 / math.log(n)
-            g = (
-                euler_product(spec, table, sigma, min(spec.cutoff, table.limit))
-                if spec is not None
-                else None
-            )
-            rows.append(
-                ReportRow(
-                    n=n,
-                    mean=ingham_A(seq, n) / n,
-                    g=g,
-                    residual_t1=residual,
-                    passed=residual <= envelope / math.log(n),
-                )
-            )
-        report = VerificationReport(
-            "verify-theorem1",
-            rows,
-            {
-                "pass": all(r.passed for r in rows),
-                "max_residual": max(r.residual_t1 for r in rows),
-                "thresholds": {"envelope_over_log_n": envelope},
-                "wall_time_s": time.perf_counter() - t0,
-            },
-        )
-        _emit_report(args, report)
-        return 0
-
+        if args.spec:
+            spec = _load_multiplicative(args.spec)
+            return theorem1_spec_report(spec, _spec_table(spec, grid[-1]), grid, envelope)
+        seq = resolve_coeffs(args.coeffs, grid[-1], _get_table(grid[-1]))
+        return theorem1_report(seq, grid, envelope)
+    seq = resolve_coeffs(args.coeffs, grid[-1], _get_table(grid[-1]))
     if args.check == "theorem2":
         sigma_grid = (
             [float(s) for s in args.sigma.split(",")]
             if args.sigma
             else [2.0, 1.5, 1.25, 1.125, 1.0625]
         )
-        seq = resolve_coeffs(args.coeffs, grid[-1], table)
-        report = theorem2_conditions(seq, grid, sigma_grid, policy=policy)
-        _emit_report(args, report)
-        return 0
-
-    if args.check == "theorem3":
-        envelope = _opt(args.envelope, "envelope", policy.t3_ratio_envelope)
-        spec = _load_multiplicative(args.spec)
-        f = extend_completely_multiplicative(spec, table, grid[-1])
-        rows = []
-        ratios = []
-        for n in grid:
-            chk = theorem3_check(spec, table, n, alpha, f_values=f)
-            ok = not chk.ratio_infinite and (chk.ratio or 0.0) <= envelope
-            rows.append(
-                ReportRow(
-                    n=n,
-                    mean=chk.mean,
-                    euler_product_at_1=chk.product,
-                    residual_t3=chk.residual,
-                    mu_alpha=chk.mu,
-                    ratio=chk.ratio,
-                    ratio_infinite=chk.ratio_infinite,
-                    passed=ok,
-                )
-            )
-            if chk.ratio is not None:
-                ratios.append(chk.ratio)
-        report = VerificationReport(
-            "verify-theorem3",
-            rows,
-            {
-                "pass": all(r.passed for r in rows),
-                "ratio_estimate": max(ratios, default=0.0),
-                "thresholds": {"ratio_envelope": envelope, "alpha": alpha},
-                "wall_time_s": time.perf_counter() - t0,
-            },
-        )
-        _emit_report(args, report)
-        return 0
-
+        return theorem2_conditions(seq, grid, sigma_grid, policy=policy)
     if args.check == "wintner":
-        seq = resolve_coeffs(args.coeffs, grid[-1], table)
-        rows = []
-        for n in grid:
-            res = check_wintner(seq, n)
-            rows.append(
-                ReportRow(n=n, mean=res.mean, g=res.target, residual_t1=res.residual)
-            )
-        report = VerificationReport(
-            "verify-wintner",
-            rows,
-            {
-                "max_residual": max(r.residual_t1 for r in rows),
-                "wall_time_s": time.perf_counter() - t0,
-            },
-        )
-        _emit_report(args, report)
-        return 0
-
-    if args.check == "axer":
-        envelope = _opt(args.envelope, "envelope", policy.axer_bound)
-        seq = resolve_coeffs(args.coeffs, grid[-1], table)
-        ratios = check_axer(seq, grid)
-        rows = [
-            ReportRow(n=n, s_ratio=float(r), passed=float(r) <= envelope)
-            for n, r in zip(grid, ratios)
-        ]
-        report = VerificationReport(
-            "verify-axer",
-            rows,
-            {
-                "pass": all(r.passed for r in rows),
-                "max_residual": float(np.max(ratios)),
-                "thresholds": {"bound": envelope},
-                "wall_time_s": time.perf_counter() - t0,
-            },
-        )
-        _emit_report(args, report)
-        return 0
-
-    raise SpecFormatError(f"unknown verify check {args.check!r}")
+        return wintner_report(seq, grid)
+    return axer_report(seq, grid, _opt(args.envelope, "envelope", policy.axer_bound))
 
 
-_LEMMA_COLUMNS = ("family", "t", "x", "k", "value", "bound", "ratio", "pass")
-
-
-def _cmd_lemma(args) -> int:
+def _cmd_lemma(args) -> VerificationReport:
     envelope = _opt(args.envelope, "envelope", LEMMA_ENVELOPE)
     quad_tol = _opt(args.quad_tol, "quad-tol", 1e-8)
     tail_tol = _opt(args.tail_tol, "tail-tol", 1e-10)
-    table = _get_table(1_000_000)
     rows = lemma_ratio_suite(
-        table, envelope=envelope, quad_tol=quad_tol, tail_tol=tail_tol
+        _get_table(1_000_000), envelope=envelope, quad_tol=quad_tol, tail_tol=tail_tol
     )
     summary = {
         "pass": all(r["pass"] for r in rows),
@@ -479,25 +292,16 @@ def _cmd_lemma(args) -> int:
             for fam in dict.fromkeys(r["family"] for r in rows)
         },
     }
-    _emit(args, "lemma", _LEMMA_COLUMNS, rows, summary)
-    return 0
+    return VerificationReport("lemma", rows, summary)
 
 
-_IDENTITY_COLUMNS = ("check", "n", "truncation", "error", "scale", "pass")
-
-
-def _cmd_identity(args) -> int:
+def _cmd_identity(args) -> VerificationReport:
     n = parse_grid(args.n)[-1]
     quad_tol = _opt(args.quad_tol, "quad-tol", 1e-8)
     tail_tol = _opt(args.tail_tol, "tail-tol", 1e-10)
-    envelope = _opt(args.envelope, "envelope", 1e-8)
-
-    if args.check == "smult":
-        table = _get_table(n)
-        spec = _load_multiplicative(args.spec)
-        err = s_multiplicative_identity(spec, table, n)
-        scale = max(1.0, n * math.log(n))
-    elif args.check == "difference":
+    truncation = None
+    if args.check == "difference":
+        envelope = _opt(args.envelope, "envelope", 1e-5)
         truncation = int(_opt(args.truncation, "truncation", 10**6, int))
         table = _get_table(max(n, truncation))
         seq = resolve_coeffs(args.coeffs, truncation, table)
@@ -505,123 +309,79 @@ def _cmd_identity(args) -> int:
             sigma=1.5, truncation=truncation, quad_tol=quad_tol, tail_tol=tail_tol
         )
         res = difference_identity_check(seq, table, n, params)
-        rows = [
-            {
-                "check": "difference",
-                "n": n,
-                "truncation": truncation,
-                "error": res.error,
-                "scale": 1.0,
-                "pass": res.error <= _opt(args.envelope, "envelope", 1e-5),
-            }
-        ]
+        err, scale = res.error, 1.0
+    else:
+        envelope = _opt(args.envelope, "envelope", 1e-8)
+        table = _get_table(n)
+        if args.check == "smult":
+            err = s_multiplicative_identity(_load_multiplicative(args.spec), table, n)
+            scale = max(1.0, n * math.log(n))
+        else:
+            seq = resolve_coeffs(args.coeffs, n, table)
+            if args.check == "sdiff":
+                err = s_difference_identity(seq, table, n)
+                scale = max(1.0, float(np.max(np.abs(seq.prefix_alog[: n + 1]))))
+            else:
+                err = s_decomposition_identity(seq, table, n)
+                scale = max(1.0, n * math.log(n))
+    rel = err / scale
+    passed = rel <= envelope
+    row = {
+        "check": args.check,
+        "n": n,
+        "truncation": truncation,
+        "error": err,
+        "scale": scale,
+        "pass": passed,
+    }
+    if args.check == "difference":
         summary = {
             "lhs": res.lhs,
             "rhs": res.rhs,
             "tail_correction": res.tail_correction,
             "tail_slack": res.tail_slack,
             "quad_error": res.quad_error,
-            "pass": rows[0]["pass"],
         }
-        _emit(args, "identity-difference", _IDENTITY_COLUMNS, rows, summary)
-        return 0
     else:
-        table = _get_table(n)
-        seq = resolve_coeffs(args.coeffs, n, table)
-        if args.check == "sdiff":
-            err = s_difference_identity(seq, table, n)
-            scale = max(1.0, float(np.max(np.abs(seq.prefix_alog[: n + 1]))))
-        elif args.check == "sdecomp":
-            err = s_decomposition_identity(seq, table, n)
-            scale = max(1.0, n * math.log(n))
-        else:
-            raise SpecFormatError(f"unknown identity check {args.check!r}")
-
-    rel = err / scale
-    rows = [
-        {
-            "check": args.check,
-            "n": n,
-            "truncation": None,
-            "error": err,
-            "scale": scale,
-            "pass": rel <= envelope,
-        }
-    ]
-    _emit(
-        args,
-        f"identity-{args.check}",
-        _IDENTITY_COLUMNS,
-        rows,
-        {"relative_error": rel, "envelope": envelope, "pass": rows[0]["pass"]},
-    )
-    return 0
+        summary = {"relative_error": rel, "envelope": envelope}
+    return VerificationReport(f"identity-{args.check}", [row], {**summary, "pass": passed})
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args) -> VerificationReport:
     with open(args.infile, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SpecFormatError(f"{args.infile}: invalid JSON ({exc})") from None
+    if not isinstance(data, dict):
+        raise SpecFormatError(f"{args.infile}: expected a JSON object")
     for key in ("experiment_id", "rows", "summary"):
         if key not in data:
             raise SpecFormatError(f"{args.infile}: missing key {key!r}")
-    if args.format == "json":
-        _write(args.out, canonical_json_bytes(data))
-        return 0
     rows = data["rows"]
-    if rows and set(rows[0]) == set(ReportRow(n=1).to_json_obj()):
-        flat = []
-        for r in rows:
-            flat.append(
-                {
-                    "n": r["n"],
-                    "re_mean": None if r["mean"] is None else r["mean"][0],
-                    "im_mean": None if r["mean"] is None else r["mean"][1],
-                    "re_g": None if r["g"] is None else r["g"][0],
-                    "im_g": None if r["g"] is None else r["g"][1],
-                    "residual_t1": r["residual_t1"],
-                    "residual_t3": r["residual_t3"],
-                    "mu_alpha": r["mu_alpha"],
-                    "s_ratio": r["s_ratio"],
-                    "pass": r["pass"],
-                }
-            )
-        _write(args.out, csv_bytes(CSV_COLUMNS, flat))
-        return 0
-    columns = []
-    for key, value in rows[0].items():
-        if isinstance(value, list) and len(value) == 2:
-            columns.extend([f"re_{key}", f"im_{key}"])
-        else:
-            columns.append(key)
-    flat = []
-    for r in rows:
-        row = {}
-        for key, value in r.items():
-            if isinstance(value, list) and len(value) == 2:
-                row[f"re_{key}"], row[f"im_{key}"] = value
-            else:
-                row[key] = value
-        flat.append(row)
-    _write(args.out, csv_bytes(tuple(columns), flat))
-    return 0
+    if not (
+        isinstance(rows, list)
+        and rows
+        and all(isinstance(r, dict) and r.keys() == rows[0].keys() for r in rows)
+    ):
+        raise SpecFormatError(
+            f"{args.infile}: rows: expected a non-empty list of objects with the same keys"
+        )
+    for key in dict.fromkeys(key for _, key, _ in csv_layout(rows[0])[1]):
+        for row in rows:
+            value = row[key]
+            if value is not None and not (
+                isinstance(value, list)
+                and len(value) == 2
+                and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
+            ):
+                raise SpecFormatError(f"{args.infile}: rows: {key!r}: expected null or [re, im]")
+    if not isinstance(data["summary"], dict):
+        raise SpecFormatError(f"{args.infile}: summary: expected an object")
+    return VerificationReport(data["experiment_id"], rows, data["summary"])
 
 
 # -- argument wiring ----------------------------------------------------
-
-
-def _add_io(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", default="-", help="output path, '-' for stdout")
-    parser.add_argument(
-        "--format", choices=("csv", "json"), default="csv", help="output format"
-    )
-
-
-def _add_tols(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--quad-tol", type=float, default=None, help="quadrature tolerance")
-    parser.add_argument("--tail-tol", type=float, default=None, help="tail cut tolerance")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -630,26 +390,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Ingham sums, Dirichlet series and Euler products, with verification reports.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Every subcommand returns one report, which main writes.
+    io = argparse.ArgumentParser(add_help=False)
+    io.add_argument("--out", default="-", help="output path, '-' for stdout")
+    io.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
+    tols = argparse.ArgumentParser(add_help=False)
+    tols.add_argument("--quad-tol", type=float, default=None, help="quadrature tolerance")
+    tols.add_argument("--tail-tol", type=float, default=None, help="tail cut tolerance")
 
-    p = sub.add_parser("sieve", help="emit sieve-derived arithmetic tables")
+    p = sub.add_parser("sieve", parents=[io], help="emit sieve-derived arithmetic tables")
     p.add_argument("--n", required=True, help="table limit (grid notation; max is used)")
-    _add_io(p)
     p.set_defaults(func=_cmd_sieve)
 
-    p = sub.add_parser("mean", help="mean values of a multiplicative function")
+    p = sub.add_parser("mean", parents=[io], help="mean values of a multiplicative function")
     p.add_argument("--spec", required=True, help="multiplicative spec JSON")
     p.add_argument("--n", required=True, help="n grid")
     p.add_argument("--alpha", type=float, default=None)
-    _add_io(p)
     p.set_defaults(func=_cmd_mean)
 
-    p = sub.add_parser("ingham", help="Ingham sums A(n), S(n) along a grid")
+    p = sub.add_parser("ingham", parents=[io], help="Ingham sums A(n), S(n) along a grid")
     p.add_argument("--coeffs", required=True, help=f"builtin ({', '.join(BUILTIN_SEQUENCES)}) or JSON path")
     p.add_argument("--n", required=True, help="n grid")
-    _add_io(p)
     p.set_defaults(func=_cmd_ingham)
 
-    p = sub.add_parser("verify", help="theorem condition reports")
+    p = sub.add_parser("verify", parents=[io], help="theorem condition reports")
     p.add_argument("check", choices=("theorem1", "theorem2", "theorem3", "wintner", "axer"))
     p.add_argument("--spec", default=None, help="multiplicative spec JSON")
     p.add_argument("--coeffs", default=None, help="coefficient sequence name or path")
@@ -657,29 +421,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", default=None, help="descending sigma list, comma separated")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--envelope", type=float, default=None, help="frozen-constant override")
-    _add_io(p)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("lemma", help="f_t estimate-family ratio suite")
+    p = sub.add_parser("lemma", parents=[io, tols], help="f_t estimate-family ratio suite")
     p.add_argument("--envelope", type=float, default=None)
-    _add_tols(p)
-    _add_io(p)
     p.set_defaults(func=_cmd_lemma)
 
-    p = sub.add_parser("identity", help="exact identity checks")
+    p = sub.add_parser("identity", parents=[io, tols], help="exact identity checks")
     p.add_argument("check", choices=("sdiff", "sdecomp", "smult", "difference"))
     p.add_argument("--spec", default=None)
     p.add_argument("--coeffs", default=None)
     p.add_argument("--n", required=True)
     p.add_argument("--truncation", type=int, default=None)
     p.add_argument("--envelope", type=float, default=None)
-    _add_tols(p)
-    _add_io(p)
     p.set_defaults(func=_cmd_identity)
 
-    p = sub.add_parser("report", help="re-render a JSON report")
+    p = sub.add_parser("report", parents=[io], help="re-render a JSON report")
     p.add_argument("--in", dest="infile", required=True, help="JSON report path")
-    _add_io(p)
     p.set_defaults(func=_cmd_report)
 
     return parser
@@ -689,7 +447,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        report = args.func(args)
+        payload = report.to_csv_bytes() if args.format == "csv" else report.to_json_bytes()
+        if args.out == "-":
+            sys.stdout.buffer.write(payload)
+            sys.stdout.buffer.flush()
+        else:
+            with open(args.out, "wb") as fh:
+                fh.write(payload)
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3
@@ -702,6 +467,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 5
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -34,10 +34,6 @@ CSV_COLUMNS = (
 VOLATILE_SUMMARY_KEYS = ("wall_time_s",)
 
 
-def _round_trip_float(x) -> float:
-    return float(x)
-
-
 def jsonable(value):
     """Convert a value to deterministic JSON-ready form.
 
@@ -47,13 +43,13 @@ def jsonable(value):
     if value is None or isinstance(value, (bool, str, int)):
         return value
     if isinstance(value, complex):
-        return [_round_trip_float(value.real), _round_trip_float(value.imag)]
+        return [float(value.real), float(value.imag)]
     if isinstance(value, float):
-        return _round_trip_float(value)
+        return float(value)
     if isinstance(value, np.complexfloating):
         return jsonable(complex(value))
     if isinstance(value, np.floating):
-        return _round_trip_float(value)
+        return float(value)
     if isinstance(value, np.integer):
         return int(value)
     if isinstance(value, np.bool_):
@@ -127,59 +123,95 @@ class ReportRow:
             "pass": self.passed,
         }
 
-    def to_csv_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "re_mean": None if self.mean is None else self.mean.real,
-            "im_mean": None if self.mean is None else self.mean.imag,
-            "re_g": None if self.g is None else self.g.real,
-            "im_g": None if self.g is None else self.g.imag,
-            "residual_t1": self.residual_t1,
-            "residual_t3": self.residual_t3,
-            "mu_alpha": self.mu_alpha,
-            "s_ratio": self.s_ratio,
-            "pass": self.passed,
-        }
+
+# Keys of a ReportRow's JSON object; rows with exactly these keys are
+# written as the fixed CSV_COLUMNS.
+_ROW_KEYS = frozenset(ReportRow(n=1).to_json_obj())
 
 
 @dataclass
 class VerificationReport:
-    """Rows (sorted by n) plus a summary record for one experiment."""
+    """Rows plus a summary record for one experiment.
+
+    Rows are ReportRow records sorted by n, or, for tables with columns
+    of their own (sieve, ingham, lemma, identity, and reports read back
+    from JSON), dicts of JSON-ready values keyed like the first row.
+    """
 
     experiment_id: str
-    rows: list[ReportRow] = field(default_factory=list)
+    rows: list = field(default_factory=list)
     summary: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        ns = [row.n for row in self.rows]
-        if ns != sorted(ns):
-            raise ValueError("report rows must be sorted by n ascending")
+        if self._records:
+            ns = [row.n for row in self.rows]
+            if ns != sorted(ns):
+                raise ValueError("report rows must be sorted by n ascending")
+
+    @property
+    def _records(self) -> bool:
+        return bool(self.rows) and isinstance(self.rows[0], ReportRow)
 
     @property
     def passed(self) -> bool:
         """Overall verdict: the summary's trend-level pass when the
         experiment defines one (per-row flags may legitimately fail
-        inside the burn-in window), else the conjunction of row flags."""
+        inside the burn-in window), else the conjunction of ReportRow
+        flags; a table of dict rows without a summary pass has no
+        verdict and counts as passed."""
         own = self.summary.get("pass")
         if own is not None:
             return bool(own)
-        return all(row.passed for row in self.rows)
+        return not self._records or all(row.passed for row in self.rows)
 
-    def serializable_summary(self) -> dict:
-        return {
-            k: jsonable(v)
-            for k, v in self.summary.items()
-            if k not in VOLATILE_SUMMARY_KEYS
-        }
+    def _json_rows(self) -> list[dict]:
+        if self._records:
+            return [row.to_json_obj() for row in self.rows]
+        return self.rows
 
     def to_json_bytes(self) -> bytes:
         return canonical_json_bytes(
             {
                 "experiment_id": self.experiment_id,
-                "rows": [row.to_json_obj() for row in self.rows],
-                "summary": self.serializable_summary(),
+                "rows": self._json_rows(),
+                "summary": {
+                    k: v for k, v in self.summary.items() if k not in VOLATILE_SUMMARY_KEYS
+                },
             }
         )
 
     def to_csv_bytes(self) -> bytes:
-        return csv_bytes(CSV_COLUMNS, [row.to_csv_obj() for row in self.rows])
+        """The rows as CSV, flattened from their JSON form by
+        :func:`csv_layout`, so a report and its JSON read back give the
+        same bytes."""
+        rows = self._json_rows()
+        columns, parts = csv_layout(rows[0] if rows else {})
+        if parts:
+            rows = [
+                {**row, **{c: None if row[k] is None else row[k][i] for c, k, i in parts}}
+                for row in rows
+            ]
+        return csv_bytes(columns, rows)
+
+
+def csv_layout(first: dict) -> tuple[list[str], list[tuple[str, str, int]]]:
+    """CSV columns for JSON rows keyed like first, and (column, key,
+    index) for each column that holds one part of an [re, im] pair.
+
+    A pair under key k fills columns re_k and im_k (both empty for
+    null). Rows keyed like a ReportRow take the fixed CSV_COLUMNS; other
+    rows take first's keys in order, a 2-list there marking a pair.
+    """
+    if not first or first.keys() == _ROW_KEYS:
+        columns = list(CSV_COLUMNS)
+    else:
+        columns = []
+        for key, value in first.items():
+            pair = isinstance(value, list) and len(value) == 2
+            columns += [f"re_{key}", f"im_{key}"] if pair else [key]
+    parts = [
+        (col, col[3:], int(col.startswith("im_")))
+        for col in columns
+        if col not in first and col[3:] in first
+    ]
+    return columns, parts

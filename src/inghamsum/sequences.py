@@ -139,6 +139,12 @@ class MultiplicativeSpec:
             return 1.0 + 0j
         return self.prime_values.get(p, self.default)
 
+    @property
+    def euler_limit(self) -> int:
+        """A bound on every prime with f(p) != 1: the cutoff, or with
+        default 1 the largest listed prime (1 when none is listed)."""
+        return self.cutoff if self.default != 1 else max(self.prime_values, default=1)
+
 
 def _divisor_lattice(weights: np.ndarray, f: np.ndarray | None = None) -> np.ndarray:
     """out[d q] += weights[d] * f[q] over nonzero weights[d] and d q <= N,
@@ -214,6 +220,9 @@ def a_from_f(table: SieveTable, f: np.ndarray) -> CoefficientSequence:
     return CoefficientSequence.from_index_aligned(out)
 
 
+_CHUNK = 4096
+
+
 def extend_completely_multiplicative(
     spec: MultiplicativeSpec, table: SieveTable, n: int
 ) -> np.ndarray:
@@ -222,7 +231,7 @@ def extend_completely_multiplicative(
     f(m) is the product of f(p)^(v_p(m)) over the factorization of m.
     Primes with f(p) = 1 (including everything above the cutoff) are
     skipped exactly, so the result is bit-stable under cutoff changes
-    that only touch such primes.
+    that only touch such primes, and f(m) does not depend on n.
     """
     if n > table.limit:
         raise ValueError(f"extension length {n} exceeds sieve limit {table.limit}")
@@ -234,7 +243,20 @@ def extend_completely_multiplicative(
             continue
         pk = p
         while pk <= n:
-            f[pk::pk] *= fp
+            if fp.imag == 0:
+                f[pk::pk] *= fp
+            else:
+                # numpy's vector loop for complex * complex fuses
+                # multiply-adds that its scalar tail loop rounds apart,
+                # so f(m) would depend in its last bit on the slice
+                # length, i.e. on n. Separate real products round alike;
+                # chunks keep their temporaries in cache.
+                for lo in range(pk, n + 1, _CHUNK * pk):
+                    v = f[lo : lo + _CHUNK * pk : pk]
+                    re = v.real * fp.real - v.imag * fp.imag
+                    v.imag *= fp.real
+                    v.imag += v.real * fp.imag
+                    v.real = re
             pk *= p
     return f
 

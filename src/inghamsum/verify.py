@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -148,15 +148,62 @@ def theorem1_residual(
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    sigma = _sigma_of(n)
     if spec is not None:
         if table is None:
             raise ValueError("spec-based evaluation needs a sieve table")
-        g = euler_product(spec, table, sigma, min(spec.cutoff, table.limit))
+        g = _spec_g(spec, table, n)
     else:
         trunc = a.length if params is None else params.truncation
-        g = g_eval(a, EvalParams(sigma=sigma, truncation=trunc)).value
+        g = g_eval(a, EvalParams(sigma=_sigma_of(n), truncation=trunc)).value
     return abs(ingham_A(a, n) / n - g)
+
+
+def _spec_g(spec: MultiplicativeSpec, table: SieveTable, n: int) -> complex:
+    """g(1 + 1/log n) as the spec's Euler product over the table's primes;
+    exact once the table reaches spec.euler_limit."""
+    return euler_product(spec, table, _sigma_of(n), min(spec.cutoff, table.limit))
+
+
+def _theorem1_report(values, envelope: float, t0: float) -> VerificationReport:
+    """The report from (n, mean, g, residual) per grid point; a row
+    passes when the residual is at most envelope / log n."""
+    rows = [
+        ReportRow(n=n, mean=mean, g=g, residual_t1=r, passed=r <= envelope / math.log(n))
+        for n, mean, g, r in values
+    ]
+    summary = {
+        "pass": all(r.passed for r in rows),
+        "max_residual": max(r.residual_t1 for r in rows),
+        "thresholds": {"envelope_over_log_n": envelope},
+        "wall_time_s": time.perf_counter() - t0,
+    }
+    return VerificationReport("verify-theorem1", rows, summary)
+
+
+def theorem1_report(a: CoefficientSequence, grid, envelope: float) -> VerificationReport:
+    """A(n)/n against g(1 + 1/log n) along the grid, from coefficients:
+    the residual is :func:`theorem1_residual`, and g (a truncated
+    Dirichlet sum) is not reported."""
+    t0 = time.perf_counter()
+    values = [(n, ingham_A(a, n) / n, None, theorem1_residual(a, n)) for n in grid]
+    return _theorem1_report(values, envelope, t0)
+
+
+def theorem1_spec_report(
+    spec: MultiplicativeSpec, table: SieveTable, grid, envelope: float
+) -> VerificationReport:
+    """A(n)/n against g(1 + 1/log n) along the grid, from a spec: A(n)
+    is the sum of f(m) over m <= n, read off f as :func:`theorem3_check`
+    does, and g is the Euler product."""
+    if grid[0] < 2:
+        raise ValueError(f"n must be >= 2, got {grid[0]}")
+    t0 = time.perf_counter()
+    f = extend_completely_multiplicative(spec, table, grid[-1])
+    values = []
+    for n in grid:
+        mean, g = csum(f[1 : n + 1]) / n, _spec_g(spec, table, n)
+        values.append((n, mean, g, abs(mean - g)))
+    return _theorem1_report(values, envelope, t0)
 
 
 def theorem2_conditions(
@@ -164,7 +211,6 @@ def theorem2_conditions(
     n_grid,
     sigma_grid,
     policy: TrendPolicy | None = None,
-    experiment_id: str = "theorem2",
 ) -> VerificationReport:
     """Both limit-existence conditions along finite grids.
 
@@ -225,7 +271,7 @@ def theorem2_conditions(
         "sigma_rows": [[s, g.real, g.imag] for s, g in zip(sigma_grid, g_sigma)],
         "wall_time_s": time.perf_counter() - t0,
     }
-    return VerificationReport(experiment_id, rows, summary)
+    return VerificationReport("theorem2", rows, summary)
 
 
 def theorem3_check(
@@ -259,6 +305,68 @@ def theorem3_check(
     if residual <= _RESIDUAL_FLOOR:
         return Theorem3Result(mean, product, residual, mu, 0.0, False)
     return Theorem3Result(mean, product, residual, mu, None, True)
+
+
+def _theorem3_rows(spec, table, grid, alpha: float, envelope: float) -> list[ReportRow]:
+    """theorem3_check at every grid point on one extension of f; a row
+    passes when its ratio is finite and at most envelope."""
+    f = extend_completely_multiplicative(spec, table, grid[-1])
+    rows = []
+    for n in grid:
+        chk = theorem3_check(spec, table, n, alpha, f_values=f)
+        rows.append(
+            ReportRow(
+                n=n,
+                mean=chk.mean,
+                euler_product_at_1=chk.product,
+                residual_t3=chk.residual,
+                mu_alpha=chk.mu,
+                ratio=chk.ratio,
+                ratio_infinite=chk.ratio_infinite,
+                passed=not chk.ratio_infinite and (chk.ratio or 0.0) <= envelope,
+            )
+        )
+    return rows
+
+
+def _ratio_estimate(rows: list[ReportRow]) -> float:
+    return max((r.ratio for r in rows if r.ratio is not None), default=0.0)
+
+
+def mean_report(
+    spec: MultiplicativeSpec, table: SieveTable, grid, alpha: float
+) -> VerificationReport:
+    """Mean values of f along the grid against the mean-value bound, with
+    g(1 + 1/log n) beside them; a row passes when its ratio is finite."""
+    t0 = time.perf_counter()
+    rows = [
+        replace(row, g=_spec_g(spec, table, row.n))
+        for row in _theorem3_rows(spec, table, grid, alpha, math.inf)
+    ]
+    summary = {
+        "pass": all(r.passed for r in rows),
+        "max_residual": max((r.residual_t3 for r in rows), default=0.0),
+        "ratio_estimate": _ratio_estimate(rows),
+        "alpha": alpha,
+        "wall_time_s": time.perf_counter() - t0,
+    }
+    return VerificationReport("mean", rows, summary)
+
+
+def theorem3_report(
+    spec: MultiplicativeSpec, table: SieveTable, grid, alpha: float, envelope: float
+) -> VerificationReport:
+    """The mean-value bound along the grid; a row passes when
+    residual / mu_n(alpha) is finite and at most envelope."""
+    t0 = time.perf_counter()
+    rows = _theorem3_rows(spec, table, grid, alpha, envelope)
+    summary = {
+        "pass": all(r.passed for r in rows),
+        "ratio_estimate": _ratio_estimate(rows),
+        "thresholds": {"ratio_envelope": envelope, "alpha": alpha},
+        "wall_time_s": time.perf_counter() - t0,
+    }
+    return VerificationReport("verify-theorem3", rows, summary)
 
 
 def cond1_ratio(spec: MultiplicativeSpec, table: SieveTable, n: int) -> float:
@@ -316,6 +424,38 @@ def check_axer(a: CoefficientSequence, grid) -> np.ndarray:
         raise ValueError(f"grid outside [1, {a.length}]")
     prefix_abs = np.cumsum(np.abs(a.a))
     return prefix_abs[grid] / grid
+
+
+def wintner_report(a: CoefficientSequence, grid) -> VerificationReport:
+    """:func:`check_wintner` along the grid (no pass criterion)."""
+    t0 = time.perf_counter()
+    rows = []
+    for n in grid:
+        res = check_wintner(a, n)
+        rows.append(ReportRow(n=n, mean=res.mean, g=res.target, residual_t1=res.residual))
+    summary = {
+        "max_residual": max(r.residual_t1 for r in rows),
+        "wall_time_s": time.perf_counter() - t0,
+    }
+    return VerificationReport("verify-wintner", rows, summary)
+
+
+def axer_report(a: CoefficientSequence, grid, bound: float) -> VerificationReport:
+    """:func:`check_axer` along the grid; a row passes when its ratio,
+    reported as s_ratio, is at most bound."""
+    t0 = time.perf_counter()
+    ratios = check_axer(a, grid)
+    rows = [
+        ReportRow(n=n, s_ratio=float(r), passed=float(r) <= bound)
+        for n, r in zip(grid, ratios)
+    ]
+    summary = {
+        "pass": all(r.passed for r in rows),
+        "max_residual": float(np.max(ratios)),
+        "thresholds": {"bound": bound},
+        "wall_time_s": time.perf_counter() - t0,
+    }
+    return VerificationReport("verify-axer", rows, summary)
 
 
 # -- exact identity suites ---------------------------------------------

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import inghamsum as ig
 from inghamsum.cli import load_spec_file, main, parse_grid, resolve_coeffs
@@ -153,6 +155,7 @@ def test_verify_axer_envelope_flag(tmp_path):
     args = ["verify", "axer", "--coeffs", "one", "--n", "10,100", "--format", "json"]
     rc, payload = run_cli(list(args), tmp_path)
     assert json.loads(payload)["summary"]["pass"] is True
+    assert rc == 0
     rc, payload = run_cli(args + ["--envelope", "0.5"], tmp_path, "strict")
     assert json.loads(payload)["summary"]["pass"] is False
 
@@ -193,6 +196,76 @@ def test_report_round_trip(tmp_path):
     assert csv_payload.decode().splitlines()[0] == (
         "n,re_mean,im_mean,re_g,im_g,residual_t1,residual_t3,mu_alpha,s_ratio,pass"
     )
+
+
+# One cheap instance of every command whose report `report --in` can
+# re-render (lemma, at several seconds, is left out).
+RENDERED_COMMANDS = {
+    "ingham": ["ingham", "--coeffs", "mu", "--n", "10,100,1000"],
+    "theorem1": ["verify", "theorem1", "--spec", F2ZERO, "--grid", "1e2:1e4:x10"],
+    "theorem2": ["verify", "theorem2", "--coeffs", "mu", "--n", "1e2:1e4:x10", "--sigma", "2,1.5"],
+    "theorem3": ["verify", "theorem3", "--spec", LIOUVILLE, "--n", "100,1000"],
+    "wintner": ["verify", "wintner", "--coeffs", "inverse-squares", "--n", "100,1000"],
+    "axer": ["verify", "axer", "--coeffs", "one", "--n", "10,100", "--envelope", "0.5"],
+    "mean": ["mean", "--spec", LIOUVILLE, "--n", "100,1000"],
+    "sdiff": ["identity", "sdiff", "--coeffs", "mu", "--n", "500"],
+    "sdecomp": ["identity", "sdecomp", "--coeffs", "one", "--n", "300"],
+    "smult": ["identity", "smult", "--spec", F2ZERO, "--n", "200"],
+    "difference": ["identity", "difference", "--coeffs", "mu", "--n", "5", "--truncation", "2000"],
+    "sieve": ["sieve", "--n", "100"],
+}
+
+
+@pytest.mark.parametrize("cmd", RENDERED_COMMANDS.values(), ids=RENDERED_COMMANDS)
+def test_report_csv_equals_direct_csv(tmp_path, cmd):
+    _, direct = run_cli(cmd + ["--format", "csv"], tmp_path, "direct.csv")
+    run_cli(cmd + ["--format", "json"], tmp_path, "report.json")
+    rc, again = run_cli(
+        ["report", "--in", str(tmp_path / "report.json"), "--format", "csv"], tmp_path, "again.csv"
+    )
+    assert rc == 0
+    assert again == direct
+
+
+def test_report_rejects_malformed_rows(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    _, payload = run_cli(["verify", "axer", "--coeffs", "one", "--n", "10,100", "--format", "json"], tmp_path)
+    first, second = json.loads(payload)["rows"]
+    # A pair column holding a number, or a one-element list.
+    bad_pairs = ([{**first, "mean": 5}, second], [first, {**second, "g": [1.0]}])
+    for rows in ([], 5, *bad_pairs):
+        path.write_text(json.dumps({"experiment_id": "x", "rows": rows, "summary": {}}))
+        assert main(["report", "--in", str(path), "--format", "csv", "--out", os.devnull]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+_SPEC_PRIMES = (2, 3, 5, 7, 11, 97)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    cutoff=st.integers(100, 5000),
+    angles=st.dictionaries(st.sampled_from(_SPEC_PRIMES), st.floats(0.0, 6.28), max_size=4),
+    grid=st.lists(st.integers(3, 3000), min_size=2, max_size=4, unique=True).map(sorted),
+)
+def test_rows_do_not_depend_on_the_rest_of_the_grid(tmp_path_factory, cutoff, angles, grid):
+    spec = tmp_path_factory.mktemp("grid") / "spec.json"
+    primes = {str(p): [math.cos(a), math.sin(a)] for p, a in angles.items()}
+    spec.write_text(
+        json.dumps(
+            {"type": "completely_multiplicative", "cutoff": cutoff, "default": [-1, 0], "primes": primes}
+        )
+    )
+    out = spec.parent / "out.json"
+
+    def rows(cmd, points):
+        n = ",".join(map(str, points))
+        rc = main(cmd + ["--spec", str(spec), "--n", n, "--format", "json", "--out", str(out)])
+        assert rc == 0
+        return json.loads(out.read_bytes())["rows"]
+
+    for cmd in (["mean"], ["verify", "theorem1"], ["verify", "theorem3"]):
+        assert rows(cmd, grid) == [rows(cmd, [n])[0] for n in grid]
 
 
 def test_identity_commands(tmp_path):
@@ -256,6 +329,7 @@ def test_lemma_command_small_grid_via_library(table_small):
 def test_exit_parse_error(tmp_path):
     assert main(["ingham", "--coeffs", "definitely-missing", "--n", "10"]) == 2
     assert main(["mean", "--spec", str(tmp_path / "nope.json"), "--n", "10"]) == 2
+    assert main(["verify", "theorem3", "--n", "10"]) == 2  # no --spec
 
 
 def test_exit_capacity_error():

@@ -167,6 +167,16 @@ def test_extend_is_completely_multiplicative(table_small, rng):
             assert f[m * k] == pytest.approx(f[m] * f[k], rel=1e-12, abs=1e-12)
 
 
+def test_extend_prefix_does_not_depend_on_length(table_small):
+    spec = MultiplicativeSpec(
+        {2: 0.6j, 3: -0.9, 5: 0.8 + 0.5j, 7: 0}, cutoff=10_000, default=-0.28 + 0.96j
+    )
+    f = extend_completely_multiplicative(spec, table_small, 10_000)
+    for n in (25, 26, 27, 99, 1000, 4097, 9999):
+        g = extend_completely_multiplicative(spec, table_small, n)
+        assert np.array_equal(g.view(np.uint64), f[: n + 1].view(np.uint64)), n
+
+
 def test_extend_preserves_unit_bound(table_small):
     spec = MultiplicativeSpec(
         {2: 0.6j, 3: -0.9, 5: 0.8 + 0.5j, 7: 0}, cutoff=10_000, default=1.0
