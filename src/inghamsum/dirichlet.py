@@ -93,7 +93,7 @@ def zeta_real(sigma: float) -> float:
     if sigma <= 1:
         raise ValueError(f"zeta_real requires sigma > 1, got {sigma}")
     M = int(min(_ZETA_CAP, max(100, math.ceil(10.0 / (sigma - 1.0)))))
-    direct = rsum((np.arange(1, M, dtype=np.float64) ** -sigma).tolist())
+    direct = rsum(np.arange(1, M, dtype=np.float64) ** -sigma)
     return direct + _em_tail(sigma, float(M))
 
 
@@ -104,7 +104,7 @@ def zeta_tail(sigma: float, start: int) -> float:
     if start < 1:
         raise ValueError(f"start must be >= 1, got {start}")
     M = start + 50
-    direct = rsum((np.arange(start, M, dtype=np.float64) ** -sigma).tolist())
+    direct = rsum(np.arange(start, M, dtype=np.float64) ** -sigma)
     return direct + _em_tail(sigma, float(M))
 
 
@@ -184,7 +184,7 @@ def ft_partial_sum(table: SieveTable, x: float, t: float) -> float:
     nz = np.nonzero(mu)[0]
     d = (nz + 1).astype(np.float64)
     terms = mu[nz] * d**-t * (xf // (nz + 1))
-    return rsum(terms.tolist())
+    return rsum(terms)
 
 
 def l_t(s: float, t: float) -> float:

@@ -398,7 +398,7 @@ def cond2_ratio(spec: MultiplicativeSpec, table: SieveTable, n: int) -> float:
     theta_prefix = np.cumsum(theta)
     m = np.arange(1, n + 1)
     inner = np.abs(theta_prefix[n // m] - n / m.astype(np.float64))
-    return rsum(inner.tolist()) / (n * math.log(n))
+    return rsum(inner) / (n * math.log(n))
 
 
 def check_wintner(a: CoefficientSequence, n: int) -> WintnerResult:
@@ -407,7 +407,7 @@ def check_wintner(a: CoefficientSequence, n: int) -> WintnerResult:
         raise ValueError(f"n = {n} outside [1, {a.length}]")
     k = np.arange(1, n + 1, dtype=np.float64)
     vals = a.a[1 : n + 1]
-    abs_sum = rsum((np.abs(vals) / k).tolist())
+    abs_sum = rsum(np.abs(vals) / k)
     target = csum(vals / k)
     mean = ingham_A(a, n) / n
     return WintnerResult(abs_sum, target, mean, abs(mean - target))

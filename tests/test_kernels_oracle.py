@@ -1,6 +1,8 @@
-"""Bit-identity of the divisor-lattice and Mobius kernels against the
-straightforward loops they replaced: one strided slice-add per nonzero
-index, and one sign flip per prime."""
+"""Bit-identity of the divisor-lattice, Mobius and summation kernels
+against the straightforward code they replaced: one strided slice-add
+per nonzero index, one sign flip per prime, and math.fsum over a list."""
+
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import inghamsum as ig
-from inghamsum import a_from_f, sum_over_divisors
+from inghamsum import a_from_f, accumulate, sum_over_divisors
+from inghamsum.accumulate import csum, rsum
 
 _ROOTS = (2, 3, 10, 17, 31, 100, 316)
 SIZES = sorted(
@@ -133,3 +136,122 @@ def test_mobius_array_matches_scalar_mobius(table_medium):
     scalar = [table_medium.mobius(m) for m in range(1, table_medium.limit + 1)]
     assert mu[1:].tolist() == scalar
 
+
+
+def _rsum_ref(values):
+    return math.fsum(values)
+
+
+def _csum_ref(values):
+    arr = np.asarray(values)
+    if arr.size == 0:
+        return 0j
+    if np.iscomplexobj(arr):
+        return complex(math.fsum(arr.real.tolist()), math.fsum(arr.imag.tolist()))
+    return complex(math.fsum(arr.tolist()), 0.0)
+
+
+def _outcome(fn, values):
+    """The bits of fn(values), or the type of the exception it raised."""
+    try:
+        return np.array([fn(values)]).view(np.uint64).tolist()
+    except (TypeError, ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+def _same_sums(x):
+    assert _outcome(rsum, x) == _outcome(_rsum_ref, x.tolist())
+    assert _outcome(csum, x) == _outcome(_csum_ref, x)
+
+
+def _sum_sizes():
+    small = accumulate._SMALL
+    return (1, 7, small - 1, small, small + 1, 3 * small + 5)
+
+
+def _tie(n, half_ulp, tail=0.0):
+    """1.0 followed by n - 1 terms whose exact sum is half_ulp + tail."""
+    x = np.zeros(n)
+    x[0] = 1.0
+    if n > 2:
+        k = 1 << (n - 2).bit_length() - 1  # a power of two, so half_ulp / k is exact
+        x[1 : k + 1] = half_ulp / k
+        x[-1] += tail
+    return x
+
+
+def _summands(n, rng):
+    """Named real arrays of length n that stress exact summation."""
+    sign = rng.choice([-1.0, 1.0], n)
+    cancel = np.zeros(n)
+    half = rng.standard_normal((n - 1) // 2)
+    cancel[: half.size] = half
+    cancel[half.size : 2 * half.size] = -half[::-1]
+    cancel[-1] = 2.0**-1074
+    return {
+        "zeros": np.zeros(n),
+        "negative zeros": np.full(n, -0.0),
+        "mixed zeros": sign * 0.0,
+        "subnormals": sign * rng.integers(1, 2**52, n) * 2.0**-1074,
+        "wide exponents": rng.standard_normal(n)
+        * np.exp2(rng.integers(-1074, 1001, n).astype(float)),
+        "below the exponent guard": sign * rng.random(n) * 2.0**959,
+        "cancellation": cancel,
+        "tie at 1 + 2**-53": _tie(n, 2.0**-53),
+        "tie at 1 - 2**-54": _tie(n, -(2.0**-54)),
+        "tie broken by a subnormal": _tie(n, 2.0**-53, 2.0**-1074),
+        "tie broken below": _tie(n, -(2.0**-54), -(2.0**-1074)),
+        "int8": rng.integers(-128, 128, n).astype(np.int8),
+        "int64 above 2**53": rng.integers(-(2**62), 2**62, n),
+        "bool": rng.random(n) < 0.5,
+        "normal": rng.standard_normal(n) / np.arange(1, n + 1),
+    }
+
+
+@pytest.mark.parametrize("chunk", [None, 1024, 1000])
+def test_sums_match_fsum_bit_for_bit(chunk, rng, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(accumulate, "_CHUNK", chunk)
+    for n in _sum_sizes():
+        for name, x in _summands(n, rng).items():
+            assert x.size == n, name
+            _same_sums(x)
+
+
+def test_complex_sums_match_fsum_bit_for_bit(rng):
+    for n in _sum_sizes():
+        re = rng.standard_normal(n) * np.exp2(rng.integers(-60, 60, n).astype(float))
+        for imag in (rng.standard_normal(n), np.zeros(n), np.full(n, -0.0), rng.choice([0.0, -0.0], n)):
+            z = re.astype(np.complex128)
+            z.imag = imag
+            _same_sums(z.real)
+            _same_sums(z)
+            _same_sums(z[::3])
+
+
+def test_exponent_guard_and_non_finite_match_fsum(rng):
+    for n in _sum_sizes():
+        base = rng.choice([-1.0, 1.0], n) * rng.random(n) * 2.0**959
+        specials = (
+            [math.inf],
+            [-math.inf],
+            [math.nan],
+            [math.inf, -math.inf],
+            [1e308, 1e308, -1e308],  # fsum raises OverflowError
+            [2.0**960],  # the smallest magnitude the guard sends to fsum
+            [np.finfo(np.float64).max, -np.finfo(np.float64).max],
+        )
+        _same_sums(base)
+        for vals in specials:
+            x = base.copy()
+            x[: len(vals)] = vals[:n]
+            _same_sums(x)
+            _same_sums(x[::-1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=60))
+def test_sums_match_fsum_hypothesis(values):
+    x = np.array(values)
+    _same_sums(x)
+    _same_sums(np.resize(x, accumulate._SMALL + x.size))
