@@ -12,7 +12,8 @@ and rounds once with ``math.fsum`` over the nonzero bucket sums (at
 most 8192 per chunk). Their exact total is the exact total of the
 terms, so the correctly rounded result is the same value. Small arrays,
 and arrays holding inf, nan or magnitudes near overflow, go to
-``math.fsum`` directly.
+``math.fsum`` directly. :func:`segment_sums` does the same for many
+consecutive segments at once, with one set of buckets per segment.
 
 Index-aligned prefix arrays use plain float64 cumulative sums instead;
 their rounding error is orders of magnitude below every tolerance used
@@ -43,6 +44,22 @@ def _zero_sum(x: np.ndarray) -> float:
     return math.fsum([-0.0] if negative else [0.0])
 
 
+def _halves(x: np.ndarray):
+    """The bucket (2048 * sign + biased exponent), the high half and the
+    exact low half of every term of a contiguous float64 array."""
+    bits = x.view(np.uint64)
+    hi = (bits & _HI_MASK).view(np.float64)
+    with np.errstate(invalid="ignore"):  # inf - inf, left to math.fsum
+        lo = x - hi
+    return (bits >> np.uint64(52)).view(np.int64), hi, lo
+
+
+def _guarded(per_bucket: np.ndarray) -> bool:
+    """Whether a 4096-entry per-bucket array is nonzero at some exponent
+    from _EXP_LIMIT up."""
+    return bool(per_bucket.reshape(2, 2048)[:, _EXP_LIMIT:].any())
+
+
 def _exact_sum(x: np.ndarray) -> float:
     """math.fsum(x.tolist()) bit for bit, for a real array of any size."""
     if x.size < _SMALL or x.dtype.kind not in "biuf" or x.dtype.itemsize > 8:
@@ -50,19 +67,68 @@ def _exact_sum(x: np.ndarray) -> float:
     x = x.ravel()
     sums = []
     for start in range(0, x.size, _CHUNK):
-        chunk = np.ascontiguousarray(x[start : start + _CHUNK], dtype=np.float64)
-        bits = chunk.view(np.uint64)
-        key = (bits >> np.uint64(52)).view(np.int64)
-        hi = (bits & _HI_MASK).view(np.float64)
-        hi_sums = np.bincount(key, hi, 4096)  # key = 2048 * sign + exponent
-        if np.count_nonzero(hi_sums.reshape(2, 2048)[:, _EXP_LIMIT:]):
+        key, hi, lo = _halves(np.ascontiguousarray(x[start : start + _CHUNK], dtype=np.float64))
+        hi_sums = np.bincount(key, hi, 4096)
+        if _guarded(hi_sums):
             return math.fsum(x.tolist())
-        sums += [hi_sums, np.bincount(key, chunk - hi, 4096)]
+        sums += [hi_sums, np.bincount(key, lo, 4096)]
     terms = np.concatenate(sums)
     terms = terms[terms != 0]
     if terms.size == 0:
         return _zero_sum(x)
     return math.fsum(terms.tolist())
+
+
+def segment_sums(terms: np.ndarray, counts: np.ndarray) -> list[float]:
+    """math.fsum over consecutive segments of every row, bit for bit.
+
+    ``terms`` is a (rows, size) float64 array and ``counts`` holds the
+    segment lengths (each >= 1, summing to size, each at most 2**26).
+    Returns the sums segment by segment, the rows of a segment in row
+    order. Every (segment, row, sign, exponent) bucket adds its high and
+    low halves with ``np.bincount`` as :func:`_exact_sum` does, and one
+    ``math.fsum`` per segment row rounds its nonzero bucket sums. A
+    segment with a term at or above 2**960, inf or nan goes to
+    ``math.fsum`` over its terms, row by row, so the first exception is
+    the one a loop over the segments would raise.
+    """
+    rows = terms.shape[0]
+    bucket, hi, lo = _halves(terms)
+    present = np.zeros(4096, dtype=np.int64)
+    present[bucket] = 1
+    width = int(present.sum())
+    # key = (segment * rows + row) * width + rank of the bucket in the chunk
+    key = (np.cumsum(present) - 1)[bucket]
+    key += np.repeat(np.arange(0, counts.size * rows * width, rows * width), counts)
+    key += np.arange(0, rows * width, width)[:, None]
+    size = counts.size * rows * width
+    buckets = np.concatenate(
+        [
+            np.bincount(key.ravel(), hi.ravel(), size).reshape(-1, width),
+            np.bincount(key.ravel(), lo.ravel(), size).reshape(-1, width),
+        ],
+        axis=1,
+    )
+    nonzero = buckets != 0
+    values = buckets[nonzero].tolist()
+    ends = np.cumsum(np.count_nonzero(nonzero, axis=1)).tolist()
+    guarded = np.zeros(counts.size, dtype=bool)
+    if _guarded(present):
+        guarded[key[(bucket & 2047) >= _EXP_LIMIT] // (rows * width)] = True
+    stops = np.cumsum(counts)
+    out = []
+    done = 0
+    for first, stop, fallback in zip((stops - counts).tolist(), stops.tolist(), guarded.tolist()):
+        for row in range(rows):
+            end = ends[len(out)]
+            if end > done and not fallback:
+                out.append(math.fsum(values[done:end]))
+            elif fallback:
+                out.append(math.fsum(terms[row, first:stop].tolist()))
+            else:
+                out.append(_zero_sum(terms[row, first:stop]))
+            done = end
+    return out
 
 
 def rsum(values) -> float:

@@ -171,7 +171,8 @@ def ft_partial_sum(table: SieveTable, x: float, t: float) -> float:
     """F_t(x) through the exact divisor identity sum mu(d) d^-t floor(x/d).
 
     Independent of :func:`f_t_table`; cheap for a single (x, t) pair and
-    used as the inner evaluation in quadrature over t.
+    used as the inner evaluation in quadrature over t, where the table
+    keeps the squarefree d <= x and their quotients between calls.
     """
     if t <= 0:
         raise ValueError(f"t must be positive, got {t}")
@@ -180,11 +181,8 @@ def ft_partial_sum(table: SieveTable, x: float, t: float) -> float:
     xf = int(math.floor(x))
     if xf > table.limit:
         raise ValueError(f"x = {x} exceeds sieve limit {table.limit}")
-    mu = table.mobius_array[1 : xf + 1]
-    nz = np.nonzero(mu)[0]
-    d = (nz + 1).astype(np.float64)
-    terms = mu[nz] * d**-t * (xf // (nz + 1))
-    return rsum(terms)
+    mu, d, q = table.mobius_quotients(xf)
+    return rsum(mu * d**-t * q)
 
 
 def l_t(s: float, t: float) -> float:

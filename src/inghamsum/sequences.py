@@ -72,7 +72,7 @@ class CoefficientSequence:
             raise ValueError("coefficient list must be non-empty and one-dimensional")
         a = np.zeros(vals.size + 1, dtype=np.complex128)
         a[1:] = vals
-        return cls.from_index_aligned(a)
+        return cls._from_owned(a)
 
     @classmethod
     def from_index_aligned(cls, a: np.ndarray) -> "CoefficientSequence":
@@ -80,9 +80,25 @@ class CoefficientSequence:
         a = np.array(a, dtype=np.complex128)
         if a.ndim != 1 or a.size < 2:
             raise ValueError("index-aligned array must cover at least m = 1")
+        return cls._from_owned(a)
+
+    @classmethod
+    def _from_owned(cls, a: np.ndarray) -> "CoefficientSequence":
+        """Build on a fresh complex128 array, which the sequence keeps."""
         a[0] = 0
         prefix_a = np.cumsum(a)
-        prefix_alog = np.cumsum(a * log_index(a.size - 1))
+        # a * log m formed as numpy's complex * real forms it, (ar*l - ai*0,
+        # ar*0 + ai*l), one real product at a time into the views of the
+        # output, so no complex temporary is made.
+        log = log_index(a.size - 1)
+        prefix_alog = np.empty_like(a)
+        zeros = np.multiply(a.imag, 0.0)
+        np.multiply(a.real, log, out=prefix_alog.real)
+        np.subtract(prefix_alog.real, zeros, out=prefix_alog.real)
+        np.multiply(a.real, 0.0, out=zeros)
+        np.multiply(a.imag, log, out=prefix_alog.imag)
+        np.add(zeros, prefix_alog.imag, out=prefix_alog.imag)
+        np.cumsum(prefix_alog, out=prefix_alog)
         for arr in (a, prefix_a, prefix_alog):
             arr.flags.writeable = False
         return cls(a.size - 1, a, prefix_a, prefix_alog)
@@ -271,8 +287,8 @@ def named_sequence(name: str, n: int, table: SieveTable) -> CoefficientSequence:
     if n < 1 or n > table.limit:
         raise ValueError(f"length {n} outside [1, {table.limit}]")
     if name == "mu":
-        vals = table.mobius_array[1 : n + 1].astype(np.complex128)
-    elif name == "unit":
+        return CoefficientSequence.from_index_aligned(table.mobius_array[: n + 1])
+    if name == "unit":
         vals = np.zeros(n, dtype=np.complex128)
         vals[0] = 1
     elif name == "one":

@@ -7,9 +7,15 @@ The two central quantities are
 
 Both are evaluated by floor-quotient block decomposition: floor(n/k) is
 constant on O(sqrt n) maximal blocks of k, so prefix sums of a_k and of
-a_k log k turn each query into O(sqrt n) work. Dense sweeps over every
-n <= N instead go through one divisor-lattice pass plus a cumulative
-sum, which is how batch verification grids stay affordable. The lattice
+a_k log k turn each query into O(sqrt n) work. :func:`block_sums` lays
+out the blocks of a whole grid of n as numpy arrays and rounds each n
+exactly with the bucket sums of :mod:`accumulate`, so a grid costs a
+few array passes per 2**14 blocks instead of a Python loop per block,
+and every value equals ``math.fsum`` over that n's block terms. A single
+n (:func:`ingham_A`, :func:`ingham_S`) gathers its blocks with one index
+array and rounds with ``math.fsum`` over the terms directly. Dense
+sweeps over every n <= N can instead go through one divisor-lattice
+pass plus a cumulative sum (:func:`cumulative_sums`). The lattice
 pass is hyperbola-split: strided slice-adds for divisors d <= sqrt(N),
 one vectorized add per cofactor N/d for the rest. The Mobius table
 behind a_from_f sieves only the primes up to sqrt(N) and fixes the sign
@@ -24,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accumulate import csum
+from .accumulate import csum, segment_sums
 from .sequences import CoefficientSequence, log_index, sum_over_divisors
 
 
@@ -81,20 +87,87 @@ class WeightSequence:
         return cls(log_index(n), kind="log")
 
 
+# Blocks per pass of block_sums: the gathered terms, bucket keys and
+# bucket sums of a pass stay within a few MB.
+_CHUNK_BLOCKS = 1 << 14
+
+
+def _block_terms(dr, di, q):
+    """The block terms (dr + i di) * q as two rows, real then imaginary.
+
+    Each part is formed from separate real products, as CPython up to
+    3.13 multiplies a complex by an int (q as q + 0i): dr*q - di*0.0 and
+    dr*0.0 + di*q. The rule is fixed here on purpose and does not follow
+    the interpreter: from 3.14 on, complex * int gives (dr*q, di*q),
+    which differs for signed zeros and for inf or nan in the other part.
+    numpy's complex multiply is not used because its SIMD loop may fuse
+    the multiply-adds.
+    """
+    terms = np.empty((2, q.size))
+    with np.errstate(invalid="ignore", over="ignore"):
+        np.subtract(dr * q, di * 0.0, out=terms[0])
+        np.add(dr * 0.0, di * q, out=terms[1])
+    return terms
+
+
+def block_sums(prefix, grid) -> list[complex]:
+    """Sum of q * (prefix[k2] - prefix[k1 - 1]) over the maximal blocks
+    [k1, k2] with q = floor(n/k) constant, for every n in grid.
+
+    With r = isqrt(n) the blocks are k = 1..r (q = n // k), then
+    q = n // (r + 1) down to 1; each has k2 = n // q and k1 - 1 =
+    n // (q + 1). The terms come from :func:`_block_terms`, and the real
+    and imaginary parts of each n are exactly rounded sums
+    (:func:`accumulate.segment_sums`), so every value is ``math.fsum``
+    over that n's terms bit for bit, the same value :func:`_block_sum`
+    gives, and integer-valued inputs give exact integer results.
+    """
+    prefix = np.asarray(prefix, dtype=np.complex128)
+    ns = np.asarray(grid, dtype=np.int64).ravel()
+    if not ns.size:
+        return []
+    if not 1 <= ns.min() <= ns.max() < prefix.size:
+        raise ValueError(f"grid outside [1, {prefix.size - 1}]")
+    r = np.sqrt(ns).astype(np.int64)
+    r -= r * r > ns
+    r += (r + 1) * (r + 1) <= ns
+    counts = r + ns // (r + 1)
+    before = np.cumsum(counts) - counts
+    # A pass starts at each point whose first block crosses a multiple
+    # of _CHUNK_BLOCKS.
+    starts = [0, *(np.flatnonzero(np.diff(before // _CHUNK_BLOCKS)) + 1).tolist(), ns.size]
+    out: list[complex] = []
+    for a, b in zip(starts, starts[1:]):
+        c = counts[a:b]
+        first = before[a:b] - before[a]
+        j = np.arange(int(c.sum())) - np.repeat(first, c)
+        head = j < np.repeat(r[a:b], c)
+        # d is k2 on the first r blocks of an n and q on the others; x is
+        # the other one of the two.
+        d = np.where(head, j + 1, np.repeat(c, c) - j)
+        x = np.repeat(ns[a:b], c) // d
+        q = np.where(head, x, d).astype(np.float64)
+        # A block's k1 - 1 is the k2 of the block before it (0 for the first).
+        upper = prefix[np.where(head, d, x)]
+        lower = np.empty_like(upper)
+        lower[1:] = upper[:-1]
+        lower[first] = prefix[0]
+        terms = _block_terms(upper.real - lower.real, upper.imag - lower.imag, q)
+        sums = segment_sums(terms, c)
+        out += map(complex, sums[0::2], sums[1::2])
+    return out
+
+
 def _block_sum(prefix, n: int) -> complex:
-    """Sum of q * (prefix[k2] - prefix[k1 - 1]) over maximal blocks with
-    q = floor(n/k) constant for k in [k1, k2]. Terms are collected and
-    fsum-reduced, so integer-valued inputs give exact integer results."""
-    re: list[float] = []
-    im: list[float] = []
-    k = 1
-    while k <= n:
-        q = n // k
-        k2 = n // q
-        block = (prefix[k2] - prefix[k - 1]) * q
-        re.append(block.real)
-        im.append(block.imag)
-        k = k2 + 1
+    """block_sums at one point, without the bucket set-up: the block ends
+    are 0..r, then n // q for q = n // (r + 1) down to 1, and
+    ``math.fsum`` rounds each part of the terms."""
+    r = math.isqrt(n)
+    k = np.concatenate((np.arange(r + 1), n // np.arange(n // (r + 1), 0, -1)))
+    ends = prefix[k]
+    re, im = ends.real, ends.imag
+    q = (n // k[1:]).astype(np.float64)
+    re, im = _block_terms(re[1:] - re[:-1], im[1:] - im[:-1], q).tolist()
     return complex(math.fsum(re), math.fsum(im))
 
 
@@ -123,8 +196,9 @@ def _summation_value(n: int, A: complex, S: complex) -> SummationValue:
 def batch_sums(seq: CoefficientSequence, grid) -> list[SummationValue]:
     """Per-point A(n), S(n) for a strictly ascending grid of n values.
 
-    Each grid point is an independent block-decomposed query; results
-    are returned in grid order and are identical to per-point calls.
+    One :func:`block_sums` pass per prefix array covers the whole grid;
+    results are returned in grid order and are identical to per-point
+    calls.
     """
     grid = [int(n) for n in grid]
     if not grid:
@@ -133,17 +207,9 @@ def batch_sums(seq: CoefficientSequence, grid) -> list[SummationValue]:
         raise ValueError("grid must be strictly ascending")
     _check_point(seq, grid[0])
     _check_point(seq, grid[-1])
-
-    # Large sweeps index the prefix arrays heavily; plain lists are
-    # noticeably faster than ndarray scalar access there.
-    pa: object = seq.prefix_a
-    pl: object = seq.prefix_alog
-    if len(grid) > 64:
-        top = grid[-1]
-        pa = seq.prefix_a[: top + 1].tolist()
-        pl = seq.prefix_alog[: top + 1].tolist()
-
-    return [_summation_value(n, _block_sum(pa, n), _block_sum(pl, n)) for n in grid]
+    A = block_sums(seq.prefix_a, grid)
+    S = block_sums(seq.prefix_alog, grid)
+    return [_summation_value(*v) for v in zip(grid, A, S)]
 
 
 def cumulative_sums(

@@ -236,9 +236,8 @@ def theorem2_conditions(
     t0 = time.perf_counter()
     rows = []
     s_ratios = []
-    for n in n_grid:
-        A = ingham_A(a, n)
-        S = ingham_S(a, n)
+    for v in batch_sums(a, n_grid):
+        n, A, S = v.n, v.A, v.S
         ratio = abs(S) / (n * math.log(n)) if n > 1 else None
         g_n = g_eval(a, EvalParams(sigma=_sigma_of(n), truncation=a.length)).value
         passed = ratio is None or ratio <= policy.s_ratio_threshold
@@ -464,13 +463,13 @@ def axer_report(a: CoefficientSequence, grid, bound: float) -> VerificationRepor
 def s_difference_identity(a: CoefficientSequence, table: SieveTable, M: int) -> float:
     """max over 2 <= m <= M of |S(m) - S(m-1) - sum_{k|m} a_k log k|.
 
-    S comes from block-decomposed queries, the divisor sums from a
-    lattice pass; the two routes share no summation structure.
+    S comes from one block-decomposed query per m, the divisor sums
+    from a lattice pass; the two routes share no summation structure.
     """
     if not 2 <= M <= min(a.length, table.limit):
         raise ValueError(f"M = {M} outside [2, {min(a.length, table.limit)}]")
     divisor_sums = sum_over_divisors(a.a[: M + 1] * log_index(M))
-    prefix = a.prefix_alog[: M + 1].tolist()
+    prefix = a.prefix_alog
     worst = 0.0
     prev = _block_sum(prefix, 1)
     for m in range(2, M + 1):

@@ -1,6 +1,7 @@
 """Bit-identity of the divisor-lattice, Mobius and summation kernels
 against the straightforward code they replaced: one strided slice-add
-per nonzero index, one sign flip per prime, and math.fsum over a list."""
+per nonzero index, one sign flip per prime, math.fsum over a list, and
+one Python loop iteration per floor-quotient block."""
 
 import math
 
@@ -10,8 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import inghamsum as ig
-from inghamsum import a_from_f, accumulate, sum_over_divisors
+from inghamsum import a_from_f, accumulate, summation, sum_over_divisors
 from inghamsum.accumulate import csum, rsum
+from inghamsum.cli import parse_grid
+from inghamsum.dirichlet import ft_partial_sum
+from inghamsum.sequences import CoefficientSequence, log_index, named_sequence
+from inghamsum.summation import block_sums
 
 _ROOTS = (2, 3, 10, 17, 31, 100, 316)
 SIZES = sorted(
@@ -255,3 +260,185 @@ def test_sums_match_fsum_hypothesis(values):
     x = np.array(values)
     _same_sums(x)
     _same_sums(np.resize(x, accumulate._SMALL + x.size))
+
+
+# -- floor-quotient block sums -------------------------------------------
+
+
+def _block_sum_ref(prefix, n):
+    """One loop iteration per maximal block of constant q = n // k. A
+    term is (prefix[k2] - prefix[k - 1]) * q as CPython up to 3.13 forms
+    it, spelled out so that the reference does not change with the
+    interpreter's complex * int rule."""
+    re: list[float] = []
+    im: list[float] = []
+    k = 1
+    while k <= n:
+        q = n // k
+        k2 = n // q
+        d = prefix[k2] - prefix[k - 1]
+        re.append(d.real * q - d.imag * 0.0)
+        im.append(d.real * 0.0 + d.imag * q)
+        k = k2 + 1
+    return complex(math.fsum(re), math.fsum(im))
+
+
+def _block_outcome(fn):
+    """The (re, im) bits of fn() with every nan as one value, or the type
+    of the exception it raised."""
+    try:
+        values = np.array(fn(), dtype=np.complex128).ravel()
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+    bits = values.view(np.float64)
+    bits = np.where(np.isnan(bits), np.nan, bits)
+    return np.ascontiguousarray(bits).view(np.uint64).tolist()
+
+
+def _same_block_sums(prefix, grid, case=""):
+    prefix = np.asarray(prefix, dtype=np.complex128)
+    grid = list(grid)
+    listed = prefix.tolist()
+    expected = _block_outcome(lambda: [_block_sum_ref(listed, n) for n in grid])
+    assert _block_outcome(lambda: block_sums(prefix, grid)) == expected, case
+    one_point = [_block_outcome(lambda: summation._block_sum(prefix, n)) for n in grid]
+    assert one_point == [_block_outcome(lambda: _block_sum_ref(listed, n)) for n in grid], case
+
+
+def _unit_prefix(n, rng):
+    a = np.exp(2j * np.pi * rng.random(n + 1))
+    a[0] = 0
+    return np.cumsum(a * log_index(n))
+
+
+def test_block_sums_every_n_to_2000(rng):
+    _same_block_sums(_unit_prefix(2000, rng), range(1, 2001))
+
+
+def test_block_sums_near_squares(rng):
+    roots = (1, 2, 3, 10, 31, 100, 316, 999)
+    grid = sorted({m for r in roots for m in (r * r - 1, r * r, r * r + r, r * r + 2 * r) if m >= 1})
+    _same_block_sums(_unit_prefix(grid[-1], rng), grid)
+    for n in grid:
+        _same_block_sums(_unit_prefix(n, rng), [n])
+
+
+def test_block_sums_mobius_grid(table_big):
+    seq = named_sequence("mu", 10**6, table_big)
+    grid = parse_grid("1e3:1e6:x1.002")
+    _same_block_sums(seq.prefix_a, grid)
+    _same_block_sums(seq.prefix_alog, grid)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, 1000])
+def test_block_sums_chunks_end_mid_grid(chunk, rng, monkeypatch):
+    monkeypatch.setattr(summation, "_CHUNK_BLOCKS", chunk)
+    _same_block_sums(_unit_prefix(600, rng), range(1, 601))
+    _same_block_sums(_unit_prefix(600, rng), [5, 77, 78, 400, 599, 600])
+
+
+def _zero_runs(n, rng):
+    """Prefixes made of runs of 0.0, -0.0 and a few nonzero values."""
+    runs = {
+        "zeros": np.zeros(n + 1),
+        "negative zeros": np.full(n + 1, -0.0),
+        "mixed zeros": rng.choice([0.0, -0.0], n + 1),
+        "runs": np.repeat(rng.choice([0.0, -0.0, 1.0, -2.5], n // 8 + 1), 8)[: n + 1],
+    }
+    for re_name, re in runs.items():
+        for im_name, im in runs.items():
+            z = np.empty(n + 1, dtype=np.complex128)
+            z.real = re
+            z.imag = im
+            yield f"{re_name} + i {im_name}", z
+
+
+def test_block_sums_signed_zero_runs(rng):
+    for case, prefix in _zero_runs(300, rng):
+        _same_block_sums(prefix, range(1, 301), case)
+        _same_block_sums(prefix, [1, 2, 299], case)
+
+
+def test_block_sums_inf_nan_and_overflow(rng):
+    n = 400
+    base = _unit_prefix(n, rng)
+    specials = (
+        (math.inf, 0.0),
+        (-math.inf, 0.0),
+        (0.0, math.inf),
+        (math.nan, 0.0),
+        (0.0, math.nan),
+        (1e308, -1e308),
+        (2.0**960, 0.0),
+        (np.finfo(np.float64).max, 1.0),
+    )
+    for re, im in specials:
+        for at in (1, 17, 200, n):
+            prefix = base.copy()
+            prefix[at] = complex(re, im)
+            _same_block_sums(prefix, range(1, n + 1))
+            for m in (at, at + 1, n):
+                if m <= n:
+                    _same_block_sums(prefix, [m])
+    grown = base * 1e305  # terms overflow or reach the exponent guard
+    _same_block_sums(grown, range(1, n + 1))
+    _same_block_sums(grown, [n])
+
+
+@settings(max_examples=60, deadline=None)
+@given(special_lists)
+def test_block_sums_hypothesis(values):
+    prefix = np.cumsum(np.array([0j, *values], dtype=np.complex128))
+    _same_block_sums(prefix, range(1, prefix.size))
+
+
+def test_block_sums_rejects_points_outside_the_prefix():
+    prefix = np.zeros(10, dtype=np.complex128)
+    assert block_sums(prefix, []) == []
+    for grid in ([0], [10], [3, -1]):
+        with pytest.raises(ValueError):
+            block_sums(prefix, grid)
+
+
+# -- sequence prefixes and the F_t partial sum ----------------------------
+
+
+def _prefixes_ref(a):
+    a = np.array(a, dtype=np.complex128)
+    a[0] = 0
+    return np.cumsum(a), np.cumsum(a * log_index(a.size - 1))
+
+
+def test_sequence_prefixes_match_complex_formulas(table_medium, rng):
+    for n in (1, 2, 3, 100, 4097, 10**5):
+        for kind in KINDS:
+            a = _input(kind, n, rng).astype(np.complex128)
+            if kind.endswith("complex"):
+                a.imag[rng.random(n + 1) < 0.2] = -0.0
+            a[rng.random(n + 1) < 0.1] = complex(-0.0, -0.0)
+            for seq in (CoefficientSequence.from_index_aligned(a), CoefficientSequence.from_values(a[1:])):
+                pa, pl = _prefixes_ref(np.concatenate([[0j], a[1:]]))
+                _same_bits(seq.prefix_a, pa)
+                _same_bits(seq.prefix_alog, pl)
+    mu = table_medium.mobius_array
+    seq = named_sequence("mu", 10**5, table_medium)
+    _same_bits(seq.a, mu.astype(np.complex128))
+    for got, ref in zip((seq.prefix_a, seq.prefix_alog), _prefixes_ref(mu)):
+        _same_bits(got, ref)
+
+
+def _ft_partial_sum_ref(table, x, t):
+    xf = int(math.floor(x))
+    mu = table.mobius_array[1 : xf + 1]
+    nz = np.nonzero(mu)[0]
+    d = (nz + 1).astype(np.float64)
+    return math.fsum((mu[nz] * d**-t * (xf // (nz + 1))).tolist())
+
+
+def test_ft_partial_sum_matches_per_call_setup(table_medium):
+    xs = (1.0, 2.5, 1000.0, 1e4, 1000.7, 99_999.0, 3.0, 7.0, 1000.0)
+    for t in (0.05, 0.5, 1.0, 2.75):
+        for x in xs:  # more distinct x than the table caches
+            assert ft_partial_sum(table_medium, x, t) == _ft_partial_sum_ref(table_medium, x, t)
+    mu, d, q = table_medium.mobius_quotients(1000)
+    assert not (mu.flags.writeable or d.flags.writeable or q.flags.writeable)

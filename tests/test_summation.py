@@ -105,8 +105,8 @@ def test_batch_equals_pointwise_and_workers(table_small, rng):
 
 
 def test_batch_large_grid_fast_path_is_bitwise_identical(rng):
-    # Grids longer than 64 points switch the prefix arrays to plain
-    # lists; values must still match per-point queries exactly.
+    # A grid is summed in one block_sums pass; values must still match
+    # per-point queries exactly.
     vals = rng.standard_normal(400) + 1j * rng.standard_normal(400)
     seq = CoefficientSequence.from_values(vals)
     out = batch_sums(seq, range(1, 401))
