@@ -5,9 +5,14 @@ wintner,axer}, lemma, identity {sdiff,sdecomp,smult,difference}, report.
 Outputs are deterministic: the same configuration and build produce
 byte-identical CSV/JSON artifacts.
 
-Every subcommand returns one VerificationReport, which ``main`` writes.
-``mean`` and ``verify theorem1 --spec`` size the sieve to cover the
-spec's Euler product (see README).
+Every subcommand returns one VerificationReport, fully computed before
+``main`` opens the output, and ``main`` is its only writer. The table
+commands (``sieve``, ``ingham``) hold their columns as arrays, and
+``main`` streams every report in chunks of ``report.CHUNK_ROWS`` rows,
+so the memory a report adds beyond its arrays (the sieve's, for
+``sieve``) is bounded by the chunk size; the bytes are the same as one
+whole-document write. ``mean`` and ``verify theorem1 --spec`` size the
+sieve to cover the spec's Euler product (see README).
 
 Exit statuses: 0 the report was written (a failed verdict shows as
 "pass": false in its summary, not in the status), 2 parse or validation
@@ -31,7 +36,7 @@ import numpy as np
 
 from .dirichlet import EvalParams
 from .errors import CapacityError, QuadratureError, SingularFactorError, SpecFormatError
-from .report import VerificationReport, csv_layout
+from .report import Columns, VerificationReport, csv_layout
 from .sequences import (
     BUILTIN_SEQUENCES,
     CoefficientSequence,
@@ -205,20 +210,14 @@ def _spec_table(spec: MultiplicativeSpec, top: int) -> SieveTable:
 def _cmd_sieve(args) -> VerificationReport:
     n = parse_grid(args.n)[-1]
     table = build_sieve(n)
-    mu = table.mobius_array
-    lam = table.mangoldt_array
-    psi = table.psi_prefix
-    rows = [
-        {
-            "m": m,
-            "spf": int(table.spf[m]),
-            "mu": int(mu[m]),
-            "mangoldt": float(lam[m]),
-            "psi": float(psi[m]),
-        }
-        for m in range(2, n + 1)
-    ]
-    return VerificationReport("sieve", rows, {"limit": n})
+    columns = {
+        "m": np.arange(2, n + 1),
+        "spf": table.spf[2:],
+        "mu": table.mobius_array[2:],
+        "mangoldt": table.mangoldt_array[2:],
+        "psi": table.psi_prefix[2:],
+    }
+    return VerificationReport("sieve", Columns(columns), {"limit": n})
 
 
 def _cmd_mean(args) -> VerificationReport:
@@ -231,22 +230,16 @@ def _cmd_mean(args) -> VerificationReport:
 def _cmd_ingham(args) -> VerificationReport:
     grid = parse_grid(args.n)
     seq = resolve_coeffs(args.coeffs, grid[-1], _get_table(grid[-1]))
-    rows = []
-    for v in batch_sums(seq, grid):
-        rows.append(
-            {
-                "n": v.n,
-                "re_A": v.A.real,
-                "im_A": v.A.imag,
-                "re_S": v.S.real,
-                "im_S": v.S.imag,
-                "re_norm_a": v.normalized_A.real,
-                "im_norm_a": v.normalized_A.imag,
-                "re_norm_s": None if v.normalized_S is None else v.normalized_S.real,
-                "im_norm_s": None if v.normalized_S is None else v.normalized_S.imag,
-            }
-        )
-    return VerificationReport("ingham", rows, {"coeffs": args.coeffs})
+    values = batch_sums(seq, grid)
+    columns = {"n": np.array([v.n for v in values])}
+    for name, key in (("A", "A"), ("S", "S"), ("norm_a", "normalized_A")):
+        z = np.array([getattr(v, key) for v in values], dtype=np.complex128)
+        columns[f"re_{name}"], columns[f"im_{name}"] = z.real, z.imag
+    # S/(n log n) is undefined at n = 1.
+    norm_s = [v.normalized_S for v in values]
+    columns["re_norm_s"] = [None if z is None else z.real for z in norm_s]
+    columns["im_norm_s"] = [None if z is None else z.imag for z in norm_s]
+    return VerificationReport("ingham", Columns(columns), {"coeffs": args.coeffs})
 
 
 def _cmd_verify(args) -> VerificationReport:
@@ -367,7 +360,8 @@ def _cmd_report(args) -> VerificationReport:
         raise SpecFormatError(
             f"{args.infile}: rows: expected a non-empty list of objects with the same keys"
         )
-    for key in dict.fromkeys(key for _, key, _ in csv_layout(rows[0])[1]):
+    pairs = [col[3:] for col in csv_layout(rows[0]) if col not in rows[0]]
+    for key in dict.fromkeys(pairs):
         for row in rows:
             value = row[key]
             if value is not None and not (
@@ -448,13 +442,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report = args.func(args)
-        payload = report.to_csv_bytes() if args.format == "csv" else report.to_json_bytes()
+        chunks = report.chunks(args.format)
         if args.out == "-":
-            sys.stdout.buffer.write(payload)
+            sys.stdout.buffer.writelines(chunks)
             sys.stdout.buffer.flush()
         else:
             with open(args.out, "wb") as fh:
-                fh.write(payload)
+                fh.writelines(chunks)
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3

@@ -34,7 +34,7 @@ from .dirichlet import (
     _EM_COEFFS,
     _prime_deviation_sum,
 )
-from .quadrature import integral_sigma_to_inf, integral_zero_to_inf
+from .quadrature import QuadResult, integral_sigma_to_inf, integral_zero_to_inf
 from .report import ReportRow, VerificationReport
 from .sequences import (
     CoefficientSequence,
@@ -153,9 +153,15 @@ def theorem1_residual(
             raise ValueError("spec-based evaluation needs a sieve table")
         g = _spec_g(spec, table, n)
     else:
-        trunc = a.length if params is None else params.truncation
-        g = g_eval(a, EvalParams(sigma=_sigma_of(n), truncation=trunc)).value
+        g = _dirichlet_g(a, n, params)
     return abs(ingham_A(a, n) / n - g)
+
+
+def _dirichlet_g(a: CoefficientSequence, n: int, params: EvalParams | None = None) -> complex:
+    """g(1 + 1/log n) as the Dirichlet sum of a truncated at a.length,
+    or at params.truncation when given."""
+    trunc = a.length if params is None else params.truncation
+    return g_eval(a, EvalParams(sigma=_sigma_of(n), truncation=trunc)).value
 
 
 def _spec_g(spec: MultiplicativeSpec, table: SieveTable, n: int) -> complex:
@@ -182,10 +188,15 @@ def _theorem1_report(values, envelope: float, t0: float) -> VerificationReport:
 
 def theorem1_report(a: CoefficientSequence, grid, envelope: float) -> VerificationReport:
     """A(n)/n against g(1 + 1/log n) along the grid, from coefficients:
-    the residual is :func:`theorem1_residual`, and g (a truncated
-    Dirichlet sum) is not reported."""
+    the residual is :func:`theorem1_residual`'s, from one A(n) per n, and
+    g (a truncated Dirichlet sum) is not reported."""
     t0 = time.perf_counter()
-    values = [(n, ingham_A(a, n) / n, None, theorem1_residual(a, n)) for n in grid]
+    values = []
+    for n in grid:
+        if n < 2:
+            raise ValueError(f"n must be >= 2, got {n}")
+        mean = ingham_A(a, n) / n
+        values.append((n, mean, None, abs(mean - _dirichlet_g(a, n))))
     return _theorem1_report(values, envelope, t0)
 
 
@@ -758,6 +769,29 @@ def difference_identity_check(
 # -- f_t estimate families (empirical ratio suite) ----------------------
 
 
+def _comparison_weight(t: float, k: int) -> float:
+    return float(k) ** -t - float(k + 1) ** -t
+
+
+def _comparison_lhs(
+    table: SieveTable, k: int, x: int, quad_tol: float, tail_tol: float
+) -> QuadResult:
+    """The integral over t > 0 of F_t(x) (k^-t - (k+1)^-t) by quadrature,
+    the left side of the lemma's integrated comparison. Its exact value
+    is the sum of mu(d) floor(x/d) (1/log(dk) - 1/log(d(k+1))) over
+    d <= x, which the tests use as an oracle."""
+
+    def integrand(t: float) -> float:
+        w = _comparison_weight(t, k)
+        if w == 0.0 or t <= 0.0:
+            return 0.0
+        return ft_partial_sum(table, x, t) * w
+
+    return integral_zero_to_inf(
+        integrand, rate=float(k), bound=float(x), quad_tol=quad_tol, tail_tol=tail_tol
+    )
+
+
 def lemma_ratio_suite(
     table: SieveTable,
     envelope: float = LEMMA_ENVELOPE,
@@ -837,24 +871,13 @@ def lemma_ratio_suite(
     for k in k_grid:
         for x in vx_grid:
 
-            def weight(t: float, k=k) -> float:
-                return float(k) ** -t - float(k + 1) ** -t
-
-            def lhs_integrand(t: float, x=x, k=k) -> float:
-                w = weight(t, k)
-                if w == 0.0 or t <= 0.0:
-                    return 0.0
-                return ft_partial_sum(table, x, t) * w
-
             def rhs_integrand(t: float, k=k) -> float:
-                w = weight(t, k)
+                w = _comparison_weight(t, k)
                 if w == 0.0 or t <= 0.0:
                     return 0.0
                 return w / zeta_real(1.0 + t)
 
-            i1 = integral_zero_to_inf(
-                lhs_integrand, rate=float(k), bound=float(x), quad_tol=quad_tol, tail_tol=tail_tol
-            )
+            i1 = _comparison_lhs(table, k, x, quad_tol, tail_tol)
             i2 = integral_zero_to_inf(
                 rhs_integrand, rate=float(k), bound=1.0, quad_tol=quad_tol, tail_tol=tail_tol
             )

@@ -1,0 +1,282 @@
+"""Chunked, column-wise report output against the whole-document route.
+
+The oracle below is the serializer the chunked one replaced: one dict
+per row, a second list of flattened rows for CSV, and one json.dumps
+or one join of the whole report. The chunked output must equal its
+bytes, across chunk boundaries and for every kind of report.
+"""
+
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import inghamsum as ig
+import inghamsum.report as report_mod
+from inghamsum.cli import main, parse_grid, resolve_coeffs
+from inghamsum.report import CSV_COLUMNS, VOLATILE_SUMMARY_KEYS, Columns, ReportRow, VerificationReport
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# -- the old dict-row route -------------------------------------------
+
+
+def _old_json_rows(rows):
+    if rows and isinstance(rows[0], ReportRow):
+        return [row.to_json_obj() for row in rows]
+    return rows
+
+
+def old_json_bytes(experiment_id, rows, summary):
+    doc = {
+        "experiment_id": experiment_id,
+        "rows": _old_json_rows(rows),
+        "summary": {k: v for k, v in summary.items() if k not in VOLATILE_SUMMARY_KEYS},
+    }
+    return (json.dumps(report_mod.jsonable(doc), indent=2, ensure_ascii=False) + "\n").encode()
+
+
+def _old_csv_layout(first):
+    if not first or first.keys() == report_mod._ROW_KEYS:
+        columns = list(CSV_COLUMNS)
+    else:
+        columns = []
+        for key, value in first.items():
+            pair = isinstance(value, list) and len(value) == 2
+            columns += [f"re_{key}", f"im_{key}"] if pair else [key]
+    parts = [
+        (col, col[3:], int(col.startswith("im_")))
+        for col in columns
+        if col not in first and col[3:] in first
+    ]
+    return columns, parts
+
+
+def old_csv_bytes(rows):
+    rows = _old_json_rows(rows)
+    columns, parts = _old_csv_layout(rows[0] if rows else {})
+    if parts:
+        rows = [
+            {**row, **{c: None if row[k] is None else row[k][i] for c, k, i in parts}}
+            for row in rows
+        ]
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(report_mod.csv_cell(row.get(col)) for col in columns))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def old_sieve_rows(n):
+    table = ig.build_sieve(n)
+    mu, lam, psi = table.mobius_array, table.mangoldt_array, table.psi_prefix
+    return [
+        {
+            "m": m,
+            "spf": int(table.spf[m]),
+            "mu": int(mu[m]),
+            "mangoldt": float(lam[m]),
+            "psi": float(psi[m]),
+        }
+        for m in range(2, n + 1)
+    ]
+
+
+def old_ingham_rows(coeffs, grid):
+    seq = resolve_coeffs(coeffs, grid[-1], ig.build_sieve(max(grid[-1], 2)))
+    return [
+        {
+            "n": v.n,
+            "re_A": v.A.real,
+            "im_A": v.A.imag,
+            "re_S": v.S.real,
+            "im_S": v.S.imag,
+            "re_norm_a": v.normalized_A.real,
+            "im_norm_a": v.normalized_A.imag,
+            "re_norm_s": None if v.normalized_S is None else v.normalized_S.real,
+            "im_norm_s": None if v.normalized_S is None else v.normalized_S.imag,
+        }
+        for v in ig.batch_sums(seq, grid)
+    ]
+
+
+def _cli_bytes(tmp_path, argv, fmt):
+    out = tmp_path / f"out.{fmt}"
+    assert main(argv + ["--format", fmt, "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    monkeypatch.setattr(report_mod, "CHUNK_ROWS", 16)
+    return 16
+
+
+# -- byte identity ------------------------------------------------------
+
+
+@pytest.mark.parametrize("offset", [None, -1, 0, 1])
+def test_sieve_bytes_equal_old_route(tmp_path, small_chunks, offset):
+    # offset None covers N = 2 and 3; otherwise the table has chunk - 1,
+    # chunk or chunk + 1 rows (m = 2..N).
+    limits = (2, 3) if offset is None else (small_chunks + 1 + offset,)
+    for n in limits:
+        rows = old_sieve_rows(n)
+        argv = ["sieve", "--n", str(n)]
+        assert _cli_bytes(tmp_path, argv, "csv") == old_csv_bytes(rows)
+        assert _cli_bytes(tmp_path, argv, "json") == old_json_bytes("sieve", rows, {"limit": n})
+
+
+def test_sieve_bytes_equal_old_route_at_default_chunk(tmp_path):
+    n = report_mod.CHUNK_ROWS + 2
+    rows = old_sieve_rows(n)
+    argv = ["sieve", "--n", str(n)]
+    assert _cli_bytes(tmp_path, argv, "csv") == old_csv_bytes(rows)
+    assert _cli_bytes(tmp_path, argv, "json") == old_json_bytes("sieve", rows, {"limit": n})
+
+
+def test_ingham_dense_grid_bytes_equal_old_route(tmp_path, small_chunks):
+    # Starts at n = 1, where the S normalization is null.
+    text = "1:3e4:x1.01"
+    rows = old_ingham_rows("mu", parse_grid(text))
+    assert len(rows) > 3 * small_chunks
+    argv = ["ingham", "--coeffs", "mu", "--n", text]
+    assert _cli_bytes(tmp_path, argv, "csv") == old_csv_bytes(rows)
+    assert _cli_bytes(tmp_path, argv, "json") == old_json_bytes("ingham", rows, {"coeffs": "mu"})
+
+
+def _records():
+    return [
+        ReportRow(n=n, mean=complex(1 / n, -0.0), g=None if n % 3 else 2 - 1j, residual_t1=1 / n)
+        for n in range(1, 40)
+    ] + [
+        ReportRow(n=40, s_ratio=math.inf, mu_alpha=-math.inf, ratio=math.nan, ratio_infinite=True),
+        ReportRow(n=41, residual_t3=np.float64(-0.0), euler_product_at_1=np.complex128(3 + 0.5j), passed=False),
+    ]
+
+
+SUMMARY = {
+    "pass": False,
+    "note": 'ünïcode "quoted" 100%',
+    "nested": {"a": [1, 2.5, None], "b": {}},
+    "sigma_rows": [[2.0, 1.0, -0.0]],
+    "wall_time_s": 1.5,
+}
+
+
+def test_record_report_bytes_equal_old_route(small_chunks):
+    rows = _records()
+    report = VerificationReport("records", rows, SUMMARY)
+    assert report.to_json_bytes() == old_json_bytes("records", rows, SUMMARY)
+    assert report.to_csv_bytes() == old_csv_bytes(rows)
+
+
+def test_dict_row_report_bytes_equal_old_route(small_chunks):
+    rows = [
+        {
+            "family": "f%s" % (i % 3),
+            "t": None if i % 2 else 0.5 * i,
+            "x": i,
+            "z": [float(i), -1.5] if i % 4 else None,
+            "value": np.float64(i / 7),
+            "ok": bool(i % 5),
+            "w": np.bool_(i % 2),
+            "big": math.inf if i == 7 else float(i) * 1e300,
+        }
+        for i in range(1, 50)
+    ]
+    report = VerificationReport("dicts", rows, SUMMARY)
+    assert report.to_json_bytes() == old_json_bytes("dicts", rows, SUMMARY)
+    assert report.to_csv_bytes() == old_csv_bytes(rows)
+
+
+@pytest.mark.parametrize("rows", [[], [{}], [{}, {}]], ids=["none", "one-empty", "two-empty"])
+def test_degenerate_reports_equal_old_route(rows):
+    report = VerificationReport("x", rows, {})
+    assert report.to_json_bytes() == old_json_bytes("x", rows, {})
+    assert report.to_csv_bytes() == old_csv_bytes(rows)
+
+
+def test_array_columns_format_like_cells(small_chunks):
+    m = np.arange(-3, 50)
+    values = np.where(m % 3 == 0, 0.0, m / 7.0)
+    values[[1, 5, 9]] = [-0.0, math.nan, -math.inf]
+    table = Columns({"m": m, "v": values, "b": m % 2 == 0, "u": m.astype(np.uint8)})
+    rows = [
+        {"m": int(a), "v": float(b), "b": bool(c), "u": int(d)}
+        for a, b, c, d in zip(m, values, m % 2 == 0, m.astype(np.uint8))
+    ]
+    report = VerificationReport("arrays", table, {})
+    assert report.to_json_bytes() == old_json_bytes("arrays", rows, {})
+    assert report.to_csv_bytes() == old_csv_bytes(rows)
+
+
+def test_chunks_join_to_whole_report(small_chunks):
+    n = 5 * small_chunks + 3
+    report = VerificationReport("t", Columns({"x": np.arange(n) / 3}), {})
+    chunks = list(report.chunks("json"))
+    assert len(chunks) == 6
+    assert b"".join(chunks) == report.to_json_bytes()
+    assert json.loads(b"".join(chunks))["rows"][-1] == {"x": (n - 1) / 3}
+
+
+def test_columns_reject_ragged_and_complex():
+    with pytest.raises(ValueError):
+        Columns({"a": np.arange(3), "b": [1, 2]})
+    with pytest.raises(TypeError):
+        Columns({"z": np.zeros(2, dtype=np.complex128)})
+
+
+def test_failing_command_leaves_no_file(tmp_path):
+    out = tmp_path / "never.csv"
+    assert main(["sieve", "--n", "1", "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+# -- bounded memory -----------------------------------------------------
+
+# Runs in a small launcher process so that the children's peak RSS does
+# not include the RSS of the test process they would be forked from.
+_LAUNCHER = """
+import json, os, subprocess, sys
+out = {}
+for n in sys.argv[2:]:
+    for fmt in ("csv", "json"):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "inghamsum.cli", "sieve", "--n", n, "--format", fmt,
+             "--out", os.devnull],
+            env={**os.environ, "PYTHONPATH": sys.argv[1]},
+        )
+        _, status, usage = os.wait4(proc.pid, 0)
+        assert status == 0, status
+        out[f"{fmt}-{n}"] = usage.ru_maxrss * 1024
+print(json.dumps(out))
+"""
+
+
+def sieve_peak_rss(src, limits):
+    """Peak RSS in bytes of `sieve --n N` per format and N, each run as a
+    fresh process."""
+    done = subprocess.run(
+        [sys.executable, "-c", _LAUNCHER, str(src), *map(str, limits)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(done.stdout)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB is Linux behaviour")
+def test_sieve_peak_memory_grows_by_at_most_100_bytes_per_integer():
+    limits = (100_000, 200_000, 400_000)
+    peaks = sieve_peak_rss(SRC, limits)
+    # The whole-document route grew by about 490 (CSV) and 1670 (JSON)
+    # bytes per integer; the sieve arrays alone take about 40.
+    for fmt in ("csv", "json"):
+        for lo, hi in zip(limits, limits[1:]):
+            growth = (peaks[f"{fmt}-{hi}"] - peaks[f"{fmt}-{lo}"]) / (hi - lo)
+            assert growth <= 100, (fmt, lo, hi, growth)

@@ -24,8 +24,16 @@ from inghamsum import (
     theorem2_conditions,
     theorem3_check,
 )
+from inghamsum.accumulate import rsum
 from inghamsum.sequences import log_index, sum_over_divisors
-from inghamsum.verify import mean_report, theorem1_spec_report
+from inghamsum.verify import (
+    LEMMA_K_GRID,
+    LEMMA_VX_GRID,
+    _comparison_lhs,
+    mean_report,
+    theorem1_report,
+    theorem1_spec_report,
+)
 
 from conftest import random_unit_complex, trial_primes
 
@@ -99,6 +107,19 @@ def test_theorem1_spec_report_matches_mobius_inversion(table_medium):
     means = mean_report(spec, table_medium, grid, 2.0)
     for t1, mv in zip(report.rows, means.rows):
         assert (t1.mean, t1.g) == (mv.mean, mv.g)
+
+
+def test_theorem1_report_rows_match_residual_route(table_medium):
+    # The report forms A(n) once per n; the rows must equal those of
+    # calling ingham_A and theorem1_residual separately.
+    grid = [2, 10, 99, 1000, 65536, 100_000]
+    for name in ("mu", "liouville", "inverse-squares"):
+        seq = named_sequence(name, grid[-1], table_medium)
+        report = theorem1_report(seq, grid, 0.6)
+        old = [(n, ig.ingham_A(seq, n) / n, theorem1_residual(seq, n)) for n in grid]
+        got = [(r.n, r.mean, r.residual_t1) for r in report.rows]
+        assert repr(got) == repr(old)
+        assert got == old
 
 
 def test_theorem1_requires_n_at_least_two(table_small):
@@ -451,3 +472,20 @@ def test_trend_policy_defaults():
     policy = TrendPolicy()
     assert policy.s_ratio_threshold == 0.1
     assert policy.t1_envelope == 0.6
+
+
+def test_integrated_comparison_matches_closed_form(table_small):
+    # F_t(x) = sum over d <= x of mu(d) d^-t floor(x/d), so the integral
+    # of F_t(x) (k^-t - (k+1)^-t) over t > 0 is the finite sum of
+    # mu(d) floor(x/d) (1/log(dk) - 1/log(d(k+1))). At the default
+    # tolerances the quadrature agreed to 6.7e-11 relative.
+    worst = 0.0
+    for k in LEMMA_K_GRID:
+        for x in LEMMA_VX_GRID:
+            d = np.arange(1, x + 1)
+            mu = table_small.mobius_array[1 : x + 1].astype(np.float64)
+            q = (x // d).astype(np.float64)
+            exact = rsum(mu * q * (1.0 / np.log(d * k) - 1.0 / np.log(d * (k + 1))))
+            got = _comparison_lhs(table_small, k, x, quad_tol=1e-8, tail_tol=1e-10).value
+            worst = max(worst, abs(got - exact) / abs(exact))
+    assert worst <= 1e-9, worst
