@@ -8,12 +8,14 @@ Large arrays are summed without a Python list. :func:`_exact_sum`
 splits every float64 into a high part, its top 27 significant bits, and
 the exact remainder. It adds each half within its bucket of equal sign and
 binary exponent with ``np.bincount``, where every partial sum is exact,
-and rounds once with ``math.fsum`` over the nonzero bucket sums (at
-most 8192 per chunk). Their exact total is the exact total of the
-terms, so the correctly rounded result is the same value. Small arrays,
-and arrays holding inf, nan or magnitudes near overflow, go to
-``math.fsum`` directly. :func:`segment_sums` does the same for many
-consecutive segments at once, with one set of buckets per segment.
+and rounds once with ``math.fsum`` over the nonzero bucket sums. Their
+exact total is the exact total of the terms, so the correctly rounded
+result is the same value. :class:`ExactSum` keeps the running bucket
+sums, so a caller can form its terms chunk by chunk and still get the
+value ``math.fsum`` gives over all of them. Small arrays, and arrays
+holding inf, nan or magnitudes near overflow, go to ``math.fsum``
+directly. :func:`segment_sums` does the same for many consecutive
+segments at once, with one set of buckets per segment.
 
 Index-aligned prefix arrays use plain float64 cumulative sums instead;
 their rounding error is orders of magnitude below every tolerance used
@@ -27,9 +29,11 @@ import numpy as np
 # Below this size math.fsum over a list costs less than the array passes
 # (on a 2-vCPU x86-64 VM the two cost the same near 650 terms).
 _SMALL = 640
-# Exactness needs at most 2**26 terms per chunk: a bucket then holds at
-# most 2**26 halves of at most 27 significant bits on one grid, so each
-# partial sum fits in 53 bits. Chunks of 2**16 keep the passes in cache.
+# Exactness needs at most 2**26 terms per set of running bucket sums: a
+# bucket then holds at most 2**26 halves of at most 27 significant bits
+# on one grid, so each partial sum fits in 53 bits. Chunks of 2**16 keep
+# the passes in cache.
+_RUN = 1 << 26
 _CHUNK = 1 << 16
 # Biased exponents from here up (|x| >= 2**960, inf, nan) leave the
 # array to math.fsum itself: no bucket sum can overflow, and fsum's
@@ -38,10 +42,15 @@ _EXP_LIMIT = 2047 - 64
 _HI_MASK = np.uint64(2**64 - 2**26)
 
 
+def _zero(negative: bool) -> float:
+    """math.fsum over terms that are all 0.0 or -0.0, -0.0 among them
+    everywhere when negative."""
+    return math.fsum([-0.0] if negative else [0.0])
+
+
 def _zero_sum(x: np.ndarray) -> float:
     """math.fsum over a nonempty array whose terms are all 0.0 or -0.0."""
-    negative = np.signbit(x.flat[0]) and np.signbit(x).all()
-    return math.fsum([-0.0] if negative else [0.0])
+    return _zero(np.signbit(x.flat[0]) and np.signbit(x).all())
 
 
 def _halves(x: np.ndarray):
@@ -60,23 +69,59 @@ def _guarded(per_bucket: np.ndarray) -> bool:
     return bool(per_bucket.reshape(2, 2048)[:, _EXP_LIMIT:].any())
 
 
+class ExactSum:
+    """The exactly rounded sum of float64 terms added chunk by chunk.
+
+    :meth:`add` adds the bucket sums of one chunk to running ones, and
+    :meth:`value` rounds them once with ``math.fsum``. The value is
+    ``math.fsum`` over all the terms bit for bit, however they were
+    chunked. When :meth:`add` returns False, a term is at or above
+    2**960, inf or nan, and the sum is void: ``math.fsum`` over the
+    terms themselves decides the value, or the exception.
+    """
+
+    def __init__(self):
+        self._runs: list[np.ndarray] = []
+        self._sums = np.zeros(8192)
+        self._terms = 0
+        self._negative = True
+
+    def add(self, x: np.ndarray) -> bool:
+        """Add a contiguous float64 chunk of at most _CHUNK terms."""
+        key, hi, lo = _halves(x)
+        hi_sums = np.bincount(key, hi, 4096)
+        if _guarded(hi_sums):
+            return False
+        if self._terms + x.size > _RUN:
+            self._runs.append(self._sums)
+            self._sums = np.zeros(8192)
+            self._terms = 0
+        self._sums[:4096] += hi_sums
+        self._sums[4096:] += np.bincount(key, lo, 4096)
+        self._terms += x.size
+        if self._negative:
+            self._negative = bool(np.signbit(x).all())
+        return True
+
+    def value(self) -> float:
+        """math.fsum over every term added so far."""
+        sums = np.concatenate([*self._runs, self._sums])
+        sums = sums[sums != 0]
+        if sums.size == 0:
+            return _zero(self._negative)
+        return math.fsum(sums.tolist())
+
+
 def _exact_sum(x: np.ndarray) -> float:
     """math.fsum(x.tolist()) bit for bit, for a real array of any size."""
     if x.size < _SMALL or x.dtype.kind not in "biuf" or x.dtype.itemsize > 8:
         return math.fsum(x.tolist())
     x = x.ravel()
-    sums = []
+    total = ExactSum()
     for start in range(0, x.size, _CHUNK):
-        key, hi, lo = _halves(np.ascontiguousarray(x[start : start + _CHUNK], dtype=np.float64))
-        hi_sums = np.bincount(key, hi, 4096)
-        if _guarded(hi_sums):
+        if not total.add(np.ascontiguousarray(x[start : start + _CHUNK], dtype=np.float64)):
             return math.fsum(x.tolist())
-        sums += [hi_sums, np.bincount(key, lo, 4096)]
-    terms = np.concatenate(sums)
-    terms = terms[terms != 0]
-    if terms.size == 0:
-        return _zero_sum(x)
-    return math.fsum(terms.tolist())
+    return total.value()
 
 
 def segment_sums(terms: np.ndarray, counts: np.ndarray) -> list[float]:

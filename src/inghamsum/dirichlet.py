@@ -16,15 +16,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accumulate import csum, rsum
+from .accumulate import ExactSum, csum, rsum
 from .sequences import CoefficientSequence, MultiplicativeSpec, prime_candidates
 from .sieve import SieveTable
-from .summation import TruncatedSum
+from .summation import TruncatedSum, _block_terms
 from .errors import SingularFactorError
 
 # Euler-Maclaurin correction coefficients B_2k / (2k)! for k = 1, 2, 3, 4.
 _EM_COEFFS = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0)
 _ZETA_CAP = 1_000_000
+# Terms per chunk of g_eval: the chunk's arrays stay in cache, and memory
+# does not grow with the truncation.
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -114,12 +117,37 @@ def g_eval(a: CoefficientSequence, params: EvalParams) -> TruncatedSum:
     Returns the partial sum over m <= truncation together with the
     truncation index actually used; any statement about the unreported
     tail is the caller's responsibility.
+
+    The terms are formed _CHUNK at a time and summed exactly
+    (:class:`accumulate.ExactSum`), so memory does not grow with the
+    truncation and the value is :func:`csum` over all the terms bit for
+    bit. A real sequence takes one real product per term; a complex one
+    takes the separate real products of numpy's complex * real. A term
+    at or above 2**960, inf or nan sends the whole sum to :func:`csum`,
+    whose math.fsum then decides the value or the exception.
     """
     K = params.truncation
     if K > a.length:
         raise ValueError(f"truncation {K} exceeds stored length {a.length}")
-    m = np.arange(1, K + 1, dtype=np.float64)
-    return TruncatedSum(csum(a.a[1 : K + 1] * m**-params.sigma), K)
+    value = _streamed_g(a.a, K, params.sigma)
+    if value is None:
+        m = np.arange(1, K + 1, dtype=np.float64)
+        value = csum(a.a[1 : K + 1] * m**-params.sigma)
+    return TruncatedSum(value, K)
+
+
+def _streamed_g(a: np.ndarray, K: int, sigma: float) -> complex | None:
+    """sum a_m m^-sigma over m <= K in chunks, or None when a term trips
+    the exponent guard of :class:`ExactSum`."""
+    real = not np.iscomplexobj(a)
+    parts = (ExactSum(),) if real else (ExactSum(), ExactSum())
+    for lo in range(1, K + 1, _CHUNK):
+        hi = min(lo + _CHUNK, K + 1)
+        w = np.arange(lo, hi, dtype=np.float64) ** -sigma
+        terms = (a[lo:hi] * w,) if real else _block_terms(a.real[lo:hi], a.imag[lo:hi], w)
+        if not all(part.add(t) for part, t in zip(parts, terms)):
+            return None
+    return complex(parts[0].value(), 0.0 if real else parts[1].value())
 
 
 def euler_product(

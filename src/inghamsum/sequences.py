@@ -41,19 +41,32 @@ def _is_prime(n: int) -> bool:
 
 def log_index(n: int) -> np.ndarray:
     """Index-aligned array of log m for m = 1..n (log 1 = 0, slot 0 = 0)."""
-    out = np.zeros(n + 1, dtype=np.float64)
-    if n >= 1:
-        out[1:] = np.log(np.arange(1, n + 1, dtype=np.float64))
-    return out
+    out = np.arange(n + 1, dtype=np.float64)
+    out[0] = 1.0
+    return np.log(out, out=out)
+
+
+def _storage(values) -> type:
+    """complex128 for complex input, float64 for any other."""
+    return np.complex128 if np.iscomplexobj(values) else np.float64
 
 
 @dataclass(frozen=True)
 class CoefficientSequence:
-    """A finite prefix of complex coefficients a_1..a_N with prefix sums.
+    """A finite prefix of coefficients a_1..a_N with prefix sums.
+
+    The arrays are float64 when the sequence is built from a real-dtype
+    array (ints and bools included), in half the memory, and complex128
+    otherwise. For finite coefficients every value a real sequence gives,
+    imaginary parts included, equals its complex128 copy's bit for bit:
+    numpy's complex * real then has imaginary part +0.0 in each term, as
+    real storage has. (A -0.0 coefficient can flip the sign of a result
+    that is zero; an inf or nan one gives imaginary parts 0.0 where the
+    copy gives nan.)
 
     Attributes:
         length: N, the number of stored coefficients.
-        a: index-aligned complex array of the coefficients (a[0] == 0).
+        a: index-aligned array of the coefficients (a[0] == 0).
         prefix_a: prefix_a[k] = a_1 + ... + a_k.
         prefix_alog: prefix_alog[k] = sum of a_j log j for j <= k. The
             j = 1 term never contributes because log 1 = 0.
@@ -67,37 +80,41 @@ class CoefficientSequence:
     @classmethod
     def from_values(cls, values) -> "CoefficientSequence":
         """Build from the natural list [a_1, a_2, ...]."""
-        vals = np.asarray(values, dtype=np.complex128)
+        vals = np.asarray(values)
         if vals.ndim != 1 or vals.size == 0:
             raise ValueError("coefficient list must be non-empty and one-dimensional")
-        a = np.zeros(vals.size + 1, dtype=np.complex128)
+        a = np.zeros(vals.size + 1, dtype=_storage(vals))
         a[1:] = vals
         return cls._from_owned(a)
 
     @classmethod
     def from_index_aligned(cls, a: np.ndarray) -> "CoefficientSequence":
         """Build from an index-aligned array (slot 0 ignored)."""
-        a = np.array(a, dtype=np.complex128)
+        a = np.array(a, dtype=_storage(a))
         if a.ndim != 1 or a.size < 2:
             raise ValueError("index-aligned array must cover at least m = 1")
         return cls._from_owned(a)
 
     @classmethod
     def _from_owned(cls, a: np.ndarray) -> "CoefficientSequence":
-        """Build on a fresh complex128 array, which the sequence keeps."""
+        """Build on a fresh float64 or complex128 array, which the
+        sequence keeps."""
         a[0] = 0
         prefix_a = np.cumsum(a)
-        # a * log m formed as numpy's complex * real forms it, (ar*l - ai*0,
-        # ar*0 + ai*l), one real product at a time into the views of the
-        # output, so no complex temporary is made.
         log = log_index(a.size - 1)
-        prefix_alog = np.empty_like(a)
-        zeros = np.multiply(a.imag, 0.0)
-        np.multiply(a.real, log, out=prefix_alog.real)
-        np.subtract(prefix_alog.real, zeros, out=prefix_alog.real)
-        np.multiply(a.real, 0.0, out=zeros)
-        np.multiply(a.imag, log, out=prefix_alog.imag)
-        np.add(zeros, prefix_alog.imag, out=prefix_alog.imag)
+        if np.iscomplexobj(a):
+            # a * log m formed as numpy's complex * real forms it, (ar*l -
+            # ai*0, ar*0 + ai*l), one real product at a time into the views
+            # of the output, so no complex temporary is made.
+            prefix_alog = np.empty_like(a)
+            zeros = np.multiply(a.imag, 0.0)
+            np.multiply(a.real, log, out=prefix_alog.real)
+            np.subtract(prefix_alog.real, zeros, out=prefix_alog.real)
+            np.multiply(a.real, 0.0, out=zeros)
+            np.multiply(a.imag, log, out=prefix_alog.imag)
+            np.add(zeros, prefix_alog.imag, out=prefix_alog.imag)
+        else:
+            prefix_alog = np.multiply(log, a, out=log)
         np.cumsum(prefix_alog, out=prefix_alog)
         for arr in (a, prefix_a, prefix_alog):
             arr.flags.writeable = False
@@ -289,15 +306,16 @@ def named_sequence(name: str, n: int, table: SieveTable) -> CoefficientSequence:
     if name == "mu":
         return CoefficientSequence.from_index_aligned(table.mobius_array[: n + 1])
     if name == "unit":
-        vals = np.zeros(n, dtype=np.complex128)
+        vals = np.zeros(n)
         vals[0] = 1
     elif name == "one":
-        vals = np.ones(n, dtype=np.complex128)
+        vals = np.ones(n)
     elif name == "liouville":
         spec = MultiplicativeSpec(cutoff=n, default=-1.0)
-        vals = extend_completely_multiplicative(spec, table, n)[1:]
+        # The imaginary parts are +-0.0; the real parts are the values.
+        vals = extend_completely_multiplicative(spec, table, n)[1:].real
     elif name == "inverse-squares":
-        vals = (np.arange(1, n + 1, dtype=np.float64) ** -2.0).astype(np.complex128)
+        vals = np.arange(1, n + 1, dtype=np.float64) ** -2.0
     else:
         raise SpecFormatError(
             f"unknown sequence {name!r}; expected one of {', '.join(BUILTIN_SEQUENCES)}"

@@ -122,7 +122,8 @@ def block_sums(prefix, grid) -> list[complex]:
     over that n's terms bit for bit, the same value :func:`_block_sum`
     gives, and integer-valued inputs give exact integer results.
     """
-    prefix = np.asarray(prefix, dtype=np.complex128)
+    # A real prefix stays real: its .imag is +0.0, as a complex copy's is.
+    prefix = np.asarray(prefix, dtype=np.complex128 if np.iscomplexobj(prefix) else np.float64)
     ns = np.asarray(grid, dtype=np.int64).ravel()
     if not ns.size:
         return []

@@ -1,4 +1,7 @@
+import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -89,3 +92,34 @@ def floor_matrix(n: int) -> np.ndarray:
 def random_unit_complex(rng, n: int) -> np.ndarray:
     z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return z / np.maximum(np.abs(z), 1.0)
+
+
+# -- peak memory of CLI commands ----------------------------------------
+
+# Runs in a small launcher process so that the children's peak RSS does
+# not include the RSS of the test process they would be forked from.
+_LAUNCHER = """
+import json, os, subprocess, sys
+out = []
+for argv in json.loads(sys.argv[2]):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "inghamsum.cli", *argv, "--out", os.devnull],
+        env={**os.environ, "PYTHONPATH": sys.argv[1]},
+    )
+    _, status, usage = os.wait4(proc.pid, 0)
+    assert status == 0, status
+    out.append(usage.ru_maxrss * 1024)
+print(json.dumps(out))
+"""
+
+
+def cli_peak_rss(src, argvs) -> list[int]:
+    """Peak RSS in bytes of each CLI command (an argv without --out), each
+    run as a fresh process with the package imported from src."""
+    done = subprocess.run(
+        [sys.executable, "-c", _LAUNCHER, str(src), json.dumps(argvs)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(done.stdout)

@@ -254,6 +254,15 @@ def test_exponent_guard_and_non_finite_match_fsum(rng):
             _same_sums(x[::-1])
 
 
+def test_sums_over_several_runs_of_bucket_sums_match_fsum(rng, monkeypatch):
+    # The running bucket sums start over after _RUN terms (2**26).
+    monkeypatch.setattr(accumulate, "_CHUNK", 1000)
+    monkeypatch.setattr(accumulate, "_RUN", 2500)
+    for n in (2500, 2501, 7777):
+        for name, x in _summands(n, rng).items():
+            _same_sums(x)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=60))
 def test_sums_match_fsum_hypothesis(values):
@@ -420,11 +429,14 @@ def test_sequence_prefixes_match_complex_formulas(table_medium, rng):
                 pa, pl = _prefixes_ref(np.concatenate([[0j], a[1:]]))
                 _same_bits(seq.prefix_a, pa)
                 _same_bits(seq.prefix_alog, pl)
+    # mu is stored real: its arrays are the real parts of the complex
+    # formulas, whose imaginary parts are all +0.0.
     mu = table_medium.mobius_array
     seq = named_sequence("mu", 10**5, table_medium)
-    _same_bits(seq.a, mu.astype(np.complex128))
-    for got, ref in zip((seq.prefix_a, seq.prefix_alog), _prefixes_ref(mu)):
-        _same_bits(got, ref)
+    for got, ref in zip((seq.a, seq.prefix_a, seq.prefix_alog), (mu.astype(np.complex128), *_prefixes_ref(mu))):
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), np.ascontiguousarray(ref.real).view(np.uint64))
+        assert np.array_equal(np.ascontiguousarray(ref.imag).view(np.uint64), np.zeros(ref.size, np.uint64))
 
 
 def _ft_partial_sum_ref(table, x, t):
@@ -442,3 +454,141 @@ def test_ft_partial_sum_matches_per_call_setup(table_medium):
             assert ft_partial_sum(table_medium, x, t) == _ft_partial_sum_ref(table_medium, x, t)
     mu, d, q = table_medium.mobius_quotients(1000)
     assert not (mu.flags.writeable or d.flags.writeable or q.flags.writeable)
+
+
+def test_log_index_in_place_matches_fresh_array():
+    for n in (0, 1, 2, 3, 100, 4097, 10**5):
+        ref = np.zeros(n + 1)
+        ref[1:] = np.log(np.arange(1, n + 1, dtype=np.float64))
+        assert np.array_equal(log_index(n).view(np.uint64), ref.view(np.uint64)), n
+
+
+# -- the streamed Dirichlet sum -----------------------------------------
+
+
+def _g_eval_ref(a, params):
+    """g_eval as one unchunked csum over all the terms."""
+    K = params.truncation
+    m = np.arange(1, K + 1, dtype=np.float64)
+    return ig.TruncatedSum(csum(a.a[1 : K + 1] * m**-params.sigma), K)
+
+
+def _same_g(seq, sigma, truncation=None, case=""):
+    params = ig.EvalParams(sigma=sigma, truncation=truncation or seq.length)
+    got = _block_outcome(lambda: ig.g_eval(seq, params).value)
+    assert got == _block_outcome(lambda: _g_eval_ref(seq, params).value), (case, sigma)
+
+
+G_SIZES = (1, 639, 640, 2**16 - 1, 2**16, 2**16 + 1, 10**5)
+
+
+def _g_sigmas(n):
+    return (2.0, 1.25) + ((1.0 + 1.0 / math.log(n),) if n > 1 else ())
+
+
+def _g_inputs(n, rng):
+    """Named real and complex coefficient arrays of length n."""
+    re = rng.standard_normal(n) * np.exp2(rng.integers(-40, 40, n).astype(float))
+    signed = re.astype(np.complex128)
+    signed.imag = rng.choice([0.0, -0.0], n)
+    negative = re.astype(np.complex128)
+    negative.imag = -0.0
+    return {
+        "real": re,
+        "mu-like": rng.integers(-1, 2, n).astype(np.float64),
+        "complex": re + 1j * rng.standard_normal(n),
+        "+0.0 imaginary": re.astype(np.complex128),
+        "-0.0 imaginary": negative,
+        "+-0.0 imaginary": signed,
+        "zeros": np.zeros(n),
+        "-0.0 real": np.full(n, -0.0),
+    }
+
+
+@pytest.mark.parametrize("chunk", [None, 1000])
+def test_g_eval_matches_unchunked_csum(chunk, rng, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(ig.dirichlet, "_CHUNK", chunk)
+    for n in G_SIZES:
+        for case, vals in _g_inputs(n, rng).items():
+            seq = CoefficientSequence.from_values(vals)
+            assert seq.a.dtype == vals.dtype, case
+            for sigma in _g_sigmas(n):
+                _same_g(seq, sigma, case=case)
+            _same_g(seq, 1.5, max(1, n // 3), case)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_g_eval_inf_nan_and_overflow(rng):
+    n = 2**16 + 5
+    base = rng.standard_normal(n)
+    specials = (math.inf, -math.inf, math.nan, 1e308, 2.0**960, np.finfo(np.float64).max)
+    for value in specials:
+        for at in (0, 700, n - 1):
+            real = base.copy()
+            real[at] = value
+            for vals in (real, real.astype(np.complex128), real * 1j):
+                _same_g(CoefficientSequence.from_values(vals), 1.25, case=(value, at))
+    for scale in (1e308, 2.0**960):  # every term at the guard, or an overflowing sum
+        _same_g(CoefficientSequence.from_values(np.full(n, scale)), 1.0001, case=scale)
+        _same_g(CoefficientSequence.from_values(np.full(n, scale * 1j)), 1.0001, case=scale)
+
+
+# -- real storage of the builtin sequences --------------------------------
+
+
+def _complex_builtin(name, n, table):
+    """The builtin as complex128 storage, built as before real storage:
+    liouville from its complex extension (imaginary parts +-0.0)."""
+    if name == "liouville":
+        spec = ig.MultiplicativeSpec(cutoff=n, default=-1.0)
+        return CoefficientSequence.from_values(ig.extend_completely_multiplicative(spec, table, n)[1:])
+    return CoefficientSequence.from_values(named_sequence(name, n, table).values().astype(np.complex128))
+
+
+def _bits(value):
+    """The (re, im) bits of a number, an array, a result record or a list
+    of them."""
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    if hasattr(value, "__dataclass_fields__"):
+        return {k: _bits(getattr(value, k)) for k in value.__dataclass_fields__}
+    if value is None or isinstance(value, (int, str)):
+        return value
+    return np.atleast_1d(np.array(value, dtype=np.complex128)).view(np.uint64).tolist()
+
+
+def _builtin_results(seq, table):
+    n = seq.length
+    grid = parse_grid(f"1:{n}:x1.05")
+    weights = ig.WeightSequence.log_weights(n)
+    params = ig.EvalParams(sigma=1.0 + 1.0 / math.log(10), truncation=300)
+    out = {
+        "ingham_A": [ig.ingham_A(seq, m) for m in (1, 2, 97, n)],
+        "ingham_S": [ig.ingham_S(seq, m) for m in (1, 2, 97, n)],
+        "batch_sums": ig.batch_sums(seq, grid),
+        "g_eval": [ig.g_eval(seq, ig.EvalParams(sigma=s, truncation=k)) for s in (2.0, 1.1) for k in (1, 700, n)],
+        "cumulative_sums": ig.cumulative_sums(seq),
+        # Every n: a_k / k and a_k * (1/k) differ in the last bit for
+        # a few k, which changes the rounded sum at 10 of these n.
+        "check_wintner": [ig.check_wintner(seq, m) for m in range(1, n + 1)],
+        "check_axer": ig.check_axer(seq, grid),
+        "tauber_weighted": [ig.tauber_weighted(seq, m) for m in (1, n)],
+        "abel_power_sum": [ig.abel_power_sum(seq, x) for x in (0.5, 0.999)],
+        "abel_lambda_sum": [ig.abel_lambda_sum(seq, weights, x) for x in (1.1, 2.0)],
+        "ingham_series_partial": [ig.ingham_series_partial(seq, m) for m in (1, 50, n)],
+        "s_difference_identity": ig.s_difference_identity(seq, table, 400),
+        "s_decomposition_identity": ig.s_decomposition_identity(seq, table, 400),
+        "difference_identity_check": ig.difference_identity_check(seq, table, 10, params),
+    }
+    return {k: _bits(v) for k, v in out.items()}
+
+
+@pytest.mark.parametrize("name", ig.BUILTIN_SEQUENCES)
+def test_builtins_stored_real_match_complex_storage(name, table_small):
+    seq = named_sequence(name, 3000, table_small)
+    ref = _complex_builtin(name, 3000, table_small)
+    assert seq.a.dtype == np.float64 and ref.a.dtype == np.complex128
+    got, expected = _builtin_results(seq, table_small), _builtin_results(ref, table_small)
+    for key in expected:
+        assert got[key] == expected[key], key

@@ -8,8 +8,6 @@ bytes, across chunk boundaries and for every kind of report.
 
 import json
 import math
-import os
-import subprocess
 import sys
 from pathlib import Path
 
@@ -20,6 +18,8 @@ import inghamsum as ig
 import inghamsum.report as report_mod
 from inghamsum.cli import main, parse_grid, resolve_coeffs
 from inghamsum.report import CSV_COLUMNS, VOLATILE_SUMMARY_KEYS, Columns, ReportRow, VerificationReport
+
+from conftest import cli_peak_rss
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -239,35 +239,11 @@ def test_failing_command_leaves_no_file(tmp_path):
 
 # -- bounded memory -----------------------------------------------------
 
-# Runs in a small launcher process so that the children's peak RSS does
-# not include the RSS of the test process they would be forked from.
-_LAUNCHER = """
-import json, os, subprocess, sys
-out = {}
-for n in sys.argv[2:]:
-    for fmt in ("csv", "json"):
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "inghamsum.cli", "sieve", "--n", n, "--format", fmt,
-             "--out", os.devnull],
-            env={**os.environ, "PYTHONPATH": sys.argv[1]},
-        )
-        _, status, usage = os.wait4(proc.pid, 0)
-        assert status == 0, status
-        out[f"{fmt}-{n}"] = usage.ru_maxrss * 1024
-print(json.dumps(out))
-"""
-
-
 def sieve_peak_rss(src, limits):
     """Peak RSS in bytes of `sieve --n N` per format and N, each run as a
     fresh process."""
-    done = subprocess.run(
-        [sys.executable, "-c", _LAUNCHER, str(src), *map(str, limits)],
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    return json.loads(done.stdout)
+    argvs = [["sieve", "--n", str(n), "--format", fmt] for n in limits for fmt in ("csv", "json")]
+    return {f"{argv[4]}-{argv[2]}": peak for argv, peak in zip(argvs, cli_peak_rss(src, argvs))}
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB is Linux behaviour")

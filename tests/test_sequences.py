@@ -1,4 +1,6 @@
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,9 @@ from inghamsum import (
     sum_over_divisors,
 )
 
-from conftest import trial_totient
+from conftest import cli_peak_rss, trial_totient
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 complex_lists = st.lists(
     st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
@@ -222,3 +226,19 @@ def test_named_sequences(table_small):
     np.testing.assert_allclose(one.values().real, [1, 1, 1, 1])
     with pytest.raises(SpecFormatError):
         named_sequence("totient", 10, table_small)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB is Linux behaviour")
+def test_theorem2_mu_peak_memory_grows_by_at_most_60_bytes_per_integer():
+    limits = (100_000, 200_000, 400_000)
+    argvs = [
+        ["verify", "theorem2", "--coeffs", "mu", "--n", f"1000,{n}", "--sigma", "2,1.25", "--format", "json"]
+        for n in limits
+    ]
+    peaks = cli_peak_rss(SRC, argvs)
+    # Three complex128 arrays of mu and an unchunked g_eval grew by 93-98
+    # bytes per integer; real storage, a chunked g_eval and the sieve take
+    # 30-38.
+    for (lo, hi), (a, b) in zip(zip(limits, limits[1:]), zip(peaks, peaks[1:])):
+        growth = (b - a) / (hi - lo)
+        assert growth <= 60, (lo, hi, growth)

@@ -30,6 +30,7 @@ from inghamsum.verify import (
     LEMMA_K_GRID,
     LEMMA_VX_GRID,
     _comparison_lhs,
+    _difference_integral,
     mean_report,
     theorem1_report,
     theorem1_spec_report,
@@ -489,3 +490,25 @@ def test_integrated_comparison_matches_closed_form(table_small):
             got = _comparison_lhs(table_small, k, x, quad_tol=1e-8, tail_tol=1e-10).value
             worst = max(worst, abs(got - exact) / abs(exact))
     assert worst <= 1e-9, worst
+
+
+def test_difference_first_sum_matches_closed_form(table_small):
+    # The first sum of difference_identity_check integrates F_t(x1) k^-t -
+    # F_t(x2) (k+1)^-t over t > 0, with x1 = n // k and x2 = n // (k+1);
+    # its exact value is the sum of mu(d) (floor(x1/d)/log(dk) -
+    # floor(x2/d)/log(d(k+1))). At the default tolerances, over every
+    # cell with n <= 50, the quadrature was off by at most 2.2e-10, which
+    # is 1.5e-7 relative (n = 50, k = 49, where the value is 1.3e-3) and
+    # at most 6.6 % of its own error estimate.
+    mu = table_small.mobius_array
+    worst = 0.0
+    for n in (3, 10, 30, 50):
+        prime_lists = [[]] * 2 + [table_small.distinct_primes(m) for m in range(2, n + 1)]
+        for k in range(2, n):
+            x1, x2 = n // k, n // (k + 1)
+            d = np.arange(1, x1 + 1)
+            exact = rsum(mu[1 : x1 + 1] * ((x1 // d) / np.log(d * k) - (x2 // d) / np.log(d * (k + 1))))
+            res = _difference_integral(prime_lists, n, k, quad_tol=1e-8, tail_tol=1e-10)
+            assert abs(res.value - exact) <= res.error, (n, k)
+            worst = max(worst, abs(res.value - exact) / abs(exact))
+    assert worst <= 1e-6, worst
