@@ -116,7 +116,9 @@ def _exact_sum(x: np.ndarray) -> float:
     """math.fsum(x.tolist()) bit for bit, for a real array of any size."""
     if x.size < _SMALL or x.dtype.kind not in "biuf" or x.dtype.itemsize > 8:
         return math.fsum(x.tolist())
-    x = x.ravel()
+    # A view, also of a strided part of a complex array: each chunk below
+    # is copied on its own.
+    x = x.reshape(-1)
     total = ExactSum()
     for start in range(0, x.size, _CHUNK):
         if not total.add(np.ascontiguousarray(x[start : start + _CHUNK], dtype=np.float64)):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .accumulate import ExactSum, csum, rsum
 from .sequences import CoefficientSequence, MultiplicativeSpec, prime_candidates
-from .sieve import SieveTable
+from .sieve import SieveTable, hyperbola_cofactors
 from .summation import TruncatedSum, _block_terms
 from .errors import SingularFactorError
 
@@ -180,15 +180,30 @@ def euler_product(
 
 
 def f_t_table(table: SieveTable, t: float, n: int) -> FtEvaluation:
-    """Tabulate f_t(m) = prod over p | m of (1 - p^-t) for m <= n."""
+    """Tabulate f_t(m) = prod over p | m of (1 - p^-t) for m <= n.
+
+    Each prime p <= sqrt(n) multiplies its factor into its multiples, in
+    ascending p. What is left of m is at most one prime P > sqrt(n), its
+    largest, so one pass over the cofactors q = m / P
+    (:func:`sieve.hyperbola_cofactors`) multiplies 1 - P^-t in last and
+    keeps the ascending order of the factors. Every factor is formed by
+    Python's float pow (numpy's vector power can differ in the last bit).
+    """
     if t <= 0:
         raise ValueError(f"t must be positive, got {t}")
     if n > table.limit or n < 1:
         raise ValueError(f"n = {n} outside [1, {table.limit}]")
     values = np.ones(n + 1, dtype=np.float64)
     values[0] = 0.0
-    for p in table.primes[table.primes <= n].tolist():
+    primes = table.primes[: np.searchsorted(table.primes, n, "right")]
+    split = int(np.searchsorted(primes, math.isqrt(n), "right"))
+    for p in primes[:split].tolist():
         values[p::p] *= 1.0 - float(p) ** -t
+    big = primes[split:]
+    factors = np.array([1.0 - float(p) ** -t for p in big.tolist()])
+    for q, j in hyperbola_cofactors(big, n):
+        at = big[:j] * q
+        values[at] *= factors[:j]
     prefix = np.cumsum(values)
     values.flags.writeable = False
     prefix.flags.writeable = False

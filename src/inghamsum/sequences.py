@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SpecFormatError
-from .sieve import SieveTable
+from .sieve import SieveTable, hyperbola_cofactors
 
 BUILTIN_SEQUENCES = ("mu", "unit", "one", "liouville", "inverse-squares")
 
@@ -198,8 +198,7 @@ def _divisor_lattice(weights: np.ndarray, f: np.ndarray | None = None) -> np.nda
         out[d::d] += w if f is None else w * f[1 : n // d + 1]
     big = nz[split:]
     wbig = weights[big]
-    for q in range(n // (r + 1), 0, -1):
-        k = int(np.searchsorted(big, n // q, "right"))
+    for q, k in hyperbola_cofactors(big, n):
         out[big[:k] * q] += wbig[:k] if f is None else wbig[:k] * f[q]
     return out
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CapacityError
 
-# Default cap keeps the int64 SPF array around 0.8 GB.
+# Default cap keeps the int32 SPF array around 0.4 GB.
 DEFAULT_CAPACITY = 100_000_000
 # x values whose mobius_quotients a table keeps.
 _QUOTIENT_CACHE = 4
@@ -30,7 +30,8 @@ class SieveTable:
 
     Attributes:
         limit: Largest integer covered by the table.
-        spf: int64 array, spf[m] = smallest prime factor of m (m >= 2).
+        spf: spf[m] = smallest prime factor of m (m >= 2), 0 at m = 0, 1;
+            int32 below 2**31 and int64 above (:func:`spf_dtype`).
         primes: ascending int64 array of all primes <= limit.
     """
 
@@ -62,23 +63,23 @@ class SieveTable:
         """int8 array with mobius_array[m] = mu(m); index 0 is unused.
 
         Only the primes p <= sqrt(limit) are sieved: each flips the sign
-        on its multiples, zeroes the multiples of p^2 and multiplies p
-        into an int32 product of small prime divisors. A squarefree m
-        whose product falls short of m has exactly one prime factor above
-        sqrt(limit), so one vectorized pass negates mu there.
+        on its multiples and zeroes the multiples of p^2. Every m then has
+        at most one prime factor P above sqrt(limit), with exponent 1, so
+        one pass over the cofactors q = m / P (:func:`hyperbola_cofactors`)
+        negates mu at every P q.
         """
         if self._mobius_arr is None:
             n = self.limit
             mu = np.ones(n + 1, dtype=np.int8)
             mu[0] = 0
-            # Products of small primes stay <= n, so int32 suffices at the cap.
-            itype = np.int32 if n < 2**31 else np.int64
-            small = np.ones(n + 1, dtype=itype)
-            for p in self.primes[: np.searchsorted(self.primes, math.isqrt(n), "right")].tolist():
+            split = int(np.searchsorted(self.primes, math.isqrt(n), "right"))
+            for p in self.primes[:split].tolist():
                 mu[p::p] *= -1
                 mu[p * p :: p * p] = 0
-                small[p::p] *= p
-            np.negative(mu, out=mu, where=small != np.arange(n + 1, dtype=itype))
+            big = self.primes[split:]
+            for q, j in hyperbola_cofactors(big, n):
+                at = big[:j] * q
+                mu[at] = -mu[at]
             mu.flags.writeable = False
             self._mobius_arr = mu
         return self._mobius_arr
@@ -228,24 +229,51 @@ class SieveTable:
         return f"SieveTable(limit={self.limit}, primes={len(self.primes)})"
 
 
+def spf_dtype(limit: int) -> type:
+    """int32 when every index up to limit fits in it, else int64."""
+    return np.int32 if limit < 2**31 else np.int64
+
+
+def hyperbola_cofactors(big: np.ndarray, n: int):
+    """Yield (q, j) for q = n // (r + 1) down to 1, r = isqrt(n), where
+    big[:j] are the entries of ``big`` at most n // q.
+
+    ``big`` holds ascending integers above r, so every product b q <= n
+    of an entry and a cofactor is some big[:j] * q, and once each: a walk
+    over the q replaces a loop over the entries. q = 1 comes last.
+    """
+    if big.size == 0:
+        return
+    r = math.isqrt(n)
+    for q in range(n // (r + 1), 0, -1):
+        j = int(np.searchsorted(big, n // q, "right"))
+        if j:
+            yield q, j
+
+
 def build_sieve(limit: int, max_limit: int = DEFAULT_CAPACITY) -> SieveTable:
     """Build a :class:`SieveTable` covering 2..limit.
 
-    Uses a vectorized Eratosthenes-style pass that records the smallest
-    prime factor of every composite; survivors are prime. Raises
+    The primes p <= sqrt(limit) come from a small sieve of their own.
+    Walked in descending order, each stores p on its multiples from p^2
+    up, so the smallest prime factor of every composite is written last;
+    the unmarked entries from 2 up are the primes. Raises
     :class:`CapacityError` outside [2, max_limit].
     """
     if limit < 2 or limit > max_limit:
         raise CapacityError(f"sieve limit {limit} outside [2, {max_limit}]")
-    spf = np.zeros(limit + 1, dtype=np.int64)
-    for i in range(2, math.isqrt(limit) + 1):
-        if spf[i] == 0:
-            block = spf[i * i :: i]
-            block[block == 0] = i
-    idx = np.arange(limit + 1, dtype=np.int64)
-    unmarked = (spf == 0) & (idx >= 2)
-    spf[unmarked] = idx[unmarked]
-    primes = np.nonzero((spf == idx) & (idx >= 2))[0].astype(np.int64)
+    root = math.isqrt(limit)
+    small = np.ones(root + 1, dtype=bool)
+    small[:2] = False
+    for i in range(2, math.isqrt(root) + 1):
+        if small[i]:
+            small[i * i :: i] = False
+    spf = np.zeros(limit + 1, dtype=spf_dtype(limit))
+    for p in np.flatnonzero(small)[::-1].tolist():
+        spf[p * p :: p] = p
+    primes = np.flatnonzero(spf[2:] == 0).astype(np.int64)
+    primes += 2
+    spf[primes] = primes
     spf.flags.writeable = False
     primes.flags.writeable = False
     return SieveTable(limit, spf, primes)

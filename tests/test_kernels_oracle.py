@@ -1,9 +1,11 @@
-"""Bit-identity of the divisor-lattice, Mobius and summation kernels
-against the straightforward code they replaced: one strided slice-add
-per nonzero index, one sign flip per prime, math.fsum over a list, and
-one Python loop iteration per floor-quotient block."""
+"""Bit-identity of the sieve, divisor-lattice, Mobius, f_t and summation
+kernels against the straightforward code they replaced: a masked store
+per prime into an int64 SPF table, one strided slice-add per nonzero
+index, one sign flip or factor per prime, math.fsum over a list, and one
+Python loop iteration per floor-quotient block."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +16,9 @@ import inghamsum as ig
 from inghamsum import a_from_f, accumulate, summation, sum_over_divisors
 from inghamsum.accumulate import csum, rsum
 from inghamsum.cli import parse_grid
-from inghamsum.dirichlet import ft_partial_sum
+from inghamsum.dirichlet import f_t_table, ft_partial_sum
 from inghamsum.sequences import CoefficientSequence, log_index, named_sequence
+from inghamsum.sieve import spf_dtype
 from inghamsum.summation import block_sums
 
 _ROOTS = (2, 3, 10, 17, 31, 100, 316)
@@ -128,10 +131,88 @@ def test_a_from_f_hypothesis(table_medium, values):
     _same_bits(a_from_f(table_medium, f).a, _a_from_f_ref(table_medium.mobius_array, f))
 
 
+def _build_sieve_ref(limit):
+    """spf and primes by an int64 table: every p <= sqrt(limit) left
+    unmarked stores itself on the unmarked multiples from p^2 up."""
+    spf = np.zeros(limit + 1, dtype=np.int64)
+    for i in range(2, math.isqrt(limit) + 1):
+        if spf[i] == 0:
+            block = spf[i * i :: i]
+            block[block == 0] = i
+    idx = np.arange(limit + 1, dtype=np.int64)
+    unmarked = (spf == 0) & (idx >= 2)
+    spf[unmarked] = idx[unmarked]
+    return spf, np.nonzero((spf == idx) & (idx >= 2))[0].astype(np.int64)
+
+
+def _mobius_product_ref(table):
+    """mu from the primes p <= sqrt(limit) and an integer product of the
+    small prime divisors: a squarefree m whose product falls short of m
+    has one more prime factor."""
+    n = table.limit
+    mu = np.ones(n + 1, dtype=np.int8)
+    mu[0] = 0
+    small = np.ones(n + 1, dtype=np.int64)
+    for p in table.primes[table.primes <= math.isqrt(n)].tolist():
+        mu[p::p] *= -1
+        mu[p * p :: p * p] = 0
+        small[p::p] *= p
+    np.negative(mu, out=mu, where=small != np.arange(n + 1))
+    return mu
+
+
+def _f_t_table_ref(table, t, n):
+    values = np.ones(n + 1, dtype=np.float64)
+    values[0] = 0.0
+    for p in table.primes[table.primes <= n].tolist():
+        values[p::p] *= 1.0 - float(p) ** -t
+    return values
+
+
+_PRIME_ROOTS = (2, 3, 5, 7, 11, 13, 31, 97, 101, 313, 317, 997)
+SIEVE_LIMITS = sorted(
+    set(range(2, 401)) | {r * r + e for r in _PRIME_ROOTS for e in (-1, 0, 1)} | {10**5, 10**6}
+)
+
+
+def test_build_sieve_matches_masked_int64_loop():
+    for n in SIEVE_LIMITS:
+        table = ig.build_sieve(n)
+        spf, primes = _build_sieve_ref(n)
+        assert table.spf.dtype == np.int32 and table.primes.dtype == np.int64, n
+        assert np.array_equal(table.spf, spf), n
+        assert np.array_equal(table.primes, primes), n
+        assert not (table.spf.flags.writeable or table.primes.flags.writeable)
+
+
+def test_spf_dtype_widens_at_two_to_the_31():
+    for limit in (2, 10**8, 2**31 - 1):
+        assert spf_dtype(limit) is np.int32
+        assert np.iinfo(spf_dtype(limit)).max >= limit
+    for limit in (2**31, 2**40):
+        assert spf_dtype(limit) is np.int64
+
+
 def test_mobius_array_matches_all_prime_loop():
-    for n in sorted(set(SIZES) - {1}):
+    for n in sorted((set(SIZES) | set(SIEVE_LIMITS)) - {1}):
         table = ig.build_sieve(n)
         assert np.array_equal(table.mobius_array, _mobius_ref(table)), n
+        assert np.array_equal(table.mobius_array, _mobius_product_ref(table)), n
+
+
+# Squares and non-squares, n = table.limit and below it, and n = 1008
+# just below 1009, the smallest prime above sqrt(table.limit): every
+# prime the table keeps above its own square root then exceeds n.
+FT_NS = (10**6, 999_999, 998_001, 10**5, 1009, 1008, 1000, 26, 25, 24, 4, 3, 2, 1)
+
+
+@pytest.mark.parametrize("t", [1e-3, 1e-2, 0.1, 1.0, 10.0, 60.0])
+def test_f_t_table_matches_all_prime_loop(t, table_big):
+    for n in FT_NS:
+        ft = f_t_table(table_big, t, n)
+        ref = _f_t_table_ref(table_big, t, n)
+        assert np.array_equal(ft.values.view(np.uint64), ref.view(np.uint64)), n
+        assert np.array_equal(ft.prefix.view(np.uint64), np.cumsum(ref).view(np.uint64)), n
 
 
 def test_mobius_array_matches_scalar_mobius(table_medium):
@@ -261,6 +342,19 @@ def test_sums_over_several_runs_of_bucket_sums_match_fsum(rng, monkeypatch):
     for n in (2500, 2501, 7777):
         for name, x in _summands(n, rng).items():
             _same_sums(x)
+
+
+def test_csum_of_a_complex_array_copies_no_part_whole(rng):
+    z = rng.standard_normal(10**6) + 1j * rng.standard_normal(10**6)
+    tracemalloc.start()
+    try:
+        value = csum(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == _csum_ref(z)
+    # One part of z is 8 MB; the chunks copied one at a time take 0.5 MB.
+    assert peak < 4 * 2**20, peak
 
 
 @settings(max_examples=100, deadline=None)

@@ -242,3 +242,17 @@ def test_theorem2_mu_peak_memory_grows_by_at_most_60_bytes_per_integer():
     for (lo, hi), (a, b) in zip(zip(limits, limits[1:]), zip(peaks, peaks[1:])):
         growth = (b - a) / (hi - lo)
         assert growth <= 60, (lo, hi, growth)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB is Linux behaviour")
+def test_theorem1_spec_peak_memory_grows_by_at_most_27_bytes_per_integer():
+    limits = (100_000, 200_000, 400_000)
+    spec = Path(__file__).resolve().parent / "data" / "f2zero.json"
+    argvs = [["verify", "theorem1", "--spec", str(spec), "--grid", f"1000,{n}", "--format", "json"] for n in limits]
+    peaks = cli_peak_rss(SRC, argvs)
+    # An int64 SPF table built beside an int64 index array, and a csum
+    # that copied the real part of a complex array whole, grew by 31-37
+    # bytes per integer; an int32 table and chunk-wise copies take 20-22.
+    for (lo, hi), (a, b) in zip(zip(limits, limits[1:]), zip(peaks, peaks[1:])):
+        growth = (b - a) / (hi - lo)
+        assert growth <= 27, (lo, hi, growth)
