@@ -20,8 +20,9 @@ error, 3 capacity error (e.g. a spec cutoff above the sieve cap), 4
 numerical failure (quadrature non-convergence or a singular Euler
 factor), 5 I/O error.
 
-Every long option can also be supplied through an environment variable
-prefixed INGHAMSUM_ (e.g. INGHAMSUM_QUAD_TOL); explicit flags win.
+Five options also read INGHAMSUM_<OPTION> when the flag is not given:
+--alpha, --envelope, --quad-tol, --tail-tol and --truncation (e.g.
+INGHAMSUM_QUAD_TOL); explicit flags win.
 """
 
 from __future__ import annotations
@@ -66,18 +67,9 @@ from .verify import (
 
 _ENV_PREFIX = "INGHAMSUM_"
 
-# Two tables are plenty for one process; repeated CLI calls in a test
-# session reuse them (tables are immutable).
-_TABLE_CACHE: dict[int, SieveTable] = {}
-
 
 def _get_table(limit: int) -> SieveTable:
-    limit = max(limit, 2)
-    if limit not in _TABLE_CACHE:
-        if len(_TABLE_CACHE) >= 2:
-            _TABLE_CACHE.clear()
-        _TABLE_CACHE[limit] = build_sieve(limit)
-    return _TABLE_CACHE[limit]
+    return build_sieve(max(limit, 2))
 
 
 def _opt(value, name: str, default, cast=float):
@@ -90,7 +82,7 @@ def _opt(value, name: str, default, cast=float):
 
 
 def parse_grid(text: str) -> list[int]:
-    """Grid syntax: explicit '10,100,1000' or geometric 'a:b:xF'."""
+    """Grid syntax: explicit '10,100,1000' or geometric 'a:b:xF', all finite."""
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
@@ -98,18 +90,21 @@ def parse_grid(text: str) -> list[int]:
             raise SpecFormatError(f"grid {text!r}: expected START:END:xFACTOR")
         start, end = float(parts[0]), float(parts[1])
         factor = float(parts[2][1:])
+        top = end * (1 + 1e-9)
+        if not all(map(math.isfinite, (start, top, factor))):
+            raise SpecFormatError(f"grid {text!r}: values must be finite")
         if start < 1 or end < start or factor <= 1:
             raise SpecFormatError(f"grid {text!r}: need 1 <= start <= end, factor > 1")
         out = []
         value = start
-        while value <= end * (1 + 1e-9):
+        while value <= top:
             out.append(round(value))
             value *= factor
         # Small factors round several steps to one integer; keep each once.
         return list(dict.fromkeys(out))
     try:
         out = [round(float(x)) for x in text.split(",") if x.strip()]
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise SpecFormatError(f"grid {text!r}: {exc}") from None
     if not out or any(b <= a for a, b in zip(out, out[1:])):
         raise SpecFormatError(f"grid {text!r}: must be strictly ascending")

@@ -38,10 +38,9 @@ class EvalParams:
     truncation: int
     quad_tol: float = 1e-8
     tail_tol: float = 1e-10
-    alpha: float = 2.0
 
     def __post_init__(self):
-        if self.sigma <= 1:
+        if not self.sigma > 1:
             raise ValueError(f"sigma must exceed 1, got {self.sigma}")
         if self.truncation < 1:
             raise ValueError(f"truncation must be >= 1, got {self.truncation}")
@@ -49,8 +48,6 @@ class EvalParams:
             v = getattr(self, name)
             if not 0 < v < 1:
                 raise ValueError(f"{name} must lie in (0, 1), got {v}")
-        if self.alpha <= 1:
-            raise ValueError(f"alpha must exceed 1, got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -72,8 +69,8 @@ class FtEvaluation:
         return float(self.prefix[min(int(math.floor(x)), self.prefix.size - 1)])
 
 
-def _em_tail(sigma: float, M: float) -> float:
-    """Euler-Maclaurin value of sum_{m >= M} m^-sigma (M not summed)."""
+def _em_tail(sigma: float, M):
+    """Euler-Maclaurin value of sum_{m >= M} m^-sigma (M not summed; a float or an array)."""
     tail = M ** (1.0 - sigma) / (sigma - 1.0) + 0.5 * M**-sigma
     poch = sigma
     power = M ** (-sigma - 1.0)

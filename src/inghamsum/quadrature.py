@@ -42,8 +42,8 @@ def adaptive_simpson(
     are counted in depth_hits so callers can distinguish benign endpoint
     refinement from genuine non-convergence.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"quadrature tolerance must be finite and positive, got {tol}")
     if a == b:
         return QuadResult(0j, 0.0, 0)
     evals = 0
@@ -104,6 +104,8 @@ def _check_converged(res: QuadResult, quad_tol: float) -> None:
 
 def _cut_point(bound: float, rate: float, tail_tol: float) -> float:
     """Smallest T with bound * rate^-T / log(rate) <= tail_tol."""
+    if not 0 < tail_tol < math.inf:
+        raise ValueError(f"tail tolerance must be finite and positive, got {tail_tol}")
     if rate <= 1:
         raise ValueError(f"decay rate must exceed 1, got {rate}")
     if bound <= 0:
@@ -136,21 +138,11 @@ def integral_zero_to_inf(
 ) -> QuadResult:
     """Integral of f over (0, inf) for |f(t)| <= bound * rate^-t.
 
-    The substitution u = exp(-t log rate) matches the decay scale, so
-    the transformed integrand stays bounded by bound/log(rate) on (0, 1]
-    instead of spiking at the finite endpoint.
+    This is :func:`integral_sigma_to_inf` at sigma = 0: the substitution
+    u = rate^-t matches the decay scale, so the transformed integrand
+    stays bounded by bound/log(rate) on (0, 1].
     """
-    T = _cut_point(bound, rate, tail_tol)
-    lr = math.log(rate)
-
-    def g(u: float) -> complex:
-        return f(-math.log(u) / lr) / (u * lr)
-
-    tol = _scaled_tol(quad_tol, bound, lr)
-    res = adaptive_simpson(g, rate**-T, 1.0, tol, max_depth)
-    _check_converged(res, tol)
-    tail = bound * rate**-T / lr if bound > 0 else 0.0
-    return QuadResult(res.value, res.error + tail, res.evals, res.depth_hits)
+    return integral_sigma_to_inf(f, 0.0, rate, bound, quad_tol, tail_tol, max_depth)
 
 
 def integral_sigma_to_inf(

@@ -12,10 +12,6 @@ dict rows are turned into columns of JSON-ready values first, so one
 serializer writes every report. Memory beyond the columns themselves is
 bounded by the chunk size, and the chunks join to the same bytes as one
 ``json.dumps`` (or one CSV join) of the whole report.
-
-Wall time is tracked in the in-memory summary but excluded from
-serialization, since emitted artifacts must be byte-identical across
-runs of the same configuration.
 """
 
 from __future__ import annotations
@@ -38,9 +34,6 @@ CSV_COLUMNS = (
     "s_ratio",
     "pass",
 )
-
-# Summary keys dropped from serialized output (non-reproducible).
-VOLATILE_SUMMARY_KEYS = ("wall_time_s",)
 
 # Rows formatted per chunk; bounds the memory a report adds while it is
 # written.
@@ -329,7 +322,7 @@ class VerificationReport:
         doc = {
             "experiment_id": self.experiment_id,
             "rows": table,
-            "summary": {k: v for k, v in self.summary.items() if k not in VOLATILE_SUMMARY_KEYS},
+            "summary": self.summary,
         }
         return (canonical_json_bytes(doc, a, b) for a, b in bounds)
 

@@ -16,6 +16,7 @@ from inghamsum.errors import SpecFormatError
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 LIOUVILLE = str(DATA / "liouville.json")
 F2ZERO = str(DATA / "f2zero.json")
@@ -56,7 +57,10 @@ def test_parse_grid_geometric():
 
 
 def test_parse_grid_errors():
-    for bad in ("", "5,4", "1e3:1e6:10", "10:5:x2", "abc"):
+    for bad in (
+        "", "5,4", "1e3:1e6:10", "10:5:x2", "abc",
+        "inf", "nan", "1e400", "1:inf:x2", "1:nan:x2", "1:10:xnan", "1:1.7976931348623157e308:x2",
+    ):
         with pytest.raises(SpecFormatError):
             parse_grid(bad)
 
@@ -345,6 +349,38 @@ def test_exit_usage_error_is_2():
         [sys.executable, "-m", "inghamsum.cli", "frobnicate"], capture_output=True
     )
     assert proc.returncode == 2
+
+
+BAD_INPUT_COMMANDS = {
+    "grid inf": ["ingham", "--coeffs", "mu", "--n", "inf"],
+    "grid 1e400": ["sieve", "--n", "1e400"],
+    "grid 1:inf:x2": ["sieve", "--n", "1:inf:x2"],
+    "grid 1:nan:x2": ["sieve", "--n", "1:nan:x2"],
+    "tail-tol 0": ["lemma", "--tail-tol", "0"],
+    "tail-tol nan": ["lemma", "--tail-tol", "nan"],
+    "quad-tol nan": ["lemma", "--quad-tol", "nan"],
+    "quad-tol inf": [
+        "identity", "difference", "--coeffs", "mu", "--n", "10", "--truncation", "1000", "--quad-tol", "inf",
+    ],
+    "sigma nan": ["verify", "theorem2", "--coeffs", "mu", "--n", "100,1000", "--sigma", "2,nan"],
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUT_COMMANDS)
+def test_bad_input_exits_2_without_traceback(case, tmp_path):
+    # A subprocess with a timeout, so that a check that lets NaN through
+    # to the quadrature fails here instead of hanging the suite.
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "inghamsum.cli", *BAD_INPUT_COMMANDS[case], "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 def test_exit_quadrature_error(monkeypatch):

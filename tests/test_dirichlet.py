@@ -66,7 +66,7 @@ def test_eval_params_validation():
     with pytest.raises(ValueError):
         EvalParams(sigma=2.0, truncation=10, quad_tol=2.0)
     with pytest.raises(ValueError):
-        EvalParams(sigma=2.0, truncation=10, alpha=1.0)
+        EvalParams(sigma=math.nan, truncation=10)
 
 
 def test_g_eval_unit(table_small):

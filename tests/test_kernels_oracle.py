@@ -1,8 +1,9 @@
-"""Bit-identity of the sieve, divisor-lattice, Mobius, f_t and summation
-kernels against the straightforward code they replaced: a masked store
-per prime into an int64 SPF table, one strided slice-add per nonzero
-index, one sign flip or factor per prime, math.fsum over a list, and one
-Python loop iteration per floor-quotient block."""
+"""Bit-identity of the sieve, divisor-lattice, Mobius, f_t, summation and
+quadrature kernels against the straightforward code they replaced: a
+masked store per prime into an int64 SPF table, one strided slice-add
+per nonzero index, one sign flip or factor per prime, math.fsum over a
+list, one Python loop iteration per floor-quotient block, and separate
+copies of the (0, inf) substitution and of the Euler-Maclaurin tail."""
 
 import math
 import tracemalloc
@@ -13,10 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import inghamsum as ig
-from inghamsum import a_from_f, accumulate, summation, sum_over_divisors
+from inghamsum import a_from_f, accumulate, quadrature, summation, sum_over_divisors, verify
 from inghamsum.accumulate import csum, rsum
 from inghamsum.cli import parse_grid
-from inghamsum.dirichlet import f_t_table, ft_partial_sum
+from inghamsum.dirichlet import _EM_COEFFS, f_t_table, ft_partial_sum
 from inghamsum.sequences import CoefficientSequence, log_index, named_sequence
 from inghamsum.sieve import spf_dtype
 from inghamsum.summation import block_sums
@@ -686,3 +687,111 @@ def test_builtins_stored_real_match_complex_storage(name, table_small):
     got, expected = _builtin_results(seq, table_small), _builtin_results(ref, table_small)
     for key in expected:
         assert got[key] == expected[key], key
+
+
+# -- one (0, inf) integrator and one Euler-Maclaurin tail ------------------
+
+
+def _integral_zero_to_inf_ref(f, rate, bound, quad_tol, tail_tol, max_depth=64):
+    """integral_zero_to_inf as its own copy of the substitution, before it
+    became integral_sigma_to_inf at sigma = 0."""
+    T = quadrature._cut_point(bound, rate, tail_tol)
+    lr = math.log(rate)
+
+    def g(u):
+        return f(-math.log(u) / lr) / (u * lr)
+
+    tol = quadrature._scaled_tol(quad_tol, bound, lr)
+    res = quadrature.adaptive_simpson(g, rate**-T, 1.0, tol, max_depth)
+    quadrature._check_converged(res, tol)
+    tail = bound * rate**-T / lr if bound > 0 else 0.0
+    return quadrature.QuadResult(res.value, res.error + tail, res.evals, res.depth_hits)
+
+
+def _quad_outcome(fn):
+    try:
+        return _bits(fn())
+    except ig.QuadratureError as exc:
+        return ("QuadratureError", str(exc))
+
+
+# The integrands of test_quadrature.py: (f, rate, bound, quad_tol, tail_tol, max_depth).
+QUAD_CASES = {
+    **{
+        f"k^-t - (k+1)^-t, k = {k}": (
+            lambda t, k=k: float(k) ** -t - float(k + 1) ** -t, float(k), 1.0, 1e-10, 1e-12, 64
+        )
+        for k in (2, 10, 100)
+    },
+    "exp(-3t)": (lambda t: math.exp(-3.0 * t), math.e**3, 1.0, 1e-10, 1e-13, 64),
+    "(2^-t - 3^-t)/(1 + t^2)": (
+        lambda t: (2.0**-t - 3.0**-t) / (1.0 + t * t), 2.0, 1.0, 1e-10, 1e-12, 64
+    ),
+    "stalls at depth 2": (
+        lambda t: 2.0**-t / (1.0 + 40.0 * math.sin(8.0 * t) ** 2), 2.0, 1.0, 1e-13, 1e-13, 2
+    ),
+    "complex": (lambda t: complex(2.0**-t, -(5.0**-t)), 2.0, 2.0, 1e-9, 1e-11, 64),
+}
+
+
+@pytest.mark.parametrize("case", QUAD_CASES)
+def test_integral_zero_to_inf_matches_own_substitution(case):
+    f, *args = QUAD_CASES[case]
+    got = _quad_outcome(lambda: quadrature.integral_zero_to_inf(f, *args))
+    assert got == _quad_outcome(lambda: _integral_zero_to_inf_ref(f, *args))
+
+
+def test_lemma_integrals_match_own_substitution(table_small, monkeypatch):
+    grids = dict(t_grid=(1.0,), x_grid=(100,), k_grid=(2, 10, 100), vx_grid=(1_000, 10_000))
+    got = _bits([[r["value"], r["bound"]] for r in ig.lemma_ratio_suite(table_small, **grids)])
+    monkeypatch.setattr(verify, "integral_zero_to_inf", _integral_zero_to_inf_ref)
+    ref = _bits([[r["value"], r["bound"]] for r in ig.lemma_ratio_suite(table_small, **grids)])
+    assert got == ref
+
+
+@pytest.mark.parametrize("n", [10, 31, 50])
+def test_difference_integrals_match_own_substitution(n, table_small, monkeypatch):
+    prime_lists = [[]] * 2 + [table_small.distinct_primes(m) for m in range(2, n + 1)]
+    ks = (2, 3, n // 2, n - 1)
+    got = [_bits(verify._difference_integral(prime_lists, n, k, 1e-8, 1e-10)) for k in ks]
+    monkeypatch.setattr(verify, "integral_zero_to_inf", _integral_zero_to_inf_ref)
+    ref = [_bits(verify._difference_integral(prime_lists, n, k, 1e-8, 1e-10)) for k in ks]
+    assert got == ref
+
+
+def _zeta_tails_ref(tail, u):
+    """_SeriesTail._zeta_tails with its own copy of the Euler-Maclaurin
+    loop, which forms M^-2 as numpy's M**-2.0 where _em_tail takes
+    1/(M*M)."""
+    big = np.maximum(tail.seg_m, float(tail._SMALL))
+    z = big ** (1.0 - u) / (u - 1.0) + 0.5 * big**-u
+    poch = u
+    power = big ** (-u - 1.0)
+    minv = big**-2.0
+    for k, coeff in enumerate(_EM_COEFFS):
+        z += coeff * poch * power
+        poch *= (u + 2 * k + 1) * (u + 2 * k + 2)
+        power *= minv
+    small_terms = tail.small_m**-u
+    suffix = np.concatenate((np.cumsum(small_terms[::-1])[::-1], [0.0]))
+    need = tail.seg_m < tail._SMALL
+    z[need] += suffix[(tail.seg_m[need] - 2).astype(np.intp)]
+    return z
+
+
+@pytest.mark.parametrize("K", [10**3, 10**5])
+def test_zeta_tails_match_own_em_loop(K, table_medium):
+    tail = verify._SeriesTail(named_sequence("mu", K, table_medium), K, 0j)
+    us = [1.0 + 1.0 / math.log(n) for n in range(2, 51)] + np.linspace(1.2, 40.0, 400).tolist()
+    for u in us:
+        got, ref = tail._zeta_tails(u), _zeta_tails_ref(tail, u)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), u
+
+
+def test_difference_identity_matches_old_integrators(table_small, monkeypatch):
+    seq = named_sequence("mu", 1000, table_small)
+    params = ig.EvalParams(sigma=1.5, truncation=1000)
+    got = _bits(ig.difference_identity_check(seq, table_small, 10, params))
+    monkeypatch.setattr(verify, "integral_zero_to_inf", _integral_zero_to_inf_ref)
+    monkeypatch.setattr(verify._SeriesTail, "_zeta_tails", _zeta_tails_ref)
+    assert got == _bits(ig.difference_identity_check(seq, table_small, 10, params))

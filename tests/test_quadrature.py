@@ -24,8 +24,18 @@ def test_simpson_complex_values():
 
 
 def test_simpson_rejects_bad_tolerance():
-    with pytest.raises(ValueError):
-        adaptive_simpson(math.exp, 0.0, 1.0, 0.0)
+    for tol in (0.0, -1e-8, math.nan, math.inf):
+        with pytest.raises(ValueError, match="quadrature tolerance"):
+            adaptive_simpson(math.exp, 0.0, 1.0, tol)
+
+
+@pytest.mark.parametrize("tail_tol", [0.0, -1e-10, math.nan, math.inf])
+@pytest.mark.parametrize("bound", [1.0, 0.0])
+def test_integrals_reject_bad_tail_tolerance(tail_tol, bound):
+    with pytest.raises(ValueError, match="tail tolerance"):
+        integral_zero_to_inf(lambda t: 2.0**-t, rate=2.0, bound=bound, quad_tol=1e-8, tail_tol=tail_tol)
+    with pytest.raises(ValueError, match="tail tolerance"):
+        integral_sigma_to_inf(lambda u: 2.0**-u, 1.5, rate=2.0, bound=bound, quad_tol=1e-8, tail_tol=tail_tol)
 
 
 @pytest.mark.parametrize("k", [2, 10, 100])

@@ -58,7 +58,7 @@ def _sample_report():
     return VerificationReport(
         "sample",
         rows,
-        {"pass": False, "max_residual": 0.1, "wall_time_s": 123.4},
+        {"pass": False, "max_residual": 0.1},
     )
 
 
@@ -73,13 +73,6 @@ def test_json_round_trip_bytes_identical():
     payload = report.to_json_bytes()
     parsed = json.loads(payload)
     assert canonical_json_bytes(parsed) == payload
-
-
-def test_wall_time_not_serialized():
-    report = _sample_report()
-    parsed = json.loads(report.to_json_bytes())
-    assert "wall_time_s" not in parsed["summary"]
-    assert report.summary["wall_time_s"] == 123.4
 
 
 def test_infinite_ratio_marker_serialization():

@@ -17,7 +17,7 @@ import pytest
 import inghamsum as ig
 import inghamsum.report as report_mod
 from inghamsum.cli import main, parse_grid, resolve_coeffs
-from inghamsum.report import CSV_COLUMNS, VOLATILE_SUMMARY_KEYS, Columns, ReportRow, VerificationReport
+from inghamsum.report import CSV_COLUMNS, Columns, ReportRow, VerificationReport
 
 from conftest import cli_peak_rss
 
@@ -36,7 +36,7 @@ def old_json_bytes(experiment_id, rows, summary):
     doc = {
         "experiment_id": experiment_id,
         "rows": _old_json_rows(rows),
-        "summary": {k: v for k, v in summary.items() if k not in VOLATILE_SUMMARY_KEYS},
+        "summary": summary,
     }
     return (json.dumps(report_mod.jsonable(doc), indent=2, ensure_ascii=False) + "\n").encode()
 
@@ -164,7 +164,6 @@ SUMMARY = {
     "note": 'ünïcode "quoted" 100%',
     "nested": {"a": [1, 2.5, None], "b": {}},
     "sigma_rows": [[2.0, 1.0, -0.0]],
-    "wall_time_s": 1.5,
 }
 
 
