@@ -16,13 +16,14 @@ sieve to cover the spec's Euler product (see README).
 
 Exit statuses: 0 the report was written (a failed verdict shows as
 "pass": false in its summary, not in the status), 2 parse or validation
-error, 3 capacity error (e.g. a spec cutoff above the sieve cap), 4
-numerical failure (quadrature non-convergence or a singular Euler
-factor), 5 I/O error.
+error (a number that is nan or infinite included), 3 capacity error
+(e.g. a spec cutoff above the sieve cap), 4 numerical failure
+(quadrature non-convergence or a singular Euler factor), 5 I/O error.
 
 Five options also read INGHAMSUM_<OPTION> when the flag is not given:
 --alpha, --envelope, --quad-tol, --tail-tol and --truncation (e.g.
-INGHAMSUM_QUAD_TOL); explicit flags win.
+INGHAMSUM_QUAD_TOL); explicit flags win. Every float flag and every
+INGHAMSUM_* value must be finite.
 """
 
 from __future__ import annotations
@@ -72,13 +73,23 @@ def _get_table(limit: int) -> SieveTable:
     return build_sieve(max(limit, 2))
 
 
+def _finite(value, source: str):
+    """value, or SpecFormatError (exit 2) when it is a nan or infinite
+    float. Ints pass whole: they are finite, and math.isfinite would
+    overflow on one above the float range."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise SpecFormatError(f"{source}: expected a finite number, got {value}")
+    return value
+
+
 def _opt(value, name: str, default, cast=float):
-    if value is not None:
-        return value
-    raw = os.environ.get(_ENV_PREFIX + name.upper().replace("-", "_"))
-    if raw is not None:
-        return cast(raw)
-    return default
+    """The flag's value, else INGHAMSUM_<NAME>'s, else default; finite."""
+    source = f"--{name}"
+    if value is None:
+        source = _ENV_PREFIX + name.upper().replace("-", "_")
+        raw = os.environ.get(source)
+        value = default if raw is None else cast(raw)
+    return _finite(value, source)
 
 
 def parse_grid(text: str) -> list[int]:
@@ -255,7 +266,7 @@ def _cmd_verify(args) -> VerificationReport:
     seq = resolve_coeffs(args.coeffs, grid[-1], _get_table(grid[-1]))
     if args.check == "theorem2":
         sigma_grid = (
-            [float(s) for s in args.sigma.split(",")]
+            [_finite(float(s), "--sigma") for s in args.sigma.split(",")]
             if args.sigma
             else [2.0, 1.5, 1.25, 1.125, 1.0625]
         )

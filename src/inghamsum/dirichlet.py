@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accumulate import ExactSum, csum, rsum
-from .sequences import CoefficientSequence, MultiplicativeSpec, prime_candidates
+from .sequences import CoefficientSequence, MultiplicativeSpec
 from .sieve import SieveTable, hyperbola_cofactors
 from .summation import TruncatedSum, _block_terms
 from .errors import SingularFactorError
@@ -90,7 +90,7 @@ def zeta_real(sigma: float) -> float:
     below 1e-12 for sigma >= 1.01 and degrades gracefully toward the
     pole, where the tail term 1/(sigma - 1) dominates.
     """
-    if sigma <= 1:
+    if not sigma > 1:
         raise ValueError(f"zeta_real requires sigma > 1, got {sigma}")
     M = int(min(_ZETA_CAP, max(100, math.ceil(10.0 / (sigma - 1.0)))))
     direct = rsum(np.arange(1, M, dtype=np.float64) ** -sigma)
@@ -99,7 +99,7 @@ def zeta_real(sigma: float) -> float:
 
 def zeta_tail(sigma: float, start: int) -> float:
     """sum_{m >= start} m^-sigma for sigma > 1, to near machine accuracy."""
-    if sigma <= 1:
+    if not sigma > 1:
         raise ValueError(f"zeta_tail requires sigma > 1, got {sigma}")
     if start < 1:
         raise ValueError(f"start must be >= 1, got {start}")
@@ -157,15 +157,13 @@ def euler_product(
     :class:`SingularFactorError`; with the |f(p)| <= 1 bound in force it
     can only occur for adversarial specs.
     """
-    if sigma < 1:
+    if not sigma >= 1:
         raise ValueError(f"sigma must be >= 1, got {sigma}")
     if limit > table.limit:
         raise ValueError(f"limit {limit} exceeds sieve limit {table.limit}")
     product = 1.0 + 0j
-    for p in prime_candidates(spec, table, min(limit, spec.cutoff)):
-        fp = spec.value_at(p)
-        if fp == 1:
-            continue
+    primes, values = spec.nontrivial(table, limit)
+    for p, fp in zip(primes.tolist(), values.tolist()):
         pinv = float(p) ** -sigma
         denom = 1.0 - fp * pinv
         if abs(denom) < 1e-300:
@@ -186,7 +184,7 @@ def f_t_table(table: SieveTable, t: float, n: int) -> FtEvaluation:
     keeps the ascending order of the factors. Every factor is formed by
     Python's float pow (numpy's vector power can differ in the last bit).
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
     if n > table.limit or n < 1:
         raise ValueError(f"n = {n} outside [1, {table.limit}]")
@@ -214,7 +212,7 @@ def ft_partial_sum(table: SieveTable, x: float, t: float) -> float:
     used as the inner evaluation in quadrature over t, where the table
     keeps the squarefree d <= x and their quotients between calls.
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
     if x < 1:
         return 0.0
@@ -227,9 +225,9 @@ def ft_partial_sum(table: SieveTable, x: float, t: float) -> float:
 
 def l_t(s: float, t: float) -> float:
     """Generating ratio of f_t: zeta(s)/zeta(s + t) for s > 1, t > 0."""
-    if s <= 1:
+    if not s > 1:
         raise ValueError(f"s must exceed 1, got {s}")
-    if t <= 0:
+    if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
     return zeta_real(s) / zeta_real(s + t)
 
@@ -238,12 +236,9 @@ def _prime_deviation_sum(
     spec: MultiplicativeSpec, table: SieveTable, n: int, alpha: float
 ) -> float:
     """sum over primes p <= n of |f(p) - 1|^alpha log(p) / p."""
-    terms = []
-    for p in prime_candidates(spec, table, min(n, spec.cutoff)):
-        dev = abs(spec.value_at(p) - 1.0)
-        if dev != 0.0:
-            terms.append(dev**alpha * math.log(p) / p)
-    return rsum(terms)
+    primes, values = spec.nontrivial(table, n)
+    pairs = zip(primes.tolist(), values.tolist())
+    return rsum([abs(fp - 1.0) ** alpha * math.log(p) / p for p, fp in pairs])
 
 
 def mu_n_alpha(
@@ -259,7 +254,7 @@ def mu_n_alpha(
         raise ValueError(f"n must be >= 2, got {n}")
     if n > table.limit:
         raise ValueError(f"n = {n} exceeds sieve limit {table.limit}")
-    if alpha <= 1:
+    if not alpha > 1:
         raise ValueError(f"alpha must exceed 1, got {alpha}")
     total = _prime_deviation_sum(spec, table, n, alpha)
     return (total / math.log(n)) ** (1.0 / alpha)

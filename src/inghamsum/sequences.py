@@ -3,7 +3,8 @@
 A sequence a_1..a_N and the function f(m) = sum of a_d over divisors d of
 m determine each other; this module holds both directions of that
 transform plus the construction of completely multiplicative functions
-from their values on primes.
+from their values on primes, where :meth:`MultiplicativeSpec.nontrivial`
+alone decides which primes have f(p) != 1.
 
 Index convention used package-wide: arithmetic arrays are "index
 aligned", meaning arr[m] is the value at the integer m and arr[0] is an
@@ -132,6 +133,7 @@ class MultiplicativeSpec:
     f(p) = prime_values[p] when present, else ``default``, for primes up
     to ``cutoff``; every prime above the cutoff has f(p) = 1, which makes
     truncated Euler products exact for the function they describe.
+    :meth:`nontrivial` is the one place that decides which primes count.
 
     ``bound_check`` enforces |f(p)| <= 1 (the hypothesis of the mean-value
     bound); switch it off deliberately to experiment outside that class.
@@ -156,21 +158,42 @@ class MultiplicativeSpec:
         object.__setattr__(self, "prime_values", clean)
         object.__setattr__(self, "default", complex(self.default))
         if self.bound_check:
-            if abs(self.default) > 1 + _BOUND_SLACK:
-                raise SpecFormatError(
-                    f"default: |f(p)| = {abs(self.default)} exceeds 1 with bound_check on"
-                )
-            for p, v in clean.items():
-                if abs(v) > 1 + _BOUND_SLACK:
-                    raise SpecFormatError(
-                        f"primes[{p}]: |f({p})| = {abs(v)} exceeds 1 with bound_check on"
-                    )
+            where = self.bound_violation()
+            if where is not None:
+                raise SpecFormatError(f"{where} exceeds 1 with bound_check on")
+
+    def bound_violation(self) -> str | None:
+        """The first value with |f(p)| > 1 beyond a rounding slack, as
+        "default: |f(p)| = x" or "primes[p]: |f(p)| = x"; None when every
+        value keeps the bound."""
+        if abs(self.default) > 1 + _BOUND_SLACK:
+            return f"default: |f(p)| = {abs(self.default)}"
+        for p, v in self.prime_values.items():
+            if abs(v) > 1 + _BOUND_SLACK:
+                return f"primes[{p}]: |f({p})| = {abs(v)}"
+        return None
 
     def value_at(self, p: int) -> complex:
         """f(p) for a prime p, honoring the cutoff convention."""
         if p > self.cutoff:
             return 1.0 + 0j
         return self.prime_values.get(p, self.default)
+
+    def nontrivial(self, table: SieveTable, top: int) -> tuple[np.ndarray, np.ndarray]:
+        """The ascending primes p <= top of the table with f(p) != 1, as
+        int64, and f(p) at each, as complex128 (:meth:`value_at` bit for
+        bit); with default 1 only the listed primes can count."""
+        top = min(top, self.cutoff, table.limit)
+        listed = sorted(p for p in self.prime_values if p <= top)
+        primes = np.array(listed, dtype=np.int64)
+        values = np.array([self.prime_values[p] for p in listed], dtype=np.complex128)
+        if self.default != 1:
+            every = table.primes[: np.searchsorted(table.primes, top, "right")]
+            filled = np.full(every.size, self.default, dtype=np.complex128)
+            filled[np.searchsorted(every, primes)] = values
+            primes, values = every, filled
+        keep = values != 1
+        return primes[keep], values[keep]
 
     @property
     def euler_limit(self) -> int:
@@ -201,17 +224,6 @@ def _divisor_lattice(weights: np.ndarray, f: np.ndarray | None = None) -> np.nda
     for q, k in hyperbola_cofactors(big, n):
         out[big[:k] * q] += wbig[:k] if f is None else wbig[:k] * f[q]
     return out
-
-
-def prime_candidates(spec: MultiplicativeSpec, table: SieveTable, top: int) -> list[int]:
-    """Ascending primes p <= top at which f(p) may differ from 1.
-
-    With default 1 only the listed primes can; otherwise every prime of
-    the table up to ``top`` is a candidate.
-    """
-    if spec.default == 1:
-        return [p for p in sorted(spec.prime_values) if p <= top]
-    return table.primes[: np.searchsorted(table.primes, top, "right")].tolist()
 
 
 def sum_over_divisors(values: np.ndarray) -> np.ndarray:
@@ -269,10 +281,8 @@ def extend_completely_multiplicative(
         raise ValueError(f"extension length {n} exceeds sieve limit {table.limit}")
     f = np.ones(n + 1, dtype=np.complex128)
     f[0] = 0
-    for p in prime_candidates(spec, table, min(n, spec.cutoff)):
-        fp = spec.value_at(p)
-        if fp == 1:
-            continue
+    primes, values = spec.nontrivial(table, n)
+    for p, fp in zip(primes.tolist(), values.tolist()):
         pk = p
         while pk <= n:
             if fp.imag == 0:

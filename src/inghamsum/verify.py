@@ -166,7 +166,7 @@ def _dirichlet_g(a: CoefficientSequence, n: int, params: EvalParams | None = Non
 def _spec_g(spec: MultiplicativeSpec, table: SieveTable, n: int) -> complex:
     """g(1 + 1/log n) as the spec's Euler product over the table's primes;
     exact once the table reaches spec.euler_limit."""
-    return euler_product(spec, table, _sigma_of(n), min(spec.cutoff, table.limit))
+    return euler_product(spec, table, _sigma_of(n), table.limit)
 
 
 def _theorem1_report(values, envelope: float) -> VerificationReport:
@@ -293,10 +293,8 @@ def theorem3_check(
     """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
-    if spec.bound_check is False:
-        pv = list(spec.prime_values.values()) + [spec.default]
-        if any(abs(v) > 1 + 1e-12 for v in pv):
-            raise ValueError("|f(p)| <= 1 is required for the mean-value bound")
+    if spec.bound_violation() is not None:
+        raise ValueError("|f(p)| <= 1 is required for the mean-value bound")
     f = f_values if f_values is not None else extend_completely_multiplicative(spec, table, n)
     if f.size < n + 1:
         raise ValueError(f"f_values covers {f.size - 1} < n = {n}")
@@ -391,10 +389,8 @@ def cond2_ratio(spec: MultiplicativeSpec, table: SieveTable, n: int) -> float:
     theta = np.zeros(n + 1, dtype=np.complex128)
     primes = table.primes[table.primes <= n]
     theta[primes] = np.log(primes.astype(np.float64))
-    for p in primes.tolist():
-        fp = spec.value_at(p)
-        if fp != 1:
-            theta[p] *= fp
+    at, values = spec.nontrivial(table, n)
+    theta[at] *= values
     theta_prefix = np.cumsum(theta)
     m = np.arange(1, n + 1)
     inner = np.abs(theta_prefix[n // m] - n / m.astype(np.float64))

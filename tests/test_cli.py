@@ -317,14 +317,23 @@ def test_sieve_command(tmp_path):
     assert lines[1].startswith("2,2,-1,")
 
 
-def test_lemma_command_small_grid_via_library(table_small):
-    # The CLI lemma command runs the full frozen grid; the library hook
-    # with a reduced grid is exercised in test_verify. Here only the
-    # envelope override plumbing is checked.
+def test_opt_takes_flag_then_environment_then_default(monkeypatch):
     from inghamsum.cli import _opt
 
     assert _opt(None, "does-not-exist", 5.0) == 5.0
     assert _opt(3.0, "does-not-exist", 5.0) == 3.0
+    monkeypatch.setenv("INGHAMSUM_QUAD_TOL", "1e-6")
+    assert _opt(None, "quad-tol", 1e-8) == 1e-6
+    assert _opt(1e-7, "quad-tol", 1e-8) == 1e-7
+    monkeypatch.setenv("INGHAMSUM_TRUNCATION", "500")
+    assert _opt(None, "truncation", 10**6, int) == 500
+    assert _opt(10**400, "truncation", 10**6, int) == 10**400
+    for value in ("nan", "inf", "-inf"):
+        monkeypatch.setenv("INGHAMSUM_ENVELOPE", value)
+        with pytest.raises(SpecFormatError, match="INGHAMSUM_ENVELOPE"):
+            _opt(None, "envelope", 1.0)
+        with pytest.raises(SpecFormatError, match="--alpha"):
+            _opt(float(value), "alpha", 2.0)
 
 
 # -- exit statuses ------------------------------------------------------
@@ -363,6 +372,11 @@ BAD_INPUT_COMMANDS = {
         "identity", "difference", "--coeffs", "mu", "--n", "10", "--truncation", "1000", "--quad-tol", "inf",
     ],
     "sigma nan": ["verify", "theorem2", "--coeffs", "mu", "--n", "100,1000", "--sigma", "2,nan"],
+    "sigma inf": ["verify", "theorem2", "--coeffs", "mu", "--n", "100,1000", "--sigma", "inf,2"],
+    "mean alpha nan": ["mean", "--spec", F2ZERO, "--n", "1000", "--alpha", "nan"],
+    "theorem3 alpha nan": ["verify", "theorem3", "--spec", F2ZERO, "--n", "1000", "--alpha", "nan"],
+    "alpha inf": ["mean", "--spec", F2ZERO, "--n", "1000", "--alpha", "inf"],
+    "envelope nan": ["verify", "axer", "--coeffs", "mu", "--n", "100,1000", "--envelope", "nan"],
 }
 
 

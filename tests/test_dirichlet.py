@@ -232,3 +232,22 @@ def test_mu_n_alpha_validation(table_small):
         mu_n_alpha(spec, table_small, 1, 2.0)
     with pytest.raises(ValueError):
         mu_n_alpha(spec, table_small, 100, 1.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda tb: mu_n_alpha(MultiplicativeSpec({2: 0}, cutoff=100), tb, 100, math.nan),
+        lambda tb: euler_product(MultiplicativeSpec({2: 0}, cutoff=100), tb, math.nan, 100),
+        lambda tb: zeta_real(math.nan),
+        lambda tb: zeta_tail(math.nan, 10),
+        lambda tb: l_t(math.nan, 1.0),
+        lambda tb: l_t(2.0, math.nan),
+        lambda tb: f_t_table(tb, math.nan, 100),
+        lambda tb: ft_partial_sum(tb, 100.0, math.nan),
+    ],
+    ids=["mu_n_alpha", "euler_product", "zeta_real", "zeta_tail", "l_t s", "l_t t", "f_t_table", "ft_partial_sum"],
+)
+def test_nan_arguments_are_rejected(call, table_small):
+    with pytest.raises(ValueError):
+        call(table_small)

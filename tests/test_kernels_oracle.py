@@ -2,10 +2,13 @@
 quadrature kernels against the straightforward code they replaced: a
 masked store per prime into an int64 SPF table, one strided slice-add
 per nonzero index, one sign flip or factor per prime, math.fsum over a
-list, one Python loop iteration per floor-quotient block, and separate
-copies of the (0, inf) substitution and of the Euler-Maclaurin tail."""
+list, one Python loop iteration per floor-quotient block, separate
+copies of the (0, inf) substitution and of the Euler-Maclaurin tail, and
+per-prime loops that call MultiplicativeSpec.value_at and skip f(p) = 1
+themselves."""
 
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -14,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import inghamsum as ig
-from inghamsum import a_from_f, accumulate, quadrature, summation, sum_over_divisors, verify
+from inghamsum import a_from_f, accumulate, dirichlet, quadrature, sequences, summation, sum_over_divisors, verify
 from inghamsum.accumulate import csum, rsum
 from inghamsum.cli import parse_grid
 from inghamsum.dirichlet import _EM_COEFFS, f_t_table, ft_partial_sum
@@ -795,3 +798,175 @@ def test_difference_identity_matches_old_integrators(table_small, monkeypatch):
     monkeypatch.setattr(verify, "integral_zero_to_inf", _integral_zero_to_inf_ref)
     monkeypatch.setattr(verify._SeriesTail, "_zeta_tails", _zeta_tails_ref)
     assert got == _bits(ig.difference_identity_check(seq, table_small, 10, params))
+
+
+# -- one prime-value selector for MultiplicativeSpec -----------------------
+
+
+def _prime_candidates_ref(spec, table, top):
+    """Ascending primes p <= top at which f(p) may differ from 1."""
+    if spec.default == 1:
+        return [p for p in sorted(spec.prime_values) if p <= top]
+    return table.primes[: np.searchsorted(table.primes, top, "right")].tolist()
+
+
+def _extend_ref(spec, table, n):
+    f = np.ones(n + 1, dtype=np.complex128)
+    f[0] = 0
+    for p in _prime_candidates_ref(spec, table, min(n, spec.cutoff)):
+        fp = spec.value_at(p)
+        if fp == 1:
+            continue
+        pk = p
+        while pk <= n:
+            if fp.imag == 0:
+                f[pk::pk] *= fp
+            else:
+                for lo in range(pk, n + 1, sequences._CHUNK * pk):
+                    v = f[lo : lo + sequences._CHUNK * pk : pk]
+                    re = v.real * fp.real - v.imag * fp.imag
+                    v.imag *= fp.real
+                    v.imag += v.real * fp.imag
+                    v.real = re
+            pk *= p
+    return f
+
+
+def _euler_product_ref(spec, table, sigma, limit):
+    product = 1.0 + 0j
+    for p in _prime_candidates_ref(spec, table, min(limit, spec.cutoff)):
+        fp = spec.value_at(p)
+        if fp == 1:
+            continue
+        pinv = float(p) ** -sigma
+        product *= (1.0 - pinv) / (1.0 - fp * pinv)
+    return product
+
+
+def _prime_deviation_sum_ref(spec, table, n, alpha):
+    terms = []
+    for p in _prime_candidates_ref(spec, table, min(n, spec.cutoff)):
+        dev = abs(spec.value_at(p) - 1.0)
+        if dev != 0.0:
+            terms.append(dev**alpha * math.log(p) / p)
+    return rsum(terms)
+
+
+def _cond2_ratio_ref(spec, table, n):
+    theta = np.zeros(n + 1, dtype=np.complex128)
+    primes = table.primes[table.primes <= n]
+    theta[primes] = np.log(primes.astype(np.float64))
+    for p in primes.tolist():
+        fp = spec.value_at(p)
+        if fp != 1:
+            theta[p] *= fp
+    theta_prefix = np.cumsum(theta)
+    m = np.arange(1, n + 1)
+    inner = np.abs(theta_prefix[n // m] - n / m.astype(np.float64))
+    return rsum(inner) / (n * math.log(n))
+
+
+def _selected_ref(spec, table, top):
+    return [(p, spec.value_at(p)) for p in table.primes.tolist() if p <= top and spec.value_at(p) != 1]
+
+
+def _same_selection(spec, table, top):
+    primes, values = spec.nontrivial(table, top)
+    assert primes.dtype == np.int64 and values.dtype == np.complex128
+    got = list(zip(primes.tolist(), map(repr, values.tolist())))
+    assert got == [(p, repr(v)) for p, v in _selected_ref(spec, table, top)]
+    assert all(p <= spec.euler_limit for p in primes.tolist())
+    return primes
+
+
+# f(p) = 1 in both zero signs of its imaginary part, and signed zeros.
+_PRIME_VALUES = st.sampled_from(
+    [1.0, complex(1.0, -0.0), -1.0, 0.0, complex(-0.0, -0.0), 0.5j, 0.6 - 0.8j, -0.28 + 0.96j]
+)
+_PRIMES_TO_3000 = [p for p in range(2, 3001) if sequences._is_prime(p)]
+
+
+@st.composite
+def _specs(draw):
+    cutoff = draw(st.integers(1, 3000))
+    primes = [p for p in _PRIMES_TO_3000 if p <= cutoff]
+    listed = draw(st.dictionaries(st.sampled_from(primes), _PRIME_VALUES, max_size=30)) if primes else {}
+    return ig.MultiplicativeSpec(listed, cutoff, draw(_PRIME_VALUES))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_specs(), st.integers(1, 12_000))
+def test_nontrivial_matches_value_at_hypothesis(table_small, spec, top):
+    _same_selection(spec, table_small, top)
+
+
+NONTRIVIAL_CASES = {
+    "default 1, nothing listed": (ig.MultiplicativeSpec(cutoff=5000), 4000, []),
+    "default 1, listed 1 dropped": (
+        ig.MultiplicativeSpec({2: 0, 3: 1, 5: complex(1, -0.0), 7: -1}, cutoff=5000), 4000, [2, 7],
+    ),
+    "default 1, top below the smallest listed": (ig.MultiplicativeSpec({101: 0.5}, cutoff=5000), 100, []),
+    "default -1, cutoff below top": (
+        ig.MultiplicativeSpec({2: 1}, cutoff=30, default=-1.0), 4000, [3, 5, 7, 11, 13, 17, 19, 23, 29],
+    ),
+    "default -1, cutoff above top": (
+        ig.MultiplicativeSpec({3: 0.5j}, cutoff=5000, default=-1.0), 12, [2, 3, 5, 7, 11],
+    ),
+    "default 0, listed 1 dropped": (
+        ig.MultiplicativeSpec({2: 1, 5: 1}, cutoff=5000, default=0.0), 12, [3, 7, 11],
+    ),
+    "top above the table": (ig.MultiplicativeSpec(cutoff=10**6, default=-1.0), 10**6, None),
+    "default 1, listed above the table": (ig.MultiplicativeSpec({10_007: 0.5}, cutoff=20_000), 20_000, []),
+    "default -1, listed above the table": (
+        ig.MultiplicativeSpec({10_007: 0.5}, cutoff=20_000, default=-1.0), 20_000, None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", NONTRIVIAL_CASES)
+def test_nontrivial_cases(case, table_small):
+    spec, top, expected = NONTRIVIAL_CASES[case]
+    primes = _same_selection(spec, table_small, top)
+    if expected is None:
+        expected = table_small.primes.tolist()
+    assert primes.tolist() == expected
+
+
+def _seeded_mean_spec():
+    """Unit-modulus f(p) for p < 1000 from seed 7, default -1, cutoff 1e6."""
+    rng = random.Random(7)
+    angles = {p: rng.uniform(0.0, 2.0 * math.pi) for p in _PRIMES_TO_3000 if p < 1000}
+    return ig.MultiplicativeSpec(
+        {p: complex(math.cos(a), math.sin(a)) for p, a in angles.items()}, cutoff=10**6, default=-1.0
+    )
+
+
+PRIME_LOOP_SPECS = {
+    "seeded mean": _seeded_mean_spec(),
+    "f2zero": ig.MultiplicativeSpec({2: 0}, cutoff=10**6),
+    "liouville": ig.MultiplicativeSpec(cutoff=10**6, default=-1.0),
+    "mixed, default unit": ig.MultiplicativeSpec(
+        {2: 1, 3: 0.5j, 5: -1, 7: complex(1, -0.0), 11: 0}, cutoff=50_000, default=0.6 + 0.8j
+    ),
+    "mixed, default 1": ig.MultiplicativeSpec({2: 0.5, 3: 1, 97: complex(-0.0, 1.0)}, cutoff=50_000),
+}
+
+
+@pytest.mark.parametrize("name", PRIME_LOOP_SPECS)
+def test_prime_loops_match_value_at_loops(name, table_medium):
+    spec = PRIME_LOOP_SPECS[name]
+    top = table_medium.limit
+    assert ig.extend_completely_multiplicative(spec, table_medium, top).tobytes() == (
+        _extend_ref(spec, table_medium, top).tobytes()
+    )
+    for n in (3, 10, 1000, 99_991, top):
+        sigma = 1.0 + 1.0 / math.log(n)
+        for s, limit in ((1.0, n), (sigma, n), (sigma, top)):
+            got = dirichlet.euler_product(spec, table_medium, s, limit)
+            assert repr(got) == repr(_euler_product_ref(spec, table_medium, s, limit)), (n, s, limit)
+        for alpha in (1.0, 2.0):
+            got = dirichlet._prime_deviation_sum(spec, table_medium, n, alpha)
+            assert repr(got) == repr(_prime_deviation_sum_ref(spec, table_medium, n, alpha)), (n, alpha)
+    for n in (10, 1000, top):
+        got = verify.cond2_ratio(spec, table_medium, n)
+        assert repr(got) == repr(_cond2_ratio_ref(spec, table_medium, n)), n
