@@ -52,10 +52,9 @@ print("\nsum k a_k for a_k = 1/k^2 tends to the harmonic series:")
 print("  at n = 100:", tauber_weighted(inv, 100).real)
 
 alt = CoefficientSequence.from_values([(-1) ** k for k in range(1, 201)])
-print("\nAbel sum of the alternating series at x = 0.9:", abel_power_sum(alt, 0.9).value.real)
+print("\nAbel sum of the alternating series at x = 0.9:", abel_power_sum(alt, 0.9).real)
 print("limit as x -> 1 would be -1/2 (the Abel value)")
 
-w = WeightSequence.log_weights(10_000)
 print("\nlog-weighted Abel sum equals the Dirichlet sum term by term:")
-print("  mu with x = 2:", abel_lambda_sum(mu, WeightSequence.log_weights(100_000), 2.0).value.real)
+print("  mu with x = 2:", abel_lambda_sum(mu, WeightSequence.log_weights(100_000), 2.0).real)
 print("  1/zeta(2)    :", 1 / (math.pi**2 / 6))

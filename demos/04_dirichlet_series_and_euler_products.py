@@ -10,7 +10,6 @@ a spec's cutoff convention costs nothing.
 import math
 
 from inghamsum import (
-    EvalParams,
     MultiplicativeSpec,
     build_sieve,
     euler_product,
@@ -31,8 +30,8 @@ for s in (1.001, 1.1, 2.0, 4.0):
 print("  zeta(2) - pi^2/6 =", zeta_real(2.0) - math.pi**2 / 6)
 
 mu = named_sequence("mu", 1_000_000, table)
-g = g_eval(mu, EvalParams(sigma=2.0, truncation=1_000_000))
-print(f"\nDirichlet sum of mu at sigma=2 over 1e6 terms: {g.value.real:.8f}")
+g = g_eval(mu, 2.0, 1_000_000)
+print(f"\nDirichlet sum of mu at sigma=2 over 1e6 terms: {g.real:.8f}")
 print(f"1/zeta(2) = {1 / zeta_real(2.0):.8f}  (truncation tail ~ 1e-6)")
 
 liouville = MultiplicativeSpec(cutoff=1_000_000, default=-1.0)
@@ -41,8 +40,8 @@ print(f"\nLiouville Euler product at sigma=2: {prod.real:.8f}")
 print(f"zeta(4)/zeta(2)^2 = {zeta_real(4.0) / zeta_real(2.0) ** 2:.8f}")
 
 lam_seq = named_sequence("liouville", 1_000_000, table)
-series = g_eval(lam_seq, EvalParams(sigma=2.0, truncation=1_000_000))
-print(f"Liouville Dirichlet sum at sigma=2: {series.value.real:.8f}")
+series = g_eval(lam_seq, 2.0, 1_000_000)
+print(f"Liouville Dirichlet sum at sigma=2: {series.real:.8f}")
 print(f"zeta(4)/zeta(2)   = {zeta_real(4.0) / zeta_real(2.0):.8f}")
 
 print("\nthe f_t family and its partial sums F_t:")

@@ -11,7 +11,6 @@ import numpy as np
 
 from inghamsum import (
     CoefficientSequence,
-    EvalParams,
     MultiplicativeSpec,
     build_sieve,
     difference_identity_check,
@@ -38,12 +37,12 @@ print("\nmultiplicative S(m) = sum (f(k)-1) Lambda(k) sum_{l<=m/k} f(l):")
 print("  error at m = 2000:", s_multiplicative_identity(spec, table, 2000))
 
 # The full difference identity: A(n) - n g(1+1/log n) - S(n)/log n equals
-# an S-weighted combination of F_t integrals minus a zeta-weighted series.
+# an S-weighted combination of F_t integrals minus a zeta-weighted series,
+# with the sums truncated at K = 2e4 and the default quadrature tolerances.
 mu = named_sequence("mu", 20_000, table)
-params = EvalParams(sigma=1.5, truncation=20_000, quad_tol=1e-8, tail_tol=1e-10)
 print("\ndifference identity for the mu prefix (truncation 2e4):")
 for n in (5, 10, 20):
-    res = difference_identity_check(mu, table, n, params)
+    res = difference_identity_check(mu, table, n, 20_000)
     print(
         f"  n = {n:>2}: |lhs - rhs| = {res.error:.2e}"
         f"   (quadrature budget {res.quad_error:.1e}, series tail {abs(res.tail_correction):.1e})"

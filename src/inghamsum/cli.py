@@ -36,8 +36,8 @@ import sys
 
 import numpy as np
 
-from .dirichlet import EvalParams
 from .errors import CapacityError, QuadratureError, SingularFactorError, SpecFormatError
+from .quadrature import QUAD_TOL, TAIL_TOL
 from .report import Columns, VerificationReport, csv_layout
 from .sequences import (
     BUILTIN_SEQUENCES,
@@ -50,8 +50,10 @@ from .sequences import (
 from .sieve import SieveTable, build_sieve
 from .summation import batch_sums
 from .verify import (
+    AXER_BOUND,
     LEMMA_ENVELOPE,
-    TrendPolicy,
+    THEOREM1_ENVELOPE,
+    THEOREM3_RATIO_ENVELOPE,
     axer_report,
     difference_identity_check,
     lemma_ratio_suite,
@@ -67,6 +69,8 @@ from .verify import (
 )
 
 _ENV_PREFIX = "INGHAMSUM_"
+# The Hoelder exponent of `mean` and `verify theorem3` unless --alpha is given.
+_ALPHA = 2.0
 
 
 def _get_table(limit: int) -> SieveTable:
@@ -106,19 +110,37 @@ def parse_grid(text: str) -> list[int]:
             raise SpecFormatError(f"grid {text!r}: values must be finite")
         if start < 1 or end < start or factor <= 1:
             raise SpecFormatError(f"grid {text!r}: need 1 <= start <= end, factor > 1")
-        out = []
-        value = start
-        while value <= top:
-            out.append(round(value))
-            value *= factor
-        # Small factors round several steps to one integer; keep each once.
-        return list(dict.fromkeys(out))
+        return _geometric_grid(start, top, factor)
     try:
         out = [round(float(x)) for x in text.split(",") if x.strip()]
     except (ValueError, OverflowError) as exc:
         raise SpecFormatError(f"grid {text!r}: {exc}") from None
     if not out or any(b <= a for a, b in zip(out, out[1:])):
         raise SpecFormatError(f"grid {text!r}: must be strictly ascending")
+    return out
+
+
+def _geometric_grid(start: float, top: float, factor: float) -> list[int]:
+    """Each integer round(start * factor**k) with start * factor**k <= top
+    once, ascending. After keeping m, k jumps to the first value of at
+    least m + 0.5, and steps back where rounding in the logarithms overshot."""
+    out = []
+    log_factor = math.log(factor)
+    k = 0
+    while True:
+        try:
+            value = start * factor**k
+        except OverflowError:  # beyond every finite top
+            break
+        if not value <= top:
+            break
+        m = round(value)
+        if not out or m > out[-1]:
+            out.append(m)
+        nxt = max(k + 1, math.ceil(math.log((m + 0.5) / start) / log_factor))
+        while nxt - 1 > k and round(start * factor ** (nxt - 1)) > m:
+            nxt -= 1
+        k = nxt
     return out
 
 
@@ -229,7 +251,7 @@ def _cmd_sieve(args) -> VerificationReport:
 def _cmd_mean(args) -> VerificationReport:
     grid = parse_grid(args.n)
     spec = _load_multiplicative(args.spec)
-    alpha = _opt(args.alpha, "alpha", 2.0)
+    alpha = _opt(args.alpha, "alpha", _ALPHA)
     return mean_report(spec, _spec_table(spec, grid[-1]), grid, alpha)
 
 
@@ -250,14 +272,13 @@ def _cmd_ingham(args) -> VerificationReport:
 
 def _cmd_verify(args) -> VerificationReport:
     grid = parse_grid(args.n)
-    policy = TrendPolicy()
     if args.check == "theorem3":
         spec = _load_multiplicative(args.spec)
-        alpha = _opt(args.alpha, "alpha", 2.0)
-        envelope = _opt(args.envelope, "envelope", policy.t3_ratio_envelope)
+        alpha = _opt(args.alpha, "alpha", _ALPHA)
+        envelope = _opt(args.envelope, "envelope", THEOREM3_RATIO_ENVELOPE)
         return theorem3_report(spec, _get_table(grid[-1]), grid, alpha, envelope)
     if args.check == "theorem1":
-        envelope = _opt(args.envelope, "envelope", policy.t1_envelope)
+        envelope = _opt(args.envelope, "envelope", THEOREM1_ENVELOPE)
         if args.spec:
             spec = _load_multiplicative(args.spec)
             return theorem1_spec_report(spec, _spec_table(spec, grid[-1]), grid, envelope)
@@ -270,16 +291,16 @@ def _cmd_verify(args) -> VerificationReport:
             if args.sigma
             else [2.0, 1.5, 1.25, 1.125, 1.0625]
         )
-        return theorem2_conditions(seq, grid, sigma_grid, policy=policy)
+        return theorem2_conditions(seq, grid, sigma_grid)
     if args.check == "wintner":
         return wintner_report(seq, grid)
-    return axer_report(seq, grid, _opt(args.envelope, "envelope", policy.axer_bound))
+    return axer_report(seq, grid, _opt(args.envelope, "envelope", AXER_BOUND))
 
 
 def _cmd_lemma(args) -> VerificationReport:
     envelope = _opt(args.envelope, "envelope", LEMMA_ENVELOPE)
-    quad_tol = _opt(args.quad_tol, "quad-tol", 1e-8)
-    tail_tol = _opt(args.tail_tol, "tail-tol", 1e-10)
+    quad_tol = _opt(args.quad_tol, "quad-tol", QUAD_TOL)
+    tail_tol = _opt(args.tail_tol, "tail-tol", TAIL_TOL)
     rows = lemma_ratio_suite(
         _get_table(1_000_000), envelope=envelope, quad_tol=quad_tol, tail_tol=tail_tol
     )
@@ -296,18 +317,15 @@ def _cmd_lemma(args) -> VerificationReport:
 
 def _cmd_identity(args) -> VerificationReport:
     n = parse_grid(args.n)[-1]
-    quad_tol = _opt(args.quad_tol, "quad-tol", 1e-8)
-    tail_tol = _opt(args.tail_tol, "tail-tol", 1e-10)
+    quad_tol = _opt(args.quad_tol, "quad-tol", QUAD_TOL)
+    tail_tol = _opt(args.tail_tol, "tail-tol", TAIL_TOL)
     truncation = None
     if args.check == "difference":
         envelope = _opt(args.envelope, "envelope", 1e-5)
         truncation = int(_opt(args.truncation, "truncation", 10**6, int))
         table = _get_table(max(n, truncation))
         seq = resolve_coeffs(args.coeffs, truncation, table)
-        params = EvalParams(
-            sigma=1.5, truncation=truncation, quad_tol=quad_tol, tail_tol=tail_tol
-        )
-        res = difference_identity_check(seq, table, n, params)
+        res = difference_identity_check(seq, table, n, truncation, quad_tol, tail_tol)
         err, scale = res.error, 1.0
     else:
         envelope = _opt(args.envelope, "envelope", 1e-8)

@@ -19,7 +19,7 @@ import numpy as np
 from .accumulate import ExactSum, csum, rsum
 from .sequences import CoefficientSequence, MultiplicativeSpec
 from .sieve import SieveTable, hyperbola_cofactors
-from .summation import TruncatedSum, _block_terms
+from .summation import _block_terms
 from .errors import SingularFactorError
 
 # Euler-Maclaurin correction coefficients B_2k / (2k)! for k = 1, 2, 3, 4.
@@ -28,26 +28,6 @@ _ZETA_CAP = 1_000_000
 # Terms per chunk of g_eval: the chunk's arrays stay in cache, and memory
 # does not grow with the truncation.
 _CHUNK = 1 << 16
-
-
-@dataclass(frozen=True)
-class EvalParams:
-    """Evaluation parameters: exponent, truncation and tolerances."""
-
-    sigma: float
-    truncation: int
-    quad_tol: float = 1e-8
-    tail_tol: float = 1e-10
-
-    def __post_init__(self):
-        if not self.sigma > 1:
-            raise ValueError(f"sigma must exceed 1, got {self.sigma}")
-        if self.truncation < 1:
-            raise ValueError(f"truncation must be >= 1, got {self.truncation}")
-        for name in ("quad_tol", "tail_tol"):
-            v = getattr(self, name)
-            if not 0 < v < 1:
-                raise ValueError(f"{name} must lie in (0, 1), got {v}")
 
 
 @dataclass(frozen=True)
@@ -108,12 +88,10 @@ def zeta_tail(sigma: float, start: int) -> float:
     return direct + _em_tail(sigma, float(M))
 
 
-def g_eval(a: CoefficientSequence, params: EvalParams) -> TruncatedSum:
-    """Truncated Dirichlet sum of the coefficients: sum a_m m^-sigma.
-
-    Returns the partial sum over m <= truncation together with the
-    truncation index actually used; any statement about the unreported
-    tail is the caller's responsibility.
+def g_eval(a: CoefficientSequence, sigma: float, truncation: int) -> complex:
+    """Truncated Dirichlet sum of the coefficients: sum a_m m^-sigma
+    over m <= truncation, for sigma > 1 and 1 <= truncation <= a.length;
+    any statement about the unreported tail is the caller's.
 
     The terms are formed _CHUNK at a time and summed exactly
     (:class:`accumulate.ExactSum`), so memory does not grow with the
@@ -123,14 +101,15 @@ def g_eval(a: CoefficientSequence, params: EvalParams) -> TruncatedSum:
     at or above 2**960, inf or nan sends the whole sum to :func:`csum`,
     whose math.fsum then decides the value or the exception.
     """
-    K = params.truncation
-    if K > a.length:
-        raise ValueError(f"truncation {K} exceeds stored length {a.length}")
-    value = _streamed_g(a.a, K, params.sigma)
+    if not sigma > 1:
+        raise ValueError(f"sigma must exceed 1, got {sigma}")
+    if not 1 <= truncation <= a.length:
+        raise ValueError(f"truncation {truncation} outside [1, {a.length}]")
+    value = _streamed_g(a.a, truncation, sigma)
     if value is None:
-        m = np.arange(1, K + 1, dtype=np.float64)
-        value = csum(a.a[1 : K + 1] * m**-params.sigma)
-    return TruncatedSum(value, K)
+        m = np.arange(1, truncation + 1, dtype=np.float64)
+        value = csum(a.a[1 : truncation + 1] * m**-sigma)
+    return value
 
 
 def _streamed_g(a: np.ndarray, K: int, sigma: float) -> complex | None:

@@ -17,6 +17,9 @@ from typing import Callable
 from .errors import QuadratureError
 
 _MIN_CUT = 1.0
+# Default Simpson and tail-cut tolerances of the quadratures in verify.
+QUAD_TOL = 1e-8
+TAIL_TOL = 1e-10
 
 
 @dataclass(frozen=True)

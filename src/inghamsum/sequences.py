@@ -303,6 +303,20 @@ def extend_completely_multiplicative(
     return f
 
 
+def _liouville(table: SieveTable, n: int) -> np.ndarray:
+    """Index-aligned lambda(m) = -lambda(m / spf(m)) for m <= n, as
+    float64: m / spf(m) <= m / 2, so a pass over [lo, hi) with hi <= 2 lo
+    reads only values set before it, in chunks that stay in cache."""
+    lam = np.empty(n + 1)
+    lam[:2] = (0.0, 1.0)
+    lo = 2
+    while lo <= n:
+        hi = min(2 * lo, lo + _CHUNK, n + 1)
+        np.negative(lam[np.arange(lo, hi) // table.spf[lo:hi]], out=lam[lo:hi])
+        lo = hi
+    return lam
+
+
 def named_sequence(name: str, n: int, table: SieveTable) -> CoefficientSequence:
     """Built-in coefficient sequences of length n, by name.
 
@@ -320,9 +334,7 @@ def named_sequence(name: str, n: int, table: SieveTable) -> CoefficientSequence:
     elif name == "one":
         vals = np.ones(n)
     elif name == "liouville":
-        spec = MultiplicativeSpec(cutoff=n, default=-1.0)
-        # The imaginary parts are +-0.0; the real parts are the values.
-        vals = extend_completely_multiplicative(spec, table, n)[1:].real
+        return CoefficientSequence._from_owned(_liouville(table, n))
     elif name == "inverse-squares":
         vals = np.arange(1, n + 1, dtype=np.float64) ** -2.0
     else:

@@ -35,14 +35,6 @@ from .sequences import CoefficientSequence, log_index, sum_over_divisors
 
 
 @dataclass(frozen=True)
-class TruncatedSum:
-    """A partial-sum value together with the number of terms used."""
-
-    value: complex
-    terms: int
-
-
-@dataclass(frozen=True)
 class SummationValue:
     """A(n) and S(n) at a single n, with normalized companions.
 
@@ -59,14 +51,12 @@ class SummationValue:
 
 @dataclass(frozen=True)
 class WeightSequence:
-    """Strictly increasing positive weights for Abel-type summation.
-
-    kind is "log" for lambda_m = log m (lambda_1 = 0 is the permitted
-    boundary case) or "explicit" for user-supplied weights.
+    """Strictly increasing nonnegative weights lambda_m for Abel-type
+    summation, index-aligned (slot 0 is set to 0); lambda_1 = 0 is the
+    permitted boundary case, as for :meth:`log_weights`.
     """
 
     weights: np.ndarray
-    kind: str = "explicit"
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
@@ -84,7 +74,7 @@ class WeightSequence:
     @classmethod
     def log_weights(cls, n: int) -> "WeightSequence":
         """lambda_m = log m for m = 1..n."""
-        return cls(log_index(n), kind="log")
+        return cls(log_index(n))
 
 
 # Blocks per pass of block_sums: the gathered terms, bucket keys and
@@ -251,18 +241,18 @@ def tauber_weighted(a: CoefficientSequence, n: int) -> complex:
     return csum(k * a.a[1 : n + 1])
 
 
-def abel_power_sum(a: CoefficientSequence, x: float) -> TruncatedSum:
+def abel_power_sum(a: CoefficientSequence, x: float) -> complex:
     """Power-series partial sum: sum of a_k x^k over the stored prefix."""
     if not 0 < x < 1:
         raise ValueError(f"x must lie in (0, 1), got {x}")
     n = a.length
     powers = x ** np.arange(1, n + 1, dtype=np.float64)
-    return TruncatedSum(csum(powers * a.a[1:]), n)
+    return csum(powers * a.a[1:])
 
 
 def abel_lambda_sum(
     c: CoefficientSequence, w: WeightSequence, x: float
-) -> TruncatedSum:
+) -> complex:
     """Weighted Abel sum: sum of c_m exp(-lambda_m x) over the prefix.
 
     With log weights this is term-by-term the Dirichlet sum of c at
@@ -276,4 +266,4 @@ def abel_lambda_sum(
             f"weights cover m <= {w.weights.size - 1} but sequence has length {n}"
         )
     damp = np.exp(-x * w.weights[1 : n + 1])
-    return TruncatedSum(csum(damp * c.a[1:]), n)
+    return csum(damp * c.a[1:])

@@ -22,7 +22,6 @@ import numpy as np
 
 from .accumulate import csum, rsum
 from .dirichlet import (
-    EvalParams,
     euler_product,
     f_t_table,
     ft_partial_sum,
@@ -33,7 +32,7 @@ from .dirichlet import (
     _em_tail,
     _prime_deviation_sum,
 )
-from .quadrature import QuadResult, integral_sigma_to_inf, integral_zero_to_inf
+from .quadrature import QUAD_TOL, TAIL_TOL, QuadResult, integral_sigma_to_inf, integral_zero_to_inf
 from .report import ReportRow, VerificationReport
 from .sequences import (
     CoefficientSequence,
@@ -61,24 +60,27 @@ LEMMA_VX_GRID = (1_000, 10_000)
 # outside that grid, reaches 1.71e-3 at n = 1e6).
 THEOREM3_RATIO_ENVELOPE = 0.005
 
+# Default bounds of `verify theorem1` (residual times log n) and of
+# `verify axer` (the ratio sum_{k<=n} |a_k| / n).
+THEOREM1_ENVELOPE = 0.6
+AXER_BOUND = 10.0
+
 _RESIDUAL_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
 class TrendPolicy:
-    """Thresholds that operationalize o(.) conditions at finite scale.
+    """Thresholds of :func:`theorem2_conditions` at finite scale.
 
     A trend passes when the monitored magnitudes are nonincreasing
     (within monotone_slack, relatively) over the final (1 - burn_in)
-    fraction of the grid and the last value is below its threshold.
+    fraction of the grid; the S(n)/(n log n) trend also needs its last
+    value at most s_ratio_threshold.
     """
 
     s_ratio_threshold: float = 0.1
     monotone_slack: float = 1e-9
     burn_in: float = 0.5
-    axer_bound: float = 10.0
-    t1_envelope: float = 0.6
-    t3_ratio_envelope: float = THEOREM3_RATIO_ENVELOPE
 
 
 @dataclass(frozen=True)
@@ -101,9 +103,6 @@ class Theorem3Result:
 
 @dataclass(frozen=True)
 class DifferenceIdentityResult:
-    n: int
-    sigma: float
-    truncation: int
     lhs: complex
     rhs: complex
     error: float
@@ -134,16 +133,15 @@ def _trend_ok(values, policy: TrendPolicy) -> bool:
 def theorem1_residual(
     a: CoefficientSequence,
     n: int,
-    params: EvalParams | None = None,
     spec: MultiplicativeSpec | None = None,
     table: SieveTable | None = None,
 ) -> float:
     """|A(n)/n - g(1 + 1/log n)|.
 
-    g is the truncated Dirichlet sum of the coefficients; when the
-    sequence derives from a multiplicative spec, pass it (with a table)
-    and g is taken from the exact finite Euler product instead, which is
-    tail-free because factors above the cutoff equal 1.
+    g is the Dirichlet sum of the coefficients truncated at a.length;
+    when the sequence derives from a multiplicative spec, pass it (with
+    a table) and g is taken from the exact finite Euler product instead,
+    which is tail-free because factors above the cutoff equal 1.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
@@ -152,15 +150,13 @@ def theorem1_residual(
             raise ValueError("spec-based evaluation needs a sieve table")
         g = _spec_g(spec, table, n)
     else:
-        g = _dirichlet_g(a, n, params)
+        g = _dirichlet_g(a, n)
     return abs(ingham_A(a, n) / n - g)
 
 
-def _dirichlet_g(a: CoefficientSequence, n: int, params: EvalParams | None = None) -> complex:
-    """g(1 + 1/log n) as the Dirichlet sum of a truncated at a.length,
-    or at params.truncation when given."""
-    trunc = a.length if params is None else params.truncation
-    return g_eval(a, EvalParams(sigma=_sigma_of(n), truncation=trunc)).value
+def _dirichlet_g(a: CoefficientSequence, n: int) -> complex:
+    """g(1 + 1/log n) as the Dirichlet sum of a truncated at a.length."""
+    return g_eval(a, _sigma_of(n), a.length)
 
 
 def _spec_g(spec: MultiplicativeSpec, table: SieveTable, n: int) -> complex:
@@ -253,7 +249,7 @@ def theorem2_conditions(
         if ratio is not None:
             s_ratios.append(ratio)
 
-    g_sigma = [g_eval(a, EvalParams(sigma=s, truncation=a.length)).value for s in sigma_grid]
+    g_sigma = [g_eval(a, s, a.length) for s in sigma_grid]
     g_diffs = [abs(u - v) for u, v in zip(g_sigma, g_sigma[1:])]
 
     s_pass = bool(
@@ -631,7 +627,9 @@ def difference_identity_check(
     a: CoefficientSequence,
     table: SieveTable,
     n: int,
-    params: EvalParams,
+    truncation: int,
+    quad_tol: float = QUAD_TOL,
+    tail_tol: float = TAIL_TOL,
     s_values: np.ndarray | None = None,
     d_values: np.ndarray | None = None,
 ) -> DifferenceIdentityResult:
@@ -649,15 +647,18 @@ def difference_identity_check(
     for the region it replaces.
 
     Cost guard: 2 <= n <= 50, so sigma = 1 + 1/log n stays >= 1.25 and
-    the series converges at a practical rate. That sigma is always used:
-    of params only truncation (K), quad_tol and tail_tol are read.
+    the series converges at a practical rate. The sums stop at K =
+    truncation (n <= K <= a.length); quad_tol and tail_tol lie in (0, 1).
 
     s_values / d_values (index-aligned S(k) and S(k) - S(k-1) up to K)
     can be precomputed once per sequence and shared across n.
     """
+    for name, tol in (("quad_tol", quad_tol), ("tail_tol", tail_tol)):
+        if not 0 < tol < 1:
+            raise ValueError(f"{name} must lie in (0, 1), got {tol}")
     if not 2 <= n <= 50:
         raise ValueError(f"n = {n} outside the supported range [2, 50]")
-    K = params.truncation
+    K = truncation
     if K > a.length:
         raise ValueError(f"truncation {K} exceeds stored length {a.length}")
     if K < n:
@@ -667,8 +668,6 @@ def difference_identity_check(
 
     sigma = _sigma_of(n)
     logn = math.log(n)
-    quad_tol = params.quad_tol
-    tail_tol = params.tail_tol
 
     if d_values is None:
         d_values = sum_over_divisors(a.a[: K + 1] * log_index(K))
@@ -677,7 +676,7 @@ def difference_identity_check(
 
     # Left side: the Dirichlet value is exact for the stored sequence.
     A_n = ingham_A(a, n)
-    g = g_eval(a, EvalParams(sigma=sigma, truncation=K)).value
+    g = g_eval(a, sigma, K)
     S_n = complex(s_values[n])
     lhs = A_n - n * g - S_n / logn
 
@@ -742,9 +741,6 @@ def difference_identity_check(
 
     rhs = t1 - t2 - tail_correction
     return DifferenceIdentityResult(
-        n=n,
-        sigma=sigma,
-        truncation=K,
         lhs=lhs,
         rhs=rhs,
         error=abs(lhs - rhs),
@@ -783,8 +779,8 @@ def _comparison_lhs(
 def lemma_ratio_suite(
     table: SieveTable,
     envelope: float = LEMMA_ENVELOPE,
-    quad_tol: float = 1e-8,
-    tail_tol: float = 1e-10,
+    quad_tol: float = QUAD_TOL,
+    tail_tol: float = TAIL_TOL,
     t_grid=LEMMA_T_GRID,
     x_grid=LEMMA_X_GRID,
     k_grid=LEMMA_K_GRID,

@@ -171,7 +171,7 @@ def test_criterion_08_liouville_closed_forms(table_big):
     prod = ig.euler_product(spec, table_big, 2.0, 10**6)
     assert prod.real == pytest.approx(0.4, abs=1e-5)
     lam = ig.named_sequence("liouville", 10**6, table_big)
-    g = ig.g_eval(lam, ig.EvalParams(sigma=2.0, truncation=10**6)).value
+    g = ig.g_eval(lam, 2.0, 10**6)
     target = ig.zeta_real(4.0) / ig.zeta_real(2.0)
     assert target == pytest.approx(0.6579736, abs=1e-6)
     assert abs(g.real - target) <= 2e-3
@@ -219,7 +219,6 @@ def test_criterion_09_exact_identity_suites(table_small, rng):
 def test_criterion_10_difference_identity(table_big, mu_big):
     watch = Stopwatch(300.0)
     K = 10**6
-    params = ig.EvalParams(sigma=1.5, truncation=K, quad_tol=1e-8, tail_tol=1e-10)
     rng = np.random.default_rng(20260808)
     z = random_unit_complex(rng, K)
     cases = {
@@ -235,7 +234,7 @@ def test_criterion_10_difference_identity(table_big, mu_big):
         s = np.cumsum(d)
         for n in (5, 10, 20):
             res = ig.difference_identity_check(
-                seq, table_big, n, params, s_values=s, d_values=d
+                seq, table_big, n, K, quad_tol=1e-8, tail_tol=1e-10, s_values=s, d_values=d
             )
             assert res.error <= 1e-5, f"{name} at n={n}: {res.error:.2e}"
             details.append(f"{name[:6]}@{n}:{res.error:.1e}")

@@ -14,6 +14,8 @@ import inghamsum as ig
 from inghamsum.cli import load_spec_file, main, parse_grid, resolve_coeffs
 from inghamsum.errors import SpecFormatError
 
+from conftest import cli_peak_rss
+
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -63,6 +65,99 @@ def test_parse_grid_errors():
     ):
         with pytest.raises(SpecFormatError):
             parse_grid(bad)
+
+
+def _geometric_loop(start, top, factor):
+    """The former geometric route of parse_grid: one multiplication per
+    step up to top, then each integer once."""
+    out = []
+    value = start
+    while value <= top:
+        out.append(round(value))
+        value *= factor
+    return list(dict.fromkeys(out))
+
+
+def _geometric_every_k(start, top, factor):
+    """round(start * factor**k) for every k with a value up to top, each
+    integer once: the closed form without the jumps over repeated points."""
+    out, k = [], 0
+    while start * factor**k <= top:
+        out.append(round(start * factor**k))
+        k += 1
+    return list(dict.fromkeys(out))
+
+
+def _grid_parts(text):
+    start, end, factor = text.split(":")
+    return float(start), float(end) * (1 + 1e-9), float(factor[1:])
+
+
+# The valid geometric grids of the README, the benchmark, the tests and
+# the demos, and two dense ones.
+KNOWN_GRIDS = (
+    "1e3:1e6:x10", "5:40:x2", "1:3:x1.1", "1e4:1e7:x10", "1e5:1e7:x10", "1e3:1e7:x10",
+    "1e2:1e4:x10", "1e2:1e6:x10", "1e3:1e5:x10", "1:3e4:x1.01", "1e3:1e6:x1.002",
+    "1:1e4:x1.00001", "1:1e4:x1.000001",
+)
+
+
+@pytest.mark.parametrize("text", KNOWN_GRIDS)
+def test_parse_grid_geometric_matches_one_step_loop(text):
+    assert parse_grid(text) == _geometric_loop(*_grid_parts(text))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    start=st.floats(1.0, 1e4),
+    span=st.floats(1.0, 1e4),
+    step=st.floats(1e-3, 3.0),
+)
+def test_parse_grid_geometric_matches_the_closed_form_and_the_loop(start, span, step):
+    text = f"{start!r}:{start * span!r}:x{1.0 + step!r}"
+    start, top, factor = _grid_parts(text)
+    got = parse_grid(text)
+    assert got == _geometric_every_k(start, top, factor)
+    # The loop compounds one rounding per step, so where a value lies
+    # within a few ulps of a half-integer (or of top) the two may round it
+    # differently; anywhere else they agree.
+    value, k = start, 0
+    while value <= top or start * factor**k <= top:
+        direct = start * factor**k
+        if round(value) != round(direct) or (value <= top) != (direct <= top):
+            return
+        value *= factor
+        k += 1
+    assert got == _geometric_loop(start, top, factor)
+
+
+def test_parse_grid_geometric_steps_back_over_a_jump_past_a_point():
+    # After 667 (k = 2) the jump goes to k = ceil(log(667.5/start) /
+    # log(factor)). start * factor**3 is 667.5, which rounds to 668, but
+    # the computed quotient is 3.000000000000017, so the jump lands on
+    # k = 4 (669) and has to step back.
+    text = f"664.5087343659993:{667.5 * 1.001498243894128**3!r}:x1.001498243894128"
+    grid = _geometric_every_k(*_grid_parts(text))
+    assert 668 in grid
+    assert parse_grid(text) == grid
+
+
+def test_parse_grid_keeps_a_tie_the_loop_rounded_down():
+    # 1000 * 1.55**2 is 2402.5000000000005, rounded to 2403; the loop's
+    # product 1550.0 * 1.55 rounds to 2402.5 exactly and then to 2402.
+    assert parse_grid("1000:5198.7:x1.55") == [1000, 1550, 2403, 3724]
+    assert _geometric_loop(*_grid_parts("1000:5198.7:x1.55")) == [1000, 1550, 2402, 3724]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB is Linux behaviour")
+def test_dense_geometric_grid_peak_memory_under_20_mb():
+    # `sieve` keeps only the last point. The one-step loop took 9.2
+    # million steps for this grid's 10,000 points and raised the peak by
+    # 183 MB.
+    plain, dense = cli_peak_rss(
+        SRC, [["sieve", "--n", "10000"], ["sieve", "--n", "1:1e4:x1.000001"]]
+    )
+    assert dense - plain < 20 * 2**20, (plain, dense)
 
 
 def test_load_spec_multiplicative():

@@ -6,7 +6,6 @@ from scipy.special import zeta as scipy_zeta
 
 import inghamsum as ig
 from inghamsum import (
-    EvalParams,
     MultiplicativeSpec,
     SingularFactorError,
     euler_product,
@@ -58,42 +57,41 @@ def test_zeta_tail_consistency():
             )
 
 
-def test_eval_params_validation():
-    with pytest.raises(ValueError):
-        EvalParams(sigma=1.0, truncation=10)
-    with pytest.raises(ValueError):
-        EvalParams(sigma=2.0, truncation=0)
-    with pytest.raises(ValueError):
-        EvalParams(sigma=2.0, truncation=10, quad_tol=2.0)
-    with pytest.raises(ValueError):
-        EvalParams(sigma=math.nan, truncation=10)
+def test_g_eval_validation(table_small):
+    unit = named_sequence("unit", 100, table_small)
+    with pytest.raises(ValueError, match="sigma must exceed 1"):
+        g_eval(unit, 1.0, 10)
+    with pytest.raises(ValueError, match="sigma must exceed 1"):
+        g_eval(unit, math.nan, 10)
+    with pytest.raises(ValueError, match=r"truncation 0 outside \[1, 100\]"):
+        g_eval(unit, 2.0, 0)
+    with pytest.raises(ValueError, match=r"truncation 101 outside \[1, 100\]"):
+        g_eval(unit, 2.0, 101)
 
 
 def test_g_eval_unit(table_small):
     unit = named_sequence("unit", 100, table_small)
     for sigma in (1.1, 2.0, 9.0):
-        res = g_eval(unit, EvalParams(sigma=sigma, truncation=100))
-        assert res.value == pytest.approx(1.0)
-        assert res.terms == 100
+        assert g_eval(unit, sigma, 100) == pytest.approx(1.0)
 
 
 def test_g_eval_mobius_inverse_zeta(table_big):
     mu = named_sequence("mu", 10**6, table_big)
-    res = g_eval(mu, EvalParams(sigma=2.0, truncation=10**6))
-    assert res.value.real == pytest.approx(1.0 / zeta_real(2.0), abs=1e-5)
+    res = g_eval(mu, 2.0, 10**6)
+    assert res.real == pytest.approx(1.0 / zeta_real(2.0), abs=1e-5)
 
 
 def test_g_eval_shifted_zeta(table_big):
     inv = named_sequence("inverse-squares", 10**6, table_big)
-    res = g_eval(inv, EvalParams(sigma=1.5, truncation=10**6))
-    assert res.value.real == pytest.approx(zeta_real(3.5), abs=1e-5)
-    assert res.value.real == pytest.approx(1.1267338, abs=1e-5)
+    res = g_eval(inv, 1.5, 10**6)
+    assert res.real == pytest.approx(zeta_real(3.5), abs=1e-5)
+    assert res.real == pytest.approx(1.1267338, abs=1e-5)
 
 
 def test_g_eval_truncation_guard(table_small):
     unit = named_sequence("unit", 100, table_small)
     with pytest.raises(ValueError):
-        g_eval(unit, EvalParams(sigma=2.0, truncation=101))
+        g_eval(unit, 2.0, 101)
 
 
 def test_euler_product_all_ones(table_small):
@@ -134,7 +132,7 @@ def test_series_product_duality(table_big):
     f = ig.extend_completely_multiplicative(spec, table_big, 10**6)
     seq = ig.a_from_f(table_big, f)
     for sigma in (1.5, 2.0, 3.0):
-        g = g_eval(seq, EvalParams(sigma=sigma, truncation=10**6)).value
+        g = g_eval(seq, sigma, 10**6)
         prod = euler_product(spec, table_big, sigma, 10**6)
         assert abs(g - prod) <= 1e-4
 

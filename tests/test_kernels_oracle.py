@@ -564,17 +564,16 @@ def test_log_index_in_place_matches_fresh_array():
 # -- the streamed Dirichlet sum -----------------------------------------
 
 
-def _g_eval_ref(a, params):
+def _g_eval_ref(a, sigma, K):
     """g_eval as one unchunked csum over all the terms."""
-    K = params.truncation
     m = np.arange(1, K + 1, dtype=np.float64)
-    return ig.TruncatedSum(csum(a.a[1 : K + 1] * m**-params.sigma), K)
+    return csum(a.a[1 : K + 1] * m**-sigma)
 
 
 def _same_g(seq, sigma, truncation=None, case=""):
-    params = ig.EvalParams(sigma=sigma, truncation=truncation or seq.length)
-    got = _block_outcome(lambda: ig.g_eval(seq, params).value)
-    assert got == _block_outcome(lambda: _g_eval_ref(seq, params).value), (case, sigma)
+    K = truncation or seq.length
+    got = _block_outcome(lambda: ig.g_eval(seq, sigma, K))
+    assert got == _block_outcome(lambda: _g_eval_ref(seq, sigma, K)), (case, sigma)
 
 
 G_SIZES = (1, 639, 640, 2**16 - 1, 2**16, 2**16 + 1, 10**5)
@@ -637,7 +636,8 @@ def test_g_eval_inf_nan_and_overflow(rng):
 
 def _complex_builtin(name, n, table):
     """The builtin as complex128 storage, built as before real storage:
-    liouville from its complex extension (imaginary parts +-0.0)."""
+    liouville from its complex extension over every prime at f(p) = -1
+    (imaginary parts +-0.0), as it was built before the SPF route."""
     if name == "liouville":
         spec = ig.MultiplicativeSpec(cutoff=n, default=-1.0)
         return CoefficientSequence.from_values(ig.extend_completely_multiplicative(spec, table, n)[1:])
@@ -660,12 +660,11 @@ def _builtin_results(seq, table):
     n = seq.length
     grid = parse_grid(f"1:{n}:x1.05")
     weights = ig.WeightSequence.log_weights(n)
-    params = ig.EvalParams(sigma=1.0 + 1.0 / math.log(10), truncation=300)
     out = {
         "ingham_A": [ig.ingham_A(seq, m) for m in (1, 2, 97, n)],
         "ingham_S": [ig.ingham_S(seq, m) for m in (1, 2, 97, n)],
         "batch_sums": ig.batch_sums(seq, grid),
-        "g_eval": [ig.g_eval(seq, ig.EvalParams(sigma=s, truncation=k)) for s in (2.0, 1.1) for k in (1, 700, n)],
+        "g_eval": [ig.g_eval(seq, s, k) for s in (2.0, 1.1) for k in (1, 700, n)],
         "cumulative_sums": ig.cumulative_sums(seq),
         # Every n: a_k / k and a_k * (1/k) differ in the last bit for
         # a few k, which changes the rounded sum at 10 of these n.
@@ -677,7 +676,7 @@ def _builtin_results(seq, table):
         "ingham_series_partial": [ig.ingham_series_partial(seq, m) for m in (1, 50, n)],
         "s_difference_identity": ig.s_difference_identity(seq, table, 400),
         "s_decomposition_identity": ig.s_decomposition_identity(seq, table, 400),
-        "difference_identity_check": ig.difference_identity_check(seq, table, 10, params),
+        "difference_identity_check": ig.difference_identity_check(seq, table, 10, 300),
     }
     return {k: _bits(v) for k, v in out.items()}
 
@@ -690,6 +689,25 @@ def test_builtins_stored_real_match_complex_storage(name, table_small):
     got, expected = _builtin_results(seq, table_small), _builtin_results(ref, table_small)
     for key in expected:
         assert got[key] == expected[key], key
+
+
+# -- Liouville from the SPF table ------------------------------------------
+
+LIOUVILLE_SIZES = (1, 2, 3, *(2**k + d for k in (2, 3, 10, 16) for d in (-1, 0, 1)), 10**5)
+
+
+@pytest.mark.parametrize("chunk", [None, 5])
+def test_liouville_matches_complex_extension(chunk, table_medium, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(sequences, "_CHUNK", chunk)
+    for n in LIOUVILLE_SIZES:
+        if chunk is not None and n > 5000:
+            continue
+        got = named_sequence("liouville", n, table_medium)
+        ref = _complex_builtin("liouville", n, table_medium)
+        assert got.a.dtype == np.float64
+        for g, r in ((got.a, ref.a), (got.prefix_a, ref.prefix_a), (got.prefix_alog, ref.prefix_alog)):
+            assert np.array_equal(g.view(np.uint64), r.real.view(np.uint64)), n
 
 
 # -- one (0, inf) integrator and one Euler-Maclaurin tail ------------------
@@ -793,11 +811,10 @@ def test_zeta_tails_match_own_em_loop(K, table_medium):
 
 def test_difference_identity_matches_old_integrators(table_small, monkeypatch):
     seq = named_sequence("mu", 1000, table_small)
-    params = ig.EvalParams(sigma=1.5, truncation=1000)
-    got = _bits(ig.difference_identity_check(seq, table_small, 10, params))
+    got = _bits(ig.difference_identity_check(seq, table_small, 10, 1000))
     monkeypatch.setattr(verify, "integral_zero_to_inf", _integral_zero_to_inf_ref)
     monkeypatch.setattr(verify._SeriesTail, "_zeta_tails", _zeta_tails_ref)
-    assert got == _bits(ig.difference_identity_check(seq, table_small, 10, params))
+    assert got == _bits(ig.difference_identity_check(seq, table_small, 10, 1000))
 
 
 # -- one prime-value selector for MultiplicativeSpec -----------------------

@@ -245,6 +245,19 @@ def test_theorem2_mu_peak_memory_grows_by_at_most_60_bytes_per_integer():
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB is Linux behaviour")
+def test_ingham_liouville_peak_memory_grows_by_at_most_40_bytes_per_integer():
+    limits = (100_000, 200_000, 400_000)
+    argvs = [["ingham", "--coeffs", "liouville", "--n", f"1000,{n}", "--format", "json"] for n in limits]
+    peaks = cli_peak_rss(SRC, argvs)
+    # The complex128 extension over every prime, of which liouville kept
+    # the real part, grew by 46-51 bytes per integer; the float64 fill
+    # from the SPF table takes 27-31, as mu does.
+    for (lo, hi), (a, b) in zip(zip(limits, limits[1:]), zip(peaks, peaks[1:])):
+        growth = (b - a) / (hi - lo)
+        assert growth <= 40, (lo, hi, growth)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB is Linux behaviour")
 def test_theorem1_spec_peak_memory_grows_by_at_most_27_bytes_per_integer():
     limits = (100_000, 200_000, 400_000)
     spec = Path(__file__).resolve().parent / "data" / "f2zero.json"

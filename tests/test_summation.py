@@ -212,13 +212,11 @@ def test_tauber_weighted_examples(table_small):
 
 def test_abel_power_sum(table_small):
     unit = named_sequence("unit", 10, table_small)
-    assert abel_power_sum(unit, 0.25).value == pytest.approx(0.25)
+    assert abel_power_sum(unit, 0.25) == pytest.approx(0.25)
     ones = named_sequence("one", 60, table_small)
-    res = abel_power_sum(ones, 0.5)
-    assert res.terms == 60
-    assert abs(res.value - 1.0) <= 2.0**-60 + 1e-15
+    assert abs(abel_power_sum(ones, 0.5) - 1.0) <= 2.0**-60 + 1e-15
     alt = CoefficientSequence.from_values([(-1) ** k for k in range(1, 201)])
-    assert abel_power_sum(alt, 0.9).value == pytest.approx(-0.9 / 1.9, abs=1e-8)
+    assert abel_power_sum(alt, 0.9) == pytest.approx(-0.9 / 1.9, abs=1e-8)
     with pytest.raises(ValueError):
         abel_power_sum(unit, 1.0)
     with pytest.raises(ValueError):
@@ -229,7 +227,7 @@ def test_abel_lambda_sum_constant_first(table_small):
     seq = CoefficientSequence.from_values([3.5, 0, 0])
     w = WeightSequence.log_weights(3)
     for x in (0.1, 1.0, 9.0):
-        assert abel_lambda_sum(seq, w, x).value == pytest.approx(3.5)
+        assert abel_lambda_sum(seq, w, x) == pytest.approx(3.5)
 
 
 def test_abel_lambda_sum_matches_dirichlet_sum(rng):
@@ -237,15 +235,15 @@ def test_abel_lambda_sum_matches_dirichlet_sum(rng):
     seq = CoefficientSequence.from_values(vals)
     w = WeightSequence.log_weights(500)
     x = 1.7
-    lam = abel_lambda_sum(seq, w, x).value
-    g = ig.g_eval(seq, ig.EvalParams(sigma=x, truncation=500)).value
+    lam = abel_lambda_sum(seq, w, x)
+    g = ig.g_eval(seq, x, 500)
     assert abs(lam - g) <= 1e-15 * max(1.0, abs(g))
 
 
 def test_abel_lambda_sum_two_terms():
     seq = CoefficientSequence.from_values([1, 1])
     w = WeightSequence.log_weights(2)
-    assert abel_lambda_sum(seq, w, 1.0).value == pytest.approx(1.5)
+    assert abel_lambda_sum(seq, w, 1.0) == pytest.approx(1.5)
 
 
 def test_abel_lambda_sum_validation():
@@ -263,7 +261,7 @@ def test_weight_sequence_validation():
         WeightSequence(np.array([0.0, 2.0, 1.0]))
     with pytest.raises(ValueError):
         WeightSequence(np.array([0.0, -1.0, 1.0]))
-    w = WeightSequence(np.array([0.0, 0.0, 0.7, 1.1]), kind="log")
+    w = WeightSequence(np.array([0.0, 0.0, 0.7, 1.1]))
     assert w.weights[1] == 0.0  # boundary case is permitted
 
 

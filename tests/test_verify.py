@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 import inghamsum as ig
 from inghamsum import (
     CoefficientSequence,
-    EvalParams,
     MultiplicativeSpec,
     TrendPolicy,
     check_axer,
@@ -27,8 +27,11 @@ from inghamsum import (
 from inghamsum.accumulate import rsum
 from inghamsum.sequences import log_index, sum_over_divisors
 from inghamsum.verify import (
+    AXER_BOUND,
     LEMMA_K_GRID,
     LEMMA_VX_GRID,
+    THEOREM1_ENVELOPE,
+    THEOREM3_RATIO_ENVELOPE,
     _comparison_lhs,
     _difference_integral,
     mean_report,
@@ -236,7 +239,7 @@ def test_theorem3_ratio_envelope_over_reference_grid(table_big):
                 res = theorem3_check(spec, table_big, n, alpha, f_values=f)
                 assert not res.ratio_infinite
                 worst = max(worst, res.ratio)
-    assert worst <= TrendPolicy().t3_ratio_envelope
+    assert worst <= THEOREM3_RATIO_ENVELOPE
 
 
 # -- hypothesis conditions ---------------------------------------------
@@ -396,8 +399,7 @@ def test_s_multiplicative_examples(table_small):
 
 def test_difference_identity_unit_collapses(table_small):
     unit = named_sequence("unit", 10_000, table_small)
-    params = EvalParams(sigma=1.5, truncation=10_000)
-    res = difference_identity_check(unit, table_small, 5, params)
+    res = difference_identity_check(unit, table_small, 5, 10_000)
     assert res.lhs == 0j
     assert res.rhs == 0j
     assert res.error == 0.0
@@ -405,9 +407,8 @@ def test_difference_identity_unit_collapses(table_small):
 
 def test_difference_identity_random_summable(table_small, rng):
     seq = summable_sequence(rng, 2000)
-    params = EvalParams(sigma=1.5, truncation=2000, quad_tol=1e-8, tail_tol=1e-10)
     for n in (5, 10):
-        res = difference_identity_check(seq, table_small, n, params)
+        res = difference_identity_check(seq, table_small, n, 2000, quad_tol=1e-8, tail_tol=1e-10)
         assert res.error <= 1e-6
         assert res.quad_error <= 1e-4
 
@@ -417,33 +418,34 @@ def test_difference_identity_series_machinery_closed_form(table_small, rng):
     # n (g - a_1); the identity check must therefore agree with the
     # direct left side to quadrature accuracy even at tiny truncation.
     seq = summable_sequence(rng, 500)
-    params = EvalParams(sigma=1.5, truncation=500, quad_tol=1e-9, tail_tol=1e-11)
-    res = difference_identity_check(seq, table_small, 7, params)
+    res = difference_identity_check(seq, table_small, 7, 500, quad_tol=1e-9, tail_tol=1e-11)
     assert res.error <= 1e-7
 
 
 def test_difference_identity_shares_precomputed_sweep(table_small, rng):
     seq = summable_sequence(rng, 1200)
-    params = EvalParams(sigma=1.5, truncation=1200)
     d = sum_over_divisors(seq.a * log_index(1200))
     s = np.cumsum(d)
-    res1 = difference_identity_check(seq, table_small, 6, params)
-    res2 = difference_identity_check(seq, table_small, 6, params, s_values=s, d_values=d)
+    res1 = difference_identity_check(seq, table_small, 6, 1200)
+    res2 = difference_identity_check(seq, table_small, 6, 1200, s_values=s, d_values=d)
     assert res1.lhs == res2.lhs
     assert res1.rhs == res2.rhs
 
 
 def test_difference_identity_validation(table_small, rng):
     seq = summable_sequence(rng, 100)
-    params = EvalParams(sigma=1.5, truncation=100)
     with pytest.raises(ValueError):
-        difference_identity_check(seq, table_small, 1, params)
+        difference_identity_check(seq, table_small, 1, 100)
     with pytest.raises(ValueError):
-        difference_identity_check(seq, table_small, 51, params)
+        difference_identity_check(seq, table_small, 51, 100)
     with pytest.raises(ValueError):
-        difference_identity_check(seq, table_small, 5, EvalParams(sigma=1.5, truncation=101))
+        difference_identity_check(seq, table_small, 5, 101)
     with pytest.raises(ValueError):
-        difference_identity_check(seq, table_small, 5, EvalParams(sigma=1.5, truncation=3))
+        difference_identity_check(seq, table_small, 5, 3)
+    with pytest.raises(ValueError, match=r"quad_tol must lie in \(0, 1\), got 2.0"):
+        difference_identity_check(seq, table_small, 5, 100, quad_tol=2.0)
+    with pytest.raises(ValueError, match=r"tail_tol must lie in \(0, 1\), got 0"):
+        difference_identity_check(seq, table_small, 5, 100, tail_tol=0)
 
 
 # -- estimate-family ratios ---------------------------------------------
@@ -471,8 +473,14 @@ def test_lemma_suite_small_grid(table_small):
 
 def test_trend_policy_defaults():
     policy = TrendPolicy()
+    assert [f.name for f in dataclasses.fields(policy)] == [
+        "s_ratio_threshold",
+        "monotone_slack",
+        "burn_in",
+    ]
     assert policy.s_ratio_threshold == 0.1
-    assert policy.t1_envelope == 0.6
+    assert THEOREM1_ENVELOPE == 0.6
+    assert AXER_BOUND == 10.0
 
 
 def test_integrated_comparison_matches_closed_form(table_small):
