@@ -12,7 +12,8 @@ and rounds once with ``math.fsum`` over the nonzero bucket sums. Their
 exact total is the exact total of the terms, so the correctly rounded
 result is the same value. :class:`ExactSum` keeps the running bucket
 sums, so a caller can form its terms chunk by chunk and still get the
-value ``math.fsum`` gives over all of them. Small arrays, and arrays
+value ``math.fsum`` gives over all of them, and ``csum(values, ends)``
+reads one running sum at every end of a grid. Small arrays, and arrays
 holding inf, nan or magnitudes near overflow, go to ``math.fsum``
 directly. :func:`segment_sums` does the same for many consecutive
 segments at once, with one set of buckets per segment.
@@ -185,8 +186,16 @@ def rsum(values) -> float:
     return math.fsum(values)
 
 
-def csum(values) -> complex:
-    """Exactly rounded complex sum: real and imaginary parts summed apart."""
+def csum(values, ends=None):
+    """Exactly rounded complex sum: real and imaginary parts summed apart.
+
+    With ``ends``, the list of ``csum(values[:end])`` for every end, bit
+    for bit, from one pass over a float64 or complex128 array: each part
+    runs one :class:`ExactSum`, read at every end. A prefix whose terms
+    trip its exponent guard, and every longer one, is summed on its own.
+    """
+    if ends is not None:
+        return _prefix_csums(values, [int(end) for end in ends])
     arr = np.asarray(values)
     if arr.size == 0:
         return 0j
@@ -196,3 +205,32 @@ def csum(values) -> complex:
     return complex(
         _exact_sum(arr.real), _exact_sum(imag) if imag.any() else _zero_sum(imag)
     )
+
+
+def _prefix_csums(values: np.ndarray, ends: list[int]) -> list[complex]:
+    parts = (values.real, values.imag) if np.iscomplexobj(values) else (values,)
+    totals = [ExactSum() for _ in parts]
+    # A chunk of zeros changes no bucket sum, and a sum with a nonzero
+    # term does not take its sign from them, so such chunks are skipped;
+    # a part with no nonzero term yet follows csum's all-zero rule.
+    seen = [False for _ in parts]
+    sums = {}
+    done, void = 0, False
+    for end in sorted(set(ends)):
+        while not void and done < end:
+            hi = min(done + _CHUNK, end)
+            for i, part in enumerate(parts):
+                chunk = np.ascontiguousarray(part[done:hi])
+                if chunk.any():
+                    seen[i] = True
+                    void = void or not totals[i].add(chunk)
+            done = hi
+        if void or end == 0:
+            sums[end] = csum(values[:end])
+            continue
+        part_sums = [
+            total.value() if nonzero else _zero_sum(part[:end])
+            for total, nonzero, part in zip(totals, seen, parts)
+        ]
+        sums[end] = complex(part_sums[0], part_sums[1] if len(parts) == 2 else 0.0)
+    return [sums[end] for end in ends]

@@ -22,8 +22,11 @@ error (a number that is nan or infinite included), 3 capacity error
 
 Five options also read INGHAMSUM_<OPTION> when the flag is not given:
 --alpha, --envelope, --quad-tol, --tail-tol and --truncation (e.g.
-INGHAMSUM_QUAD_TOL); explicit flags win. Every float flag and every
-INGHAMSUM_* value must be finite.
+INGHAMSUM_QUAD_TOL); explicit flags win. A variable is read only by the
+checks that use its option. Every float flag and every INGHAMSUM_* value
+read must be finite. An option that the chosen `verify` or `identity`
+check does not read (say --alpha for theorem1, or --truncation for
+sdiff) exits 2 with an "error:" line naming it.
 """
 
 from __future__ import annotations
@@ -270,7 +273,39 @@ def _cmd_ingham(args) -> VerificationReport:
     return VerificationReport("ingham", Columns(columns), {"coeffs": args.coeffs})
 
 
+# The options each check reads besides --n, --out and --format. Any
+# other option given to the check is an error (exit 2), and an
+# INGHAMSUM_* variable is read only where its option is.
+_READS = {
+    "theorem1": {"spec", "envelope"},  # coeffs in place of spec without --spec
+    "theorem2": {"coeffs", "sigma"},
+    "theorem3": {"spec", "alpha", "envelope"},
+    "wintner": {"coeffs"},
+    "axer": {"coeffs", "envelope"},
+    "sdiff": {"coeffs", "envelope"},
+    "sdecomp": {"coeffs", "envelope"},
+    "smult": {"spec", "envelope"},
+    "difference": {"coeffs", "truncation", "envelope", "quad_tol", "tail_tol"},
+}
+
+
+_EVERY_CHECK_READS = {"command", "check", "func", "n", "out", "format"}
+
+
+def _reject_unread(args, reads: set[str]) -> None:
+    """SpecFormatError (exit 2) for the first option given that the
+    check does not read."""
+    for dest, value in vars(args).items():
+        if value is not None and dest not in reads | _EVERY_CHECK_READS:
+            flag = "--" + dest.replace("_", "-")
+            raise SpecFormatError(f"{args.command} {args.check} does not read {flag}")
+
+
 def _cmd_verify(args) -> VerificationReport:
+    reads = _READS[args.check]
+    if args.check == "theorem1" and not args.spec:
+        reads = reads - {"spec"} | {"coeffs"}
+    _reject_unread(args, reads)
     grid = parse_grid(args.n)
     if args.check == "theorem3":
         spec = _load_multiplicative(args.spec)
@@ -316,11 +351,12 @@ def _cmd_lemma(args) -> VerificationReport:
 
 
 def _cmd_identity(args) -> VerificationReport:
+    _reject_unread(args, _READS[args.check])
     n = parse_grid(args.n)[-1]
-    quad_tol = _opt(args.quad_tol, "quad-tol", QUAD_TOL)
-    tail_tol = _opt(args.tail_tol, "tail-tol", TAIL_TOL)
     truncation = None
     if args.check == "difference":
+        quad_tol = _opt(args.quad_tol, "quad-tol", QUAD_TOL)
+        tail_tol = _opt(args.tail_tol, "tail-tol", TAIL_TOL)
         envelope = _opt(args.envelope, "envelope", 1e-5)
         truncation = int(_opt(args.truncation, "truncation", 10**6, int))
         table = _get_table(max(n, truncation))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -88,69 +89,139 @@ def zeta_tail(sigma: float, start: int) -> float:
     return direct + _em_tail(sigma, float(M))
 
 
-def g_eval(a: CoefficientSequence, sigma: float, truncation: int) -> complex:
+def g_eval(a: CoefficientSequence, sigma, truncation: int):
     """Truncated Dirichlet sum of the coefficients: sum a_m m^-sigma
     over m <= truncation, for sigma > 1 and 1 <= truncation <= a.length;
-    any statement about the unreported tail is the caller's.
+    any statement about the unreported tail is the caller's. ``sigma``
+    may also be a sequence: the values at every sigma then come back as
+    a list, from one pass over the coefficients.
 
     The terms are formed _CHUNK at a time and summed exactly
     (:class:`accumulate.ExactSum`), so memory does not grow with the
     truncation and the value is :func:`csum` over all the terms bit for
     bit. A real sequence takes one real product per term; a complex one
-    takes the separate real products of numpy's complex * real. A term
-    at or above 2**960, inf or nan sends the whole sum to :func:`csum`,
-    whose math.fsum then decides the value or the exception.
+    takes the separate real products of numpy's complex * real. A real
+    chunk that holds zeros forms terms only at its nonzero a_m: a zero
+    a_m adds a signed zero, which can change the sum only when the sum
+    is zero, so a sigma whose sum comes out zero is summed again over
+    every term. A term at or above 2**960, inf or nan sends that sigma's
+    sum to :func:`csum`, whose math.fsum then decides the value or the
+    exception.
     """
-    if not sigma > 1:
-        raise ValueError(f"sigma must exceed 1, got {sigma}")
+    sigmas = [sigma] if np.ndim(sigma) == 0 else list(sigma)
+    for s in sigmas:
+        if not s > 1:
+            raise ValueError(f"sigma must exceed 1, got {s}")
     if not 1 <= truncation <= a.length:
         raise ValueError(f"truncation {truncation} outside [1, {a.length}]")
-    value = _streamed_g(a.a, truncation, sigma)
-    if value is None:
-        m = np.arange(1, truncation + 1, dtype=np.float64)
-        value = csum(a.a[1 : truncation + 1] * m**-sigma)
-    return value
+    values = _streamed_g(a.a, truncation, sigmas, sparse=True)
+    for i, s in enumerate(sigmas):
+        if values[i] == 0:
+            values[i] = _streamed_g(a.a, truncation, [s], sparse=False)[0]
+        if values[i] is None:
+            m = np.arange(1, truncation + 1, dtype=np.float64)
+            values[i] = csum(a.a[1 : truncation + 1] * m**-s)
+    return values[0] if np.ndim(sigma) == 0 else values
 
 
-def _streamed_g(a: np.ndarray, K: int, sigma: float) -> complex | None:
-    """sum a_m m^-sigma over m <= K in chunks, or None when a term trips
-    the exponent guard of :class:`ExactSum`."""
+def _streamed_g(a: np.ndarray, K: int, sigmas, sparse: bool) -> list:
+    """sum a_m m^-sigma over m <= K for every sigma, in chunks; None for
+    a sigma whose terms trip the exponent guard of :class:`ExactSum`.
+    With sparse, a real chunk that holds zeros forms terms only at its
+    nonzero a_m (numpy's power gives the same bits on the gathered m)."""
     real = not np.iscomplexobj(a)
-    parts = (ExactSum(),) if real else (ExactSum(), ExactSum())
+    sums = [(ExactSum(),) if real else (ExactSum(), ExactSum()) for _ in sigmas]
     for lo in range(1, K + 1, _CHUNK):
         hi = min(lo + _CHUNK, K + 1)
-        w = np.arange(lo, hi, dtype=np.float64) ** -sigma
-        terms = (a[lo:hi] * w,) if real else _block_terms(a.real[lo:hi], a.imag[lo:hi], w)
-        if not all(part.add(t) for part, t in zip(parts, terms)):
-            return None
-    return complex(parts[0].value(), 0.0 if real else parts[1].value())
+        coeffs, m = a[lo:hi], np.arange(lo, hi, dtype=np.float64)
+        if sparse and real:
+            nonzero = coeffs != 0
+            if not nonzero.all():
+                coeffs, m = coeffs.compress(nonzero), m.compress(nonzero)
+        for i, s in enumerate(sigmas):
+            if sums[i] is None:
+                continue
+            w = m**-s
+            terms = (coeffs * w,) if real else _block_terms(coeffs.real, coeffs.imag, w)
+            if not all(part.add(t) for part, t in zip(sums[i], terms)):
+                sums[i] = None
+    return [
+        None if parts is None else complex(parts[0].value(), 0.0 if real else parts[1].value())
+        for parts in sums
+    ]
 
 
-def euler_product(
-    spec: MultiplicativeSpec, table: SieveTable, sigma: float, limit: int
-) -> complex:
+def euler_product(spec: MultiplicativeSpec, table: SieveTable, sigma: float, limit):
     """Product over primes p <= limit of (1 - p^-sigma)/(1 - f(p) p^-sigma).
 
     Factors with f(p) = 1 are skipped exactly (they equal 1), so the
     cutoff convention costs no rounding. A vanishing denominator raises
-    :class:`SingularFactorError`; with the |f(p)| <= 1 bound in force it
-    can only occur for adversarial specs.
+    :class:`SingularFactorError` at the first such p; with the
+    |f(p)| <= 1 bound in force it can only occur for adversarial specs.
+
+    The factors come from :func:`_euler_factors` and multiply in
+    ascending p, left to right, as Python complex numbers. ``limit`` may
+    also be a sequence: the products at every limit then come back as a
+    list, read off one running product, which is the same left fold as
+    a product formed afresh up to each limit.
     """
     if not sigma >= 1:
         raise ValueError(f"sigma must be >= 1, got {sigma}")
-    if limit > table.limit:
-        raise ValueError(f"limit {limit} exceeds sieve limit {table.limit}")
-    product = 1.0 + 0j
-    primes, values = spec.nontrivial(table, limit)
-    for p, fp in zip(primes.tolist(), values.tolist()):
-        pinv = float(p) ** -sigma
-        denom = 1.0 - fp * pinv
-        if abs(denom) < 1e-300:
-            raise SingularFactorError(
-                f"factor at p = {p} is singular: f(p) p^-sigma = 1"
-            )
-        product *= (1.0 - pinv) / denom
-    return product
+    limits = [limit] if np.ndim(limit) == 0 else list(limit)
+    for top in limits:
+        if top > table.limit:
+            raise ValueError(f"limit {top} exceeds sieve limit {table.limit}")
+    primes, values = spec.nontrivial(table, max(limits))
+    factors = _euler_factors(primes, values, sigma)
+    ends = np.searchsorted(primes, limits, "right").tolist()
+    products = {}
+    product, done = 1.0 + 0j, 0
+    for end in sorted(set(ends)):
+        product = math.prod(factors[done:end], start=product)
+        products[end], done = product, end
+    out = [products[end] for end in ends]
+    return out[0] if np.ndim(limit) == 0 else out
+
+
+def _euler_factors(primes: np.ndarray, values: np.ndarray, sigma: float) -> list[complex]:
+    """(1 - p^-sigma)/(1 - f(p) p^-sigma) at every p, as Python complex.
+
+    Bit for bit the scalar expression as CPython up to 3.13 evaluates it,
+    on every interpreter: p^-sigma is Python's float pow (numpy's vector
+    power can differ in the last bit); f(p) p^-sigma is complex * (x + 0j),
+    1 - w is (1 + 0j) - w, and the quotient is (1 - p^-sigma + 0j) / d
+    by ``_Py_c_quot``, which divides through by the larger part of d.
+    Each step is one real ufunc, so nothing fuses multiply-adds. Raises
+    :class:`SingularFactorError` at the first p with |d| < 1e-300.
+    """
+    bases = primes.astype(np.float64).tolist()
+    pinv = np.fromiter(map(pow, bases, repeat(-sigma)), np.float64, primes.size)
+    fr, fi = values.real, values.imag
+    with np.errstate(all="ignore"):  # inf and nan follow IEEE, as in C
+        dr = 1.0 - (fr * pinv - fi * 0.0)
+        di = 0.0 - (fr * 0.0 + fi * pinv)
+        # abs(d) is C's hypot: a wide margin here, the exact test below.
+        for i in np.flatnonzero(np.hypot(dr, di) < 2e-300).tolist():
+            if abs(complex(dr[i], di[i])) < 1e-300:
+                raise SingularFactorError(
+                    f"factor at p = {primes[i]} is singular: f(p) p^-sigma = 1"
+                )
+        nr = 1.0 - pinv
+        quot = np.empty(primes.size, dtype=np.complex128)
+        by_real = np.abs(dr) >= np.abs(di)
+        br, bi, ar = dr[by_real], di[by_real], nr[by_real]
+        ratio = bi / br
+        denom = br + bi * ratio
+        quot.real[by_real] = (ar + 0.0 * ratio) / denom
+        quot.imag[by_real] = (0.0 - ar * ratio) / denom
+        # Also every d with a nan part, where C gives nan + nanj.
+        by_imag = ~by_real
+        br, bi, ar = dr[by_imag], di[by_imag], nr[by_imag]
+        ratio = br / bi
+        denom = br * ratio + bi
+        quot.real[by_imag] = (ar * ratio + 0.0) / denom
+        quot.imag[by_imag] = (0.0 * ratio - ar) / denom
+    return quot.tolist()
 
 
 def f_t_table(table: SieveTable, t: float, n: int) -> FtEvaluation:
@@ -211,29 +282,35 @@ def l_t(s: float, t: float) -> float:
     return zeta_real(s) / zeta_real(s + t)
 
 
-def _prime_deviation_sum(
-    spec: MultiplicativeSpec, table: SieveTable, n: int, alpha: float
-) -> float:
-    """sum over primes p <= n of |f(p) - 1|^alpha log(p) / p."""
-    primes, values = spec.nontrivial(table, n)
+def _prime_deviation_sum(spec: MultiplicativeSpec, table: SieveTable, n, alpha: float):
+    """sum over primes p <= n of |f(p) - 1|^alpha log(p) / p. ``n`` may
+    also be a sequence: every sum then comes from one list of terms,
+    each the exactly rounded sum of a prefix of it."""
+    ns = [n] if np.ndim(n) == 0 else list(n)
+    primes, values = spec.nontrivial(table, max(ns))
     pairs = zip(primes.tolist(), values.tolist())
-    return rsum([abs(fp - 1.0) ** alpha * math.log(p) / p for p, fp in pairs])
+    terms = [abs(fp - 1.0) ** alpha * math.log(p) / p for p, fp in pairs]
+    sums = [rsum(terms[:end]) for end in np.searchsorted(primes, ns, "right").tolist()]
+    return sums[0] if np.ndim(n) == 0 else sums
 
 
-def mu_n_alpha(
-    spec: MultiplicativeSpec, table: SieveTable, n: int, alpha: float
-) -> float:
+def mu_n_alpha(spec: MultiplicativeSpec, table: SieveTable, n, alpha: float):
     """Hoelder-averaged prime deviation of f from 1:
 
         ((1/log n) * sum_{p<=n} |f(p)-1|^alpha log(p)/p)^(1/alpha)
 
     Primes above the cutoff contribute nothing since f(p) = 1 there.
+    ``n`` may also be a sequence, which gives a list of the values from
+    one pass over the primes (:func:`_prime_deviation_sum`).
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    if n > table.limit:
-        raise ValueError(f"n = {n} exceeds sieve limit {table.limit}")
+    ns = [n] if np.ndim(n) == 0 else list(n)
+    for top in ns:
+        if top < 2:
+            raise ValueError(f"n must be >= 2, got {top}")
+        if top > table.limit:
+            raise ValueError(f"n = {top} exceeds sieve limit {table.limit}")
     if not alpha > 1:
         raise ValueError(f"alpha must exceed 1, got {alpha}")
-    total = _prime_deviation_sum(spec, table, n, alpha)
-    return (total / math.log(n)) ** (1.0 / alpha)
+    totals = _prime_deviation_sum(spec, table, ns, alpha)
+    out = [(total / math.log(top)) ** (1.0 / alpha) for total, top in zip(totals, ns)]
+    return out[0] if np.ndim(n) == 0 else out

@@ -150,13 +150,8 @@ def theorem1_residual(
             raise ValueError("spec-based evaluation needs a sieve table")
         g = _spec_g(spec, table, n)
     else:
-        g = _dirichlet_g(a, n)
+        g = g_eval(a, _sigma_of(n), a.length)
     return abs(ingham_A(a, n) / n - g)
-
-
-def _dirichlet_g(a: CoefficientSequence, n: int) -> complex:
-    """g(1 + 1/log n) as the Dirichlet sum of a truncated at a.length."""
-    return g_eval(a, _sigma_of(n), a.length)
 
 
 def _spec_g(spec: MultiplicativeSpec, table: SieveTable, n: int) -> complex:
@@ -182,14 +177,16 @@ def _theorem1_report(values, envelope: float) -> VerificationReport:
 
 def theorem1_report(a: CoefficientSequence, grid, envelope: float) -> VerificationReport:
     """A(n)/n against g(1 + 1/log n) along the grid, from coefficients:
-    the residual is :func:`theorem1_residual`'s, from one A(n) per n, and
-    g (a truncated Dirichlet sum) is not reported."""
-    values = []
+    the residual is :func:`theorem1_residual`'s, from one A(n) per n and
+    every g from one :func:`g_eval` pass; g (a truncated Dirichlet sum)
+    is not reported."""
+    means = []
     for n in grid:
         if n < 2:
             raise ValueError(f"n must be >= 2, got {n}")
-        mean = ingham_A(a, n) / n
-        values.append((n, mean, None, abs(mean - _dirichlet_g(a, n))))
+        means.append(ingham_A(a, n) / n)
+    gs = g_eval(a, [_sigma_of(n) for n in grid], a.length)
+    values = [(n, mean, None, abs(mean - g)) for n, mean, g in zip(grid, means, gs)]
     return _theorem1_report(values, envelope)
 
 
@@ -197,14 +194,14 @@ def theorem1_spec_report(
     spec: MultiplicativeSpec, table: SieveTable, grid, envelope: float
 ) -> VerificationReport:
     """A(n)/n against g(1 + 1/log n) along the grid, from a spec: A(n)
-    is the sum of f(m) over m <= n, read off f as :func:`theorem3_check`
+    is the sum of f(m) over m <= n, read off f as :func:`_theorem3_rows`
     does, and g is the Euler product."""
     if grid[0] < 2:
         raise ValueError(f"n must be >= 2, got {grid[0]}")
     f = extend_completely_multiplicative(spec, table, grid[-1])
     values = []
-    for n in grid:
-        mean, g = csum(f[1 : n + 1]) / n, _spec_g(spec, table, n)
+    for n, total in zip(grid, csum(f[1:], grid)):
+        mean, g = total / n, _spec_g(spec, table, n)
         values.append((n, mean, g, abs(mean - g)))
     return _theorem1_report(values, envelope)
 
@@ -236,12 +233,14 @@ def theorem2_conditions(
     if n_grid[-1] > a.length:
         raise ValueError(f"grid exceeds stored length {a.length}")
 
+    sums = batch_sums(a, n_grid)
+    # g at 1 + 1/log n for every row, then along the sigma grid: one pass.
+    g_all = g_eval(a, [_sigma_of(n) for n in n_grid] + sigma_grid, a.length)
     rows = []
     s_ratios = []
-    for v in batch_sums(a, n_grid):
+    for v, g_n in zip(sums, g_all):
         n, A, S = v.n, v.A, v.S
         ratio = abs(S) / (n * math.log(n)) if n > 1 else None
-        g_n = _dirichlet_g(a, n)
         passed = ratio is None or ratio <= policy.s_ratio_threshold
         rows.append(
             ReportRow(n=n, mean=A / n, g=g_n, s_ratio=ratio, passed=passed)
@@ -249,7 +248,7 @@ def theorem2_conditions(
         if ratio is not None:
             s_ratios.append(ratio)
 
-    g_sigma = [g_eval(a, s, a.length) for s in sigma_grid]
+    g_sigma = g_all[len(n_grid) :]
     g_diffs = [abs(u - v) for u, v in zip(g_sigma, g_sigma[1:])]
 
     s_pass = bool(
@@ -287,17 +286,24 @@ def theorem3_check(
     Hoelder deviation, ratio their quotient. Pass precomputed f_values
     (index-aligned, length >= n+1) to amortize extensions across calls.
     """
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
-    if spec.bound_violation() is not None:
-        raise ValueError("|f(p)| <= 1 is required for the mean-value bound")
+    _check_theorem3(spec, n)
     f = f_values if f_values is not None else extend_completely_multiplicative(spec, table, n)
     if f.size < n + 1:
         raise ValueError(f"f_values covers {f.size - 1} < n = {n}")
     mean = csum(f[1 : n + 1]) / n
     product = euler_product(spec, table, 1.0, n)
+    return _theorem3_result(mean, product, mu_n_alpha(spec, table, n, alpha))
+
+
+def _check_theorem3(spec: MultiplicativeSpec, n: int) -> None:
+    if n < 3:
+        raise ValueError(f"n must be >= 3, got {n}")
+    if spec.bound_violation() is not None:
+        raise ValueError("|f(p)| <= 1 is required for the mean-value bound")
+
+
+def _theorem3_result(mean: complex, product: complex, mu: float) -> Theorem3Result:
     residual = abs(mean - product)
-    mu = mu_n_alpha(spec, table, n, alpha)
     if mu > 0:
         return Theorem3Result(mean, product, residual, mu, residual / mu, False)
     if residual <= _RESIDUAL_FLOOR:
@@ -306,12 +312,23 @@ def theorem3_check(
 
 
 def _theorem3_rows(spec, table, grid, alpha: float, envelope: float) -> list[ReportRow]:
-    """theorem3_check at every grid point on one extension of f; a row
-    passes when its ratio is finite and at most envelope."""
+    """:func:`theorem3_check` at every grid point, bit for bit, from one
+    extension of f and one pass each for the whole grid: the sums of f
+    from one :func:`csum` pass read at every n, the products at sigma = 1
+    from one running product (:func:`euler_product` over the grid), and
+    mu_n(alpha) from one list of prime terms (:func:`mu_n_alpha` over the
+    grid). A row passes when its ratio is finite and at most envelope."""
     f = extend_completely_multiplicative(spec, table, grid[-1])
-    rows = []
     for n in grid:
-        chk = theorem3_check(spec, table, n, alpha, f_values=f)
+        _check_theorem3(spec, n)
+        if f.size < n + 1:
+            raise ValueError(f"f_values covers {f.size - 1} < n = {n}")
+    sums = csum(f[1:], grid)
+    products = euler_product(spec, table, 1.0, grid)
+    mus = mu_n_alpha(spec, table, grid, alpha)
+    rows = []
+    for n, total, product, mu in zip(grid, sums, products, mus):
+        chk = _theorem3_result(total / n, product, mu)
         rows.append(
             ReportRow(
                 n=n,

@@ -214,6 +214,34 @@ def test_example_commands_match_golden(tmp_path):
         assert payload == (GOLDEN / name).read_bytes(), f"golden mismatch: {name}"
 
 
+# Two commands of the benchmark at N = 1e7, the first on the benchmark's
+# seed-7 spec (perfbench/run.py's mean_spec) committed as a data file.
+# The goldens pin the prefix sums of f, the Euler factors and products,
+# the deviation sums and the multi-sigma g_eval pass at full scale.
+SCALE_GOLDEN_COMMANDS = {
+    "mean_seed7.json": ["mean", "--spec", str(DATA / "mean_seed7.json"), "--n", "1e3:1e7:x10"],
+    "verify_theorem2_mu_1e7.json": [
+        "verify", "theorem2", "--coeffs", "mu", "--n", "1e5:1e7:x10", "--sigma", "2,1.25",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", SCALE_GOLDEN_COMMANDS)
+def test_scale_commands_match_golden(name, tmp_path):
+    # A subprocess, so that the 1e7 arrays leave with it.
+    out = tmp_path / name
+    argv = [*SCALE_GOLDEN_COMMANDS[name], "--format", "json", "--out", str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "inghamsum.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**{k: v for k, v in os.environ.items() if not k.startswith("INGHAMSUM_")}, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes() == (GOLDEN / name).read_bytes(), f"golden mismatch: {name}"
+
+
 def test_example_commands_deterministic(tmp_path):
     for name, cmd in EXAMPLE_COMMANDS.items():
         rc1, first = run_cli(list(cmd), tmp_path, "a_" + name)
@@ -474,6 +502,27 @@ BAD_INPUT_COMMANDS = {
     "envelope nan": ["verify", "axer", "--coeffs", "mu", "--n", "100,1000", "--envelope", "nan"],
 }
 
+# A flag that the chosen check does not read, and the flag the error names.
+UNREAD_FLAG_COMMANDS = {
+    "theorem1 alpha": (["verify", "theorem1", "--coeffs", "mu", "--n", "100,1000", "--alpha", "7"], "--alpha"),
+    "theorem1 sigma": (["verify", "theorem1", "--coeffs", "mu", "--n", "100,1000", "--sigma", "3,2"], "--sigma"),
+    "theorem1 coeffs beside spec": (["verify", "theorem1", "--spec", F2ZERO, "--coeffs", "mu", "--n", "100"], "--coeffs"),
+    "theorem2 envelope": (["verify", "theorem2", "--coeffs", "mu", "--n", "100,1000", "--envelope", "5"], "--envelope"),
+    "theorem2 spec": (["verify", "theorem2", "--coeffs", "mu", "--n", "100,1000", "--spec", F2ZERO], "--spec"),
+    "theorem3 coeffs": (["verify", "theorem3", "--spec", F2ZERO, "--n", "1000", "--coeffs", "mu"], "--coeffs"),
+    "wintner envelope": (["verify", "wintner", "--coeffs", "mu", "--n", "100", "--envelope", "5"], "--envelope"),
+    "axer alpha": (["verify", "axer", "--coeffs", "mu", "--n", "100", "--alpha", "2"], "--alpha"),
+    "sdiff truncation": (["identity", "sdiff", "--coeffs", "mu", "--n", "1000", "--truncation", "5"], "--truncation"),
+    "sdiff spec": (["identity", "sdiff", "--coeffs", "mu", "--n", "1000", "--spec", "x"], "--spec"),
+    "sdiff quad-tol": (["identity", "sdiff", "--coeffs", "mu", "--n", "1000", "--quad-tol", "0.5"], "--quad-tol"),
+    "sdecomp tail-tol": (["identity", "sdecomp", "--coeffs", "mu", "--n", "1000", "--tail-tol", "0.5"], "--tail-tol"),
+    "smult coeffs": (["identity", "smult", "--spec", F2ZERO, "--n", "200", "--coeffs", "mu"], "--coeffs"),
+    "difference spec": (
+        ["identity", "difference", "--coeffs", "mu", "--n", "10", "--truncation", "1000", "--spec", F2ZERO], "--spec",
+    ),
+}
+BAD_INPUT_COMMANDS.update({case: argv for case, (argv, _) in UNREAD_FLAG_COMMANDS.items()})
+
 
 @pytest.mark.parametrize("case", BAD_INPUT_COMMANDS)
 def test_bad_input_exits_2_without_traceback(case, tmp_path):
@@ -490,6 +539,35 @@ def test_bad_input_exits_2_without_traceback(case, tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", UNREAD_FLAG_COMMANDS)
+def test_unread_flag_is_named(case, capsys):
+    argv, flag = UNREAD_FLAG_COMMANDS[case]
+    assert main([*argv, "--out", os.devnull]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.rstrip().endswith(f"does not read {flag}")
+
+
+# (variable, value, command): a check that does not read the variable
+# ignores it; one that does still rejects the value.
+ENVIRONMENT_CASES = (
+    ("INGHAMSUM_QUAD_TOL", "nan", ["identity", "sdiff", "--coeffs", "mu", "--n", "1000"], 0),
+    ("INGHAMSUM_TAIL_TOL", "0", ["identity", "smult", "--spec", F2ZERO, "--n", "200"], 0),
+    ("INGHAMSUM_TRUNCATION", "x", ["identity", "sdecomp", "--coeffs", "one", "--n", "300"], 0),
+    ("INGHAMSUM_ALPHA", "nan", ["verify", "theorem1", "--coeffs", "mu", "--n", "100,1000"], 0),
+    ("INGHAMSUM_ENVELOPE", "nan", ["verify", "theorem2", "--coeffs", "mu", "--n", "100,1000"], 0),
+    ("INGHAMSUM_QUAD_TOL", "nan", ["identity", "difference", "--coeffs", "mu", "--n", "10", "--truncation", "1000"], 2),
+    ("INGHAMSUM_ALPHA", "nan", ["verify", "theorem3", "--spec", F2ZERO, "--n", "1000"], 2),
+)
+
+
+@pytest.mark.parametrize("name, value, argv, status", ENVIRONMENT_CASES)
+def test_environment_is_read_only_by_checks_that_use_it(name, value, argv, status, monkeypatch, capsys):
+    monkeypatch.setenv(name, value)
+    assert main([*argv, "--out", os.devnull]) == status
+    err = capsys.readouterr().err
+    assert (name in err) == (status == 2)
 
 
 def test_exit_quadrature_error(monkeypatch):

@@ -10,6 +10,7 @@ themselves."""
 import math
 import random
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from inghamsum import a_from_f, accumulate, dirichlet, quadrature, sequences, su
 from inghamsum.accumulate import csum, rsum
 from inghamsum.cli import parse_grid
 from inghamsum.dirichlet import _EM_COEFFS, f_t_table, ft_partial_sum
+from inghamsum.errors import SingularFactorError
 from inghamsum.sequences import CoefficientSequence, log_index, named_sequence
 from inghamsum.sieve import spf_dtype
 from inghamsum.summation import block_sums
@@ -631,6 +633,127 @@ def test_g_eval_inf_nan_and_overflow(rng):
         _same_g(CoefficientSequence.from_values(np.full(n, scale * 1j)), 1.0001, case=scale)
 
 
+def _sparse_inputs(n, rng):
+    """Named real coefficient arrays of length n with zeros in some chunks
+    and not in others, signed zeros and exact cancellation."""
+    mu_like = rng.integers(-1, 2, n).astype(np.float64)
+    dense = rng.choice([-1.0, 1.0], n) * rng.random(n)
+    patchy = dense.copy()
+    patchy[n // 4 : n // 2] = 0.0  # whole chunks at a small _CHUNK
+    patchy[n - n // 8 :] *= rng.random(n // 8) < 0.5
+    # 1 - 4 * 2**-2 = 0 exactly at sigma = 2, with -0.0 everywhere else.
+    cancel = np.full(n, -0.0)
+    cancel[0] = 1.0
+    if n > 1:
+        cancel[1] = -4.0
+    lone_positive_zero = np.full(n, -0.0)
+    lone_positive_zero[-1] = 0.0
+    return {
+        "mu-like": mu_like,
+        "dense": dense,
+        "patchy": patchy,
+        "cancel at sigma 2": cancel,
+        "zeros": np.zeros(n),
+        "-0.0": np.full(n, -0.0),
+        "+-0.0": rng.choice([0.0, -0.0], n),
+        "-0.0, +0.0 last": lone_positive_zero,
+    }
+
+
+def _joined(outcomes):
+    """The outcome of a loop over calls, from the outcome of each: the
+    first exception type, else every value's bits in order."""
+    raised = [o for o in outcomes if isinstance(o, type)]
+    return raised[0] if raised else [bits for o in outcomes for bits in o]
+
+
+SIGMA_LISTS = ((2.0,), (1.0868588963806504, 2.0, 1.25), (2.0, 2.0, 1.0001, 800.0))
+
+
+@pytest.mark.parametrize("chunk", [None, 1000])
+def test_g_eval_over_many_sigma_matches_per_sigma_loop(chunk, rng, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(ig.dirichlet, "_CHUNK", chunk)
+    for n in (1, 2, 639, 4000, 2**16 + 1, 10**5):
+        if chunk is not None and n > 10**4:
+            continue
+        cases = {**_sparse_inputs(n, rng), "complex": _g_inputs(n, rng)["complex"]}
+        for case, vals in cases.items():
+            seq = CoefficientSequence.from_values(vals)
+            for sigmas in SIGMA_LISTS:
+                for K in {1, max(1, n // 3), n}:
+                    got = _block_outcome(lambda: ig.g_eval(seq, list(sigmas), K))
+                    loop = _joined([_block_outcome(lambda: ig.g_eval(seq, s, K)) for s in sigmas])
+                    ref = _joined([_block_outcome(lambda: _g_eval_ref(seq, s, K)) for s in sigmas])
+                    assert got == ref == loop, (case, n, sigmas, K)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_g_eval_over_many_sigma_with_guarded_terms(rng):
+    """A term at or above 2**960 voids the streamed sum of some sigma and
+    not of others; inf and nan void every sigma."""
+    n = 2**16 + 5
+    base = rng.integers(-1, 2, n).astype(np.float64)
+    sigmas = [2.0, 1.0001, 1.25]
+    for value in (2.0**970, -(2.0**970), 2.0**960, math.inf, math.nan, 1e308):
+        for at in (0, 700, n - 1):
+            vals = base.copy()
+            vals[at] = value
+            for seq in (CoefficientSequence.from_values(vals), CoefficientSequence.from_values(vals * 1j)):
+                got = _block_outcome(lambda: ig.g_eval(seq, sigmas, n))
+                assert got == _joined([_block_outcome(lambda: _g_eval_ref(seq, s, n)) for s in sigmas]), (value, at)
+
+
+def _prefix_inputs(n, rng):
+    """Complex and real arrays whose prefixes stress csum's rules."""
+    parts = _summands(n, rng)
+    floats = {k: v for k, v in parts.items() if v.dtype == np.float64}
+    names = list(floats)
+    out = {f"real {k}": v for k, v in floats.items()}
+    for re_name, im_name in zip(names, names[1:] + names[:1]):
+        out[f"{re_name} + i {im_name}"] = floats[re_name] + 1j * floats[im_name]
+    for zero in (0.0, -0.0):
+        z = floats["normal"].astype(np.complex128)
+        z.imag = zero
+        out[f"imaginary {zero}"] = z
+        late = z.copy()
+        late.imag[n // 2 :] = floats["normal"][n // 2 :]
+        out[f"imaginary {zero}, then nonzero"] = late
+    return out
+
+
+def _prefix_ends(n):
+    ends = sorted({1, 2, n // 7, n // 2, n - 1, n} - {0})
+    return ends, ends[::-1] + ends[:2] + [0]
+
+
+@pytest.mark.parametrize("chunk", [None, 7, 1000])
+def test_csum_prefixes_match_per_prefix_csum(chunk, rng, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(accumulate, "_CHUNK", chunk)
+    for n in _sum_sizes():
+        for case, x in _prefix_inputs(n, rng).items():
+            for ends in _prefix_ends(n):
+                got = _block_outcome(lambda: csum(x, ends))
+                assert got == _block_outcome(lambda: [csum(x[:e]) for e in ends]), (case, n, ends)
+                assert got == _block_outcome(lambda: [_csum_ref(x[:e]) for e in ends]), (case, n, ends)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_csum_prefixes_with_guarded_terms(rng):
+    n = 3 * accumulate._SMALL + 5
+    for value in (math.inf, -math.inf, math.nan, 2.0**960, 1e308):
+        for at in (0, 700, n - 1):
+            x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            x[at] = value
+            x[at + 1 if at + 1 < n else 0] = complex(value, -value)
+            for arr in (x, x.real.copy()):
+                ends = [1, 600, 701, 702, n - 1, n]
+                per_end = [_block_outcome(lambda: csum(arr[:e])) for e in ends]
+                assert [_block_outcome(lambda: csum(arr, [e])) for e in ends] == per_end, (value, at)
+                assert _block_outcome(lambda: csum(arr, ends)) == _joined(per_end), (value, at)
+
+
 # -- real storage of the builtin sequences --------------------------------
 
 
@@ -850,13 +973,15 @@ def _extend_ref(spec, table, n):
 
 
 def _euler_product_ref(spec, table, sigma, limit):
+    """The value_at loop, with the float operands of the complex
+    arithmetic spelled out as CPython up to 3.13 converts them."""
     product = 1.0 + 0j
     for p in _prime_candidates_ref(spec, table, min(limit, spec.cutoff)):
         fp = spec.value_at(p)
         if fp == 1:
             continue
         pinv = float(p) ** -sigma
-        product *= (1.0 - pinv) / (1.0 - fp * pinv)
+        product *= complex(1.0 - pinv, 0.0) / (complex(1.0, 0.0) - fp * complex(pinv, 0.0))
     return product
 
 
@@ -987,3 +1112,163 @@ def test_prime_loops_match_value_at_loops(name, table_medium):
     for n in (10, 1000, top):
         got = verify.cond2_ratio(spec, table_medium, n)
         assert repr(got) == repr(_cond2_ratio_ref(spec, table_medium, n)), n
+
+
+# -- one pass per grid: Euler products, deviation sums and means -----------
+
+
+def _euler_product_loop(spec, table, sigma, limit):
+    """euler_product as the per-prime loop over nontrivial() that it
+    replaced. Each float operand of the complex arithmetic is spelled out
+    as CPython up to 3.13 converts it (x as x + 0j), so the reference
+    does not change with the interpreter's mixed complex rules."""
+    product = 1.0 + 0j
+    primes, values = spec.nontrivial(table, limit)
+    for p, fp in zip(primes.tolist(), values.tolist()):
+        pinv = float(p) ** -sigma
+        denom = complex(1.0, 0.0) - fp * complex(pinv, 0.0)
+        if abs(denom) < 1e-300:
+            raise SingularFactorError(f"factor at p = {p} is singular: f(p) p^-sigma = 1")
+        product *= complex(1.0 - pinv, 0.0) / denom
+    return product
+
+
+def _mu_n_alpha_ref(spec, table, n, alpha):
+    return (_prime_deviation_sum_ref(spec, table, n, alpha) / math.log(n)) ** (1.0 / alpha)
+
+
+def _euler_outcome(fn):
+    """repr of fn()'s value or values, or the exception type and message."""
+    try:
+        return repr(fn())
+    except (SingularFactorError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+GRID_SPECS = {
+    **PRIME_LOOP_SPECS,
+    "cutoff 1000, default -1": ig.MultiplicativeSpec({3: 0.5j, 997: 1}, cutoff=1000, default=-1.0),
+    "default 0": ig.MultiplicativeSpec({2: -1, 3: complex(-0.0, -0.0)}, cutoff=10**6, default=0.0),
+    "default -1 - 0j, listed -0.5 - 0j": ig.MultiplicativeSpec(
+        {2: complex(-0.5, -0.0)}, cutoff=10**6, default=complex(-1.0, -0.0)
+    ),
+    "f(2) = 1 + 1j, unbounded": ig.MultiplicativeSpec({2: 1 + 1j, 3: -2.5j}, cutoff=50, bound_check=False),
+}
+
+
+def _grids(top):
+    ascending = parse_grid(f"3:{top}:x3") + [top]
+    return ascending, [1000, 3, 1000, 99_991, 10]
+
+
+@pytest.mark.parametrize("name", GRID_SPECS)
+def test_grid_sweeps_match_per_n_loops(name, table_medium):
+    """euler_product, _prime_deviation_sum, mu_n_alpha and csum over a
+    grid against one call per grid point and the old loops."""
+    spec, table = GRID_SPECS[name], table_medium
+    f = ig.extend_completely_multiplicative(spec, table, table.limit)
+    for grid in _grids(table.limit):
+        got = dirichlet.euler_product(spec, table, 1.0, grid)
+        assert repr(got) == repr([dirichlet.euler_product(spec, table, 1.0, n) for n in grid]), grid
+        assert repr(got) == repr([_euler_product_loop(spec, table, 1.0, n) for n in grid]), grid
+        for n in grid:
+            sigma = 1.0 + 1.0 / math.log(n)
+            for limit in (n, table.limit):
+                got = _euler_outcome(lambda: dirichlet.euler_product(spec, table, sigma, limit))
+                assert got == _euler_outcome(lambda: _euler_product_loop(spec, table, sigma, limit)), (n, limit)
+        for alpha in (1.0, 2.0, 3.5):
+            got = dirichlet._prime_deviation_sum(spec, table, grid, alpha)
+            assert repr(got) == repr([_prime_deviation_sum_ref(spec, table, n, alpha) for n in grid]), alpha
+        got = dirichlet.mu_n_alpha(spec, table, grid, 2.0)
+        assert repr(got) == repr([_mu_n_alpha_ref(spec, table, n, 2.0) for n in grid])
+        got = csum(f[1:], grid)
+        assert repr(got) == repr([csum(f[1 : n + 1]) for n in grid])
+
+
+def _row_bits(rows, fields):
+    return [[(r.n, k, _bits(getattr(r, k))) for k in fields] for r in rows]
+
+
+def _mean_rows_ref(spec, table, grid, alpha):
+    """(n, mean, g, product, residual, mu, ratio) per grid point from
+    per-n csum calls and the old loops."""
+    f = ig.extend_completely_multiplicative(spec, table, grid[-1])
+    rows = []
+    for n in grid:
+        mean = csum(f[1 : n + 1]) / n
+        product = _euler_product_loop(spec, table, 1.0, n)
+        mu = _mu_n_alpha_ref(spec, table, n, alpha)
+        g_n = _euler_product_loop(spec, table, 1.0 + 1.0 / math.log(n), table.limit)
+        residual = abs(mean - product)
+        rows.append((n, mean, g_n, product, residual, mu, residual / mu if mu > 0 else None))
+    return rows
+
+
+_MEAN_FIELDS = ("n", "mean", "g", "euler_product_at_1", "residual_t3", "mu_alpha", "ratio")
+
+
+@pytest.mark.parametrize("name", ["seeded mean", "f2zero", "liouville", "mixed, default unit", "default 0"])
+def test_reports_match_per_n_loops(name, table_medium):
+    """mean, verify theorem3 and verify theorem1 --spec at every grid point
+    against per-n calls and the old loops."""
+    spec, table = GRID_SPECS[name], table_medium
+    grid = parse_grid(f"3:{table.limit}:x3")
+    ref = _mean_rows_ref(spec, table, grid, 2.0)
+    expected = [[(row[0], k, _bits(v)) for k, v in zip(_MEAN_FIELDS, row)] for row in ref]
+    assert _row_bits(verify.mean_report(spec, table, grid, 2.0).rows, _MEAN_FIELDS) == expected
+    rows = verify.theorem3_report(spec, table, grid, 2.0, verify.THEOREM3_RATIO_ENVELOPE).rows
+    fields = tuple(k for k in _MEAN_FIELDS if k != "g")
+    assert _row_bits(rows, fields) == [[e for e in row if e[1] != "g"] for row in expected]
+    checks = [verify.theorem3_check(spec, table, n, 2.0) for n in grid]
+    assert _bits([(c.mean, c.product, c.residual, c.mu) for c in checks]) == _bits([r[1:2] + r[3:6] for r in ref])
+    fields = ("n", "mean", "g", "residual_t1")
+    expected = [[(n, k, _bits(v)) for k, v in zip(fields, (n, mean, g, abs(mean - g)))] for n, mean, g, *_ in ref]
+    assert _row_bits(verify.theorem1_spec_report(spec, table, grid, 0.6).rows, fields) == expected
+
+
+def test_mean_liouville_golden_from_per_n_loops(table_big):
+    """tests/golden/mean_liouville.csv from the old loops: the CLI's
+    report, its numbers against the loops', and its bytes."""
+    spec = ig.MultiplicativeSpec(cutoff=10**6, default=-1.0)
+    report = verify.mean_report(spec, table_big, [10**6], 2.0)
+    ref = _mean_rows_ref(spec, table_big, [10**6], 2.0)
+    expected = [[(r[0], k, _bits(v)) for k, v in zip(_MEAN_FIELDS, r)] for r in ref]
+    assert _row_bits(report.rows, _MEAN_FIELDS) == expected
+    golden = (Path(__file__).parent / "golden" / "mean_liouville.csv").read_bytes()
+    assert b"".join(report.chunks("csv")) == golden
+
+
+def _singular_spec(values):
+    return ig.MultiplicativeSpec(values, cutoff=100, bound_check=False)
+
+
+_SIGMA_10 = 1.0 + 1.0 / math.log(10)
+SINGULAR_SPECS = {
+    "at p = 2": (_singular_spec({2: 2.0**_SIGMA_10}), _SIGMA_10),
+    "first at p = 3": (_singular_spec({2: 0.5, 3: 3.0**_SIGMA_10, 5: 5.0**_SIGMA_10}), _SIGMA_10),
+    "|d| = 0.9e-300 at sigma 1": (_singular_spec({2: complex(2.0, 1.8e-300)}), 1.0),
+    "|d| = 1.5e-300 at sigma 1, not singular": (_singular_spec({2: complex(2.0, 3e-300)}), 1.0),
+    "|d| = 1.9e-300 at sigma 1, not singular": (_singular_spec({7: complex(7.0, 7 * 1.9e-300)}), 1.0),
+}
+
+
+@pytest.mark.parametrize("case", SINGULAR_SPECS)
+def test_singular_factor_raises_as_the_loop(case, table_small):
+    spec, sigma = SINGULAR_SPECS[case]
+    for limit in (2, 3, 10, 100):
+        got = _euler_outcome(lambda: dirichlet.euler_product(spec, table_small, sigma, limit))
+        assert got == _euler_outcome(lambda: _euler_product_loop(spec, table_small, sigma, limit)), limit
+    if sigma == _SIGMA_10:
+        with pytest.raises(SingularFactorError, match=r"p = [23] "):
+            verify.theorem1_spec_report(spec, table_small, [10, 100], 0.6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_specs(), st.lists(st.integers(2, 10_000), min_size=1, max_size=5), st.sampled_from([1.0, 1.07, 2.0]))
+def test_grid_sweeps_match_per_n_loops_hypothesis(table_small, spec, grid, sigma):
+    products = _euler_outcome(lambda: dirichlet.euler_product(spec, table_small, sigma, grid))
+    assert products == _euler_outcome(lambda: [_euler_product_loop(spec, table_small, sigma, n) for n in grid])
+    got = dirichlet._prime_deviation_sum(spec, table_small, grid, 2.0)
+    assert repr(got) == repr([_prime_deviation_sum_ref(spec, table_small, n, 2.0) for n in grid])
+    f = ig.extend_completely_multiplicative(spec, table_small, max(grid))
+    assert repr(csum(f[1:], grid)) == repr([csum(f[1 : n + 1]) for n in grid])
