@@ -24,9 +24,10 @@ Five options also read INGHAMSUM_<OPTION> when the flag is not given:
 --alpha, --envelope, --quad-tol, --tail-tol and --truncation (e.g.
 INGHAMSUM_QUAD_TOL); explicit flags win. A variable is read only by the
 checks that use its option. Every float flag and every INGHAMSUM_* value
-read must be finite. An option that the chosen `verify` or `identity`
-check does not read (say --alpha for theorem1, or --truncation for
-sdiff) exits 2 with an "error:" line naming it.
+read must parse and be finite, or it exits 2 with an "error:" line
+naming it. An option that the chosen `verify` or `identity` check does
+not read (say --alpha for theorem1, or --truncation for sdiff) exits 2
+with an "error:" line naming it.
 """
 
 from __future__ import annotations
@@ -80,23 +81,28 @@ def _get_table(limit: int) -> SieveTable:
     return build_sieve(max(limit, 2))
 
 
-def _finite(value, source: str):
-    """value, or SpecFormatError (exit 2) when it is a nan or infinite
-    float. Ints pass whole: they are finite, and math.isfinite would
-    overflow on one above the float range."""
+def _number(raw, source: str, cast=float):
+    """cast(raw), or SpecFormatError (exit 2) naming source when raw does
+    not parse or gives a nan or infinite float. Ints pass whole: they are
+    finite, and math.isfinite would overflow on one above the float range."""
+    try:
+        value = cast(raw)
+    except ValueError as exc:
+        raise SpecFormatError(f"{source}: {exc}") from None
     if isinstance(value, float) and not math.isfinite(value):
         raise SpecFormatError(f"{source}: expected a finite number, got {value}")
     return value
 
 
 def _opt(value, name: str, default, cast=float):
-    """The flag's value, else INGHAMSUM_<NAME>'s, else default; finite."""
+    """The flag's value, else INGHAMSUM_<NAME>'s, else default, through
+    :func:`_number`."""
     source = f"--{name}"
     if value is None:
         source = _ENV_PREFIX + name.upper().replace("-", "_")
         raw = os.environ.get(source)
-        value = default if raw is None else cast(raw)
-    return _finite(value, source)
+        value = default if raw is None else raw
+    return _number(value, source, cast)
 
 
 def parse_grid(text: str) -> list[int]:
@@ -322,8 +328,8 @@ def _cmd_verify(args) -> VerificationReport:
     seq = resolve_coeffs(args.coeffs, grid[-1], _get_table(grid[-1]))
     if args.check == "theorem2":
         sigma_grid = (
-            [_finite(float(s), "--sigma") for s in args.sigma.split(",")]
-            if args.sigma
+            [_number(s, "--sigma") for s in args.sigma.split(",")]
+            if args.sigma is not None
             else [2.0, 1.5, 1.25, 1.125, 1.0625]
         )
         return theorem2_conditions(seq, grid, sigma_grid)
@@ -358,7 +364,7 @@ def _cmd_identity(args) -> VerificationReport:
         quad_tol = _opt(args.quad_tol, "quad-tol", QUAD_TOL)
         tail_tol = _opt(args.tail_tol, "tail-tol", TAIL_TOL)
         envelope = _opt(args.envelope, "envelope", 1e-5)
-        truncation = int(_opt(args.truncation, "truncation", 10**6, int))
+        truncation = _opt(args.truncation, "truncation", 10**6, int)
         table = _get_table(max(n, truncation))
         seq = resolve_coeffs(args.coeffs, truncation, table)
         res = difference_identity_check(seq, table, n, truncation, quad_tol, tail_tol)

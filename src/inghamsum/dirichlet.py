@@ -258,9 +258,8 @@ def f_t_table(table: SieveTable, t: float, n: int) -> FtEvaluation:
 def ft_partial_sum(table: SieveTable, x: float, t: float) -> float:
     """F_t(x) through the exact divisor identity sum mu(d) d^-t floor(x/d).
 
-    Independent of :func:`f_t_table`; cheap for a single (x, t) pair and
-    used as the inner evaluation in quadrature over t, where the table
-    keeps the squarefree d <= x and their quotients between calls.
+    Independent of :func:`f_t_table` and cheap for a single (x, t) pair:
+    one pass over the squarefree d <= x (:meth:`SieveTable.mobius_quotients`).
     """
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")

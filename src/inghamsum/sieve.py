@@ -21,8 +21,6 @@ from .errors import CapacityError
 
 # Default cap keeps the int32 SPF array around 0.4 GB.
 DEFAULT_CAPACITY = 100_000_000
-# x values whose mobius_quotients a table keeps.
-_QUOTIENT_CACHE = 4
 
 
 class SieveTable:
@@ -43,7 +41,6 @@ class SieveTable:
         "_mangoldt_arr",
         "_psi_prefix",
         "_mu_over_d_prefix",
-        "_quotients",
     )
 
     def __init__(self, limit: int, spf: np.ndarray, primes: np.ndarray):
@@ -54,7 +51,6 @@ class SieveTable:
         self._mangoldt_arr = None
         self._psi_prefix = None
         self._mu_over_d_prefix = None
-        self._quotients = {}
 
     # -- derived arrays (lazy, cached) ----------------------------------
 
@@ -190,23 +186,12 @@ class SieveTable:
         return float(self._mu_over_d_prefix[x])
 
     def mobius_quotients(self, x: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """mu(d), d as float64 and floor(x/d) for the squarefree d <= x.
-
-        The last few x are cached (read-only arrays), so repeated
-        evaluations at one x share the set-up.
-        """
+        """mu(d), d as float64 and floor(x/d) for the squarefree d <= x,
+        as fresh arrays."""
         self._check_index(x)
-        hit = self._quotients.get(x)
-        if hit is None:
-            mu = self.mobius_array[1 : x + 1]
-            nz = np.nonzero(mu)[0]
-            hit = (mu[nz], (nz + 1).astype(np.float64), x // (nz + 1))
-            for arr in hit:
-                arr.flags.writeable = False
-            if len(self._quotients) >= _QUOTIENT_CACHE:
-                self._quotients.clear()
-            self._quotients[x] = hit
-        return hit
+        mu = self.mobius_array[1 : x + 1]
+        nz = np.nonzero(mu)[0]
+        return mu[nz], (nz + 1).astype(np.float64), x // (nz + 1)
 
     def divisors(self, m: int) -> list[int]:
         """All divisors of m in ascending order."""

@@ -24,7 +24,6 @@ from .accumulate import csum, rsum
 from .dirichlet import (
     euler_product,
     f_t_table,
-    ft_partial_sum,
     g_eval,
     mu_n_alpha,
     zeta_real,
@@ -65,22 +64,15 @@ THEOREM3_RATIO_ENVELOPE = 0.005
 THEOREM1_ENVELOPE = 0.6
 AXER_BOUND = 10.0
 
+# Trend thresholds of `verify theorem2` at finite scale: a trend passes
+# when the monitored magnitudes are nonincreasing (within MONOTONE_SLACK,
+# relatively) over the final (1 - BURN_IN) fraction of the grid; the
+# S(n)/(n log n) trend also needs its last value at most S_RATIO_THRESHOLD.
+S_RATIO_THRESHOLD = 0.1
+MONOTONE_SLACK = 1e-9
+BURN_IN = 0.5
+
 _RESIDUAL_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class TrendPolicy:
-    """Thresholds of :func:`theorem2_conditions` at finite scale.
-
-    A trend passes when the monitored magnitudes are nonincreasing
-    (within monotone_slack, relatively) over the final (1 - burn_in)
-    fraction of the grid; the S(n)/(n log n) trend also needs its last
-    value at most s_ratio_threshold.
-    """
-
-    s_ratio_threshold: float = 0.1
-    monotone_slack: float = 1e-9
-    burn_in: float = 0.5
 
 
 @dataclass(frozen=True)
@@ -115,14 +107,14 @@ def _sigma_of(n: int) -> float:
     return 1.0 + 1.0 / math.log(n)
 
 
-def _trend_ok(values, policy: TrendPolicy) -> bool:
-    """Nonincreasing over the final (1 - burn_in) fraction, within slack."""
+def _trend_ok(values) -> bool:
+    """Nonincreasing over the final (1 - BURN_IN) fraction, within slack."""
     if len(values) < 2:
         return True
-    start = min(int(len(values) * policy.burn_in), len(values) - 2)
+    start = min(int(len(values) * BURN_IN), len(values) - 2)
     window = values[start:]
     return all(
-        b <= a * (1.0 + policy.monotone_slack) + _RESIDUAL_FLOOR
+        b <= a * (1.0 + MONOTONE_SLACK) + _RESIDUAL_FLOOR
         for a, b in zip(window, window[1:])
     )
 
@@ -206,26 +198,22 @@ def theorem1_spec_report(
     return _theorem1_report(values, envelope)
 
 
-def theorem2_conditions(
-    a: CoefficientSequence,
-    n_grid,
-    sigma_grid,
-    policy: TrendPolicy | None = None,
-) -> VerificationReport:
-    """Both limit-existence conditions along finite grids.
+def theorem2_conditions(a: CoefficientSequence, n_grid, sigma_grid) -> VerificationReport:
+    """Both limit-existence conditions along finite grids, n >= 2.
 
     Per-n rows carry S(n)/(n log n) in magnitude (the sign oscillates for
     many inputs; the condition concerns magnitude) and g at 1 + 1/log n.
     The summary holds the Dirichlet values along the descending sigma
     grid and the two trend verdicts.
     """
-    policy = policy or TrendPolicy()
     n_grid = [int(n) for n in n_grid]
     sigma_grid = [float(s) for s in sigma_grid]
     if not n_grid or not sigma_grid:
         raise ValueError("grids must be nonempty")
     if any(b <= a_ for a_, b in zip(n_grid, n_grid[1:])):
         raise ValueError("n grid must be strictly ascending")
+    if n_grid[0] < 2:
+        raise ValueError(f"n must be >= 2, got {n_grid[0]}")
     if not all(s > 1 for s in sigma_grid):
         raise ValueError("sigma grid must stay above 1")
     if any(b >= a_ for a_, b in zip(sigma_grid, sigma_grid[1:])):
@@ -240,33 +228,27 @@ def theorem2_conditions(
     s_ratios = []
     for v, g_n in zip(sums, g_all):
         n, A, S = v.n, v.A, v.S
-        ratio = abs(S) / (n * math.log(n)) if n > 1 else None
-        passed = ratio is None or ratio <= policy.s_ratio_threshold
+        ratio = abs(S) / (n * math.log(n))
         rows.append(
-            ReportRow(n=n, mean=A / n, g=g_n, s_ratio=ratio, passed=passed)
+            ReportRow(n=n, mean=A / n, g=g_n, s_ratio=ratio, passed=ratio <= S_RATIO_THRESHOLD)
         )
-        if ratio is not None:
-            s_ratios.append(ratio)
+        s_ratios.append(ratio)
 
     g_sigma = g_all[len(n_grid) :]
     g_diffs = [abs(u - v) for u, v in zip(g_sigma, g_sigma[1:])]
 
-    s_pass = bool(
-        s_ratios
-        and s_ratios[-1] <= policy.s_ratio_threshold
-        and _trend_ok(s_ratios, policy)
-    )
-    g_pass = _trend_ok(g_diffs, policy)
+    s_pass = s_ratios[-1] <= S_RATIO_THRESHOLD and _trend_ok(s_ratios)
+    g_pass = _trend_ok(g_diffs)
     summary = {
         "pass": s_pass and g_pass,
         "s_trend_pass": s_pass,
         "g_trend_pass": g_pass,
-        "max_residual": max(s_ratios) if s_ratios else 0.0,
+        "max_residual": max(s_ratios),
         "limit_estimate": g_sigma[-1],
         "thresholds": {
-            "s_ratio_threshold": policy.s_ratio_threshold,
-            "monotone_slack": policy.monotone_slack,
-            "burn_in": policy.burn_in,
+            "s_ratio_threshold": S_RATIO_THRESHOLD,
+            "monotone_slack": MONOTONE_SLACK,
+            "burn_in": BURN_IN,
         },
         "sigma_rows": [[s, g.real, g.imag] for s, g in zip(sigma_grid, g_sigma)],
     }
@@ -770,27 +752,15 @@ def difference_identity_check(
 # -- f_t estimate families (empirical ratio suite) ----------------------
 
 
-def _comparison_weight(t: float, k: int) -> float:
-    return float(k) ** -t - float(k + 1) ** -t
-
-
-def _comparison_lhs(
-    table: SieveTable, k: int, x: int, quad_tol: float, tail_tol: float
-) -> QuadResult:
-    """The integral over t > 0 of F_t(x) (k^-t - (k+1)^-t) by quadrature,
-    the left side of the lemma's integrated comparison. Its exact value
-    is the sum of mu(d) floor(x/d) (1/log(dk) - 1/log(d(k+1))) over
-    d <= x, which the tests use as an oracle."""
-
-    def integrand(t: float) -> float:
-        w = _comparison_weight(t, k)
-        if w == 0.0 or t <= 0.0:
-            return 0.0
-        return ft_partial_sum(table, x, t) * w
-
-    return integral_zero_to_inf(
-        integrand, rate=float(k), bound=float(x), quad_tol=quad_tol, tail_tol=tail_tol
-    )
+def _comparison_lhs(table: SieveTable, k: int, x: int) -> float:
+    """The integral over t > 0 of F_t(x) (k^-t - (k+1)^-t), the left side
+    of the lemma's integrated comparison, in closed form: F_t(x) is the
+    sum of mu(d) d^-t floor(x/d) over d <= x, and d^-t (k^-t - (k+1)^-t)
+    integrates to 1/log(dk) - 1/log(d(k+1)), so the integral is the
+    exactly rounded sum of mu(d) floor(x/d) times that over the
+    squarefree d <= x."""
+    mu, d, q = table.mobius_quotients(x)
+    return rsum(mu * q * (1.0 / np.log(d * k) - 1.0 / np.log(d * (k + 1))))
 
 
 def lemma_ratio_suite(
@@ -809,7 +779,10 @@ def lemma_ratio_suite(
     (ii) F_t(x) - x/zeta(1+t) against x^(1-t) + sum d^-t; (iii) the
     mu-weighted log identity, absolute; (iv) the doubling increment
     F_t(x) - F_t(x/2) against x(1/log x + t); and (v), per (k, x), the
-    integrated F_t comparison against x/(k log^2(xk)).
+    integrated F_t comparison against x/(k log^2(xk)): the integral of
+    F_t(x) (k^-t - (k+1)^-t) over t > 0, an exact finite sum
+    (:func:`_comparison_lhs`), less x times that of (k^-t - (k+1)^-t) /
+    zeta(1+t), a quadrature at quad_tol and tail_tol.
 
     Returns one row per grid cell: family, t, x, k, value, bound, ratio,
     pass (ratio <= envelope).
@@ -870,19 +843,18 @@ def lemma_ratio_suite(
             )
 
     for k in k_grid:
+
+        def rhs_integrand(t: float, k=k) -> float:
+            w = float(k) ** -t - float(k + 1) ** -t
+            if w == 0.0 or t <= 0.0:
+                return 0.0
+            return w / zeta_real(1.0 + t)
+
+        i2 = integral_zero_to_inf(
+            rhs_integrand, rate=float(k), bound=1.0, quad_tol=quad_tol, tail_tol=tail_tol
+        )
         for x in vx_grid:
-
-            def rhs_integrand(t: float, k=k) -> float:
-                w = _comparison_weight(t, k)
-                if w == 0.0 or t <= 0.0:
-                    return 0.0
-                return w / zeta_real(1.0 + t)
-
-            i1 = _comparison_lhs(table, k, x, quad_tol, tail_tol)
-            i2 = integral_zero_to_inf(
-                rhs_integrand, rate=float(k), bound=1.0, quad_tol=quad_tol, tail_tol=tail_tol
-            )
-            value = abs(i1.value - x * i2.value)
+            value = abs(_comparison_lhs(table, k, x) - x * i2.value)
             bound = x / (k * math.log(x * k) ** 2)
             add("integrated_comparison", None, x, k, value, bound)
 

@@ -18,7 +18,8 @@ from conftest import cli_peak_rss
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 LIOUVILLE = str(DATA / "liouville.json")
 F2ZERO = str(DATA / "f2zero.json")
@@ -500,6 +501,8 @@ BAD_INPUT_COMMANDS = {
     "theorem3 alpha nan": ["verify", "theorem3", "--spec", F2ZERO, "--n", "1000", "--alpha", "nan"],
     "alpha inf": ["mean", "--spec", F2ZERO, "--n", "1000", "--alpha", "inf"],
     "envelope nan": ["verify", "axer", "--coeffs", "mu", "--n", "100,1000", "--envelope", "nan"],
+    "theorem2 n 1": ["verify", "theorem2", "--coeffs", "mu", "--n", "1,2,3,70000", "--sigma", "100,1.5"],
+    "sigma empty": ["verify", "theorem2", "--coeffs", "mu", "--n", "100,1000", "--sigma", ""],
 }
 
 # A flag that the chosen check does not read, and the flag the error names.
@@ -541,6 +544,13 @@ def test_bad_input_exits_2_without_traceback(case, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sigma", ["", "2,x", "2,,1.5"])
+def test_unparsable_sigma_is_named(sigma, capsys):
+    argv = ["verify", "theorem2", "--coeffs", "mu", "--n", "100,1000", "--sigma", sigma]
+    assert main([*argv, "--out", os.devnull]) == 2
+    assert capsys.readouterr().err.startswith("error: --sigma: ")
+
+
 @pytest.mark.parametrize("case", UNREAD_FLAG_COMMANDS)
 def test_unread_flag_is_named(case, capsys):
     argv, flag = UNREAD_FLAG_COMMANDS[case]
@@ -559,6 +569,8 @@ ENVIRONMENT_CASES = (
     ("INGHAMSUM_ENVELOPE", "nan", ["verify", "theorem2", "--coeffs", "mu", "--n", "100,1000"], 0),
     ("INGHAMSUM_QUAD_TOL", "nan", ["identity", "difference", "--coeffs", "mu", "--n", "10", "--truncation", "1000"], 2),
     ("INGHAMSUM_ALPHA", "nan", ["verify", "theorem3", "--spec", F2ZERO, "--n", "1000"], 2),
+    ("INGHAMSUM_TRUNCATION", "1e6", ["identity", "difference", "--coeffs", "mu", "--n", "10"], 2),
+    ("INGHAMSUM_ALPHA", "x", ["mean", "--spec", F2ZERO, "--n", "1000"], 2),
 )
 
 
@@ -568,6 +580,21 @@ def test_environment_is_read_only_by_checks_that_use_it(name, value, argv, statu
     assert main([*argv, "--out", os.devnull]) == status
     err = capsys.readouterr().err
     assert (name in err) == (status == 2)
+
+
+def test_lemma_matches_the_benchmark_reference(tmp_path):
+    # The stored reference of the benchmark's `lemma` command, judged by
+    # its own checker: floats within 1e-9 relative plus 1e-9 absolute.
+    out = tmp_path / "lemma.json"
+    assert main(["lemma", "--envelope", "5", "--format", "json", "--out", str(out)]) == 0
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "check.py"), "--judge", str(out), "--format", "json", "--reference", "lemma"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_exit_quadrature_error(monkeypatch):

@@ -550,10 +550,8 @@ def _ft_partial_sum_ref(table, x, t):
 def test_ft_partial_sum_matches_per_call_setup(table_medium):
     xs = (1.0, 2.5, 1000.0, 1e4, 1000.7, 99_999.0, 3.0, 7.0, 1000.0)
     for t in (0.05, 0.5, 1.0, 2.75):
-        for x in xs:  # more distinct x than the table caches
+        for x in xs:
             assert ft_partial_sum(table_medium, x, t) == _ft_partial_sum_ref(table_medium, x, t)
-    mu, d, q = table_medium.mobius_quotients(1000)
-    assert not (mu.flags.writeable or d.flags.writeable or q.flags.writeable)
 
 
 def test_log_index_in_place_matches_fresh_array():

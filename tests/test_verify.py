@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 
 import numpy as np
@@ -9,12 +8,13 @@ import inghamsum as ig
 from inghamsum import (
     CoefficientSequence,
     MultiplicativeSpec,
-    TrendPolicy,
     check_axer,
     check_wintner,
     cond1_ratio,
     cond2_ratio,
     difference_identity_check,
+    ft_partial_sum,
+    integral_zero_to_inf,
     lemma_ratio_suite,
     named_sequence,
     s_decomposition_identity,
@@ -28,8 +28,11 @@ from inghamsum.accumulate import rsum
 from inghamsum.sequences import log_index, sum_over_divisors
 from inghamsum.verify import (
     AXER_BOUND,
+    BURN_IN,
     LEMMA_K_GRID,
     LEMMA_VX_GRID,
+    MONOTONE_SLACK,
+    S_RATIO_THRESHOLD,
     THEOREM1_ENVELOPE,
     THEOREM3_RATIO_ENVELOPE,
     _comparison_lhs,
@@ -179,6 +182,8 @@ def test_theorem2_grid_validation(table_small):
         theorem2_conditions(unit, [10], [1.5, 2.0])
     with pytest.raises(ValueError):
         theorem2_conditions(unit, [10], [1.0])
+    with pytest.raises(ValueError, match="n must be >= 2, got 1"):
+        theorem2_conditions(unit, [1, 2, 3], [2.0])
 
 
 # -- theorem 3 ----------------------------------------------------------
@@ -472,22 +477,32 @@ def test_lemma_suite_small_grid(table_small):
 
 
 def test_trend_policy_defaults():
-    policy = TrendPolicy()
-    assert [f.name for f in dataclasses.fields(policy)] == [
-        "s_ratio_threshold",
-        "monotone_slack",
-        "burn_in",
-    ]
-    assert policy.s_ratio_threshold == 0.1
+    assert (S_RATIO_THRESHOLD, MONOTONE_SLACK, BURN_IN) == (0.1, 1e-9, 0.5)
     assert THEOREM1_ENVELOPE == 0.6
     assert AXER_BOUND == 10.0
+
+
+def _comparison_lhs_by_quadrature(table, k, x, quad_tol, tail_tol):
+    """The integral over t > 0 of F_t(x) (k^-t - (k+1)^-t) by adaptive
+    quadrature, with F_t(x) from ft_partial_sum at every node."""
+
+    def integrand(t):
+        w = float(k) ** -t - float(k + 1) ** -t
+        if w == 0.0 or t <= 0.0:
+            return 0.0
+        return ft_partial_sum(table, x, t) * w
+
+    return integral_zero_to_inf(integrand, rate=float(k), bound=float(x), quad_tol=quad_tol, tail_tol=tail_tol)
 
 
 def test_integrated_comparison_matches_closed_form(table_small):
     # F_t(x) = sum over d <= x of mu(d) d^-t floor(x/d), so the integral
     # of F_t(x) (k^-t - (k+1)^-t) over t > 0 is the finite sum of
-    # mu(d) floor(x/d) (1/log(dk) - 1/log(d(k+1))). At the default
-    # tolerances the quadrature agreed to 6.7e-11 relative.
+    # mu(d) floor(x/d) (1/log(dk) - 1/log(d(k+1))). _comparison_lhs
+    # sums it over the squarefree d; summed over every d <= x it has the
+    # same bits. At the default tolerances the quadrature agreed with it
+    # to 6.7e-11 relative at worst (k = 100, x = 1000), inside its own
+    # error estimate.
     worst = 0.0
     for k in LEMMA_K_GRID:
         for x in LEMMA_VX_GRID:
@@ -495,8 +510,10 @@ def test_integrated_comparison_matches_closed_form(table_small):
             mu = table_small.mobius_array[1 : x + 1].astype(np.float64)
             q = (x // d).astype(np.float64)
             exact = rsum(mu * q * (1.0 / np.log(d * k) - 1.0 / np.log(d * (k + 1))))
-            got = _comparison_lhs(table_small, k, x, quad_tol=1e-8, tail_tol=1e-10).value
-            worst = max(worst, abs(got - exact) / abs(exact))
+            assert _comparison_lhs(table_small, k, x) == exact, (k, x)
+            quad = _comparison_lhs_by_quadrature(table_small, k, x, quad_tol=1e-8, tail_tol=1e-10)
+            assert abs(quad.value - exact) <= quad.error, (k, x)
+            worst = max(worst, abs(quad.value - exact) / abs(exact))
     assert worst <= 1e-9, worst
 
 
