@@ -153,12 +153,61 @@ def _geometric_grid(start: float, top: float, factor: float) -> list[int]:
     return out
 
 
-def _parse_pair(obj, where: str) -> complex:
-    if isinstance(obj, (int, float)):
-        return complex(obj)
+def _pair(obj) -> complex:
+    """A number or an [re, im] pair as a complex number; TypeError,
+    ValueError or OverflowError when it is neither, and ValueError when a
+    part is not finite."""
     if isinstance(obj, list) and len(obj) == 2:
-        return complex(float(obj[0]), float(obj[1]))
-    raise SpecFormatError(f"{where}: expected [re, im] pair, got {obj!r}")
+        z = complex(float(obj[0]), float(obj[1]))
+    elif isinstance(obj, (int, float)):
+        z = complex(obj)
+    else:
+        raise TypeError(obj)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError(obj)
+    return z
+
+
+def _bad_pair(obj, where: str) -> SpecFormatError:
+    return SpecFormatError(f"{where}: expected a finite number or [re, im] pair, got {obj!r}")
+
+
+def _parse_pair(obj, where: str) -> complex:
+    try:
+        return _pair(obj)
+    except (TypeError, ValueError, OverflowError):
+        raise _bad_pair(obj, where) from None
+
+
+def _coefficients(values: list, path: str) -> list[complex]:
+    """The items of a non-empty ``values`` list as complex numbers.
+
+    A list of finite numbers, or of finite [re, im] pairs, is one array
+    conversion; numpy infers the dtype, so only numbers and bools take
+    that route, as :func:`_pair` accepts them. Any other list is walked
+    item by item, which returns the same values or names the first bad
+    item.
+    """
+    try:
+        parts = np.array(values)
+    except (ValueError, OverflowError):  # ragged, or an int too large
+        parts = None
+    if parts is not None and parts.dtype.kind in "biuf" and parts.shape[1:] in ((), (2,)):
+        parts = parts.astype(np.float64)
+        if np.isfinite(parts).all():
+            z = np.zeros(len(values), dtype=np.complex128)
+            if parts.ndim == 1:
+                z.real = parts
+            else:
+                z.real, z.imag = parts[:, 0], parts[:, 1]
+            return z.tolist()
+    out = []
+    for i, v in enumerate(values):
+        try:
+            out.append(_pair(v))
+        except (TypeError, ValueError, OverflowError):
+            raise _bad_pair(v, f"{path}: values[{i}]") from None
+    return out
 
 
 def load_spec_file(path: str) -> MultiplicativeSpec | list[complex]:
@@ -174,7 +223,7 @@ def load_spec_file(path: str) -> MultiplicativeSpec | list[complex]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
             raise SpecFormatError(f"{path}: invalid JSON ({exc})") from None
     kind = data.get("type")
     if kind == "completely_multiplicative":
@@ -198,7 +247,7 @@ def load_spec_file(path: str) -> MultiplicativeSpec | list[complex]:
         values = data.get("values")
         if not isinstance(values, list) or not values:
             raise SpecFormatError(f"{path}: values: expected a non-empty list")
-        return [_parse_pair(v, f"{path}: values[{i}]") for i, v in enumerate(values)]
+        return _coefficients(values, path)
     raise SpecFormatError(
         f"{path}: type: expected 'completely_multiplicative' or 'coefficients', got {kind!r}"
     )

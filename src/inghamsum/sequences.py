@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -52,9 +53,32 @@ def _storage(values) -> type:
     return np.complex128 if np.iscomplexobj(values) else np.float64
 
 
+def times_log(a: np.ndarray, log: np.ndarray) -> np.ndarray:
+    """The terms a_m log m, from a float64 or complex128 slice of a and the
+    float64 log m at each of its places, in an array of a's dtype: log
+    itself when a is real.
+
+    A real product is one multiply. A complex one is formed as numpy's
+    complex * real forms it, (ar*l - ai*0, ar*0 + ai*l), one real product
+    at a time into the views of the output, so no complex temporary is
+    made. Every chunk of a gives the same bits as the whole array.
+    """
+    if not np.iscomplexobj(a):
+        return np.multiply(log, a, out=log)
+    out = np.empty_like(a)
+    zeros = np.multiply(a.imag, 0.0)
+    np.multiply(a.real, log, out=out.real)
+    np.subtract(out.real, zeros, out=out.real)
+    np.multiply(a.real, 0.0, out=zeros)
+    np.multiply(a.imag, log, out=out.imag)
+    np.add(zeros, out.imag, out=out.imag)
+    return out
+
+
 @dataclass(frozen=True)
 class CoefficientSequence:
-    """A finite prefix of coefficients a_1..a_N with prefix sums.
+    """A finite prefix of coefficients a_1..a_N, with prefix sums built
+    on first read.
 
     The arrays are float64 when the sequence is built from a real-dtype
     array (ints and bools included), in half the memory, and complex128
@@ -64,6 +88,12 @@ class CoefficientSequence:
     real storage has. (A -0.0 coefficient can flip the sign of a result
     that is zero; an inf or nan one gives imaginary parts 0.0 where the
     copy gives nan.)
+
+    The prefix arrays cost two N-length arrays, so nothing in a grid
+    sweep reads them: :func:`summation.batch_sums` gathers the prefix
+    sums at the grid's block ends in one chunked pass over ``a`` with
+    the same arithmetic. The one-point sums, the per-m identity loop and
+    the identity scale read them.
 
     Attributes:
         length: N, the number of stored coefficients.
@@ -75,8 +105,6 @@ class CoefficientSequence:
 
     length: int
     a: np.ndarray
-    prefix_a: np.ndarray
-    prefix_alog: np.ndarray
 
     @classmethod
     def from_values(cls, values) -> "CoefficientSequence":
@@ -101,25 +129,21 @@ class CoefficientSequence:
         """Build on a fresh float64 or complex128 array, which the
         sequence keeps."""
         a[0] = 0
-        prefix_a = np.cumsum(a)
-        log = log_index(a.size - 1)
-        if np.iscomplexobj(a):
-            # a * log m formed as numpy's complex * real forms it, (ar*l -
-            # ai*0, ar*0 + ai*l), one real product at a time into the views
-            # of the output, so no complex temporary is made.
-            prefix_alog = np.empty_like(a)
-            zeros = np.multiply(a.imag, 0.0)
-            np.multiply(a.real, log, out=prefix_alog.real)
-            np.subtract(prefix_alog.real, zeros, out=prefix_alog.real)
-            np.multiply(a.real, 0.0, out=zeros)
-            np.multiply(a.imag, log, out=prefix_alog.imag)
-            np.add(zeros, prefix_alog.imag, out=prefix_alog.imag)
-        else:
-            prefix_alog = np.multiply(log, a, out=log)
-        np.cumsum(prefix_alog, out=prefix_alog)
-        for arr in (a, prefix_a, prefix_alog):
-            arr.flags.writeable = False
-        return cls(a.size - 1, a, prefix_a, prefix_alog)
+        a.flags.writeable = False
+        return cls(a.size - 1, a)
+
+    @cached_property
+    def prefix_a(self) -> np.ndarray:
+        out = np.cumsum(self.a)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def prefix_alog(self) -> np.ndarray:
+        out = times_log(self.a, log_index(self.length))
+        np.cumsum(out, out=out)
+        out.flags.writeable = False
+        return out
 
     def values(self) -> np.ndarray:
         """The natural view [a_1, ..., a_N]."""
@@ -166,10 +190,10 @@ class MultiplicativeSpec:
         """The first value with |f(p)| > 1 beyond a rounding slack, as
         "default: |f(p)| = x" or "primes[p]: |f(p)| = x"; None when every
         value keeps the bound."""
-        if abs(self.default) > 1 + _BOUND_SLACK:
+        if not abs(self.default) <= 1 + _BOUND_SLACK:
             return f"default: |f(p)| = {abs(self.default)}"
         for p, v in self.prime_values.items():
-            if abs(v) > 1 + _BOUND_SLACK:
+            if not abs(v) <= 1 + _BOUND_SLACK:
                 return f"primes[{p}]: |f({p})| = {abs(v)}"
         return None
 

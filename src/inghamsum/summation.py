@@ -7,13 +7,17 @@ The two central quantities are
 
 Both are evaluated by floor-quotient block decomposition: floor(n/k) is
 constant on O(sqrt n) maximal blocks of k, so prefix sums of a_k and of
-a_k log k turn each query into O(sqrt n) work. :func:`block_sums` lays
-out the blocks of a whole grid of n as numpy arrays and rounds each n
-exactly with the bucket sums of :mod:`accumulate`, so a grid costs a
-few array passes per 2**14 blocks instead of a Python loop per block,
-and every value equals ``math.fsum`` over that n's block terms. A single
-n (:func:`ingham_A`, :func:`ingham_S`) gathers its blocks with one index
-array and rounds with ``math.fsum`` over the terms directly. Dense
+a_k log k turn each query into O(sqrt n) work. :func:`batch_sums` lays
+out the blocks of a whole grid of n as numpy arrays, a few array passes
+per 2**14 blocks instead of a Python loop per block. It reads the prefix
+sums only at the grid's distinct block ends, gathered in one chunked
+pass over the coefficients, so a grid holds no N-length prefix array
+(only an int32 map from block end to gathered value). It rounds each n
+exactly with the bucket sums of :mod:`accumulate`: every value equals
+``math.fsum`` over that n's block terms. :func:`block_sums` does the
+same over whole prefix arrays and is its oracle. A single n (:func:`ingham_A`, :func:`ingham_S`) gathers its
+blocks from the sequence's prefix arrays, built on first read, and
+rounds with ``math.fsum`` over the terms directly. Dense
 sweeps over every n <= N can instead go through one divisor-lattice
 pass plus a cumulative sum (:func:`cumulative_sums`). The lattice
 pass is hyperbola-split: strided slice-adds for divisors d <= sqrt(N),
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accumulate import csum, segment_sums
-from .sequences import CoefficientSequence, log_index, sum_over_divisors
+from .sequences import CoefficientSequence, log_index, sum_over_divisors, times_log
 
 
 @dataclass(frozen=True)
@@ -77,9 +81,12 @@ class WeightSequence:
         return cls(log_index(n))
 
 
-# Blocks per pass of block_sums: the gathered terms, bucket keys and
+# Blocks per pass of _passes: the gathered terms, bucket keys and
 # bucket sums of a pass stay within a few MB.
 _CHUNK_BLOCKS = 1 << 14
+# Coefficients per chunk of the pass that gathers prefix sums at block
+# ends: each chunk's running sums and logs stay in cache.
+_CHUNK_TERMS = 1 << 16
 
 
 def _block_terms(dr, di, q):
@@ -100,25 +107,17 @@ def _block_terms(dr, di, q):
     return terms
 
 
-def block_sums(prefix, grid) -> list[complex]:
-    """Sum of q * (prefix[k2] - prefix[k1 - 1]) over the maximal blocks
-    [k1, k2] with q = floor(n/k) constant, for every n in grid.
+def _passes(ns):
+    """The maximal blocks of every n in ns, in passes of about
+    _CHUNK_BLOCKS blocks: per pass (c, first, ends, q), the block count of
+    each n it covers, the place of each n's first block in the pass, and
+    per block its last k (k2, int64) and q (float64), ascending in k for
+    each n.
 
     With r = isqrt(n) the blocks are k = 1..r (q = n // k), then
-    q = n // (r + 1) down to 1; each has k2 = n // q and k1 - 1 =
-    n // (q + 1). The terms come from :func:`_block_terms`, and the real
-    and imaginary parts of each n are exactly rounded sums
-    (:func:`accumulate.segment_sums`), so every value is ``math.fsum``
-    over that n's terms bit for bit, the same value :func:`_block_sum`
-    gives, and integer-valued inputs give exact integer results.
+    q = n // (r + 1) down to 1; each has k2 = n // q, and its k1 - 1 is
+    the k2 of the block before it (0 for the first).
     """
-    # A real prefix stays real: its .imag is +0.0, as a complex copy's is.
-    prefix = np.asarray(prefix, dtype=np.complex128 if np.iscomplexobj(prefix) else np.float64)
-    ns = np.asarray(grid, dtype=np.int64).ravel()
-    if not ns.size:
-        return []
-    if not 1 <= ns.min() <= ns.max() < prefix.size:
-        raise ValueError(f"grid outside [1, {prefix.size - 1}]")
     r = np.sqrt(ns).astype(np.int64)
     r -= r * r > ns
     r += (r + 1) * (r + 1) <= ns
@@ -127,7 +126,6 @@ def block_sums(prefix, grid) -> list[complex]:
     # A pass starts at each point whose first block crosses a multiple
     # of _CHUNK_BLOCKS.
     starts = [0, *(np.flatnonzero(np.diff(before // _CHUNK_BLOCKS)) + 1).tolist(), ns.size]
-    out: list[complex] = []
     for a, b in zip(starts, starts[1:]):
         c = counts[a:b]
         first = before[a:b] - before[a]
@@ -137,15 +135,43 @@ def block_sums(prefix, grid) -> list[complex]:
         # the other one of the two.
         d = np.where(head, j + 1, np.repeat(c, c) - j)
         x = np.repeat(ns[a:b], c) // d
-        q = np.where(head, x, d).astype(np.float64)
-        # A block's k1 - 1 is the k2 of the block before it (0 for the first).
-        upper = prefix[np.where(head, d, x)]
-        lower = np.empty_like(upper)
-        lower[1:] = upper[:-1]
-        lower[first] = prefix[0]
-        terms = _block_terms(upper.real - lower.real, upper.imag - lower.imag, q)
-        sums = segment_sums(terms, c)
-        out += map(complex, sums[0::2], sums[1::2])
+        yield c, first, np.where(head, d, x), np.where(head, x, d).astype(np.float64)
+
+
+def _pass_sums(upper, start, c, first, q) -> list[complex]:
+    """The sums of one pass of :func:`_passes` from the prefix sums
+    ``upper`` at its block ends and ``start`` at 0: the terms come from
+    :func:`_block_terms`, and the real and imaginary parts of each n are
+    exactly rounded sums (:func:`accumulate.segment_sums`)."""
+    lower = np.empty_like(upper)
+    lower[1:] = upper[:-1]
+    lower[first] = start
+    terms = _block_terms(upper.real - lower.real, upper.imag - lower.imag, q)
+    sums = segment_sums(terms, c)
+    return list(map(complex, sums[0::2], sums[1::2]))
+
+
+def block_sums(prefix, grid) -> list[complex]:
+    """Sum of q * (prefix[k2] - prefix[k1 - 1]) over the maximal blocks
+    [k1, k2] with q = floor(n/k) constant, for every n in grid.
+
+    The blocks come from :func:`_passes` and each n is rounded by
+    :func:`_pass_sums`, so every value is ``math.fsum`` over that n's
+    terms bit for bit, the same value :func:`_block_sum` gives, and
+    integer-valued inputs give exact integer results. It reads whole
+    prefix arrays; :func:`batch_sums` gives the same values from the
+    coefficients alone, and this function is its test oracle.
+    """
+    # A real prefix stays real: its .imag is +0.0, as a complex copy's is.
+    prefix = np.asarray(prefix, dtype=np.complex128 if np.iscomplexobj(prefix) else np.float64)
+    ns = np.asarray(grid, dtype=np.int64).ravel()
+    if not ns.size:
+        return []
+    if not 1 <= ns.min() <= ns.max() < prefix.size:
+        raise ValueError(f"grid outside [1, {prefix.size - 1}]")
+    out: list[complex] = []
+    for c, first, ends, q in _passes(ns):
+        out += _pass_sums(prefix[ends], prefix[0], c, first, q)
     return out
 
 
@@ -184,12 +210,51 @@ def _summation_value(n: int, A: complex, S: complex) -> SummationValue:
     return SummationValue(n=n, A=A, S=S, normalized_A=A / n, normalized_S=norm_s)
 
 
+def _prefixes_at(a: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``prefix_a`` and ``prefix_alog`` of the coefficients a at the
+    ascending ends, bit for bit, from one pass over a up to ends[-1] in
+    chunks of _CHUNK_TERMS. Each chunk is a cumulative sum seeded with
+    the value carried from the chunk before, and its terms a_m log m come
+    from :func:`sequences.times_log` with log m per chunk; neither
+    changes the sequential sums or a term."""
+    top = int(ends[-1]) + 1
+    pa = np.empty(ends.size, dtype=a.dtype)
+    pl = np.empty(ends.size, dtype=a.dtype)
+    run_a = np.empty(_CHUNK_TERMS + 1, dtype=a.dtype)
+    run_l = np.empty(_CHUNK_TERMS + 1, dtype=a.dtype)
+    run_a[0] = run_l[0] = 0
+    done = 0
+    for lo in range(0, top, _CHUNK_TERMS):
+        hi = min(lo + _CHUNK_TERMS, top)
+        m = hi - lo
+        run_a[1 : m + 1] = a[lo:hi]
+        log = np.arange(lo, hi, dtype=np.float64)
+        if lo == 0:
+            log[0] = 1.0  # log 1 = 0 in the unused slot 0, as log_index has
+        run_l[1 : m + 1] = times_log(a[lo:hi], np.log(log, out=log))
+        np.cumsum(run_a[: m + 1], out=run_a[: m + 1])
+        np.cumsum(run_l[: m + 1], out=run_l[: m + 1])
+        upto = int(np.searchsorted(ends, hi))
+        at = ends[done:upto] - (lo - 1)
+        pa[done:upto] = run_a[at]
+        pl[done:upto] = run_l[at]
+        done = upto
+        run_a[0], run_l[0] = run_a[m], run_l[m]
+    return pa, pl
+
+
 def batch_sums(seq: CoefficientSequence, grid) -> list[SummationValue]:
     """Per-point A(n), S(n) for a strictly ascending grid of n values.
 
-    One :func:`block_sums` pass per prefix array covers the whole grid;
-    results are returned in grid order and are identical to per-point
-    calls.
+    The grid's blocks (:func:`_passes`) are laid out twice, each time for
+    A and S together: once to mark their distinct ends in an int32 map
+    of length max(grid) + 1, whose prefix sums one chunked pass over
+    ``seq.a`` then gathers (:func:`_prefixes_at`), and once to sum them
+    as :func:`block_sums` does, with the map giving each end's place.
+    The values equal per-point calls and :func:`block_sums` on the whole
+    prefix arrays bit for bit, and so does the exception, if any: A's
+    first, else S's. ``seq.prefix_a`` and ``seq.prefix_alog`` are neither
+    read nor built.
     """
     grid = [int(n) for n in grid]
     if not grid:
@@ -198,8 +263,27 @@ def batch_sums(seq: CoefficientSequence, grid) -> list[SummationValue]:
         raise ValueError("grid must be strictly ascending")
     _check_point(seq, grid[0])
     _check_point(seq, grid[-1])
-    A = block_sums(seq.prefix_a, grid)
-    S = block_sums(seq.prefix_alog, grid)
+    ns = np.array(grid, dtype=np.int64)
+    place = np.zeros(grid[-1] + 1, dtype=np.int32)
+    place[0] = 1  # the k1 - 1 of every n's first block
+    for _, _, ends, _ in _passes(ns):
+        place[ends] = 1
+    ends = np.flatnonzero(place)
+    place[ends] = np.arange(ends.size, dtype=np.int32)
+    pa, pl = _prefixes_at(seq.a, ends)
+    A: list[complex] = []
+    S: list[complex] = []
+    fault = None
+    for c, first, k2, q in _passes(ns):
+        at = place[k2]
+        A += _pass_sums(pa[at], pa[0], c, first, q)
+        if fault is None:
+            try:
+                S += _pass_sums(pl[at], pl[0], c, first, q)
+            except (ValueError, OverflowError) as exc:
+                fault = exc
+    if fault is not None:  # raised once every A is done, as block_sums over S would be
+        raise fault
     return [_summation_value(*v) for v in zip(grid, A, S)]
 
 

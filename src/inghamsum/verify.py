@@ -674,7 +674,8 @@ def difference_identity_check(
         s_values = np.cumsum(d_values)
 
     # Left side: the Dirichlet value is exact for the stored sequence.
-    A_n = ingham_A(a, n)
+    # batch_sums reads a only up to n; ingham_A would build prefix_a up to N.
+    A_n = batch_sums(a, [n])[0].A
     g = g_eval(a, sigma, K)
     S_n = complex(s_values[n])
     lhs = A_n - n * g - S_n / logn

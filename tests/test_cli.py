@@ -175,6 +175,59 @@ def test_load_spec_coefficients(tmp_path):
     assert values == [1.0, 2j]
 
 
+def _coefficient_file(tmp_path, values):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"type": "coefficients", "values": values}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [1, 2.5, -0.0, True, 2**63, 2**53 + 1],
+        [[1, -0.0], [-0.0, 2], [3, 4.5], [2**60 + 1, -(2**55) - 1]],
+        [1, [1, 2], 3],  # mixed: walked item by item
+        [["1", "2"], [3, 4]],  # strings inside a pair, which float() parses
+        [2**70, 1.5],  # an int beyond int64
+    ],
+)
+def test_coefficient_files_parse_as_the_item_walk(values, tmp_path):
+    def walk(v):
+        return complex(float(v[0]), float(v[1])) if isinstance(v, list) else complex(v)
+
+    got = np.array(load_spec_file(_coefficient_file(tmp_path, values)), dtype=np.complex128)
+    expected = np.array([walk(v) for v in values], dtype=np.complex128)
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "values, bad",
+    [
+        ([1.0, math.inf], 1),
+        ([[1, 0], [0, math.nan]], 1),
+        ([1, [math.nan, 0]], 1),
+        ([10**400, 1], 0),
+        ([1, "2"], 1),
+        ([[1, 2], [3]], 1),
+        ([[1, 2], [[3, 4], [5, 6]]], 1),
+        ([None], 0),
+    ],
+)
+def test_bad_coefficient_is_named(values, bad, tmp_path):
+    with pytest.raises(SpecFormatError, match=rf"values\[{bad}\]: expected a finite number"):
+        load_spec_file(_coefficient_file(tmp_path, values))
+
+
+@pytest.mark.parametrize("bound_check", [True, False])
+@pytest.mark.parametrize("entry", ['"default": [NaN, 0]', '"primes": {"3": [0, Infinity]}'])
+def test_non_finite_prime_value_is_named(entry, bound_check, tmp_path):
+    path = tmp_path / "s.json"
+    path.write_text(f'{{"type": "completely_multiplicative", "cutoff": 100, {entry}, "bound_check": {str(bound_check).lower()}}}')
+    where = "default" if "default" in entry else r"primes\[3\]"
+    with pytest.raises(SpecFormatError, match=rf"{where}: expected a finite number"):
+        load_spec_file(str(path))
+
+
 def test_load_spec_errors(tmp_path):
     missing = tmp_path / "nope.json"
     with pytest.raises(SpecFormatError):
@@ -503,6 +556,10 @@ BAD_INPUT_COMMANDS = {
     "envelope nan": ["verify", "axer", "--coeffs", "mu", "--n", "100,1000", "--envelope", "nan"],
     "theorem2 n 1": ["verify", "theorem2", "--coeffs", "mu", "--n", "1,2,3,70000", "--sigma", "100,1.5"],
     "sigma empty": ["verify", "theorem2", "--coeffs", "mu", "--n", "100,1000", "--sigma", ""],
+    "coefficient 1e400": ["ingham", "--coeffs", str(DATA / "coeffs_inf.json"), "--n", "2"],
+    "coefficient NaN": ["ingham", "--coeffs", str(DATA / "coeffs_nan.json"), "--n", "2"],
+    "coefficient 10**400": ["ingham", "--coeffs", str(DATA / "coeffs_huge_int.json"), "--n", "2"],
+    "prime value NaN": ["mean", "--spec", str(DATA / "spec_nan_prime.json"), "--n", "100"],
 }
 
 # A flag that the chosen check does not read, and the flag the error names.

@@ -509,6 +509,88 @@ def test_block_sums_rejects_points_outside_the_prefix():
             block_sums(prefix, grid)
 
 
+# -- batch_sums: prefix sums gathered at the block ends -------------------
+
+
+def _same_batch_sums(a, grid, case=""):
+    """batch_sums on a fresh sequence of the index-aligned coefficients a
+    against block_sums over its whole lazily built prefix arrays: every A,
+    then every S, bit for bit, or the same exception."""
+    seq = CoefficientSequence.from_index_aligned(a)
+
+    def streamed():
+        values = ig.batch_sums(seq, grid)
+        return [v.A for v in values] + [v.S for v in values]
+
+    got = _block_outcome(streamed)
+    assert "prefix_a" not in vars(seq) and "prefix_alog" not in vars(seq), case
+    expected = _block_outcome(lambda: block_sums(seq.prefix_a, grid) + block_sums(seq.prefix_alog, grid))
+    assert got == expected, case
+
+
+BATCH_GRIDS = ([1], [2], [600], range(1, 601), [5, 77, 78, 400, 599, 600])
+
+
+@pytest.mark.parametrize("terms", [None, 1, 7, 64, 257])
+def test_batch_sums_match_block_sums_over_whole_prefixes(terms, rng, monkeypatch):
+    if terms is not None:  # block ends fall on chunk edges
+        monkeypatch.setattr(summation, "_CHUNK_TERMS", terms)
+    real = rng.standard_normal(601)
+    complex_ = np.exp(2j * np.pi * rng.random(601))
+    for grid in BATCH_GRIDS:
+        _same_batch_sums(real, grid, "real")
+        _same_batch_sums(complex_, grid, "complex")
+    monkeypatch.setattr(summation, "_CHUNK_BLOCKS", 64)
+    _same_batch_sums(complex_, range(1, 601), "short passes")
+
+
+@pytest.mark.parametrize("terms", [None, 5])
+def test_batch_sums_signed_zero_runs(terms, rng, monkeypatch):
+    if terms is not None:
+        monkeypatch.setattr(summation, "_CHUNK_TERMS", terms)
+    for case, a in _zero_runs(300, rng):
+        _same_batch_sums(a, range(1, 301), case)
+        _same_batch_sums(a, [1, 2, 299], case)
+        _same_batch_sums(a.real.copy(), [1, 64, 300], f"{case}, real part")
+
+
+def test_batch_sums_inf_nan_and_overflow(rng, monkeypatch):
+    monkeypatch.setattr(summation, "_CHUNK_TERMS", 16)
+    n = 300
+    base = np.exp(2j * np.pi * rng.random(n + 1))
+    specials = ((math.inf, 0.0), (-math.inf, 0.0), (0.0, math.inf), (math.nan, 0.0), (1e308, -1e308), (2.0**960, 0.0))
+    for re, im in specials:
+        for at in (1, 16, 17, n):
+            a = base.copy()
+            a[at] = complex(re, im)
+            for grid in (range(1, n + 1), [at], [n]):
+                _same_batch_sums(a, grid, (re, im, at))
+            if im == 0.0:
+                _same_batch_sums(a.real.copy(), range(1, n + 1), (re, at, "real"))
+    _same_batch_sums(base * 1e305, range(1, n + 1), "terms overflow")
+    _same_batch_sums(base.real * 1e307, range(1, n + 1), "prefixes overflow")
+    # Only S overflows (A gives values), or S fails at a smaller n than A:
+    # with short passes, S fails in an earlier pass than A does, and the
+    # outcome is still that of block_sums over A, then over S.
+    for seed, first_a, first_s in ((0, None, 216), (4, 206, 222), (2, 117, 174)):
+        a = np.random.default_rng(seed).standard_normal(n + 1) * 1e306
+        a[150], a[151] = 1e308, -1e308
+        seq = CoefficientSequence.from_index_aligned(a)
+        for prefix, first in ((seq.prefix_a, first_a), (seq.prefix_alog, first_s)):
+            fails = [m for m in range(1, n + 1) if _block_outcome(lambda: block_sums(prefix, [m])) is OverflowError]
+            assert fails[:1] == ([first] if first else []), seed
+        for blocks in (64, 1 << 14):
+            monkeypatch.setattr(summation, "_CHUNK_BLOCKS", blocks)
+            _same_batch_sums(a, range(1, n + 1), (seed, blocks))
+
+
+@pytest.mark.parametrize("name", ["mu", "liouville"])
+def test_batch_sums_dense_grid_at_1e6(name, table_big):
+    seq = named_sequence(name, 10**6, table_big)
+    _same_batch_sums(seq.a, parse_grid("1e3:1e6:x1.002"), name)
+    _same_batch_sums(seq.a, [999_983, 10**6], name)
+
+
 # -- sequence prefixes and the F_t partial sum ----------------------------
 
 

@@ -210,6 +210,26 @@ def test_spec_validation_checks_default():
     MultiplicativeSpec(cutoff=100, default=-2.0, bound_check=False)
 
 
+def test_spec_bound_check_rejects_nan():
+    nan = float("nan")
+    with pytest.raises(SpecFormatError, match=r"f\(3\)"):
+        MultiplicativeSpec({3: complex(nan, 0)}, cutoff=100)
+    with pytest.raises(SpecFormatError, match="default"):
+        MultiplicativeSpec(cutoff=100, default=complex(0, nan))
+
+
+def test_prefix_arrays_are_built_on_first_read(table_small):
+    seq = named_sequence("mu", 3000, table_small)
+    assert "prefix_a" not in vars(seq) and "prefix_alog" not in vars(seq)
+    ig.batch_sums(seq, [10, 999, 3000])
+    ig.difference_identity_check(seq, table_small, 10, 3000)
+    assert "prefix_a" not in vars(seq) and "prefix_alog" not in vars(seq)
+    assert ig.ingham_A(seq, 3000) == 1
+    assert "prefix_a" in vars(seq) and "prefix_alog" not in vars(seq)
+    assert seq.prefix_a is seq.prefix_a and not seq.prefix_a.flags.writeable
+    assert not seq.prefix_alog.flags.writeable
+
+
 def test_spec_value_at(table_small):
     spec = MultiplicativeSpec({2: 0.5j}, cutoff=10, default=-1.0)
     assert spec.value_at(2) == 0.5j
@@ -229,7 +249,7 @@ def test_named_sequences(table_small):
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB is Linux behaviour")
-def test_theorem2_mu_peak_memory_grows_by_at_most_60_bytes_per_integer():
+def test_theorem2_mu_peak_memory_grows_by_at_most_16_bytes_per_integer():
     limits = (100_000, 200_000, 400_000)
     argvs = [
         ["verify", "theorem2", "--coeffs", "mu", "--n", f"1000,{n}", "--sigma", "2,1.25", "--format", "json"]
@@ -237,24 +257,25 @@ def test_theorem2_mu_peak_memory_grows_by_at_most_60_bytes_per_integer():
     ]
     peaks = cli_peak_rss(SRC, argvs)
     # Three complex128 arrays of mu and an unchunked g_eval grew by 93-98
-    # bytes per integer; real storage, a chunked g_eval and the sieve take
-    # 30-38.
+    # bytes per integer, and real storage with its two prefix arrays by
+    # 24-28; gathering the prefix sums at the block ends alone takes 6-11.
     for (lo, hi), (a, b) in zip(zip(limits, limits[1:]), zip(peaks, peaks[1:])):
         growth = (b - a) / (hi - lo)
-        assert growth <= 60, (lo, hi, growth)
+        assert growth <= 16, (lo, hi, growth)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB is Linux behaviour")
-def test_ingham_liouville_peak_memory_grows_by_at_most_40_bytes_per_integer():
+def test_ingham_liouville_peak_memory_grows_by_at_most_20_bytes_per_integer():
     limits = (100_000, 200_000, 400_000)
     argvs = [["ingham", "--coeffs", "liouville", "--n", f"1000,{n}", "--format", "json"] for n in limits]
     peaks = cli_peak_rss(SRC, argvs)
     # The complex128 extension over every prime, of which liouville kept
     # the real part, grew by 46-51 bytes per integer; the float64 fill
-    # from the SPF table takes 27-31, as mu does.
+    # from the SPF table with both prefix arrays took 27-31, and without
+    # them 8-14.
     for (lo, hi), (a, b) in zip(zip(limits, limits[1:]), zip(peaks, peaks[1:])):
         growth = (b - a) / (hi - lo)
-        assert growth <= 40, (lo, hi, growth)
+        assert growth <= 20, (lo, hi, growth)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB is Linux behaviour")
