@@ -179,13 +179,13 @@ def _parse_pair(obj, where: str) -> complex:
         raise _bad_pair(obj, where) from None
 
 
-def _coefficients(values: list, path: str) -> list[complex]:
-    """The items of a non-empty ``values`` list as complex numbers.
+def _coefficients(values: list, path: str) -> np.ndarray:
+    """The items of a non-empty ``values`` list as a complex128 array.
 
     A list of finite numbers, or of finite [re, im] pairs, is one array
     conversion; numpy infers the dtype, so only numbers and bools take
     that route, as :func:`_pair` accepts them. Any other list is walked
-    item by item, which returns the same values or names the first bad
+    item by item, which gives the same values or names the first bad
     item.
     """
     try:
@@ -193,30 +193,31 @@ def _coefficients(values: list, path: str) -> list[complex]:
     except (ValueError, OverflowError):  # ragged, or an int too large
         parts = None
     if parts is not None and parts.dtype.kind in "biuf" and parts.shape[1:] in ((), (2,)):
-        parts = parts.astype(np.float64)
+        parts = parts.astype(np.float64, copy=False)
         if np.isfinite(parts).all():
             z = np.zeros(len(values), dtype=np.complex128)
             if parts.ndim == 1:
                 z.real = parts
             else:
                 z.real, z.imag = parts[:, 0], parts[:, 1]
-            return z.tolist()
+            return z
     out = []
     for i, v in enumerate(values):
         try:
             out.append(_pair(v))
         except (TypeError, ValueError, OverflowError):
             raise _bad_pair(v, f"{path}: values[{i}]") from None
-    return out
+    return np.array(out, dtype=np.complex128)
 
 
-def load_spec_file(path: str) -> MultiplicativeSpec | list[complex]:
+def load_spec_file(path: str) -> MultiplicativeSpec | np.ndarray:
     """Parse a JSON function spec or coefficient file.
 
     Multiplicative spec: {"type": "completely_multiplicative",
     "cutoff": N, "default": [re, im], "primes": {"2": [re, im], ...},
     "bound_check": true}. Coefficients: {"type": "coefficients",
-    "values": [[re, im], ...]}.
+    "values": [[re, im], ...]}, returned as a complex128 array. Every
+    number must be finite.
     """
     if not os.path.exists(path):
         raise SpecFormatError(f"{path}: no such spec file")

@@ -172,7 +172,7 @@ def test_load_spec_coefficients(tmp_path):
     path = tmp_path / "c.json"
     path.write_text('{"type": "coefficients", "values": [[1, 0], [0, 2]]}')
     values = load_spec_file(str(path))
-    assert values == [1.0, 2j]
+    assert values.dtype == np.complex128 and values.tolist() == [1.0, 2j]
 
 
 def _coefficient_file(tmp_path, values):
