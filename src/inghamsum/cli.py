@@ -24,10 +24,10 @@ Five options also read INGHAMSUM_<OPTION> when the flag is not given:
 --alpha, --envelope, --quad-tol, --tail-tol and --truncation (e.g.
 INGHAMSUM_QUAD_TOL); explicit flags win. A variable is read only by the
 checks that use its option. Every float flag and every INGHAMSUM_* value
-read must parse and be finite, or it exits 2 with an "error:" line
-naming it. An option that the chosen `verify` or `identity` check does
-not read (say --alpha for theorem1, or --truncation for sdiff) exits 2
-with an "error:" line naming it.
+read must parse and be finite, and an envelope must be above 0, or it
+exits 2 with an "error:" line naming it. An option that the chosen
+`verify` or `identity` check does not read (say --alpha for theorem1,
+or --truncation for sdiff) exits 2 with an "error:" line naming it.
 """
 
 from __future__ import annotations
@@ -49,7 +49,9 @@ from .sequences import (
     MultiplicativeSpec,
     a_from_f,
     extend_completely_multiplicative,
+    log_index,
     named_sequence,
+    times_log,
 )
 from .sieve import SieveTable, build_sieve
 from .summation import batch_sums
@@ -96,13 +98,16 @@ def _number(raw, source: str, cast=float):
 
 def _opt(value, name: str, default, cast=float):
     """The flag's value, else INGHAMSUM_<NAME>'s, else default, through
-    :func:`_number`."""
+    :func:`_number`; an envelope must also be above 0, or SpecFormatError."""
     source = f"--{name}"
     if value is None:
         source = _ENV_PREFIX + name.upper().replace("-", "_")
         raw = os.environ.get(source)
         value = default if raw is None else raw
-    return _number(value, source, cast)
+    value = _number(value, source, cast)
+    if name == "envelope" and not value > 0:  # it would fail every row
+        raise SpecFormatError(f"{source}: expected a number > 0, got {value}")
+    return value
 
 
 def parse_grid(text: str) -> list[int]:
@@ -429,7 +434,8 @@ def _cmd_identity(args) -> VerificationReport:
             seq = resolve_coeffs(args.coeffs, n, table)
             if args.check == "sdiff":
                 err = s_difference_identity(seq, table, n)
-                scale = max(1.0, float(np.max(np.abs(seq.prefix_alog[: n + 1]))))
+                prefix = np.cumsum(times_log(seq.a[: n + 1], log_index(n)))
+                scale = max(1.0, float(np.max(np.abs(prefix))))
             else:
                 err = s_decomposition_identity(seq, table, n)
                 scale = max(1.0, n * math.log(n))

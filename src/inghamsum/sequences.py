@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -77,10 +76,10 @@ def times_log(a: np.ndarray, log: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CoefficientSequence:
-    """A finite prefix of coefficients a_1..a_N, with prefix sums built
-    on first read.
+    """A finite prefix of coefficients a_1..a_N, with no prefix sums:
+    :func:`summation.batch_sums` gathers them where a grid reads them.
 
-    The arrays are float64 when the sequence is built from a real-dtype
+    The array is float64 when the sequence is built from a real-dtype
     array (ints and bools included), in half the memory, and complex128
     otherwise. For finite coefficients every value a real sequence gives,
     imaginary parts included, equals its complex128 copy's bit for bit:
@@ -89,18 +88,9 @@ class CoefficientSequence:
     that is zero; an inf or nan one gives imaginary parts 0.0 where the
     copy gives nan.)
 
-    The prefix arrays cost two N-length arrays, so nothing in a grid
-    sweep reads them: :func:`summation.batch_sums` gathers the prefix
-    sums at the grid's block ends in one chunked pass over ``a`` with
-    the same arithmetic. The one-point sums, the per-m identity loop and
-    the identity scale read them.
-
     Attributes:
         length: N, the number of stored coefficients.
         a: index-aligned array of the coefficients (a[0] == 0).
-        prefix_a: prefix_a[k] = a_1 + ... + a_k.
-        prefix_alog: prefix_alog[k] = sum of a_j log j for j <= k. The
-            j = 1 term never contributes because log 1 = 0.
     """
 
     length: int
@@ -131,19 +121,6 @@ class CoefficientSequence:
         a[0] = 0
         a.flags.writeable = False
         return cls(a.size - 1, a)
-
-    @cached_property
-    def prefix_a(self) -> np.ndarray:
-        out = np.cumsum(self.a)
-        out.flags.writeable = False
-        return out
-
-    @cached_property
-    def prefix_alog(self) -> np.ndarray:
-        out = times_log(self.a, log_index(self.length))
-        np.cumsum(out, out=out)
-        out.flags.writeable = False
-        return out
 
     def values(self) -> np.ndarray:
         """The natural view [a_1, ..., a_N]."""

@@ -7,24 +7,23 @@ The two central quantities are
 
 Both are evaluated by floor-quotient block decomposition: floor(n/k) is
 constant on O(sqrt n) maximal blocks of k, so prefix sums of a_k and of
-a_k log k turn each query into O(sqrt n) work. :func:`batch_sums` lays
-out the blocks of a whole grid of n as numpy arrays, a few array passes
-per 2**14 blocks instead of a Python loop per block. It reads the prefix
-sums only at the grid's distinct block ends, gathered in one chunked
-pass over the coefficients, so a grid holds no N-length prefix array
-(only an int32 map from block end to gathered value). It rounds each n
-exactly with the bucket sums of :mod:`accumulate`: every value equals
-``math.fsum`` over that n's block terms. :func:`block_sums` does the
-same over whole prefix arrays and is its oracle. A single n (:func:`ingham_A`, :func:`ingham_S`) gathers its
-blocks from the sequence's prefix arrays, built on first read, and
-rounds with ``math.fsum`` over the terms directly. Dense
-sweeps over every n <= N can instead go through one divisor-lattice
-pass plus a cumulative sum (:func:`cumulative_sums`). The lattice
-pass is hyperbola-split: strided slice-adds for divisors d <= sqrt(N),
-one vectorized add per cofactor N/d for the rest. The Mobius table
-behind a_from_f sieves only the primes up to sqrt(N) and fixes the sign
-of the numbers with one larger prime factor in a single prime-cofactor
-pass.
+a_k log k turn each query into O(sqrt n) work. :func:`batch_sums`, the
+one route for a grid of n or (:func:`ingham_A`, :func:`ingham_S`) one n,
+lays out the blocks as numpy arrays, a few array passes per 2**14 blocks
+instead of a Python loop per block, and reads the prefix sums only at
+their distinct ends, gathered in one chunked pass over the coefficients:
+no N-length prefix array is held, only an int32 map from block end to
+gathered value. It rounds each n exactly with the bucket sums of
+:mod:`accumulate`: every value equals ``math.fsum`` over that n's block
+terms. :func:`block_sums` does the same over whole prefix arrays and is
+its oracle; its one-point form :func:`_block_sum` remains only for the
+per-m sdiff loop, whose queries the benchmark's tracer counts. Dense
+sweeps over every n <= N can instead go through one divisor-lattice pass
+plus a cumulative sum (:func:`cumulative_sums`). The lattice pass is
+hyperbola-split: strided slice-adds for divisors d <= sqrt(N), one
+vectorized add per cofactor N/d for the rest. The Mobius table behind
+a_from_f sieves only the primes up to sqrt(N) and fixes the sign of the
+numbers with one larger prime factor in a single prime-cofactor pass.
 """
 
 from __future__ import annotations
@@ -193,30 +192,14 @@ def _check_point(seq: CoefficientSequence, n: int) -> None:
         raise ValueError(f"n = {n} outside [1, {seq.length}]")
 
 
-def ingham_A(seq: CoefficientSequence, n: int) -> complex:
-    """A(n) = sum of a_k floor(n/k) over k <= n, in O(sqrt n) blocks."""
-    _check_point(seq, n)
-    return _block_sum(seq.prefix_a, n)
-
-
-def ingham_S(seq: CoefficientSequence, n: int) -> complex:
-    """S(n) = sum of a_k floor(n/k) log k over k <= n."""
-    _check_point(seq, n)
-    return _block_sum(seq.prefix_alog, n)
-
-
-def _summation_value(n: int, A: complex, S: complex) -> SummationValue:
-    norm_s = S / (n * math.log(n)) if n > 1 else None
-    return SummationValue(n=n, A=A, S=S, normalized_A=A / n, normalized_S=norm_s)
-
-
 def _prefixes_at(a: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``prefix_a`` and ``prefix_alog`` of the coefficients a at the
-    ascending ends, bit for bit, from one pass over a up to ends[-1] in
-    chunks of _CHUNK_TERMS. Each chunk is a cumulative sum seeded with
-    the value carried from the chunk before, and its terms a_m log m come
-    from :func:`sequences.times_log` with log m per chunk; neither
-    changes the sequential sums or a term."""
+    """The prefix sums of a_m and of a_m log m at the ascending ends,
+    bit for bit those of ``np.cumsum(a)`` and ``np.cumsum(times_log(a,
+    log_index(N)))``, from one pass over a up to ends[-1] in chunks of
+    _CHUNK_TERMS. Each chunk is a cumulative sum seeded with the value
+    carried from the chunk before, and its terms a_m log m come from
+    :func:`sequences.times_log` with log m per chunk; neither changes
+    the sequential sums or a term."""
     top = int(ends[-1]) + 1
     pa = np.empty(ends.size, dtype=a.dtype)
     pl = np.empty(ends.size, dtype=a.dtype)
@@ -243,18 +226,17 @@ def _prefixes_at(a: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return pa, pl
 
 
-def batch_sums(seq: CoefficientSequence, grid) -> list[SummationValue]:
-    """Per-point A(n), S(n) for a strictly ascending grid of n values.
+def _grid_sums(seq: CoefficientSequence, grid) -> list:
+    """[A, S] along a strictly ascending grid: each the list of its values
+    or the exception its block sums raise, as :func:`block_sums` over the
+    whole prefix array gives them. :func:`batch_sums` reads both, and
+    :func:`ingham_A` and :func:`ingham_S` one each at a single n.
 
     The grid's blocks (:func:`_passes`) are laid out twice, each time for
     A and S together: once to mark their distinct ends in an int32 map
     of length max(grid) + 1, whose prefix sums one chunked pass over
     ``seq.a`` then gathers (:func:`_prefixes_at`), and once to sum them
     as :func:`block_sums` does, with the map giving each end's place.
-    The values equal per-point calls and :func:`block_sums` on the whole
-    prefix arrays bit for bit, and so does the exception, if any: A's
-    first, else S's. ``seq.prefix_a`` and ``seq.prefix_alog`` are neither
-    read nor built.
     """
     grid = [int(n) for n in grid]
     if not grid:
@@ -270,21 +252,45 @@ def batch_sums(seq: CoefficientSequence, grid) -> list[SummationValue]:
         place[ends] = 1
     ends = np.flatnonzero(place)
     place[ends] = np.arange(ends.size, dtype=np.int32)
-    pa, pl = _prefixes_at(seq.a, ends)
-    A: list[complex] = []
-    S: list[complex] = []
-    fault = None
+    prefixes = _prefixes_at(seq.a, ends)
+    sums: list = [[], []]
     for c, first, k2, q in _passes(ns):
         at = place[k2]
-        A += _pass_sums(pa[at], pa[0], c, first, q)
-        if fault is None:
-            try:
-                S += _pass_sums(pl[at], pl[0], c, first, q)
-            except (ValueError, OverflowError) as exc:
-                fault = exc
-    if fault is not None:  # raised once every A is done, as block_sums over S would be
-        raise fault
-    return [_summation_value(*v) for v in zip(grid, A, S)]
+        for i, prefix in enumerate(prefixes):
+            if isinstance(sums[i], list):
+                try:
+                    sums[i] += _pass_sums(prefix[at], prefix[0], c, first, q)
+                except (ValueError, OverflowError) as exc:
+                    sums[i] = exc
+    return sums
+
+
+def _raised(outcome):
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def batch_sums(seq: CoefficientSequence, grid) -> list[SummationValue]:
+    """Per-point A(n), S(n) for a strictly ascending grid of n values,
+    from :func:`_grid_sums`: :func:`block_sums` on the whole prefix
+    arrays bit for bit, and so is the exception, if any: A's, else S's."""
+    grid = [int(n) for n in grid]
+    A, S = map(_raised, _grid_sums(seq, grid))  # A's exception first
+    return [
+        SummationValue(n, a, s, a / n, s / (n * math.log(n)) if n > 1 else None)
+        for n, a, s in zip(grid, A, S)
+    ]
+
+
+def ingham_A(seq: CoefficientSequence, n: int) -> complex:
+    """A(n) = sum of a_k floor(n/k) over k <= n; its outcome is A's alone."""
+    return _raised(_grid_sums(seq, [n])[0])[0]
+
+
+def ingham_S(seq: CoefficientSequence, n: int) -> complex:
+    """S(n) = sum of a_k floor(n/k) log k over k <= n, S's outcome alone."""
+    return _raised(_grid_sums(seq, [n])[1])[0]
 
 
 def cumulative_sums(

@@ -40,6 +40,7 @@ from .sequences import (
     extend_completely_multiplicative,
     log_index,
     sum_over_divisors,
+    times_log,
 )
 from .sieve import SieveTable
 from .summation import _block_sum, batch_sums, ingham_A, ingham_S
@@ -169,14 +170,12 @@ def _theorem1_report(values, envelope: float) -> VerificationReport:
 
 def theorem1_report(a: CoefficientSequence, grid, envelope: float) -> VerificationReport:
     """A(n)/n against g(1 + 1/log n) along the grid, from coefficients:
-    the residual is :func:`theorem1_residual`'s, from one A(n) per n and
-    every g from one :func:`g_eval` pass; g (a truncated Dirichlet sum)
-    is not reported."""
-    means = []
-    for n in grid:
-        if n < 2:
-            raise ValueError(f"n must be >= 2, got {n}")
-        means.append(ingham_A(a, n) / n)
+    the residual is :func:`theorem1_residual`'s, from one
+    :func:`batch_sums` call for every A(n) and one :func:`g_eval` pass
+    for every g; g (a truncated Dirichlet sum) is not reported."""
+    if grid[0] < 2:
+        raise ValueError(f"n must be >= 2, got {grid[0]}")
+    means = [v.A / v.n for v in batch_sums(a, grid)]
     gs = g_eval(a, [_sigma_of(n) for n in grid], a.length)
     values = [(n, mean, None, abs(mean - g)) for n, mean, g in zip(grid, means, gs)]
     return _theorem1_report(values, envelope)
@@ -392,18 +391,29 @@ def cond2_ratio(spec: MultiplicativeSpec, table: SieveTable, n: int) -> float:
     return rsum(inner) / (n * math.log(n))
 
 
-def check_wintner(a: CoefficientSequence, n: int) -> WintnerResult:
-    """Absolute-convergence data for the mean-value limit at scale n."""
-    if not 1 <= n <= a.length:
-        raise ValueError(f"n = {n} outside [1, {a.length}]")
-    k = np.arange(1, n + 1, dtype=np.float64)
-    vals = a.a[1 : n + 1]
-    abs_sum = rsum(np.abs(vals) / k)
+def _wintner(a: CoefficientSequence, grid) -> list[WintnerResult]:
+    """:func:`check_wintner` along a strictly ascending grid: A(n) from
+    one :func:`batch_sums` call, and the terms |a_k|/k and a_k/k formed
+    once up to the grid top and summed at every n by ``csum(terms, grid)``."""
+    sums = batch_sums(a, grid)
+    vals = a.a[1 : sums[-1].n + 1]
+    k = np.arange(1, vals.size + 1, dtype=np.float64)
+    terms = np.abs(vals)
+    terms /= k
+    abs_sums = csum(terms, grid)  # rsum's values in the real parts
     # numpy divides a complex by k as by k + 0j, which rounds the real
     # part as a_k * (1/k); real storage forms the same terms.
-    target = csum(vals / k if np.iscomplexobj(vals) else vals * (1.0 / k))
-    mean = ingham_A(a, n) / n
-    return WintnerResult(abs_sum, target, mean, abs(mean - target))
+    real = not np.iscomplexobj(vals)
+    terms = np.multiply(vals, np.divide(1.0, k, out=k), out=terms) if real else vals / k
+    return [
+        WintnerResult(s.real, t, v.A / v.n, abs(v.A / v.n - t))
+        for v, s, t in zip(sums, abs_sums, csum(terms, grid))
+    ]
+
+
+def check_wintner(a: CoefficientSequence, n: int) -> WintnerResult:
+    """Absolute-convergence data for the mean-value limit at scale n."""
+    return _wintner(a, [n])[0]
 
 
 def check_axer(a: CoefficientSequence, grid) -> np.ndarray:
@@ -421,10 +431,10 @@ def check_axer(a: CoefficientSequence, grid) -> np.ndarray:
 
 def wintner_report(a: CoefficientSequence, grid) -> VerificationReport:
     """:func:`check_wintner` along the grid (no pass criterion)."""
-    rows = []
-    for n in grid:
-        res = check_wintner(a, n)
-        rows.append(ReportRow(n=n, mean=res.mean, g=res.target, residual_t1=res.residual))
+    rows = [
+        ReportRow(n=n, mean=res.mean, g=res.target, residual_t1=res.residual)
+        for n, res in zip(grid, _wintner(a, grid))
+    ]
     summary = {"max_residual": max(r.residual_t1 for r in rows)}
     return VerificationReport("verify-wintner", rows, summary)
 
@@ -457,7 +467,7 @@ def s_difference_identity(a: CoefficientSequence, table: SieveTable, M: int) -> 
     if not 2 <= M <= min(a.length, table.limit):
         raise ValueError(f"M = {M} outside [2, {min(a.length, table.limit)}]")
     divisor_sums = sum_over_divisors(a.a[: M + 1] * log_index(M))
-    prefix = a.prefix_alog
+    prefix = np.cumsum(times_log(a.a[: M + 1], log_index(M)))
     worst = 0.0
     prev = _block_sum(prefix, 1)
     for m in range(2, M + 1):
@@ -478,9 +488,10 @@ def s_decomposition_identity(a: CoefficientSequence, table: SieveTable, n: int) 
     """
     if not 2 <= n <= min(a.length, table.limit):
         raise ValueError(f"n = {n} outside [2, {min(a.length, table.limit)}]")
-    lhs = ingham_S(a, n)
+    sums = batch_sums(a, range(1, n + 1))
+    lhs = sums[-1].S
     A = np.zeros(n + 1, dtype=np.complex128)
-    A[1:] = [v.A for v in batch_sums(a, range(1, n + 1))]
+    A[1:] = [v.A for v in sums]
     k = np.arange(1, n, dtype=np.float64)
     middle = csum(A[1:n] * np.log1p(1.0 / k))
     lam = table.mangoldt_array
@@ -674,8 +685,7 @@ def difference_identity_check(
         s_values = np.cumsum(d_values)
 
     # Left side: the Dirichlet value is exact for the stored sequence.
-    # batch_sums reads a only up to n; ingham_A would build prefix_a up to N.
-    A_n = batch_sums(a, [n])[0].A
+    A_n = ingham_A(a, n)
     g = g_eval(a, sigma, K)
     S_n = complex(s_values[n])
     lhs = A_n - n * g - S_n / logn

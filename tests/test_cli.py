@@ -560,6 +560,14 @@ BAD_INPUT_COMMANDS = {
     "coefficient NaN": ["ingham", "--coeffs", str(DATA / "coeffs_nan.json"), "--n", "2"],
     "coefficient 10**400": ["ingham", "--coeffs", str(DATA / "coeffs_huge_int.json"), "--n", "2"],
     "prime value NaN": ["mean", "--spec", str(DATA / "spec_nan_prime.json"), "--n", "100"],
+    "axer envelope -1": ["verify", "axer", "--coeffs", "mu", "--n", "100,1000", "--envelope", "-1"],
+    "lemma envelope -1": ["lemma", "--envelope", "-1"],
+    "sdiff envelope -1": ["identity", "sdiff", "--coeffs", "mu", "--n", "1000", "--envelope", "-1"],
+    "difference envelope -1": [
+        "identity", "difference", "--coeffs", "mu", "--n", "10", "--truncation", "1000", "--envelope", "-1",
+    ],
+    "theorem3 envelope -1": ["verify", "theorem3", "--spec", F2ZERO, "--n", "1000", "--envelope", "-1"],
+    "theorem1 envelope 0": ["verify", "theorem1", "--coeffs", "mu", "--n", "100,1000", "--envelope", "0"],
 }
 
 # A flag that the chosen check does not read, and the flag the error names.
@@ -608,6 +616,14 @@ def test_unparsable_sigma_is_named(sigma, capsys):
     assert capsys.readouterr().err.startswith("error: --sigma: ")
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "-0.0", "-0.5"])
+def test_envelope_at_or_below_zero_is_named(value, capsys):
+    argv = ["verify", "axer", "--coeffs", "mu", "--n", "100", "--envelope", value]
+    assert main([*argv, "--out", os.devnull]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --envelope: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("case", UNREAD_FLAG_COMMANDS)
 def test_unread_flag_is_named(case, capsys):
     argv, flag = UNREAD_FLAG_COMMANDS[case]
@@ -628,6 +644,8 @@ ENVIRONMENT_CASES = (
     ("INGHAMSUM_ALPHA", "nan", ["verify", "theorem3", "--spec", F2ZERO, "--n", "1000"], 2),
     ("INGHAMSUM_TRUNCATION", "1e6", ["identity", "difference", "--coeffs", "mu", "--n", "10"], 2),
     ("INGHAMSUM_ALPHA", "x", ["mean", "--spec", F2ZERO, "--n", "1000"], 2),
+    ("INGHAMSUM_ENVELOPE", "-1", ["verify", "wintner", "--coeffs", "mu", "--n", "100,1000"], 0),
+    ("INGHAMSUM_ENVELOPE", "0", ["identity", "sdecomp", "--coeffs", "mu", "--n", "300"], 2),
 )
 
 

@@ -7,6 +7,7 @@ copies of the (0, inf) substitution and of the Euler-Maclaurin tail, and
 per-prime loops that call MultiplicativeSpec.value_at and skip f(p) = 1
 themselves."""
 
+import json
 import math
 import random
 import tracemalloc
@@ -20,9 +21,10 @@ from hypothesis import strategies as st
 import inghamsum as ig
 from inghamsum import a_from_f, accumulate, dirichlet, quadrature, sequences, summation, sum_over_divisors, verify
 from inghamsum.accumulate import csum, rsum
-from inghamsum.cli import parse_grid
+from inghamsum.cli import parse_grid, resolve_coeffs
 from inghamsum.dirichlet import _EM_COEFFS, f_t_table, ft_partial_sum
 from inghamsum.errors import SingularFactorError
+from inghamsum.report import ReportRow
 from inghamsum.sequences import CoefficientSequence, log_index, named_sequence
 from inghamsum.sieve import spf_dtype
 from inghamsum.summation import block_sums
@@ -414,6 +416,13 @@ def _same_block_sums(prefix, grid, case=""):
     assert one_point == [_block_outcome(lambda: _block_sum_ref(listed, n)) for n in grid], case
 
 
+def _seq_prefixes(seq):
+    """The whole prefix arrays of a_m and a_m log m of a sequence, with
+    the arithmetic of the prefix arrays a sequence once cached (real
+    storage stays real)."""
+    return np.cumsum(seq.a), np.cumsum(sequences.times_log(seq.a, log_index(seq.length)))
+
+
 def _unit_prefix(n, rng):
     a = np.exp(2j * np.pi * rng.random(n + 1))
     a[0] = 0
@@ -433,10 +442,9 @@ def test_block_sums_near_squares(rng):
 
 
 def test_block_sums_mobius_grid(table_big):
-    seq = named_sequence("mu", 10**6, table_big)
     grid = parse_grid("1e3:1e6:x1.002")
-    _same_block_sums(seq.prefix_a, grid)
-    _same_block_sums(seq.prefix_alog, grid)
+    for prefix in _seq_prefixes(named_sequence("mu", 10**6, table_big)):
+        _same_block_sums(prefix, grid)
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64, 1000])
@@ -514,18 +522,16 @@ def test_block_sums_rejects_points_outside_the_prefix():
 
 def _same_batch_sums(a, grid, case=""):
     """batch_sums on a fresh sequence of the index-aligned coefficients a
-    against block_sums over its whole lazily built prefix arrays: every A,
-    then every S, bit for bit, or the same exception."""
+    against block_sums over its whole prefix arrays: every A, then every
+    S, bit for bit, or the same exception."""
     seq = CoefficientSequence.from_index_aligned(a)
 
     def streamed():
         values = ig.batch_sums(seq, grid)
         return [v.A for v in values] + [v.S for v in values]
 
-    got = _block_outcome(streamed)
-    assert "prefix_a" not in vars(seq) and "prefix_alog" not in vars(seq), case
-    expected = _block_outcome(lambda: block_sums(seq.prefix_a, grid) + block_sums(seq.prefix_alog, grid))
-    assert got == expected, case
+    pa, pl = _seq_prefixes(seq)
+    assert _block_outcome(streamed) == _block_outcome(lambda: block_sums(pa, grid) + block_sums(pl, grid)), case
 
 
 BATCH_GRIDS = ([1], [2], [600], range(1, 601), [5, 77, 78, 400, 599, 600])
@@ -576,7 +582,7 @@ def test_batch_sums_inf_nan_and_overflow(rng, monkeypatch):
         a = np.random.default_rng(seed).standard_normal(n + 1) * 1e306
         a[150], a[151] = 1e308, -1e308
         seq = CoefficientSequence.from_index_aligned(a)
-        for prefix, first in ((seq.prefix_a, first_a), (seq.prefix_alog, first_s)):
+        for prefix, first in zip(_seq_prefixes(seq), (first_a, first_s)):
             fails = [m for m in range(1, n + 1) if _block_outcome(lambda: block_sums(prefix, [m])) is OverflowError]
             assert fails[:1] == ([first] if first else []), seed
         for blocks in (64, 1 << 14):
@@ -591,6 +597,139 @@ def test_batch_sums_dense_grid_at_1e6(name, table_big):
     _same_batch_sums(seq.a, [999_983, 10**6], name)
 
 
+def _same_one_point_sums(a, points, case=""):
+    """ingham_A and ingham_S at each point against _block_sum over the
+    whole prefix arrays: bit for bit, or the same exception, each with
+    its own outcome whatever the other sum does."""
+    seq = CoefficientSequence.from_index_aligned(a)
+    for fn, prefix in zip((ig.ingham_A, ig.ingham_S), _seq_prefixes(seq)):
+        for n in points:
+            expected = _block_outcome(lambda: summation._block_sum(prefix, n))
+            assert _block_outcome(lambda: fn(seq, n)) == expected, (case, fn.__name__, n)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the inf and nan inputs
+def test_one_point_sums_match_block_sum_over_whole_prefixes(rng, monkeypatch):
+    monkeypatch.setattr(summation, "_CHUNK_TERMS", 16)
+    n = 300
+    points = (1, 2, 15, 16, 17, 97, 150, 151, 299, n)
+    real = rng.standard_normal(n + 1)
+    base = np.exp(2j * np.pi * rng.random(n + 1))
+    _same_one_point_sums(real, points, "real")
+    _same_one_point_sums(base, points, "complex")
+    for case, a in _zero_runs(40, rng):
+        _same_one_point_sums(a, range(1, 41), case)
+    specials = ((math.inf, 0.0), (-math.inf, 0.0), (0.0, math.inf), (math.nan, 0.0), (1e308, -1e308), (2.0**960, 0.0))
+    for re, im in specials:
+        for at in (1, 16, 17, n):
+            a = base.copy()
+            a[at] = complex(re, im)
+            _same_one_point_sums(a, (at, at + 1, n) if at < n else (n,), (re, im, at))
+            if im == 0.0:
+                _same_one_point_sums(a.real.copy(), (at, n), (re, at, "real"))
+    _same_one_point_sums(base * 1e305, points, "terms overflow")
+    _same_one_point_sums(base.real * 1e307, points, "prefixes overflow")
+
+
+def test_one_point_sums_keep_their_own_outcome():
+    # Only S overflows from n = 216 on, while A gives values: batch_sums
+    # raises S's OverflowError, and ingham_A still gives A(n).
+    n = 300
+    a = np.random.default_rng(0).standard_normal(n + 1) * 1e306
+    a[150], a[151] = 1e308, -1e308
+    _same_one_point_sums(a, (215, 216, n), "only S overflows")
+    seq = CoefficientSequence.from_index_aligned(a)
+    with pytest.raises(OverflowError):
+        ig.batch_sums(seq, [n])
+    assert ig.ingham_A(seq, n) == summation._block_sum(_seq_prefixes(seq)[0], n)
+    # Only A overflows at n = 2 (8e307 * 2 + 8e307), while S(2) is finite.
+    a = np.array([0.0, 8e307, 8e307])
+    _same_one_point_sums(a, (1, 2), "only A overflows")
+    seq = CoefficientSequence.from_index_aligned(a)
+    with pytest.raises(OverflowError):
+        ig.ingham_A(seq, 2)
+    assert ig.ingham_S(seq, 2) == complex(8e307 * math.log(2), 0.0)
+
+
+# -- grid readers of A(n): theorem1 and wintner -----------------------------
+
+
+def _theorem1_report_ref(a, grid, envelope):
+    """theorem1_report with one A(n) per n, from _block_sum over the whole
+    prefix array."""
+    prefix = _seq_prefixes(a)[0]
+    means = []
+    for n in grid:
+        if n < 2:
+            raise ValueError(f"n must be >= 2, got {n}")
+        means.append(summation._block_sum(prefix, n) / n)
+    gs = ig.g_eval(a, [1.0 + 1.0 / math.log(n) for n in grid], a.length)
+    values = [(n, mean, None, abs(mean - g)) for n, mean, g in zip(grid, means, gs)]
+    return verify._theorem1_report(values, envelope)
+
+
+def _check_wintner_ref(a, prefix, n):
+    """check_wintner at one point: its own terms up to n, and A(n) from
+    _block_sum over the whole prefix array."""
+    if not 1 <= n <= a.length:
+        raise ValueError(f"n = {n} outside [1, {a.length}]")
+    k = np.arange(1, n + 1, dtype=np.float64)
+    vals = a.a[1 : n + 1]
+    abs_sum = rsum(np.abs(vals) / k)
+    target = csum(vals / k if np.iscomplexobj(vals) else vals * (1.0 / k))
+    mean = summation._block_sum(prefix, n) / n
+    return verify.WintnerResult(abs_sum, target, mean, abs(mean - target))
+
+
+def _report_bytes(report):
+    return b"".join(report.chunks("json")) + b"".join(report.chunks("csv"))
+
+
+def _grid_reader_sequences(table, tmp_path, n):
+    values = np.random.default_rng(16).standard_normal((n, 2))
+    values /= np.maximum(np.hypot(values[:, 0], values[:, 1]), 1.0)[:, None]
+    path = tmp_path / "coeffs.json"
+    path.write_text(json.dumps({"type": "coefficients", "values": values.tolist()}))
+    yield "mu", named_sequence("mu", n, table)
+    yield "inverse-squares", named_sequence("inverse-squares", n, table)
+    yield "coefficient file", resolve_coeffs(str(path), n, table)
+
+
+@pytest.mark.parametrize("chunk", [None, 4096])
+def test_theorem1_and_wintner_match_per_point_readers(chunk, table_medium, tmp_path, monkeypatch):
+    if chunk is not None:  # grid points fall on chunk edges of both passes
+        monkeypatch.setattr(summation, "_CHUNK_TERMS", chunk)
+        monkeypatch.setattr(accumulate, "_CHUNK", chunk)
+    n = 60_000
+    sparse = [2, 3, 97, 1000, 4096, 4097, 59_999, n]
+    for name, seq in _grid_reader_sequences(table_medium, tmp_path, n):
+        prefix = _seq_prefixes(seq)[0]
+        for grid in ([1], [2], [n], [1, 2, 3], sparse, [1, *sparse], parse_grid(f"1:{n}:x1.05")):
+            case = (name, grid[:3], len(grid))
+            ref = [_check_wintner_ref(seq, prefix, m) for m in grid]
+            assert _bits(verify._wintner(seq, grid)) == _bits(ref), case
+            assert _bits(ig.check_wintner(seq, grid[-1])) == _bits(ref[-1]), case
+            rows = [ReportRow(n=m, mean=r.mean, g=r.target, residual_t1=r.residual) for m, r in zip(grid, ref)]
+            expected = verify.VerificationReport("verify-wintner", rows, {"max_residual": max(r.residual for r in ref)})
+            assert _report_bytes(verify.wintner_report(seq, grid)) == _report_bytes(expected), case
+            if grid[0] < 2:
+                with pytest.raises(ValueError, match="n must be >= 2"):
+                    verify.theorem1_report(seq, grid, 0.6)
+                continue
+            got = verify.theorem1_report(seq, grid, 0.6)
+            assert _report_bytes(got) == _report_bytes(_theorem1_report_ref(seq, grid, 0.6)), case
+
+
+@pytest.mark.parametrize("name", ["mu", "inverse-squares"])
+def test_wintner_at_every_n_matches_per_point_reader(name, table_small):
+    # a_k / k and a_k * (1/k) round apart for a few k, which changes the
+    # rounded sum at some n: every n to 3000 shows which one is formed.
+    seq = named_sequence(name, 3000, table_small)
+    prefix = _seq_prefixes(seq)[0]
+    ref = [_check_wintner_ref(seq, prefix, m) for m in range(1, 3001)]
+    assert _bits(verify._wintner(seq, range(1, 3001))) == _bits(ref)
+
+
 # -- sequence prefixes and the F_t partial sum ----------------------------
 
 
@@ -598,6 +737,11 @@ def _prefixes_ref(a):
     a = np.array(a, dtype=np.complex128)
     a[0] = 0
     return np.cumsum(a), np.cumsum(a * log_index(a.size - 1))
+
+
+def _gathered(seq):
+    """The prefix sums that batch_sums gathers, read at every end 0..N."""
+    return summation._prefixes_at(seq.a, np.arange(seq.length + 1))
 
 
 def test_sequence_prefixes_match_complex_formulas(table_medium, rng):
@@ -609,13 +753,13 @@ def test_sequence_prefixes_match_complex_formulas(table_medium, rng):
             a[rng.random(n + 1) < 0.1] = complex(-0.0, -0.0)
             for seq in (CoefficientSequence.from_index_aligned(a), CoefficientSequence.from_values(a[1:])):
                 pa, pl = _prefixes_ref(np.concatenate([[0j], a[1:]]))
-                _same_bits(seq.prefix_a, pa)
-                _same_bits(seq.prefix_alog, pl)
-    # mu is stored real: its arrays are the real parts of the complex
+                for got, ref in zip(_gathered(seq), (pa, pl)):
+                    _same_bits(got, ref)
+    # mu is stored real: its sums are the real parts of the complex
     # formulas, whose imaginary parts are all +0.0.
     mu = table_medium.mobius_array
     seq = named_sequence("mu", 10**5, table_medium)
-    for got, ref in zip((seq.a, seq.prefix_a, seq.prefix_alog), (mu.astype(np.complex128), *_prefixes_ref(mu))):
+    for got, ref in zip((seq.a, *_gathered(seq)), (mu.astype(np.complex128), *_prefixes_ref(mu))):
         assert got.dtype == np.float64
         assert np.array_equal(got.view(np.uint64), np.ascontiguousarray(ref.real).view(np.uint64))
         assert np.array_equal(np.ascontiguousarray(ref.imag).view(np.uint64), np.zeros(ref.size, np.uint64))
@@ -909,7 +1053,7 @@ def test_liouville_matches_complex_extension(chunk, table_medium, monkeypatch):
         got = named_sequence("liouville", n, table_medium)
         ref = _complex_builtin("liouville", n, table_medium)
         assert got.a.dtype == np.float64
-        for g, r in ((got.a, ref.a), (got.prefix_a, ref.prefix_a), (got.prefix_alog, ref.prefix_alog)):
+        for g, r in zip((got.a, *_gathered(got)), (ref.a, *_gathered(ref))):
             assert np.array_equal(g.view(np.uint64), r.real.view(np.uint64)), n
 
 

@@ -17,6 +17,7 @@ from inghamsum import (
     f_from_a,
     named_sequence,
     sum_over_divisors,
+    summation,
 )
 
 from conftest import cli_peak_rss, trial_totient
@@ -36,11 +37,13 @@ def test_from_values_shape_and_prefixes(rng):
     assert seq.length == 50
     assert seq.a[0] == 0
     np.testing.assert_allclose(seq.values(), vals)
+    # The prefix sums that batch_sums gathers from seq.a, at every end.
+    prefix_a, prefix_alog = summation._prefixes_at(seq.a, np.arange(51))
     for k in (1, 7, 50):
-        assert seq.prefix_a[k] == pytest.approx(vals[:k].sum(), rel=1e-12)
+        assert prefix_a[k] == pytest.approx(vals[:k].sum(), rel=1e-12)
         expected = sum(vals[j - 1] * math.log(j) for j in range(1, k + 1))
-        assert seq.prefix_alog[k] == pytest.approx(expected, rel=1e-12, abs=1e-12)
-    assert seq.prefix_alog[1] == 0
+        assert prefix_alog[k] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    assert prefix_alog[1] == 0
 
 
 def test_from_values_rejects_empty():
@@ -218,18 +221,6 @@ def test_spec_bound_check_rejects_nan():
         MultiplicativeSpec(cutoff=100, default=complex(0, nan))
 
 
-def test_prefix_arrays_are_built_on_first_read(table_small):
-    seq = named_sequence("mu", 3000, table_small)
-    assert "prefix_a" not in vars(seq) and "prefix_alog" not in vars(seq)
-    ig.batch_sums(seq, [10, 999, 3000])
-    ig.difference_identity_check(seq, table_small, 10, 3000)
-    assert "prefix_a" not in vars(seq) and "prefix_alog" not in vars(seq)
-    assert ig.ingham_A(seq, 3000) == 1
-    assert "prefix_a" in vars(seq) and "prefix_alog" not in vars(seq)
-    assert seq.prefix_a is seq.prefix_a and not seq.prefix_a.flags.writeable
-    assert not seq.prefix_alog.flags.writeable
-
-
 def test_spec_value_at(table_small):
     spec = MultiplicativeSpec({2: 0.5j}, cutoff=10, default=-1.0)
     assert spec.value_at(2) == 0.5j
@@ -262,6 +253,31 @@ def test_theorem2_mu_peak_memory_grows_by_at_most_16_bytes_per_integer():
     for (lo, hi), (a, b) in zip(zip(limits, limits[1:]), zip(peaks, peaks[1:])):
         growth = (b - a) / (hi - lo)
         assert growth <= 16, (lo, hi, growth)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB is Linux behaviour")
+def test_theorem1_mu_peak_memory_grows_by_at_most_16_bytes_per_integer():
+    limits = (100_000, 200_000, 400_000)
+    argvs = [["verify", "theorem1", "--coeffs", "mu", "--n", f"1000,{n}", "--format", "json"] for n in limits]
+    peaks = cli_peak_rss(SRC, argvs)
+    # A(n) per point from the cached prefix_a grew by 18-19 bytes per
+    # integer; one batch_sums call, which gathers the block ends, by 7-10.
+    for (lo, hi), (a, b) in zip(zip(limits, limits[1:]), zip(peaks, peaks[1:])):
+        growth = (b - a) / (hi - lo)
+        assert growth <= 16, (lo, hi, growth)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB is Linux behaviour")
+def test_wintner_mu_peak_memory_grows_by_at_most_28_bytes_per_integer():
+    limits = (100_000, 200_000, 400_000)
+    argvs = [["verify", "wintner", "--coeffs", "mu", "--n", f"1000,{n}", "--format", "json"] for n in limits]
+    peaks = cli_peak_rss(SRC, argvs)
+    # Per-point terms up to each n and the cached prefix_a grew by 30-33
+    # bytes per integer; the terms formed once and read at every n, with
+    # A(n) from batch_sums, by 22-25.
+    for (lo, hi), (a, b) in zip(zip(limits, limits[1:]), zip(peaks, peaks[1:])):
+        growth = (b - a) / (hi - lo)
+        assert growth <= 28, (lo, hi, growth)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB is Linux behaviour")
