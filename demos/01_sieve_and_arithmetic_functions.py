@@ -1,7 +1,8 @@
 """Sieve-backed arithmetic functions: primes, mu, Lambda, Psi and friends.
 
-One smallest-prime-factor table drives everything: factorization, the
-Mobius and von Mangoldt functions, the Chebyshev function Psi(x), the
+One sieve drives everything: the primes it keeps, and the tables built
+from them on first read, give factorization (through the
+smallest-prime-factor table), the Mobius and von Mangoldt functions, the Chebyshev function Psi(x), the
 deviation Delta(x, y) = Psi(y) - Psi(x) - (y - x), divisor enumeration
 and the partial sums of mu(d)/d (which famously never leave [-1, 1]).
 """

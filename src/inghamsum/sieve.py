@@ -1,11 +1,14 @@
 """Sieve-backed arithmetic functions.
 
-A single smallest-prime-factor (SPF) table drives everything downstream:
-factorization, the Mobius function mu(m), the von Mangoldt function
-Lambda(m), the Chebyshev function Psi(x), divisor enumeration and partial
-sums of mu(d)/d. Derived arrays are built lazily and cached on the table,
-so the cost of e.g. a Psi prefix array is paid once even when a
-verification grid issues thousands of queries.
+One sieve drives everything downstream: factorization, the Mobius
+function mu(m), the von Mangoldt function Lambda(m), the Chebyshev
+function Psi(x), divisor enumeration and partial sums of mu(d)/d. The
+build keeps only the ascending primes, from a bool sieve over the odd
+numbers. Every other array, the smallest-prime-factor (SPF) table
+included, is built lazily from the primes and cached on the table, so
+a command pays only for what it reads, and the cost of e.g. a Psi
+prefix array is paid once even when a verification grid issues
+thousands of queries.
 
 The table is immutable after construction (the backing arrays are marked
 read-only) and safe to share between threads.
@@ -19,40 +22,62 @@ import numpy as np
 
 from .errors import CapacityError
 
-# Default cap keeps the int32 SPF array around 0.4 GB.
+# Default cap: the build itself holds a 50 MB odd-only bool sieve and
+# 46 MB of primes here, but the int32 SPF table, built on first read,
+# is 0.4 GB and mobius_array 0.1 GB.
 DEFAULT_CAPACITY = 100_000_000
 
 
 class SieveTable:
-    """Smallest-prime-factor table up to ``limit`` with derived arrays.
+    """The primes up to ``limit`` with arrays derived from them on first
+    read. Only :func:`build_sieve` constructs it.
 
     Attributes:
         limit: Largest integer covered by the table.
-        spf: spf[m] = smallest prime factor of m (m >= 2), 0 at m = 0, 1;
-            int32 below 2**31 and int64 above (:func:`spf_dtype`).
         primes: ascending int64 array of all primes <= limit.
+        spf: (lazy) spf[m] = smallest prime factor of m (m >= 2), 0 at
+            m = 0, 1; int32 below 2**31 and int64 above (:func:`spf_dtype`).
     """
 
     __slots__ = (
         "limit",
-        "spf",
         "primes",
+        "_spf",
         "_mobius_arr",
         "_mangoldt_arr",
         "_psi_prefix",
         "_mu_over_d_prefix",
     )
 
-    def __init__(self, limit: int, spf: np.ndarray, primes: np.ndarray):
+    def __init__(self, limit: int, primes: np.ndarray):
         self.limit = limit
-        self.spf = spf
         self.primes = primes
+        self._spf = None
         self._mobius_arr = None
         self._mangoldt_arr = None
         self._psi_prefix = None
         self._mu_over_d_prefix = None
 
     # -- derived arrays (lazy, cached) ----------------------------------
+
+    @property
+    def spf(self) -> np.ndarray:
+        """The smallest-prime-factor table (see the class attributes).
+
+        Walked in descending order, each prime p <= sqrt(limit) stores p
+        on its multiples from p^2 up, so the smallest prime factor of
+        every composite is written last; then each prime stores itself.
+        """
+        if self._spf is None:
+            n = self.limit
+            spf = np.zeros(n + 1, dtype=spf_dtype(n))
+            split = int(np.searchsorted(self.primes, math.isqrt(n), "right"))
+            for p in self.primes[:split][::-1].tolist():
+                spf[p * p :: p] = p
+            spf[self.primes] = self.primes
+            spf.flags.writeable = False
+            self._spf = spf
+        return self._spf
 
     @property
     def mobius_array(self) -> np.ndarray:
@@ -239,10 +264,10 @@ def hyperbola_cofactors(big: np.ndarray, n: int):
 def build_sieve(limit: int, max_limit: int = DEFAULT_CAPACITY) -> SieveTable:
     """Build a :class:`SieveTable` covering 2..limit.
 
-    The primes p <= sqrt(limit) come from a small sieve of their own.
-    Walked in descending order, each stores p on its multiples from p^2
-    up, so the smallest prime factor of every composite is written last;
-    the unmarked entries from 2 up are the primes. Raises
+    The odd primes p <= sqrt(limit) come from a small sieve of their own
+    and strike their odd multiples from p^2 up in a bool sieve over the
+    odd numbers; what is left, with 2, are the primes. The SPF table is
+    not built here (:attr:`SieveTable.spf`). Raises
     :class:`CapacityError` outside [2, max_limit].
     """
     if limit < 2 or limit > max_limit:
@@ -253,12 +278,14 @@ def build_sieve(limit: int, max_limit: int = DEFAULT_CAPACITY) -> SieveTable:
     for i in range(2, math.isqrt(root) + 1):
         if small[i]:
             small[i * i :: i] = False
-    spf = np.zeros(limit + 1, dtype=spf_dtype(limit))
-    for p in np.flatnonzero(small)[::-1].tolist():
-        spf[p * p :: p] = p
-    primes = np.flatnonzero(spf[2:] == 0).astype(np.int64)
-    primes += 2
-    spf[primes] = primes
-    spf.flags.writeable = False
+    odd = np.ones((limit + 1) // 2, dtype=bool)  # odd[i]: is 2i + 1 prime
+    odd[0] = False
+    for p in np.flatnonzero(small)[1:].tolist():
+        odd[p * p // 2 :: p] = False
+    primes = np.empty(int(np.count_nonzero(odd)) + 1, dtype=np.int64)
+    primes[0] = 2
+    primes[1:] = np.flatnonzero(odd)
+    primes[1:] *= 2
+    primes[1:] += 1
     primes.flags.writeable = False
-    return SieveTable(limit, spf, primes)
+    return SieveTable(limit, primes)

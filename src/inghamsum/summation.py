@@ -192,49 +192,64 @@ def _check_point(seq: CoefficientSequence, n: int) -> None:
         raise ValueError(f"n = {n} outside [1, {seq.length}]")
 
 
-def _prefixes_at(a: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The prefix sums of a_m and of a_m log m at the ascending ends,
-    bit for bit those of ``np.cumsum(a)`` and ``np.cumsum(times_log(a,
-    log_index(N)))``, from one pass over a up to ends[-1] in chunks of
-    _CHUNK_TERMS. Each chunk is a cumulative sum seeded with the value
-    carried from the chunk before, and its terms a_m log m come from
-    :func:`sequences.times_log` with log m per chunk; neither changes
-    the sequential sums or a term."""
+def _cumsums_at(ends: np.ndarray, *terms) -> list[np.ndarray]:
+    """For each ``terms(lo, hi)``, which gives its terms at m = lo..hi-1,
+    the prefix sums from m = 0 at the ascending ``ends``, bit for bit
+    those of ``np.cumsum`` over the whole term array, from one pass up
+    to ends[-1] in chunks of _CHUNK_TERMS. Each chunk is a cumulative
+    sum seeded with the value carried from the chunk before, which does
+    not change the sequential sums."""
     top = int(ends[-1]) + 1
-    pa = np.empty(ends.size, dtype=a.dtype)
-    pl = np.empty(ends.size, dtype=a.dtype)
-    run_a = np.empty(_CHUNK_TERMS + 1, dtype=a.dtype)
-    run_l = np.empty(_CHUNK_TERMS + 1, dtype=a.dtype)
-    run_a[0] = run_l[0] = 0
+    out: list[np.ndarray] = []
+    runs: list[np.ndarray] = []
     done = 0
     for lo in range(0, top, _CHUNK_TERMS):
         hi = min(lo + _CHUNK_TERMS, top)
         m = hi - lo
-        run_a[1 : m + 1] = a[lo:hi]
+        upto = int(np.searchsorted(ends, hi))
+        at = ends[done:upto] - (lo - 1)
+        for i, fn in enumerate(terms):
+            chunk = fn(lo, hi)
+            if not lo:
+                out.append(np.empty(ends.size, dtype=chunk.dtype))
+                runs.append(np.zeros(_CHUNK_TERMS + 1, dtype=chunk.dtype))
+            run = runs[i]
+            run[1 : m + 1] = chunk
+            np.cumsum(run[: m + 1], out=run[: m + 1])
+            out[i][done:upto] = run[at]
+            run[0] = run[m]
+        done = upto
+    return out
+
+
+def _prefixes_at(a: np.ndarray, ends: np.ndarray, parts: str = "AS") -> list[np.ndarray]:
+    """The prefix sums at the ascending ends of a_m (part "A") and of
+    a_m log m (part "S"), one array per letter of ``parts``, bit for bit
+    those of ``np.cumsum(a)`` and ``np.cumsum(times_log(a,
+    log_index(N)))``, from one chunked pass (:func:`_cumsums_at`). The
+    terms a_m log m come from :func:`sequences.times_log` with log m per
+    chunk, which gives the same bits as the whole array."""
+
+    def alog(lo, hi):
         log = np.arange(lo, hi, dtype=np.float64)
         if lo == 0:
             log[0] = 1.0  # log 1 = 0 in the unused slot 0, as log_index has
-        run_l[1 : m + 1] = times_log(a[lo:hi], np.log(log, out=log))
-        np.cumsum(run_a[: m + 1], out=run_a[: m + 1])
-        np.cumsum(run_l[: m + 1], out=run_l[: m + 1])
-        upto = int(np.searchsorted(ends, hi))
-        at = ends[done:upto] - (lo - 1)
-        pa[done:upto] = run_a[at]
-        pl[done:upto] = run_l[at]
-        done = upto
-        run_a[0], run_l[0] = run_a[m], run_l[m]
-    return pa, pl
+        return times_log(a[lo:hi], np.log(log, out=log))
+
+    fns = {"A": lambda lo, hi: a[lo:hi], "S": alog}
+    return _cumsums_at(ends, *(fns[p] for p in parts))
 
 
-def _grid_sums(seq: CoefficientSequence, grid) -> list:
-    """[A, S] along a strictly ascending grid: each the list of its values
-    or the exception its block sums raise, as :func:`block_sums` over the
-    whole prefix array gives them. :func:`batch_sums` reads both, and
-    :func:`ingham_A` and :func:`ingham_S` one each at a single n.
+def _grid_sums(seq: CoefficientSequence, grid, parts: str = "AS") -> list:
+    """The sums named by ``parts`` ("A", "S" or "AS") along a strictly
+    ascending grid: each the list of its values or the exception its
+    block sums raise, as :func:`block_sums` over the whole prefix array
+    gives them. :func:`batch_sums` reads both, and :func:`ingham_A` and
+    :func:`ingham_S` compute only their own at a single n.
 
     The grid's blocks (:func:`_passes`) are laid out twice, each time for
-    A and S together: once to mark their distinct ends in an int32 map
-    of length max(grid) + 1, whose prefix sums one chunked pass over
+    all the parts together: once to mark their distinct ends in an int32
+    map of length max(grid) + 1, whose prefix sums one chunked pass over
     ``seq.a`` then gathers (:func:`_prefixes_at`), and once to sum them
     as :func:`block_sums` does, with the map giving each end's place.
     """
@@ -252,8 +267,8 @@ def _grid_sums(seq: CoefficientSequence, grid) -> list:
         place[ends] = 1
     ends = np.flatnonzero(place)
     place[ends] = np.arange(ends.size, dtype=np.int32)
-    prefixes = _prefixes_at(seq.a, ends)
-    sums: list = [[], []]
+    prefixes = _prefixes_at(seq.a, ends, parts)
+    sums: list = [[] for _ in parts]
     for c, first, k2, q in _passes(ns):
         at = place[k2]
         for i, prefix in enumerate(prefixes):
@@ -285,12 +300,12 @@ def batch_sums(seq: CoefficientSequence, grid) -> list[SummationValue]:
 
 def ingham_A(seq: CoefficientSequence, n: int) -> complex:
     """A(n) = sum of a_k floor(n/k) over k <= n; its outcome is A's alone."""
-    return _raised(_grid_sums(seq, [n])[0])[0]
+    return _raised(_grid_sums(seq, [n], "A")[0])[0]
 
 
 def ingham_S(seq: CoefficientSequence, n: int) -> complex:
     """S(n) = sum of a_k floor(n/k) log k over k <= n, S's outcome alone."""
-    return _raised(_grid_sums(seq, [n])[1])[0]
+    return _raised(_grid_sums(seq, [n], "S")[0])[0]
 
 
 def cumulative_sums(

@@ -43,7 +43,7 @@ from .sequences import (
     times_log,
 )
 from .sieve import SieveTable
-from .summation import _block_sum, batch_sums, ingham_A, ingham_S
+from .summation import _block_sum, _cumsums_at, batch_sums, ingham_A, ingham_S
 
 # Empirical envelope for the five f_t estimate families; the measured
 # suprema over the reference grid stay below 1.1 (see the acceptance
@@ -417,7 +417,11 @@ def check_wintner(a: CoefficientSequence, n: int) -> WintnerResult:
 
 
 def check_axer(a: CoefficientSequence, grid) -> np.ndarray:
-    """Ratios sum_{k<=n} |a_k| / n along the grid (boundedness check)."""
+    """Ratios sum_{k<=n} |a_k| / n along the grid (boundedness check).
+
+    The sums are a running sum of |a_k| over chunks, read at the grid
+    points (:func:`summation._cumsums_at`): the bits of
+    ``np.cumsum(np.abs(a.a))[grid]`` without an N-length array."""
     grid = np.asarray([int(n) for n in grid])
     if grid.size == 0:
         raise ValueError("empty grid")
@@ -425,8 +429,8 @@ def check_axer(a: CoefficientSequence, grid) -> np.ndarray:
         raise ValueError("grid must be strictly ascending")
     if grid[0] < 1 or grid[-1] > a.length:
         raise ValueError(f"grid outside [1, {a.length}]")
-    prefix_abs = np.cumsum(np.abs(a.a))
-    return prefix_abs[grid] / grid
+    (prefix_abs,) = _cumsums_at(grid, lambda lo, hi: np.abs(a.a[lo:hi]))
+    return prefix_abs / grid
 
 
 def wintner_report(a: CoefficientSequence, grid) -> VerificationReport:

@@ -730,6 +730,27 @@ def test_wintner_at_every_n_matches_per_point_reader(name, table_small):
     assert _bits(verify._wintner(seq, range(1, 3001))) == _bits(ref)
 
 
+def _check_axer_ref(a, grid):
+    """check_axer from the whole prefix array of |a_k|."""
+    grid = np.asarray([int(n) for n in grid])
+    prefix_abs = np.cumsum(np.abs(a.a))
+    return prefix_abs[grid] / grid
+
+
+@pytest.mark.parametrize("chunk", [None, 4096])
+def test_axer_matches_whole_prefix_array(chunk, table_medium, tmp_path, monkeypatch):
+    if chunk is not None:  # grid points fall on chunk edges
+        monkeypatch.setattr(summation, "_CHUNK_TERMS", chunk)
+    n = 60_000
+    sparse = [2, 3, 97, 1000, 4095, 4096, 4097, 59_999, n]
+    seqs = [("liouville", named_sequence("liouville", n, table_medium)), *_grid_reader_sequences(table_medium, tmp_path, n)]
+    for name, seq in seqs:
+        for grid in ([1], [n], [1, 2, 3], sparse, [1, *sparse], parse_grid(f"1:{n}:x1.05"), range(1, n + 1)):
+            got = ig.check_axer(seq, grid)
+            assert got.dtype == np.float64, name
+            assert _bits(got) == _bits(_check_axer_ref(seq, grid)), (name, len(grid))
+
+
 # -- sequence prefixes and the F_t partial sum ----------------------------
 
 
@@ -742,6 +763,18 @@ def _prefixes_ref(a):
 def _gathered(seq):
     """The prefix sums that batch_sums gathers, read at every end 0..N."""
     return summation._prefixes_at(seq.a, np.arange(seq.length + 1))
+
+
+def test_prefixes_of_one_part_match_both_parts(table_medium, rng, monkeypatch):
+    monkeypatch.setattr(summation, "_CHUNK_TERMS", 4096)
+    n = 20_000
+    ends = np.unique(rng.integers(0, n + 1, 500))
+    for a in (named_sequence("mu", n, table_medium).a, _input("dense-complex", n, rng).astype(np.complex128)):
+        both = summation._prefixes_at(a, ends)
+        assert [p.dtype for p in both] == [a.dtype, a.dtype]
+        for part, ref in zip("AS", both):
+            (got,) = summation._prefixes_at(a, ends, part)
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), part
 
 
 def test_sequence_prefixes_match_complex_formulas(table_medium, rng):

@@ -281,6 +281,19 @@ def test_wintner_mu_peak_memory_grows_by_at_most_28_bytes_per_integer():
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB is Linux behaviour")
+def test_axer_mu_peak_memory_grows_by_at_most_16_bytes_per_integer():
+    limits = (100_000, 200_000, 400_000)
+    argvs = [["verify", "axer", "--coeffs", "mu", "--n", f"1000,{n}", "--format", "json"] for n in limits]
+    peaks = cli_peak_rss(SRC, argvs)
+    # np.cumsum(np.abs(a)) over the whole sequence grew by about 24.5
+    # bytes per integer; a running sum over chunks read at the grid
+    # points holds no N-length array but the sequence.
+    for (lo, hi), (a, b) in zip(zip(limits, limits[1:]), zip(peaks, peaks[1:])):
+        growth = (b - a) / (hi - lo)
+        assert growth <= 16, (lo, hi, growth)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB is Linux behaviour")
 def test_ingham_liouville_peak_memory_grows_by_at_most_20_bytes_per_integer():
     limits = (100_000, 200_000, 400_000)
     argvs = [["ingham", "--coeffs", "liouville", "--n", f"1000,{n}", "--format", "json"] for n in limits]
@@ -295,14 +308,16 @@ def test_ingham_liouville_peak_memory_grows_by_at_most_20_bytes_per_integer():
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB is Linux behaviour")
-def test_theorem1_spec_peak_memory_grows_by_at_most_27_bytes_per_integer():
+def test_theorem1_spec_peak_memory_grows_by_at_most_22_bytes_per_integer():
     limits = (100_000, 200_000, 400_000)
     spec = Path(__file__).resolve().parent / "data" / "f2zero.json"
     argvs = [["verify", "theorem1", "--spec", str(spec), "--grid", f"1000,{n}", "--format", "json"] for n in limits]
     peaks = cli_peak_rss(SRC, argvs)
     # An int64 SPF table built beside an int64 index array, and a csum
     # that copied the real part of a complex array whole, grew by 31-37
-    # bytes per integer; an int32 table and chunk-wise copies take 20-22.
+    # bytes per integer; an int32 table and chunk-wise copies took 20-22,
+    # and a sieve that builds its SPF table only when it is read, which
+    # this command never does, takes about 16.
     for (lo, hi), (a, b) in zip(zip(limits, limits[1:]), zip(peaks, peaks[1:])):
         growth = (b - a) / (hi - lo)
-        assert growth <= 27, (lo, hi, growth)
+        assert growth <= 22, (lo, hi, growth)

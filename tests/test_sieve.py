@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from inghamsum import CapacityError, build_sieve
+from inghamsum.dirichlet import f_t_table
+from inghamsum.sequences import named_sequence
 
 from conftest import trial_divisors, trial_mangoldt, trial_mobius, trial_primes
 
@@ -31,6 +33,19 @@ def test_spf_matches_trial_division():
         p = int(t.spf[m])
         assert m % p == 0
         assert all(m % q for q in range(2, p))
+
+
+def test_build_keeps_no_spf_table_until_it_is_read():
+    for n in (2, 97, 10_000):
+        t = build_sieve(n)
+        assert t._spf is None
+        t.mobius_array, t.mangoldt_array, t.psi_prefix
+        f_t_table(t, 1.0, n)
+        named_sequence("mu", n, t)
+        assert t._spf is None, n
+        spf = t.spf
+        assert t._spf is spf and t.spf is spf and t.spf is spf, n
+        assert not spf.flags.writeable
 
 
 def test_primes_ascending_and_membership():
