@@ -12,8 +12,10 @@ and rounds once with ``math.fsum`` over the nonzero bucket sums. Their
 exact total is the exact total of the terms, so the correctly rounded
 result is the same value. :class:`ExactSum` keeps the running bucket
 sums, so a caller can form its terms chunk by chunk and still get the
-value ``math.fsum`` gives over all of them, and ``csum(values, ends)``
-reads one running sum at every end of a grid. Small arrays, and arrays
+value ``math.fsum`` gives over all of them. :func:`prefix_csums` reads
+one running sum at every end of a grid, from an array given in
+consecutive pieces that need never be held whole; ``csum(values,
+ends)`` is its one-piece case. Small arrays, and arrays
 holding inf, nan or magnitudes near overflow, go to ``math.fsum``
 directly. :func:`segment_sums` does the same for many consecutive
 segments at once, with one set of buckets per segment.
@@ -190,12 +192,11 @@ def csum(values, ends=None):
     """Exactly rounded complex sum: real and imaginary parts summed apart.
 
     With ``ends``, the list of ``csum(values[:end])`` for every end, bit
-    for bit, from one pass over a float64 or complex128 array: each part
-    runs one :class:`ExactSum`, read at every end. A prefix whose terms
-    trip its exponent guard, and every longer one, is summed on its own.
+    for bit, from one pass over a float64 or complex128 array: it is the
+    whole-array case of :func:`prefix_csums`.
     """
     if ends is not None:
-        return _prefix_csums(values, [int(end) for end in ends])
+        return prefix_csums([values], ends, lambda: values)
     arr = np.asarray(values)
     if arr.size == 0:
         return 0j
@@ -207,30 +208,59 @@ def csum(values, ends=None):
     )
 
 
-def _prefix_csums(values: np.ndarray, ends: list[int]) -> list[complex]:
-    parts = (values.real, values.imag) if np.iscomplexobj(values) else (values,)
-    totals = [ExactSum() for _ in parts]
-    # A chunk of zeros changes no bucket sum, and a sum with a nonzero
-    # term does not take its sign from them, so such chunks are skipped;
-    # a part with no nonzero term yet follows csum's all-zero rule.
-    seen = [False for _ in parts]
+def prefix_csums(pieces, ends, whole) -> list[complex]:
+    """``csum(values, ends)`` bit for bit, for a float64 or complex128
+    array ``values`` that ``pieces`` yields in consecutive arrays, read
+    only as far as the largest end: values need never be held whole.
+
+    Each part runs one :class:`ExactSum`, chunk by chunk, read at every
+    end; no chunk crosses an end. A chunk of zeros changes no bucket sum,
+    and a sum with a nonzero term does not take its sign from them, so
+    such chunks are skipped: a part with no nonzero term yet follows
+    csum's all-zero rule, which needs only whether every term so far was
+    -0.0. When a chunk trips a part's exponent guard, ``whole()`` gives
+    values whole, and csum sums the prefix at that end and at every
+    longer one on its own.
+    """
+    ends = [int(end) for end in ends]
+    todo = sorted(set(ends), reverse=True)
     sums = {}
-    done, void = 0, False
-    for end in sorted(set(ends)):
-        while not void and done < end:
-            hi = min(done + _CHUNK, end)
-            for i, part in enumerate(parts):
-                chunk = np.ascontiguousarray(part[done:hi])
+    totals: list[ExactSum] = []
+    done = 0
+    for piece in pieces:
+        parts = (piece.real, piece.imag) if np.iscomplexobj(piece) else (piece,)
+        if not totals:
+            totals = [ExactSum() for _ in parts]
+            seen = [False for _ in parts]
+            negative = [True for _ in parts]
+        start = 0
+        while True:
+            while todo and todo[-1] <= done:
+                sums[todo.pop()] = _parts_value(totals, seen, negative) if done else 0j
+            if not todo or start == piece.size:
+                break
+            stop = min(start + _CHUNK, piece.size, start + todo[-1] - done)
+            for k, part in enumerate(parts):
+                chunk = np.ascontiguousarray(part[start:stop])
                 if chunk.any():
-                    seen[i] = True
-                    void = void or not totals[i].add(chunk)
-            done = hi
-        if void or end == 0:
-            sums[end] = csum(values[:end])
-            continue
-        part_sums = [
-            total.value() if nonzero else _zero_sum(part[:end])
-            for total, nonzero, part in zip(totals, seen, parts)
-        ]
-        sums[end] = complex(part_sums[0], part_sums[1] if len(parts) == 2 else 0.0)
+                    seen[k] = True
+                    if not totals[k].add(chunk):
+                        values = whole()
+                        sums.update((end, csum(values[:end])) for end in todo)
+                        return [sums[end] for end in ends]
+                elif negative[k] and not seen[k]:
+                    negative[k] = bool(np.signbit(chunk).all())
+            done += stop - start
+            start = stop
+        if not todo:
+            break
+    for end in todo:  # past the last term
+        sums[end] = _parts_value(totals, seen, negative) if done else 0j
     return [sums[end] for end in ends]
+
+
+def _parts_value(totals, seen, negative) -> complex:
+    """The complex sum of the parts so far: a part's running sum, or the
+    signed zero of csum's all-zero rule when it has no nonzero term."""
+    re, *im = [t.value() if s else _zero(neg) for t, s, neg in zip(totals, seen, negative)]
+    return complex(re, im[0] if im else 0.0)

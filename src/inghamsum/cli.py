@@ -77,6 +77,9 @@ from .verify import (
 _ENV_PREFIX = "INGHAMSUM_"
 # The Hoelder exponent of `mean` and `verify theorem3` unless --alpha is given.
 _ALPHA = 2.0
+# Values at or below these fail fast: an envelope <= 0 would fail every
+# row, and the mean-value bound needs alpha > 1.
+_FLOORS = {"envelope": 0, "alpha": 1}
 
 
 def _get_table(limit: int) -> SieveTable:
@@ -96,17 +99,19 @@ def _number(raw, source: str, cast=float):
     return value
 
 
-def _opt(value, name: str, default, cast=float):
+def _opt(value, name: str, default, cast=float, above=None):
     """The flag's value, else INGHAMSUM_<NAME>'s, else default, through
-    :func:`_number`; an envelope must also be above 0, or SpecFormatError."""
+    :func:`_number`; it must also exceed ``above`` (by default the name's
+    floor in _FLOORS), or SpecFormatError."""
     source = f"--{name}"
     if value is None:
         source = _ENV_PREFIX + name.upper().replace("-", "_")
         raw = os.environ.get(source)
         value = default if raw is None else raw
     value = _number(value, source, cast)
-    if name == "envelope" and not value > 0:  # it would fail every row
-        raise SpecFormatError(f"{source}: expected a number > 0, got {value}")
+    above = _FLOORS.get(name) if above is None else above
+    if above is not None and not value > above:
+        raise SpecFormatError(f"{source}: expected a number > {above}, got {value}")
     return value
 
 
@@ -419,7 +424,8 @@ def _cmd_identity(args) -> VerificationReport:
         quad_tol = _opt(args.quad_tol, "quad-tol", QUAD_TOL)
         tail_tol = _opt(args.tail_tol, "tail-tol", TAIL_TOL)
         envelope = _opt(args.envelope, "envelope", 1e-5)
-        truncation = _opt(args.truncation, "truncation", 10**6, int)
+        # The truncation must cover n; checked before the table is built.
+        truncation = _opt(args.truncation, "truncation", 10**6, int, above=n - 1)
         table = _get_table(max(n, truncation))
         seq = resolve_coeffs(args.coeffs, truncation, table)
         res = difference_identity_check(seq, table, n, truncation, quad_tol, tail_tol)

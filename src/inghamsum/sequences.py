@@ -3,8 +3,9 @@
 A sequence a_1..a_N and the function f(m) = sum of a_d over divisors d of
 m determine each other; this module holds both directions of that
 transform plus the construction of completely multiplicative functions
-from their values on primes, where :meth:`MultiplicativeSpec.nontrivial`
-alone decides which primes have f(p) != 1.
+from their values on primes, whole or segment by segment, where
+:meth:`MultiplicativeSpec.nontrivial` alone decides which primes have
+f(p) != 1.
 
 Index convention used package-wide: arithmetic arrays are "index
 aligned", meaning arr[m] is the value at the integer m and arr[0] is an
@@ -266,42 +267,117 @@ def a_from_f(table: SieveTable, f: np.ndarray) -> CoefficientSequence:
 
 
 _CHUNK = 4096
+# Integers per segment of a streamed extension: 4 MB of complex128 f.
+_SEGMENT = 1 << 18
+
+
+def _times(v: np.ndarray, fp, real: bool) -> None:
+    """v *= fp in place, for a complex128 view v and f(p) values fp (a
+    complex, or an array the shape of v), all of them real when real is
+    True and none of them otherwise.
+
+    A real f(p) is numpy's complex multiply. For a complex one, numpy's
+    vector loop for complex * complex fuses multiply-adds that its
+    scalar tail loop rounds apart, so f(m) would depend in its last bit
+    on the slice length; separate real products round alike, and chunks
+    keep their temporaries in cache.
+    """
+    if real:
+        v *= fp
+        return
+    scalar = isinstance(fp, complex)
+    for lo in range(0, v.size, _CHUNK):
+        w = v[lo : lo + _CHUNK]
+        c = fp if scalar else fp[lo : lo + _CHUNK]
+        re = w.real * c.real - w.imag * c.imag
+        w.imag *= c.real
+        w.imag += w.real * c.imag
+        w.real = re
+
+
+def _largest_prime_pass(f: np.ndarray, lo: int, primes: np.ndarray, values: np.ndarray) -> None:
+    """f[m - lo] *= f(p) for every multiple m = p j >= 1 in the segment of
+    f, p one of the primes, each above the square root of the segment's
+    top: p is then the largest prime factor of m, and m has no other
+    factor among them. The (p, j) pairs are laid out in groups of about
+    _SEGMENT, the real and the complex f(p) apart, gathered, multiplied
+    by :func:`_times` (by one scalar when every f(p) of the group has the
+    same bits) and scattered back."""
+    top = lo + f.size - 1
+    # floor(x / p) in float64 is exact for integers with x + p < 2**53.
+    below = np.floor((max(lo, 1) - 1) / primes.astype(np.float64))
+    counts = (np.floor(top / primes.astype(np.float64)) - below).astype(np.int64)
+    real = values.imag == 0
+    for group in (real, ~real):
+        p, c, fp = primes[group], counts[group], values[group]
+        if not p.size:
+            continue
+        j0 = below[group].astype(np.int64) + 1
+        if np.all(fp.view(np.int64).reshape(-1, 2) == fp[:1].view(np.int64)):
+            fp = complex(fp[0])
+        ends = np.cumsum(c)
+        cuts = np.searchsorted(ends, np.arange(_SEGMENT, ends[-1], _SEGMENT)).tolist()
+        for a, b in zip([0, *cuts], [*cuts, p.size]):
+            k = c[a:b]
+            pairs = int(k.sum())
+            if not pairs:
+                continue
+            at = np.repeat(p[a:b], k) * (np.arange(pairs) - np.repeat(np.cumsum(k) - k - j0[a:b], k))
+            at -= lo
+            v = f[at]
+            _times(v, fp if isinstance(fp, complex) else np.repeat(fp[a:b], k), group is real)
+            f[at] = v
 
 
 def extend_completely_multiplicative(
-    spec: MultiplicativeSpec, table: SieveTable, n: int
+    spec: MultiplicativeSpec, table: SieveTable, n: int, lo: int = 0
 ) -> np.ndarray:
-    """Index-aligned array of f(1)..f(n) for a completely multiplicative f.
+    """f(lo)..f(n) for a completely multiplicative f, as complex128: the
+    whole index-aligned array (f(0) = 0) when lo = 0, one segment of a
+    streamed extension (:func:`extension_segments`) otherwise.
 
-    f(m) is the product of f(p)^(v_p(m)) over the factorization of m.
-    Primes with f(p) = 1 (including everything above the cutoff) are
-    skipped exactly, so the result is bit-stable under cutoff changes
-    that only touch such primes, and f(m) does not depend on n.
+    f(m) is the product of f(p)^(v_p(m)) over the factorization of m,
+    folded in ascending p. Primes with f(p) = 1 (including everything
+    above the cutoff) are skipped exactly, so the result is bit-stable
+    under cutoff changes that only touch such primes. A prime p up to
+    isqrt(n) runs one strided pass per power p^k over the multiples of
+    p^k in [lo, n]. Every m <= n has at most one prime factor above
+    isqrt(n), its largest, which one gathered pass
+    (:func:`_largest_prime_pass`) multiplies in last. So each f(m) gets
+    the same floating-point operations, and the same bits, whatever lo
+    and n are.
     """
     if n > table.limit:
         raise ValueError(f"extension length {n} exceeds sieve limit {table.limit}")
-    f = np.ones(n + 1, dtype=np.complex128)
-    f[0] = 0
+    if not 0 <= lo <= n:
+        raise ValueError(f"segment start {lo} outside [0, {n}]")
+    f = np.ones(n + 1 - lo, dtype=np.complex128)
+    if lo == 0:
+        f[0] = 0
     primes, values = spec.nontrivial(table, n)
-    for p, fp in zip(primes.tolist(), values.tolist()):
+    split = int(np.searchsorted(primes, math.isqrt(n), "right"))
+    for p, fp in zip(primes[:split].tolist(), values[:split].tolist()):
         pk = p
         while pk <= n:
-            if fp.imag == 0:
-                f[pk::pk] *= fp
-            else:
-                # numpy's vector loop for complex * complex fuses
-                # multiply-adds that its scalar tail loop rounds apart,
-                # so f(m) would depend in its last bit on the slice
-                # length, i.e. on n. Separate real products round alike;
-                # chunks keep their temporaries in cache.
-                for lo in range(pk, n + 1, _CHUNK * pk):
-                    v = f[lo : lo + _CHUNK * pk : pk]
-                    re = v.real * fp.real - v.imag * fp.imag
-                    v.imag *= fp.real
-                    v.imag += v.real * fp.imag
-                    v.real = re
+            first = -(-max(lo, 1) // pk) * pk  # the first multiple >= max(lo, 1)
+            _times(f[first - lo :: pk], fp, fp.imag == 0)
             pk *= p
+    _largest_prime_pass(f, lo, primes[split:], values[split:])
     return f
+
+
+def extension_segments(spec: MultiplicativeSpec, table: SieveTable, n: int):
+    """f(1)..f(n) of :func:`extend_completely_multiplicative` in
+    consecutive arrays of _SEGMENT integers (the last may be shorter),
+    each built on its own when it is read, with the same bits as the
+    whole array: memory does not grow with n."""
+    if n > table.limit:
+        raise ValueError(f"extension length {n} exceeds sieve limit {table.limit}")
+    size = _SEGMENT
+    return (
+        extend_completely_multiplicative(spec, table, min(lo + size, n + 1) - 1, lo=lo)
+        for lo in range(1, n + 1, size)
+    )
 
 
 def _liouville(table: SieveTable, n: int) -> np.ndarray:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .accumulate import csum, rsum
+from .accumulate import csum, prefix_csums, rsum
 from .dirichlet import (
     euler_product,
     f_t_table,
@@ -38,12 +38,13 @@ from .sequences import (
     MultiplicativeSpec,
     a_from_f,
     extend_completely_multiplicative,
+    extension_segments,
     log_index,
     sum_over_divisors,
     times_log,
 )
 from .sieve import SieveTable
-from .summation import _block_sum, _cumsums_at, batch_sums, ingham_A, ingham_S
+from .summation import _CHUNK_TERMS, _block_sum, _cumsums_at, batch_sums, ingham_A, ingham_S
 
 # Empirical envelope for the five f_t estimate families; the measured
 # suprema over the reference grid stay below 1.1 (see the acceptance
@@ -185,13 +186,13 @@ def theorem1_spec_report(
     spec: MultiplicativeSpec, table: SieveTable, grid, envelope: float
 ) -> VerificationReport:
     """A(n)/n against g(1 + 1/log n) along the grid, from a spec: A(n)
-    is the sum of f(m) over m <= n, read off f as :func:`_theorem3_rows`
-    does, and g is the Euler product."""
+    is the sum of f(m) over m <= n, streamed from the segments of f
+    (:func:`_f_sums`) as :func:`_theorem3_rows` reads it, so no N-length
+    f is held; g is the Euler product."""
     if grid[0] < 2:
         raise ValueError(f"n must be >= 2, got {grid[0]}")
-    f = extend_completely_multiplicative(spec, table, grid[-1])
     values = []
-    for n, total in zip(grid, csum(f[1:], grid)):
+    for n, total in zip(grid, _f_sums(spec, table, grid)):
         mean, g = total / n, _spec_g(spec, table, n)
         values.append((n, mean, g, abs(mean - g)))
     return _theorem1_report(values, envelope)
@@ -292,19 +293,33 @@ def _theorem3_result(mean: complex, product: complex, mu: float) -> Theorem3Resu
     return Theorem3Result(mean, product, residual, mu, None, True)
 
 
+def _f_sums(spec, table, grid) -> list[complex]:
+    """``csum(f[1:], grid)`` bit for bit, for f the extension of spec up
+    to grid[-1], from one streamed pass (:func:`accumulate.prefix_csums`)
+    over its segments (:func:`sequences.extension_segments`): no f longer
+    than a segment is held, unless a sum trips the exponent guard and
+    falls back to the whole f."""
+    top = grid[-1]
+
+    def whole():
+        return extend_completely_multiplicative(spec, table, top)[1:]
+
+    return prefix_csums(extension_segments(spec, table, top), grid, whole)
+
+
 def _theorem3_rows(spec, table, grid, alpha: float, envelope: float) -> list[ReportRow]:
     """:func:`theorem3_check` at every grid point, bit for bit, from one
-    extension of f and one pass each for the whole grid: the sums of f
-    from one :func:`csum` pass read at every n, the products at sigma = 1
-    from one running product (:func:`euler_product` over the grid), and
-    mu_n(alpha) from one list of prime terms (:func:`mu_n_alpha` over the
-    grid). A row passes when its ratio is finite and at most envelope."""
-    f = extend_completely_multiplicative(spec, table, grid[-1])
+    pass each for the whole grid: the sums of f from one streamed pass
+    over the segments of f read at every n (:func:`_f_sums`), the
+    products at sigma = 1 from one running product (:func:`euler_product`
+    over the grid), and mu_n(alpha) from one list of prime terms
+    (:func:`mu_n_alpha` over the grid). A row passes when its ratio is
+    finite and at most envelope."""
     for n in grid:
         _check_theorem3(spec, n)
-        if f.size < n + 1:
-            raise ValueError(f"f_values covers {f.size - 1} < n = {n}")
-    sums = csum(f[1:], grid)
+        if n > grid[-1]:
+            raise ValueError(f"f_values covers {grid[-1]} < n = {n}")
+    sums = _f_sums(spec, table, grid)
     products = euler_product(spec, table, 1.0, grid)
     mus = mu_n_alpha(spec, table, grid, alpha)
     rows = []
@@ -393,21 +408,33 @@ def cond2_ratio(spec: MultiplicativeSpec, table: SieveTable, n: int) -> float:
 
 def _wintner(a: CoefficientSequence, grid) -> list[WintnerResult]:
     """:func:`check_wintner` along a strictly ascending grid: A(n) from
-    one :func:`batch_sums` call, and the terms |a_k|/k and a_k/k formed
-    once up to the grid top and summed at every n by ``csum(terms, grid)``."""
+    one :func:`batch_sums` call, and the sums of |a_k|/k and a_k/k at
+    every n from streamed passes over chunks of their terms
+    (:func:`accumulate.prefix_csums`), the bits of ``csum(terms, grid)``
+    without an N-length array of terms."""
     sums = batch_sums(a, grid)
-    vals = a.a[1 : sums[-1].n + 1]
-    k = np.arange(1, vals.size + 1, dtype=np.float64)
-    terms = np.abs(vals)
-    terms /= k
-    abs_sums = csum(terms, grid)  # rsum's values in the real parts
-    # numpy divides a complex by k as by k + 0j, which rounds the real
-    # part as a_k * (1/k); real storage forms the same terms.
-    real = not np.iscomplexobj(vals)
-    terms = np.multiply(vals, np.divide(1.0, k, out=k), out=terms) if real else vals / k
+    top = sums[-1].n
+    real = not np.iscomplexobj(a.a)
+
+    def terms(absolute: bool):
+        for lo in range(1, top + 1, _CHUNK_TERMS):
+            vals = a.a[lo : min(lo + _CHUNK_TERMS, top + 1)]
+            k = np.arange(lo, lo + vals.size, dtype=np.float64)
+            if absolute:
+                yield np.divide(np.abs(vals), k, out=k)
+            elif real:
+                # numpy divides a complex by k as by k + 0j, which rounds
+                # the real part as a_k * (1/k); real storage forms the same.
+                yield np.multiply(vals, np.divide(1.0, k, out=k), out=k)
+            else:
+                yield vals / k
+
+    def streamed(absolute: bool) -> list[complex]:
+        return prefix_csums(terms(absolute), grid, lambda: np.concatenate(list(terms(absolute))))
+
     return [
         WintnerResult(s.real, t, v.A / v.n, abs(v.A / v.n - t))
-        for v, s, t in zip(sums, abs_sums, csum(terms, grid))
+        for v, s, t in zip(sums, streamed(True), streamed(False))
     ]
 
 

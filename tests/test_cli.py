@@ -568,6 +568,12 @@ BAD_INPUT_COMMANDS = {
     ],
     "theorem3 envelope -1": ["verify", "theorem3", "--spec", F2ZERO, "--n", "1000", "--envelope", "-1"],
     "theorem1 envelope 0": ["verify", "theorem1", "--coeffs", "mu", "--n", "100,1000", "--envelope", "0"],
+    # Rejected before the sieve and the extension up to 1e7 are built.
+    "mean alpha 1": ["mean", "--spec", F2ZERO, "--n", "1e7", "--alpha", "1"],
+    "theorem3 alpha 0.5": ["verify", "theorem3", "--spec", F2ZERO, "--n", "1e7", "--alpha", "0.5"],
+    "difference truncation below n": [
+        "identity", "difference", "--coeffs", "mu", "--n", "1000", "--truncation", "999",
+    ],
 }
 
 # A flag that the chosen check does not read, and the flag the error names.
@@ -624,6 +630,25 @@ def test_envelope_at_or_below_zero_is_named(value, capsys):
     assert err.startswith("error: --envelope: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["mean", "--spec", F2ZERO, "--n", "1e7", "--alpha", "1"], "--alpha"),
+        (["verify", "theorem3", "--spec", F2ZERO, "--n", "1e7", "--alpha", "-0.0"], "--alpha"),
+        (["identity", "difference", "--coeffs", "mu", "--n", "1000", "--truncation", "999"], "--truncation"),
+    ],
+)
+def test_bad_alpha_and_truncation_are_named_before_the_sieve_is_built(argv, flag, monkeypatch, capsys):
+    from inghamsum import cli as cli_mod
+
+    def no_sieve(limit):
+        raise AssertionError(f"sieve built up to {limit}")
+
+    monkeypatch.setattr(cli_mod, "build_sieve", no_sieve)
+    assert main([*argv, "--out", os.devnull]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag}: expected a number > ")
+
+
 @pytest.mark.parametrize("case", UNREAD_FLAG_COMMANDS)
 def test_unread_flag_is_named(case, capsys):
     argv, flag = UNREAD_FLAG_COMMANDS[case]
@@ -646,6 +671,7 @@ ENVIRONMENT_CASES = (
     ("INGHAMSUM_ALPHA", "x", ["mean", "--spec", F2ZERO, "--n", "1000"], 2),
     ("INGHAMSUM_ENVELOPE", "-1", ["verify", "wintner", "--coeffs", "mu", "--n", "100,1000"], 0),
     ("INGHAMSUM_ENVELOPE", "0", ["identity", "sdecomp", "--coeffs", "mu", "--n", "300"], 2),
+    ("INGHAMSUM_ALPHA", "0.5", ["mean", "--spec", F2ZERO, "--n", "1000"], 2),
 )
 
 

@@ -1331,9 +1331,9 @@ def test_nontrivial_cases(case, table_small):
     assert primes.tolist() == expected
 
 
-def _seeded_mean_spec():
-    """Unit-modulus f(p) for p < 1000 from seed 7, default -1, cutoff 1e6."""
-    rng = random.Random(7)
+def _seeded_mean_spec(seed=7):
+    """Unit-modulus f(p) for p < 1000 from the seed, default -1, cutoff 1e6."""
+    rng = random.Random(seed)
     angles = {p: rng.uniform(0.0, 2.0 * math.pi) for p in _PRIMES_TO_3000 if p < 1000}
     return ig.MultiplicativeSpec(
         {p: complex(math.cos(a), math.sin(a)) for p, a in angles.items()}, cutoff=10**6, default=-1.0
@@ -1529,3 +1529,116 @@ def test_grid_sweeps_match_per_n_loops_hypothesis(table_small, spec, grid, sigma
     assert repr(got) == repr([_prime_deviation_sum_ref(spec, table_small, n, 2.0) for n in grid])
     f = ig.extend_completely_multiplicative(spec, table_small, max(grid))
     assert repr(csum(f[1:], grid)) == repr([csum(f[1 : n + 1]) for n in grid])
+
+
+# -- the extension in segments, streamed into the spec routes' sums -------
+
+
+def _mixed_stream_spec():
+    """Complex f(p) at 300 primes up to 499,979, f(p) = -1 + 0j, -1 - 0j
+    and 0 - 0j, default 0.5 up to the cutoff 1e6."""
+    rng = random.Random(18)
+    primes = [p for p in range(3, 499_980, 2) if sequences._is_prime(p)]
+    listed = {p: complex(math.cos(a), math.sin(a)) for p in rng.sample(primes, 300) for a in [rng.uniform(0, 6.3)]}
+    listed.update({2: complex(-1.0, 0.0), 3: complex(-1.0, -0.0), 5: complex(0.0, -0.0), 4099: 0.5j, 499_979: -1j})
+    return ig.MultiplicativeSpec(listed, cutoff=10**6, default=0.5)
+
+
+STREAM_SPECS = {
+    "f2zero": ig.MultiplicativeSpec({2: 0}, cutoff=10**6),
+    "seeded mean, seed 1": _seeded_mean_spec(1),
+    "seeded mean, seed 7": _seeded_mean_spec(7),
+    "mixed": _mixed_stream_spec(),
+}
+# Segment sizes that put grid points, prime multiples and sqrt(hi - 1) on
+# segment edges, with the top each runs to: the smaller, the shorter.
+STREAM_TOPS = {1: 3000, 7: 3000, 4099: 600_000, sequences._SEGMENT: 10**6}
+STREAM_SIZES = tuple(STREAM_TOPS)
+
+
+@pytest.mark.parametrize("size", STREAM_SIZES)
+@pytest.mark.parametrize("name", STREAM_SPECS)
+def test_extension_segments_are_the_old_extension_bit_for_bit(name, size, table_big, monkeypatch):
+    # The segment size also sizes the groups of the largest-prime pass.
+    monkeypatch.setattr(sequences, "_SEGMENT", size)
+    spec, top = STREAM_SPECS[name], STREAM_TOPS[size]
+    ref = _extend_ref(spec, table_big, top)
+    lo = 1
+    for segment in sequences.extension_segments(spec, table_big, top):
+        assert segment.dtype == np.complex128 and segment.size == min(size, top + 1 - lo)
+        assert np.array_equal(segment.view(np.uint64), ref[lo : lo + segment.size].view(np.uint64)), lo
+        lo += segment.size
+    assert lo == top + 1
+    for n in (0, 1, 2, 3, 4, 24, 25, 26, 2999, top):
+        whole = ig.extend_completely_multiplicative(spec, table_big, n)
+        assert whole.dtype == np.complex128
+        assert np.array_equal(whole.view(np.uint64), ref[: n + 1].view(np.uint64)), n
+
+
+def _stream_grid(size):
+    top = STREAM_TOPS[size]
+    edges = {7, 8, 48, 49, 50, 1000, 2999, 4099, 8198, 262_144, 262_145, top}
+    return sorted({n for n in edges if n <= top} | set(parse_grid(f"3:{top}:x3")))
+
+
+def _spec_reports(spec, table, grid):
+    """The bytes of mean, verify theorem3 and verify theorem1 --spec."""
+    reports = [
+        verify.mean_report(spec, table, grid, 2.0),
+        verify.theorem3_report(spec, table, grid, 2.0, verify.THEOREM3_RATIO_ENVELOPE),
+        verify.theorem1_spec_report(spec, table, grid, 0.6),
+    ]
+    return [b"".join(r.chunks(fmt)) for r in reports for fmt in ("json", "csv")]
+
+
+def _whole_f_sums(spec, table, grid):
+    """The sums of f as they were read: csum over the old extension."""
+    return csum(_extend_ref(spec, table, grid[-1])[1:], grid)
+
+
+@pytest.mark.parametrize("size", STREAM_SIZES)
+@pytest.mark.parametrize("name", STREAM_SPECS)
+def test_spec_reports_from_segments_match_the_whole_extension(name, size, table_big, monkeypatch):
+    spec, grid = STREAM_SPECS[name], _stream_grid(size)
+    monkeypatch.setattr(sequences, "_SEGMENT", size)
+    got = _spec_reports(spec, table_big, grid)
+    assert _bits(verify._f_sums(spec, table_big, grid)) == _bits(_whole_f_sums(spec, table_big, grid))
+    monkeypatch.setattr(verify, "_f_sums", _whole_f_sums)
+    assert got == _spec_reports(spec, table_big, grid)
+
+
+@pytest.mark.parametrize("size", [1, 7, 4099])
+def test_spec_sums_past_the_exponent_guard_fall_back_to_the_whole_extension(size, table_small, monkeypatch):
+    # f(2^10) = 2^1000 trips the guard at n = 1024; f stays finite to 2047.
+    spec = ig.MultiplicativeSpec({2: 2.0**100, 3: 0.5j}, cutoff=100, bound_check=False)
+    grid = [3, 1023, 1024, 1500, 2047]
+    wholes = []
+
+    def counted(*args, **kwargs):
+        wholes.append(args)
+        return ig.extend_completely_multiplicative(*args, **kwargs)
+
+    monkeypatch.setattr(sequences, "_SEGMENT", size)
+    monkeypatch.setattr(verify, "extend_completely_multiplicative", counted)
+    got = verify._f_sums(spec, table_small, grid)
+    report = b"".join(verify.theorem1_spec_report(spec, table_small, grid, 0.6).chunks("json"))
+    assert len(wholes) == 2
+    assert math.isfinite(got[-1].real) and abs(got[-1]) >= 2.0**1000
+    assert _bits(got) == _bits(_whole_f_sums(spec, table_small, grid))
+    monkeypatch.setattr(verify, "_f_sums", _whole_f_sums)
+    assert report == b"".join(verify.theorem1_spec_report(spec, table_small, grid, 0.6).chunks("json"))
+
+
+@pytest.mark.parametrize("size", [1, 7, 4099])
+def test_prefix_csums_from_pieces_keep_the_signed_zero_rule(size, rng):
+    n = 2 * 4099 + 5
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    x[:5000] = complex(-0.0, -0.0)
+    cases = {"-0.0 prefix": x, "one +0.0 in the prefix": x.copy(), "all -0.0": np.full(n, complex(-0.0, -0.0))}
+    cases["one +0.0 in the prefix"][2000] = complex(-0.0, 0.0)
+    cases["real, -0.0 prefix"] = x.real.copy()
+    ends = [0, 1, 2, size, size + 1, 1999, 2000, 2001, 4099, 5000, 5001, n]
+    for case, values in cases.items():
+        pieces = (values[lo : lo + size] for lo in range(0, n, size))
+        got = accumulate.prefix_csums(pieces, ends[::-1], lambda: values)
+        assert _bits(got) == _bits([csum(values[:end]) for end in ends[::-1]]), case
