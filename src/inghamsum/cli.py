@@ -24,10 +24,12 @@ Five options also read INGHAMSUM_<OPTION> when the flag is not given:
 --alpha, --envelope, --quad-tol, --tail-tol and --truncation (e.g.
 INGHAMSUM_QUAD_TOL); explicit flags win. A variable is read only by the
 checks that use its option. Every float flag and every INGHAMSUM_* value
-read must parse and be finite, and an envelope must be above 0, or it
-exits 2 with an "error:" line naming it. An option that the chosen
-`verify` or `identity` check does not read (say --alpha for theorem1,
-or --truncation for sdiff) exits 2 with an "error:" line naming it.
+read must parse and be finite, an envelope must be above 0, an alpha
+above 1, and --quad-tol and --tail-tol must lie in (0, 1), or it exits
+2 with an "error:" line naming it, before any sieve is built. An option
+that the chosen `verify` or `identity` check does not read (say --alpha
+for theorem1, or --truncation for sdiff) exits 2 with an "error:" line
+naming it.
 """
 
 from __future__ import annotations
@@ -77,9 +79,11 @@ from .verify import (
 _ENV_PREFIX = "INGHAMSUM_"
 # The Hoelder exponent of `mean` and `verify theorem3` unless --alpha is given.
 _ALPHA = 2.0
-# Values at or below these fail fast: an envelope <= 0 would fail every
-# row, and the mean-value bound needs alpha > 1.
-_FLOORS = {"envelope": 0, "alpha": 1}
+# The open range (low, high) of each bounded option, high None for no
+# upper bound; a value outside fails fast. An envelope <= 0 would fail
+# every row, the mean-value bound needs alpha > 1, and a tolerance is a
+# fraction in (0, 1), as the quadrature and the identity checks take it.
+_RANGES = {"envelope": (0, None), "alpha": (1, None), "quad-tol": (0, 1), "tail-tol": (0, 1)}
 
 
 def _get_table(limit: int) -> SieveTable:
@@ -101,17 +105,18 @@ def _number(raw, source: str, cast=float):
 
 def _opt(value, name: str, default, cast=float, above=None):
     """The flag's value, else INGHAMSUM_<NAME>'s, else default, through
-    :func:`_number`; it must also exceed ``above`` (by default the name's
-    floor in _FLOORS), or SpecFormatError."""
+    :func:`_number`; it must also exceed ``above`` (by default lie in the
+    name's range in _RANGES), or SpecFormatError."""
     source = f"--{name}"
     if value is None:
         source = _ENV_PREFIX + name.upper().replace("-", "_")
         raw = os.environ.get(source)
         value = default if raw is None else raw
     value = _number(value, source, cast)
-    above = _FLOORS.get(name) if above is None else above
-    if above is not None and not value > above:
-        raise SpecFormatError(f"{source}: expected a number > {above}, got {value}")
+    low, high = _RANGES.get(name, (None, None)) if above is None else (above, None)
+    if (low is not None and not value > low) or (high is not None and not value < high):
+        expected = f"> {low}" if high is None else f"in ({low}, {high})"
+        raise SpecFormatError(f"{source}: expected a number {expected}, got {value}")
     return value
 
 
@@ -385,6 +390,8 @@ def _cmd_verify(args) -> VerificationReport:
             return theorem1_spec_report(spec, _spec_table(spec, grid[-1]), grid, envelope)
         seq = resolve_coeffs(args.coeffs, grid[-1], _get_table(grid[-1]))
         return theorem1_report(seq, grid, envelope)
+    if args.check == "axer":
+        envelope = _opt(args.envelope, "envelope", AXER_BOUND)
     seq = resolve_coeffs(args.coeffs, grid[-1], _get_table(grid[-1]))
     if args.check == "theorem2":
         sigma_grid = (
@@ -395,7 +402,7 @@ def _cmd_verify(args) -> VerificationReport:
         return theorem2_conditions(seq, grid, sigma_grid)
     if args.check == "wintner":
         return wintner_report(seq, grid)
-    return axer_report(seq, grid, _opt(args.envelope, "envelope", AXER_BOUND))
+    return axer_report(seq, grid, envelope)
 
 
 def _cmd_lemma(args) -> VerificationReport:

@@ -54,9 +54,9 @@ def _storage(values) -> type:
 
 
 def times_log(a: np.ndarray, log: np.ndarray) -> np.ndarray:
-    """The terms a_m log m, from a float64 or complex128 slice of a and the
-    float64 log m at each of its places, in an array of a's dtype: log
-    itself when a is real.
+    """The terms a_m log m, from a real (int8 or float64) or complex128
+    slice of a and the float64 log m at each of its places, as float64
+    (log itself) when a is real and complex128 otherwise.
 
     A real product is one multiply. A complex one is formed as numpy's
     complex * real forms it, (ar*l - ai*0, ar*0 + ai*l), one real product
@@ -82,12 +82,16 @@ class CoefficientSequence:
 
     The array is float64 when the sequence is built from a real-dtype
     array (ints and bools included), in half the memory, and complex128
-    otherwise. For finite coefficients every value a real sequence gives,
-    imaginary parts included, equals its complex128 copy's bit for bit:
-    numpy's complex * real then has imaginary part +0.0 in each term, as
-    real storage has. (A -0.0 coefficient can flip the sign of a result
-    that is zero; an inf or nan one gives imaginary parts 0.0 where the
-    copy gives nan.)
+    otherwise. The builtins whose values lie in {-1, 0, 1} (mu, unit,
+    one, liouville) are int8, an eighth of float64; mu is the sieve's
+    own Mobius table. Every reader turns an int8 chunk into float64
+    before any arithmetic, which is exact, so int8 storage gives the
+    bits of float64 storage. For finite coefficients every value a real
+    sequence gives, imaginary parts included, equals its complex128
+    copy's bit for bit: numpy's complex * real then has imaginary part
+    +0.0 in each term, as real storage has. (A -0.0 coefficient can flip
+    the sign of a result that is zero; an inf or nan one gives imaginary
+    parts 0.0 where the copy gives nan.)
 
     Attributes:
         length: N, the number of stored coefficients.
@@ -117,8 +121,8 @@ class CoefficientSequence:
 
     @classmethod
     def _from_owned(cls, a: np.ndarray) -> "CoefficientSequence":
-        """Build on a fresh float64 or complex128 array, which the
-        sequence keeps."""
+        """Build on a fresh array (float64 or complex128, or int8 for a
+        builtin), which the sequence keeps."""
         a[0] = 0
         a.flags.writeable = False
         return cls(a.size - 1, a)
@@ -330,7 +334,11 @@ def _largest_prime_pass(f: np.ndarray, lo: int, primes: np.ndarray, values: np.n
 
 
 def extend_completely_multiplicative(
-    spec: MultiplicativeSpec, table: SieveTable, n: int, lo: int = 0
+    spec: MultiplicativeSpec,
+    table: SieveTable,
+    n: int,
+    lo: int = 0,
+    selected: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """f(lo)..f(n) for a completely multiplicative f, as complex128: the
     whole index-aligned array (f(0) = 0) when lo = 0, one segment of a
@@ -345,7 +353,9 @@ def extend_completely_multiplicative(
     isqrt(n), its largest, which one gathered pass
     (:func:`_largest_prime_pass`) multiplies in last. So each f(m) gets
     the same floating-point operations, and the same bits, whatever lo
-    and n are.
+    and n are. ``selected`` is ``spec.nontrivial(table, top)`` for some
+    top >= n, computed once by a caller that builds many segments; its
+    primes up to n are the ones ``spec.nontrivial(table, n)`` gives.
     """
     if n > table.limit:
         raise ValueError(f"extension length {n} exceeds sieve limit {table.limit}")
@@ -354,7 +364,9 @@ def extend_completely_multiplicative(
     f = np.ones(n + 1 - lo, dtype=np.complex128)
     if lo == 0:
         f[0] = 0
-    primes, values = spec.nontrivial(table, n)
+    primes, values = spec.nontrivial(table, n) if selected is None else selected
+    stop = int(np.searchsorted(primes, n, "right"))
+    primes, values = primes[:stop], values[:stop]
     split = int(np.searchsorted(primes, math.isqrt(n), "right"))
     for p, fp in zip(primes[:split].tolist(), values[:split].tolist()):
         pk = p
@@ -370,22 +382,24 @@ def extension_segments(spec: MultiplicativeSpec, table: SieveTable, n: int):
     """f(1)..f(n) of :func:`extend_completely_multiplicative` in
     consecutive arrays of _SEGMENT integers (the last may be shorter),
     each built on its own when it is read, with the same bits as the
-    whole array: memory does not grow with n."""
+    whole array: memory does not grow with n. The primes with f(p) != 1
+    are selected once, for every segment."""
     if n > table.limit:
         raise ValueError(f"extension length {n} exceeds sieve limit {table.limit}")
     size = _SEGMENT
+    selected = spec.nontrivial(table, n)
     return (
-        extend_completely_multiplicative(spec, table, min(lo + size, n + 1) - 1, lo=lo)
+        extend_completely_multiplicative(spec, table, min(lo + size, n + 1) - 1, lo=lo, selected=selected)
         for lo in range(1, n + 1, size)
     )
 
 
 def _liouville(table: SieveTable, n: int) -> np.ndarray:
-    """Index-aligned lambda(m) = -lambda(m / spf(m)) for m <= n, as
-    float64: m / spf(m) <= m / 2, so a pass over [lo, hi) with hi <= 2 lo
-    reads only values set before it, in chunks that stay in cache."""
-    lam = np.empty(n + 1)
-    lam[:2] = (0.0, 1.0)
+    """Index-aligned lambda(m) = -lambda(m / spf(m)) for m <= n, as int8:
+    m / spf(m) <= m / 2, so a pass over [lo, hi) with hi <= 2 lo reads
+    only values set before it, in chunks that stay in cache."""
+    lam = np.empty(n + 1, dtype=np.int8)
+    lam[:2] = (0, 1)
     lo = 2
     while lo <= n:
         hi = min(2 * lo, lo + _CHUNK, n + 1)
@@ -399,23 +413,24 @@ def named_sequence(name: str, n: int, table: SieveTable) -> CoefficientSequence:
 
     mu: a_k = mu(k); unit: a_1 = 1 and nothing else; one: a_k = 1;
     liouville: a_k = lambda(k) = (-1)^Omega(k); inverse-squares:
-    a_k = k^-2.
+    a_k = k^-2. All but inverse-squares are stored as int8, mu as a
+    view of the sieve's read-only Mobius table (slot 0 is 0 there).
     """
     if n < 1 or n > table.limit:
         raise ValueError(f"length {n} outside [1, {table.limit}]")
     if name == "mu":
-        return CoefficientSequence.from_index_aligned(table.mobius_array[: n + 1])
+        return CoefficientSequence(n, table.mobius_array[: n + 1])
     if name == "unit":
-        vals = np.zeros(n)
-        vals[0] = 1
+        a = np.zeros(n + 1, dtype=np.int8)
+        a[1] = 1
     elif name == "one":
-        vals = np.ones(n)
+        a = np.ones(n + 1, dtype=np.int8)
     elif name == "liouville":
-        return CoefficientSequence._from_owned(_liouville(table, n))
+        a = _liouville(table, n)
     elif name == "inverse-squares":
-        vals = np.arange(1, n + 1, dtype=np.float64) ** -2.0
+        return CoefficientSequence.from_values(np.arange(1, n + 1, dtype=np.float64) ** -2.0)
     else:
         raise SpecFormatError(
             f"unknown sequence {name!r}; expected one of {', '.join(BUILTIN_SEQUENCES)}"
         )
-    return CoefficientSequence.from_values(vals)
+    return CoefficientSequence._from_owned(a)

@@ -198,7 +198,9 @@ def _cumsums_at(ends: np.ndarray, *terms) -> list[np.ndarray]:
     those of ``np.cumsum`` over the whole term array, from one pass up
     to ends[-1] in chunks of _CHUNK_TERMS. Each chunk is a cumulative
     sum seeded with the value carried from the chunk before, which does
-    not change the sequential sums."""
+    not change the sequential sums. The sums are at least float64: an
+    int8 chunk is copied into float64 running sums, exactly, before it
+    is summed."""
     top = int(ends[-1]) + 1
     out: list[np.ndarray] = []
     runs: list[np.ndarray] = []
@@ -211,8 +213,9 @@ def _cumsums_at(ends: np.ndarray, *terms) -> list[np.ndarray]:
         for i, fn in enumerate(terms):
             chunk = fn(lo, hi)
             if not lo:
-                out.append(np.empty(ends.size, dtype=chunk.dtype))
-                runs.append(np.zeros(_CHUNK_TERMS + 1, dtype=chunk.dtype))
+                dtype = np.result_type(chunk.dtype, np.float64)
+                out.append(np.empty(ends.size, dtype=dtype))
+                runs.append(np.zeros(_CHUNK_TERMS + 1, dtype=dtype))
             run = runs[i]
             run[1 : m + 1] = chunk
             np.cumsum(run[: m + 1], out=run[: m + 1])
@@ -225,10 +228,11 @@ def _cumsums_at(ends: np.ndarray, *terms) -> list[np.ndarray]:
 def _prefixes_at(a: np.ndarray, ends: np.ndarray, parts: str = "AS") -> list[np.ndarray]:
     """The prefix sums at the ascending ends of a_m (part "A") and of
     a_m log m (part "S"), one array per letter of ``parts``, bit for bit
-    those of ``np.cumsum(a)`` and ``np.cumsum(times_log(a,
-    log_index(N)))``, from one chunked pass (:func:`_cumsums_at`). The
-    terms a_m log m come from :func:`sequences.times_log` with log m per
-    chunk, which gives the same bits as the whole array."""
+    those of ``np.cumsum(a)`` over a in float64 (an int8 a included) or
+    complex128 and of ``np.cumsum(times_log(a, log_index(N)))``, from one
+    chunked pass (:func:`_cumsums_at`). The terms a_m log m come from
+    :func:`sequences.times_log` with log m per chunk, which gives the
+    same bits as the whole array."""
 
     def alog(lo, hi):
         log = np.arange(lo, hi, dtype=np.float64)

@@ -832,7 +832,7 @@ def lemma_ratio_suite(
     x_max = max(x_grid)
     if x_max > table.limit:
         raise ValueError(f"grid maximum {x_max} exceeds sieve limit {table.limit}")
-    mu = table.mobius_array[: x_max + 1].astype(np.float64)
+    mu = table.mobius_array[: x_max + 1]
     d = np.arange(x_max + 1, dtype=np.float64)
     d[0] = 1.0
     logd = np.log(d)

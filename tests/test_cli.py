@@ -649,6 +649,49 @@ def test_bad_alpha_and_truncation_are_named_before_the_sieve_is_built(argv, flag
     assert capsys.readouterr().err.startswith(f"error: {flag}: expected a number > ")
 
 
+# Every float flag, with each command that reads it.
+FLOAT_FLAG_READERS = {
+    "alpha": (["mean", "--spec", F2ZERO, "--n", "1000"], ["verify", "theorem3", "--spec", F2ZERO, "--n", "1000"]),
+    "envelope": (
+        ["verify", "theorem1", "--coeffs", "mu", "--n", "100,1000"],
+        ["verify", "theorem1", "--spec", F2ZERO, "--n", "1000"],
+        ["verify", "theorem3", "--spec", F2ZERO, "--n", "1000"],
+        ["verify", "axer", "--coeffs", "mu", "--n", "100,1000"],
+        ["lemma"],
+        ["identity", "sdiff", "--coeffs", "mu", "--n", "1000"],
+        ["identity", "sdecomp", "--coeffs", "mu", "--n", "1000"],
+        ["identity", "smult", "--spec", F2ZERO, "--n", "200"],
+        ["identity", "difference", "--coeffs", "mu", "--n", "10", "--truncation", "1000"],
+    ),
+    "quad-tol": (["lemma"], ["identity", "difference", "--coeffs", "mu", "--n", "10", "--truncation", "1000"]),
+    "tail-tol": (["lemma"], ["identity", "difference", "--coeffs", "mu", "--n", "10", "--truncation", "1000"]),
+}
+# A tolerance is a fraction in (0, 1): 2 is out of range too.
+BAD_FLOAT_VALUES = {flag: ("nan", "inf", "-inf", "0", "-1", *(("2",) if flag.endswith("tol") else ())) for flag in FLOAT_FLAG_READERS}
+
+
+@pytest.mark.parametrize(
+    "flag, argv, value",
+    [
+        pytest.param(flag, argv, value, id="-".join(a.lstrip("-") for a in argv[:3] if "/" not in a) + f"--{flag}={value}")
+        for flag, readers in FLOAT_FLAG_READERS.items()
+        for argv in readers
+        for value in BAD_FLOAT_VALUES[flag]
+    ],
+)
+def test_bad_float_flag_exits_2_before_the_sieve_is_built(flag, argv, value, monkeypatch, capsys):
+    from inghamsum import cli as cli_mod
+
+    def no_sieve(limit):
+        raise AssertionError(f"sieve built up to {limit}")
+
+    monkeypatch.setattr(cli_mod, "build_sieve", no_sieve)
+    # --flag=value, so that argparse reads -inf as the flag's value.
+    assert main([*argv, f"--{flag}={value}", "--out", os.devnull]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --{flag}: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("case", UNREAD_FLAG_COMMANDS)
 def test_unread_flag_is_named(case, capsys):
     argv, flag = UNREAD_FLAG_COMMANDS[case]
@@ -672,6 +715,8 @@ ENVIRONMENT_CASES = (
     ("INGHAMSUM_ENVELOPE", "-1", ["verify", "wintner", "--coeffs", "mu", "--n", "100,1000"], 0),
     ("INGHAMSUM_ENVELOPE", "0", ["identity", "sdecomp", "--coeffs", "mu", "--n", "300"], 2),
     ("INGHAMSUM_ALPHA", "0.5", ["mean", "--spec", F2ZERO, "--n", "1000"], 2),
+    ("INGHAMSUM_QUAD_TOL", "2", ["lemma"], 2),
+    ("INGHAMSUM_TAIL_TOL", "1", ["identity", "difference", "--coeffs", "mu", "--n", "10", "--truncation", "1000"], 2),
 )
 
 

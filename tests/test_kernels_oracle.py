@@ -771,7 +771,8 @@ def test_prefixes_of_one_part_match_both_parts(table_medium, rng, monkeypatch):
     ends = np.unique(rng.integers(0, n + 1, 500))
     for a in (named_sequence("mu", n, table_medium).a, _input("dense-complex", n, rng).astype(np.complex128)):
         both = summation._prefixes_at(a, ends)
-        assert [p.dtype for p in both] == [a.dtype, a.dtype]
+        # int8 mu is summed in float64.
+        assert [p.dtype for p in both] == [np.result_type(a.dtype, np.float64)] * 2
         for part, ref in zip("AS", both):
             (got,) = summation._prefixes_at(a, ends, part)
             assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), part
@@ -788,11 +789,12 @@ def test_sequence_prefixes_match_complex_formulas(table_medium, rng):
                 pa, pl = _prefixes_ref(np.concatenate([[0j], a[1:]]))
                 for got, ref in zip(_gathered(seq), (pa, pl)):
                     _same_bits(got, ref)
-    # mu is stored real: its sums are the real parts of the complex
-    # formulas, whose imaginary parts are all +0.0.
+    # mu is stored as int8 and summed in float64: its sums are the real
+    # parts of the complex formulas, whose imaginary parts are all +0.0.
     mu = table_medium.mobius_array
     seq = named_sequence("mu", 10**5, table_medium)
-    for got, ref in zip((seq.a, *_gathered(seq)), (mu.astype(np.complex128), *_prefixes_ref(mu))):
+    assert seq.a.dtype == np.int8
+    for got, ref in zip((seq.a.astype(np.float64), *_gathered(seq)), (mu.astype(np.complex128), *_prefixes_ref(mu))):
         assert got.dtype == np.float64
         assert np.array_equal(got.view(np.uint64), np.ascontiguousarray(ref.real).view(np.uint64))
         assert np.array_equal(np.ascontiguousarray(ref.imag).view(np.uint64), np.zeros(ref.size, np.uint64))
@@ -1063,12 +1065,26 @@ def _builtin_results(seq, table):
 
 @pytest.mark.parametrize("name", ig.BUILTIN_SEQUENCES)
 def test_builtins_stored_real_match_complex_storage(name, table_small):
+    # The {-1, 0, 1} builtins are int8; every reader gives the bits of
+    # float64 storage, and those of complex128 storage.
     seq = named_sequence(name, 3000, table_small)
+    floats = CoefficientSequence.from_values(seq.values().astype(np.float64))
     ref = _complex_builtin(name, 3000, table_small)
-    assert seq.a.dtype == np.float64 and ref.a.dtype == np.complex128
-    got, expected = _builtin_results(seq, table_small), _builtin_results(ref, table_small)
+    stored = np.float64 if name == "inverse-squares" else np.int8
+    assert (seq.a.dtype, floats.a.dtype, ref.a.dtype) == (stored, np.float64, np.complex128)
+    got = _builtin_results(seq, table_small)
+    as_float, expected = _builtin_results(floats, table_small), _builtin_results(ref, table_small)
     for key in expected:
-        assert got[key] == expected[key], key
+        assert got[key] == as_float[key] == expected[key], key
+
+
+def test_mu_is_a_view_of_the_sieve_mobius_table():
+    table = ig.build_sieve(1000)
+    seq = named_sequence("mu", 500, table)
+    assert seq.a.dtype == np.int8 and not seq.a.flags.writeable
+    assert np.shares_memory(seq.a, table.mobius_array)
+    assert np.array_equal(seq.a, table.mobius_array[:501]) and seq.a[0] == 0
+    assert table._spf is None
 
 
 # -- Liouville from the SPF table ------------------------------------------
@@ -1085,8 +1101,8 @@ def test_liouville_matches_complex_extension(chunk, table_medium, monkeypatch):
             continue
         got = named_sequence("liouville", n, table_medium)
         ref = _complex_builtin("liouville", n, table_medium)
-        assert got.a.dtype == np.float64
-        for g, r in zip((got.a, *_gathered(got)), (ref.a, *_gathered(ref))):
+        assert got.a.dtype == np.int8
+        for g, r in zip((got.a.astype(np.float64), *_gathered(got)), (ref.a, *_gathered(ref))):
             assert np.array_equal(g.view(np.uint64), r.real.view(np.uint64)), n
 
 
@@ -1573,6 +1589,15 @@ def test_extension_segments_are_the_old_extension_bit_for_bit(name, size, table_
         whole = ig.extend_completely_multiplicative(spec, table_big, n)
         assert whole.dtype == np.complex128
         assert np.array_equal(whole.view(np.uint64), ref[: n + 1].view(np.uint64)), n
+
+
+def test_extension_segments_select_their_primes_once(table_small, monkeypatch):
+    monkeypatch.setattr(sequences, "_SEGMENT", 7)
+    calls = []
+    nontrivial = ig.MultiplicativeSpec.nontrivial
+    monkeypatch.setattr(ig.MultiplicativeSpec, "nontrivial", lambda self, *args: calls.append(args) or nontrivial(self, *args))
+    segments = list(sequences.extension_segments(STREAM_SPECS["seeded mean, seed 1"], table_small, 3000))
+    assert len(segments) == 429 and calls == [(table_small, 3000)]
 
 
 def _stream_grid(size):

@@ -240,7 +240,7 @@ def test_named_sequences(table_small):
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB is Linux behaviour")
-def test_theorem2_mu_peak_memory_grows_by_at_most_16_bytes_per_integer():
+def test_theorem2_mu_peak_memory_grows_by_at_most_6_bytes_per_integer():
     limits = (100_000, 200_000, 400_000)
     argvs = [
         ["verify", "theorem2", "--coeffs", "mu", "--n", f"1000,{n}", "--sigma", "2,1.25", "--format", "json"]
@@ -249,63 +249,68 @@ def test_theorem2_mu_peak_memory_grows_by_at_most_16_bytes_per_integer():
     peaks = cli_peak_rss(SRC, argvs)
     # Three complex128 arrays of mu and an unchunked g_eval grew by 93-98
     # bytes per integer, and real storage with its two prefix arrays by
-    # 24-28; gathering the prefix sums at the block ends alone takes 6-11.
+    # 24-28; gathering the prefix sums at the block ends alone took 6-11
+    # with a float64 copy of mu, and 1.5-3.8 with mu the sieve's int8
+    # table.
     for (lo, hi), (a, b) in zip(zip(limits, limits[1:]), zip(peaks, peaks[1:])):
         growth = (b - a) / (hi - lo)
-        assert growth <= 16, (lo, hi, growth)
+        assert growth <= 6, (lo, hi, growth)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB is Linux behaviour")
-def test_theorem1_mu_peak_memory_grows_by_at_most_16_bytes_per_integer():
+def test_theorem1_mu_peak_memory_grows_by_at_most_6_bytes_per_integer():
     limits = (100_000, 200_000, 400_000)
     argvs = [["verify", "theorem1", "--coeffs", "mu", "--n", f"1000,{n}", "--format", "json"] for n in limits]
     peaks = cli_peak_rss(SRC, argvs)
     # A(n) per point from the cached prefix_a grew by 18-19 bytes per
-    # integer; one batch_sums call, which gathers the block ends, by 7-10.
+    # integer; one batch_sums call, which gathers the block ends, by 7-10
+    # on a float64 copy of mu, and by at most 4.1 on the int8 table.
     for (lo, hi), (a, b) in zip(zip(limits, limits[1:]), zip(peaks, peaks[1:])):
         growth = (b - a) / (hi - lo)
-        assert growth <= 16, (lo, hi, growth)
+        assert growth <= 6, (lo, hi, growth)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB is Linux behaviour")
-def test_wintner_mu_peak_memory_grows_by_at_most_13_bytes_per_integer():
+def test_wintner_mu_peak_memory_grows_by_at_most_6_bytes_per_integer():
     limits = (100_000, 200_000, 400_000)
     argvs = [["verify", "wintner", "--coeffs", "mu", "--n", f"1000,{n}", "--format", "json"] for n in limits]
     peaks = cli_peak_rss(SRC, argvs)
     # Per-point terms up to each n and the cached prefix_a grew by 30-33
     # bytes per integer; the terms formed once and read at every n, with
     # A(n) from batch_sums, by 22-25; the terms formed chunk by chunk
-    # into streamed exact sums, beside the sequence, by 7.5-9.
+    # into streamed exact sums, beside a float64 copy of mu, by 7.5-9,
+    # and beside the sieve's int8 table by 0.4-3.5.
     for (lo, hi), (a, b) in zip(zip(limits, limits[1:]), zip(peaks, peaks[1:])):
         growth = (b - a) / (hi - lo)
-        assert growth <= 13, (lo, hi, growth)
+        assert growth <= 6, (lo, hi, growth)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB is Linux behaviour")
-def test_axer_mu_peak_memory_grows_by_at_most_16_bytes_per_integer():
+def test_axer_mu_peak_memory_grows_by_at_most_6_bytes_per_integer():
     limits = (100_000, 200_000, 400_000)
     argvs = [["verify", "axer", "--coeffs", "mu", "--n", f"1000,{n}", "--format", "json"] for n in limits]
     peaks = cli_peak_rss(SRC, argvs)
     # np.cumsum(np.abs(a)) over the whole sequence grew by about 24.5
     # bytes per integer; a running sum over chunks read at the grid
-    # points holds no N-length array but the sequence.
+    # points holds no N-length array but the sequence: 8.5-14 with a
+    # float64 copy of mu, 0.5-3.3 with the sieve's int8 table.
     for (lo, hi), (a, b) in zip(zip(limits, limits[1:]), zip(peaks, peaks[1:])):
         growth = (b - a) / (hi - lo)
-        assert growth <= 16, (lo, hi, growth)
+        assert growth <= 6, (lo, hi, growth)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB is Linux behaviour")
-def test_ingham_liouville_peak_memory_grows_by_at_most_20_bytes_per_integer():
+def test_ingham_liouville_peak_memory_grows_by_at_most_8_bytes_per_integer():
     limits = (100_000, 200_000, 400_000)
     argvs = [["ingham", "--coeffs", "liouville", "--n", f"1000,{n}", "--format", "json"] for n in limits]
     peaks = cli_peak_rss(SRC, argvs)
     # The complex128 extension over every prime, of which liouville kept
     # the real part, grew by 46-51 bytes per integer; the float64 fill
-    # from the SPF table with both prefix arrays took 27-31, and without
-    # them 8-14.
+    # from the SPF table with both prefix arrays took 27-31, without
+    # them 8-14, and the int8 fill at most 3.6.
     for (lo, hi), (a, b) in zip(zip(limits, limits[1:]), zip(peaks, peaks[1:])):
         growth = (b - a) / (hi - lo)
-        assert growth <= 20, (lo, hi, growth)
+        assert growth <= 8, (lo, hi, growth)
 
 
 # Grid tops above the extension's segment (2**18 integers), whose fixed
