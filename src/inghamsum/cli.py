@@ -1,11 +1,11 @@
 """Command-line front end.
 
-Subcommands: sieve, mean, ingham, verify {theorem1,theorem2,theorem3,
+Commands: sieve, mean, ingham, verify {theorem1,theorem2,theorem3,
 wintner,axer}, lemma, identity {sdiff,sdecomp,smult,difference}, report.
 Outputs are deterministic: the same configuration and build produce
 byte-identical CSV/JSON artifacts.
 
-Every subcommand returns one VerificationReport, fully computed before
+Every command returns one VerificationReport, fully computed before
 ``main`` opens the output, and ``main`` is its only writer. The table
 commands (``sieve``, ``ingham``) hold their columns as arrays, and
 ``main`` streams every report in chunks of ``report.CHUNK_ROWS`` rows,
@@ -20,16 +20,17 @@ error (a number that is nan or infinite included), 3 capacity error
 (e.g. a spec cutoff above the sieve cap), 4 numerical failure
 (quadrature non-convergence or a singular Euler factor), 5 I/O error.
 
-Five options also read INGHAMSUM_<OPTION> when the flag is not given:
---alpha, --envelope, --quad-tol, --tail-tol and --truncation (e.g.
-INGHAMSUM_QUAD_TOL); explicit flags win. A variable is read only by the
-checks that use its option. Every float flag and every INGHAMSUM_* value
+Each command reads the options of its row in ``_COMMANDS``, with --out
+and --format; its --help lists exactly these, and any other option
+exits 2 with an "error:" line naming it. Five options also read
+INGHAMSUM_<OPTION> when the flag is not given: --alpha, --envelope,
+--quad-tol, --tail-tol and --truncation (e.g. INGHAMSUM_QUAD_TOL);
+explicit flags win, and a variable is read only by the commands that
+read its option. Every float flag, --sigma value and INGHAMSUM_* value
 read must parse and be finite, an envelope must be above 0, an alpha
-above 1, and --quad-tol and --tail-tol must lie in (0, 1), or it exits
-2 with an "error:" line naming it, before any sieve is built. An option
-that the chosen `verify` or `identity` check does not read (say --alpha
-for theorem1, or --truncation for sdiff) exits 2 with an "error:" line
-naming it.
+and each sigma above 1 (the --sigma list descending), and --quad-tol
+and --tail-tol must lie in (0, 1), or it exits 2 with an "error:" line
+naming it, before any sieve is built.
 """
 
 from __future__ import annotations
@@ -79,6 +80,8 @@ from .verify import (
 _ENV_PREFIX = "INGHAMSUM_"
 # The Hoelder exponent of `mean` and `verify theorem3` unless --alpha is given.
 _ALPHA = 2.0
+# The relative-error envelope of the S identities unless --envelope is given.
+_IDENTITY_ENVELOPE = 1e-8
 # The open range (low, high) of each bounded option, high None for no
 # upper bound; a value outside fails fast. An envelope <= 0 would fail
 # every row, the mean-value bound needs alpha > 1, and a tolerance is a
@@ -306,7 +309,13 @@ def _spec_table(spec: MultiplicativeSpec, top: int) -> SieveTable:
     return _get_table(max(top, spec.euler_limit))
 
 
-# -- subcommands: each turns its arguments into one report ----------------
+# -- commands: each turns its arguments into one report -------------------
+# Each reads the grid, then every float flag, INGHAMSUM_* variable and
+# truncation bound, and only then builds the sieve.
+
+
+def _sequence(args, n: int) -> CoefficientSequence:
+    return resolve_coeffs(args.coeffs, n, _get_table(n))
 
 
 def _cmd_sieve(args) -> VerificationReport:
@@ -331,8 +340,7 @@ def _cmd_mean(args) -> VerificationReport:
 
 def _cmd_ingham(args) -> VerificationReport:
     grid = parse_grid(args.n)
-    seq = resolve_coeffs(args.coeffs, grid[-1], _get_table(grid[-1]))
-    values = batch_sums(seq, grid)
+    values = batch_sums(_sequence(args, grid[-1]), grid)
     columns = {"n": np.array([v.n for v in values])}
     for name, key in (("A", "A"), ("S", "S"), ("norm_a", "normalized_A")):
         z = np.array([getattr(v, key) for v in values], dtype=np.complex128)
@@ -344,65 +352,45 @@ def _cmd_ingham(args) -> VerificationReport:
     return VerificationReport("ingham", Columns(columns), {"coeffs": args.coeffs})
 
 
-# The options each check reads besides --n, --out and --format. Any
-# other option given to the check is an error (exit 2), and an
-# INGHAMSUM_* variable is read only where its option is.
-_READS = {
-    "theorem1": {"spec", "envelope"},  # coeffs in place of spec without --spec
-    "theorem2": {"coeffs", "sigma"},
-    "theorem3": {"spec", "alpha", "envelope"},
-    "wintner": {"coeffs"},
-    "axer": {"coeffs", "envelope"},
-    "sdiff": {"coeffs", "envelope"},
-    "sdecomp": {"coeffs", "envelope"},
-    "smult": {"spec", "envelope"},
-    "difference": {"coeffs", "truncation", "envelope", "quad_tol", "tail_tol"},
-}
-
-
-_EVERY_CHECK_READS = {"command", "check", "func", "n", "out", "format"}
-
-
-def _reject_unread(args, reads: set[str]) -> None:
-    """SpecFormatError (exit 2) for the first option given that the
-    check does not read."""
-    for dest, value in vars(args).items():
-        if value is not None and dest not in reads | _EVERY_CHECK_READS:
-            flag = "--" + dest.replace("_", "-")
-            raise SpecFormatError(f"{args.command} {args.check} does not read {flag}")
-
-
-def _cmd_verify(args) -> VerificationReport:
-    reads = _READS[args.check]
-    if args.check == "theorem1" and not args.spec:
-        reads = reads - {"spec"} | {"coeffs"}
-    _reject_unread(args, reads)
+def _cmd_theorem1(args) -> VerificationReport:
+    # It reads --spec or --coeffs, not both, which argparse cannot declare.
+    if args.spec and args.coeffs is not None:
+        raise SpecFormatError("verify theorem1 --spec does not read --coeffs")
     grid = parse_grid(args.n)
-    if args.check == "theorem3":
+    envelope = _opt(args.envelope, "envelope", THEOREM1_ENVELOPE)
+    if args.spec:
         spec = _load_multiplicative(args.spec)
-        alpha = _opt(args.alpha, "alpha", _ALPHA)
-        envelope = _opt(args.envelope, "envelope", THEOREM3_RATIO_ENVELOPE)
-        return theorem3_report(spec, _get_table(grid[-1]), grid, alpha, envelope)
-    if args.check == "theorem1":
-        envelope = _opt(args.envelope, "envelope", THEOREM1_ENVELOPE)
-        if args.spec:
-            spec = _load_multiplicative(args.spec)
-            return theorem1_spec_report(spec, _spec_table(spec, grid[-1]), grid, envelope)
-        seq = resolve_coeffs(args.coeffs, grid[-1], _get_table(grid[-1]))
-        return theorem1_report(seq, grid, envelope)
-    if args.check == "axer":
-        envelope = _opt(args.envelope, "envelope", AXER_BOUND)
-    seq = resolve_coeffs(args.coeffs, grid[-1], _get_table(grid[-1]))
-    if args.check == "theorem2":
-        sigma_grid = (
-            [_number(s, "--sigma") for s in args.sigma.split(",")]
-            if args.sigma is not None
-            else [2.0, 1.5, 1.25, 1.125, 1.0625]
-        )
-        return theorem2_conditions(seq, grid, sigma_grid)
-    if args.check == "wintner":
-        return wintner_report(seq, grid)
-    return axer_report(seq, grid, envelope)
+        return theorem1_spec_report(spec, _spec_table(spec, grid[-1]), grid, envelope)
+    return theorem1_report(_sequence(args, grid[-1]), grid, envelope)
+
+
+def _cmd_theorem2(args) -> VerificationReport:
+    grid = parse_grid(args.n)
+    sigma_grid = [2.0, 1.5, 1.25, 1.125, 1.0625]
+    if args.sigma is not None:
+        sigma_grid = [_opt(s, "sigma", None, above=1) for s in args.sigma.split(",")]
+        if any(b >= a for a, b in zip(sigma_grid, sigma_grid[1:])):
+            raise SpecFormatError(f"--sigma: expected a descending list, got {args.sigma}")
+    return theorem2_conditions(_sequence(args, grid[-1]), grid, sigma_grid)
+
+
+def _cmd_theorem3(args) -> VerificationReport:
+    grid = parse_grid(args.n)
+    spec = _load_multiplicative(args.spec)
+    alpha = _opt(args.alpha, "alpha", _ALPHA)
+    envelope = _opt(args.envelope, "envelope", THEOREM3_RATIO_ENVELOPE)
+    return theorem3_report(spec, _get_table(grid[-1]), grid, alpha, envelope)
+
+
+def _cmd_wintner(args) -> VerificationReport:
+    grid = parse_grid(args.n)
+    return wintner_report(_sequence(args, grid[-1]), grid)
+
+
+def _cmd_axer(args) -> VerificationReport:
+    grid = parse_grid(args.n)
+    envelope = _opt(args.envelope, "envelope", AXER_BOUND)
+    return axer_report(_sequence(args, grid[-1]), grid, envelope)
 
 
 def _cmd_lemma(args) -> VerificationReport:
@@ -423,56 +411,63 @@ def _cmd_lemma(args) -> VerificationReport:
     return VerificationReport("lemma", rows, summary)
 
 
-def _cmd_identity(args) -> VerificationReport:
-    _reject_unread(args, _READS[args.check])
+def _identity_report(check, n, error, scale, envelope, truncation=None, summary=None):
+    """The one-row report of an identity check: it passes when error /
+    scale is at most envelope. The summary defaults to that relative
+    error and the envelope."""
+    relative = error / scale
+    passed = relative <= envelope
+    row = {"check": check, "n": n, "truncation": truncation, "error": error, "scale": scale}
+    row["pass"] = passed
+    if summary is None:
+        summary = {"relative_error": relative, "envelope": envelope}
+    return VerificationReport(f"identity-{check}", [row], {**summary, "pass": passed})
+
+
+def _cmd_sdiff(args) -> VerificationReport:
     n = parse_grid(args.n)[-1]
-    truncation = None
-    if args.check == "difference":
-        quad_tol = _opt(args.quad_tol, "quad-tol", QUAD_TOL)
-        tail_tol = _opt(args.tail_tol, "tail-tol", TAIL_TOL)
-        envelope = _opt(args.envelope, "envelope", 1e-5)
-        # The truncation must cover n; checked before the table is built.
-        truncation = _opt(args.truncation, "truncation", 10**6, int, above=n - 1)
-        table = _get_table(max(n, truncation))
-        seq = resolve_coeffs(args.coeffs, truncation, table)
-        res = difference_identity_check(seq, table, n, truncation, quad_tol, tail_tol)
-        err, scale = res.error, 1.0
-    else:
-        envelope = _opt(args.envelope, "envelope", 1e-8)
-        table = _get_table(n)
-        if args.check == "smult":
-            err = s_multiplicative_identity(_load_multiplicative(args.spec), table, n)
-            scale = max(1.0, n * math.log(n))
-        else:
-            seq = resolve_coeffs(args.coeffs, n, table)
-            if args.check == "sdiff":
-                err = s_difference_identity(seq, table, n)
-                prefix = np.cumsum(times_log(seq.a[: n + 1], log_index(n)))
-                scale = max(1.0, float(np.max(np.abs(prefix))))
-            else:
-                err = s_decomposition_identity(seq, table, n)
-                scale = max(1.0, n * math.log(n))
-    rel = err / scale
-    passed = rel <= envelope
-    row = {
-        "check": args.check,
-        "n": n,
-        "truncation": truncation,
-        "error": err,
-        "scale": scale,
-        "pass": passed,
+    envelope = _opt(args.envelope, "envelope", _IDENTITY_ENVELOPE)
+    table = _get_table(n)
+    seq = resolve_coeffs(args.coeffs, n, table)
+    error = s_difference_identity(seq, table, n)
+    prefix = np.cumsum(times_log(seq.a[: n + 1], log_index(n)))
+    return _identity_report("sdiff", n, error, max(1.0, float(np.max(np.abs(prefix)))), envelope)
+
+
+def _cmd_sdecomp(args) -> VerificationReport:
+    n = parse_grid(args.n)[-1]
+    envelope = _opt(args.envelope, "envelope", _IDENTITY_ENVELOPE)
+    table = _get_table(n)
+    error = s_decomposition_identity(resolve_coeffs(args.coeffs, n, table), table, n)
+    return _identity_report("sdecomp", n, error, max(1.0, n * math.log(n)), envelope)
+
+
+def _cmd_smult(args) -> VerificationReport:
+    n = parse_grid(args.n)[-1]
+    envelope = _opt(args.envelope, "envelope", _IDENTITY_ENVELOPE)
+    table = _get_table(n)
+    error = s_multiplicative_identity(_load_multiplicative(args.spec), table, n)
+    return _identity_report("smult", n, error, max(1.0, n * math.log(n)), envelope)
+
+
+def _cmd_difference(args) -> VerificationReport:
+    n = parse_grid(args.n)[-1]
+    quad_tol = _opt(args.quad_tol, "quad-tol", QUAD_TOL)
+    tail_tol = _opt(args.tail_tol, "tail-tol", TAIL_TOL)
+    envelope = _opt(args.envelope, "envelope", 1e-5)
+    # The truncation must cover n; checked before the table is built.
+    truncation = _opt(args.truncation, "truncation", 10**6, int, above=n - 1)
+    table = _get_table(max(n, truncation))
+    seq = resolve_coeffs(args.coeffs, truncation, table)
+    res = difference_identity_check(seq, table, n, truncation, quad_tol, tail_tol)
+    summary = {
+        "lhs": res.lhs,
+        "rhs": res.rhs,
+        "tail_correction": res.tail_correction,
+        "tail_slack": res.tail_slack,
+        "quad_error": res.quad_error,
     }
-    if args.check == "difference":
-        summary = {
-            "lhs": res.lhs,
-            "rhs": res.rhs,
-            "tail_correction": res.tail_correction,
-            "tail_slack": res.tail_slack,
-            "quad_error": res.quad_error,
-        }
-    else:
-        summary = {"relative_error": rel, "envelope": envelope}
-    return VerificationReport(f"identity-{args.check}", [row], {**summary, "pass": passed})
+    return _identity_report("difference", n, res.error, 1.0, envelope, truncation, summary)
 
 
 def _cmd_report(args) -> VerificationReport:
@@ -512,70 +507,70 @@ def _cmd_report(args) -> VerificationReport:
 
 # -- argument wiring ----------------------------------------------------
 
+# The argparse keyword arguments of every option, by name.
+_OPTIONS = {
+    "spec": {"help": "multiplicative spec JSON"},
+    "coeffs": {"help": f"builtin ({', '.join(BUILTIN_SEQUENCES)}) or JSON path"},
+    "n": {"required": True, "help": "n grid: LIST or START:END:xFACTOR"},
+    "sigma": {"help": "descending sigma list, comma separated"},
+    "alpha": {"type": float, "help": "Hoelder exponent"},
+    "envelope": {"type": float, "help": "frozen-constant override"},
+    "quad-tol": {"type": float, "help": "quadrature tolerance"},
+    "tail-tol": {"type": float, "help": "tail cut tolerance"},
+    "truncation": {"type": int, "help": "Dirichlet series truncation"},
+    "in": {"dest": "infile", "required": True, "help": "JSON report path"},
+    "out": {"default": "-", "help": "output path, '-' for stdout"},
+    "format": {"choices": ("csv", "json"), "default": "csv", "help": "output format"},
+}
+
+_GROUPS = {"verify": "theorem condition reports", "identity": "exact identity checks"}
+
+# Every command: its name, function, the options it reads besides --out
+# and --format, and its help. Each row is one argparse leaf, so its
+# --help lists exactly these options, and main rejects any other.
+_COMMANDS = (
+    ("sieve", _cmd_sieve, "n", "emit sieve-derived arithmetic tables"),
+    ("mean", _cmd_mean, "spec n alpha", "mean values of a multiplicative function"),
+    ("ingham", _cmd_ingham, "coeffs n", "Ingham sums A(n), S(n) along a grid"),
+    ("verify theorem1", _cmd_theorem1, "spec coeffs n envelope", "A(n)/n against g(1 + 1/log n)"),
+    ("verify theorem2", _cmd_theorem2, "coeffs n sigma", "the two limit-existence conditions"),
+    ("verify theorem3", _cmd_theorem3, "spec n alpha envelope", "the mean-value bound"),
+    ("verify wintner", _cmd_wintner, "coeffs n", "Wintner's mean-value check"),
+    ("verify axer", _cmd_axer, "coeffs n envelope", "Axer's boundedness check"),
+    ("lemma", _cmd_lemma, "envelope quad-tol tail-tol", "f_t estimate-family ratio suite"),
+    ("identity sdiff", _cmd_sdiff, "coeffs n envelope", "the S difference identity"),
+    ("identity sdecomp", _cmd_sdecomp, "coeffs n envelope", "the S decomposition identity"),
+    ("identity smult", _cmd_smult, "spec n envelope", "the S identity of a multiplicative f"),
+    ("identity difference", _cmd_difference, "coeffs n truncation envelope quad-tol tail-tol",
+     "the difference identity"),
+    ("report", _cmd_report, "in", "re-render a JSON report"),
+)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="inghamsum",
         description="Ingham sums, Dirichlet series and Euler products, with verification reports.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    # Every subcommand returns one report, which main writes.
-    io = argparse.ArgumentParser(add_help=False)
-    io.add_argument("--out", default="-", help="output path, '-' for stdout")
-    io.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
-    tols = argparse.ArgumentParser(add_help=False)
-    tols.add_argument("--quad-tol", type=float, default=None, help="quadrature tolerance")
-    tols.add_argument("--tail-tol", type=float, default=None, help="tail cut tolerance")
-
-    p = sub.add_parser("sieve", parents=[io], help="emit sieve-derived arithmetic tables")
-    p.add_argument("--n", required=True, help="table limit (grid notation; max is used)")
-    p.set_defaults(func=_cmd_sieve)
-
-    p = sub.add_parser("mean", parents=[io], help="mean values of a multiplicative function")
-    p.add_argument("--spec", required=True, help="multiplicative spec JSON")
-    p.add_argument("--n", required=True, help="n grid")
-    p.add_argument("--alpha", type=float, default=None)
-    p.set_defaults(func=_cmd_mean)
-
-    p = sub.add_parser("ingham", parents=[io], help="Ingham sums A(n), S(n) along a grid")
-    p.add_argument("--coeffs", required=True, help=f"builtin ({', '.join(BUILTIN_SEQUENCES)}) or JSON path")
-    p.add_argument("--n", required=True, help="n grid")
-    p.set_defaults(func=_cmd_ingham)
-
-    p = sub.add_parser("verify", parents=[io], help="theorem condition reports")
-    p.add_argument("check", choices=("theorem1", "theorem2", "theorem3", "wintner", "axer"))
-    p.add_argument("--spec", default=None, help="multiplicative spec JSON")
-    p.add_argument("--coeffs", default=None, help="coefficient sequence name or path")
-    p.add_argument("--n", "--grid", dest="n", required=True, help="n grid")
-    p.add_argument("--sigma", default=None, help="descending sigma list, comma separated")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--envelope", type=float, default=None, help="frozen-constant override")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("lemma", parents=[io, tols], help="f_t estimate-family ratio suite")
-    p.add_argument("--envelope", type=float, default=None)
-    p.set_defaults(func=_cmd_lemma)
-
-    p = sub.add_parser("identity", parents=[io, tols], help="exact identity checks")
-    p.add_argument("check", choices=("sdiff", "sdecomp", "smult", "difference"))
-    p.add_argument("--spec", default=None)
-    p.add_argument("--coeffs", default=None)
-    p.add_argument("--n", required=True)
-    p.add_argument("--truncation", type=int, default=None)
-    p.add_argument("--envelope", type=float, default=None)
-    p.set_defaults(func=_cmd_identity)
-
-    p = sub.add_parser("report", parents=[io], help="re-render a JSON report")
-    p.add_argument("--in", dest="infile", required=True, help="JSON report path")
-    p.set_defaults(func=_cmd_report)
-
+    parents = {"": parser.add_subparsers(dest="command", required=True)}
+    for command, func, reads, help_ in _COMMANDS:
+        group, _, name = command.rpartition(" ")
+        if group not in parents:
+            grouped = parents[""].add_parser(group, help=_GROUPS[group])
+            parents[group] = grouped.add_subparsers(dest="check", required=True)
+        p = parents[group].add_parser(name, help=help_)
+        for option in (*reads.split(), "out", "format"):
+            flags = ["--" + option] + (["--grid"] if option == "n" and group == "verify" else [])
+            p.add_argument(*flags, **_OPTIONS[option])
+        p.set_defaults(func=func, name=command)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unread = build_parser().parse_known_args(argv)
     try:
+        if unread:
+            raise SpecFormatError(f"{args.name} does not read {unread[0].split('=')[0]}")
         report = args.func(args)
         chunks = report.chunks(args.format)
         if args.out == "-":

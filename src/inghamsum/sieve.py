@@ -22,10 +22,16 @@ import numpy as np
 
 from .errors import CapacityError
 
-# Default cap: the build itself holds a 50 MB odd-only bool sieve and
-# 46 MB of primes here, but the int32 SPF table, built on first read,
-# is 0.4 GB and mobius_array 0.1 GB.
+# The cap on a sieve limit: the build itself holds a 50 MB odd-only bool
+# sieve and 46 MB of primes here, but the int32 SPF table, built on first
+# read, is 0.4 GB and mobius_array 0.1 GB.
 DEFAULT_CAPACITY = 100_000_000
+# mobius_array's cofactor pass forms its indices this many primes at a
+# time. One index array over all the primes above sqrt(limit) (5.3 MB at
+# 1e7) could stay in the heap after the pass, and whether it did, which
+# the heap's layout decides, moved the peak of `verify theorem2` at 1e7
+# by 8 MB.
+_COFACTOR_CHUNK = 1 << 16
 
 
 class SieveTable:
@@ -36,7 +42,8 @@ class SieveTable:
         limit: Largest integer covered by the table.
         primes: ascending int64 array of all primes <= limit.
         spf: (lazy) spf[m] = smallest prime factor of m (m >= 2), 0 at
-            m = 0, 1; int32 below 2**31 and int64 above (:func:`spf_dtype`).
+            m = 0, 1; int32, which holds every index up to the cap
+            ``DEFAULT_CAPACITY``.
     """
 
     __slots__ = (
@@ -70,7 +77,7 @@ class SieveTable:
         """
         if self._spf is None:
             n = self.limit
-            spf = np.zeros(n + 1, dtype=spf_dtype(n))
+            spf = np.zeros(n + 1, dtype=np.int32)
             split = int(np.searchsorted(self.primes, math.isqrt(n), "right"))
             for p in self.primes[:split][::-1].tolist():
                 spf[p * p :: p] = p
@@ -87,7 +94,7 @@ class SieveTable:
         on its multiples and zeroes the multiples of p^2. Every m then has
         at most one prime factor P above sqrt(limit), with exponent 1, so
         one pass over the cofactors q = m / P (:func:`hyperbola_cofactors`)
-        negates mu at every P q.
+        negates mu at every P q, in pieces of ``_COFACTOR_CHUNK`` primes.
         """
         if self._mobius_arr is None:
             n = self.limit
@@ -99,8 +106,9 @@ class SieveTable:
                 mu[p * p :: p * p] = 0
             big = self.primes[split:]
             for q, j in hyperbola_cofactors(big, n):
-                at = big[:j] * q
-                mu[at] = -mu[at]
+                for lo in range(0, j, _COFACTOR_CHUNK):
+                    at = big[lo : min(lo + _COFACTOR_CHUNK, j)] * q
+                    mu[at] = -mu[at]
             mu.flags.writeable = False
             self._mobius_arr = mu
         return self._mobius_arr
@@ -239,11 +247,6 @@ class SieveTable:
         return f"SieveTable(limit={self.limit}, primes={len(self.primes)})"
 
 
-def spf_dtype(limit: int) -> type:
-    """int32 when every index up to limit fits in it, else int64."""
-    return np.int32 if limit < 2**31 else np.int64
-
-
 def hyperbola_cofactors(big: np.ndarray, n: int):
     """Yield (q, j) for q = n // (r + 1) down to 1, r = isqrt(n), where
     big[:j] are the entries of ``big`` at most n // q.
@@ -261,17 +264,17 @@ def hyperbola_cofactors(big: np.ndarray, n: int):
             yield q, j
 
 
-def build_sieve(limit: int, max_limit: int = DEFAULT_CAPACITY) -> SieveTable:
+def build_sieve(limit: int) -> SieveTable:
     """Build a :class:`SieveTable` covering 2..limit.
 
     The odd primes p <= sqrt(limit) come from a small sieve of their own
     and strike their odd multiples from p^2 up in a bool sieve over the
     odd numbers; what is left, with 2, are the primes. The SPF table is
     not built here (:attr:`SieveTable.spf`). Raises
-    :class:`CapacityError` outside [2, max_limit].
+    :class:`CapacityError` outside [2, DEFAULT_CAPACITY].
     """
-    if limit < 2 or limit > max_limit:
-        raise CapacityError(f"sieve limit {limit} outside [2, {max_limit}]")
+    if limit < 2 or limit > DEFAULT_CAPACITY:
+        raise CapacityError(f"sieve limit {limit} outside [2, {DEFAULT_CAPACITY}]")
     root = math.isqrt(limit)
     small = np.ones(root + 1, dtype=bool)
     small[:2] = False

@@ -315,10 +315,9 @@ def _theorem3_rows(spec, table, grid, alpha: float, envelope: float) -> list[Rep
     over the grid), and mu_n(alpha) from one list of prime terms
     (:func:`mu_n_alpha` over the grid). A row passes when its ratio is
     finite and at most envelope."""
-    for n in grid:
-        _check_theorem3(spec, n)
-        if n > grid[-1]:
-            raise ValueError(f"f_values covers {grid[-1]} < n = {n}")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("grid must be strictly ascending")
+    _check_theorem3(spec, grid[0])
     sums = _f_sums(spec, table, grid)
     products = euler_product(spec, table, 1.0, grid)
     mus = mu_n_alpha(spec, table, grid, alpha)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import inghamsum as ig
-from inghamsum.cli import load_spec_file, main, parse_grid, resolve_coeffs
+from inghamsum.cli import _COMMANDS, load_spec_file, main, parse_grid, resolve_coeffs
 from inghamsum.errors import SpecFormatError
 
 from conftest import cli_peak_rss
@@ -594,6 +595,12 @@ UNREAD_FLAG_COMMANDS = {
     "difference spec": (
         ["identity", "difference", "--coeffs", "mu", "--n", "10", "--truncation", "1000", "--spec", F2ZERO], "--spec",
     ),
+    "sieve alpha": (["sieve", "--n", "10", "--alpha", "3"], "--alpha"),
+    "sieve alpha=-inf": (["sieve", "--n", "10", "--alpha=-inf"], "--alpha"),
+    "mean envelope": (["mean", "--spec", F2ZERO, "--n", "1000", "--envelope", "5"], "--envelope"),
+    "ingham sigma": (["ingham", "--coeffs", "mu", "--n", "100", "--sigma", "2"], "--sigma"),
+    "lemma n": (["lemma", "--n", "100"], "--n"),
+    "report coeffs": (["report", "--in", str(DATA / "missing.json"), "--coeffs", "mu"], "--coeffs"),
 }
 BAD_INPUT_COMMANDS.update({case: argv for case, (argv, _) in UNREAD_FLAG_COMMANDS.items()})
 
@@ -665,9 +672,12 @@ FLOAT_FLAG_READERS = {
     ),
     "quad-tol": (["lemma"], ["identity", "difference", "--coeffs", "mu", "--n", "10", "--truncation", "1000"]),
     "tail-tol": (["lemma"], ["identity", "difference", "--coeffs", "mu", "--n", "10", "--truncation", "1000"]),
+    "sigma": (["verify", "theorem2", "--coeffs", "mu", "--n", "100,1000"],),
 }
 # A tolerance is a fraction in (0, 1): 2 is out of range too.
 BAD_FLOAT_VALUES = {flag: ("nan", "inf", "-inf", "0", "-1", *(("2",) if flag.endswith("tol") else ())) for flag in FLOAT_FLAG_READERS}
+# Each sigma must exceed 1 and parse, and the list must descend.
+BAD_FLOAT_VALUES["sigma"] += ("1", "0.5", "2,x", "2,1", "1.5,2", "2,2")
 
 
 @pytest.mark.parametrize(
@@ -698,6 +708,42 @@ def test_unread_flag_is_named(case, capsys):
     assert main([*argv, "--out", os.devnull]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.rstrip().endswith(f"does not read {flag}")
+
+
+# The options each command reads besides --out and --format.
+COMMAND_READS = {
+    "sieve": "--n",
+    "mean": "--spec --n --alpha",
+    "ingham": "--coeffs --n",
+    "verify theorem1": "--spec --coeffs --n --envelope",
+    "verify theorem2": "--coeffs --n --sigma",
+    "verify theorem3": "--spec --n --alpha --envelope",
+    "verify wintner": "--coeffs --n",
+    "verify axer": "--coeffs --n --envelope",
+    "lemma": "--envelope --quad-tol --tail-tol",
+    "identity sdiff": "--coeffs --n --envelope",
+    "identity sdecomp": "--coeffs --n --envelope",
+    "identity smult": "--spec --n --envelope",
+    "identity difference": "--coeffs --n --truncation --envelope --quad-tol --tail-tol",
+    "report": "--in",
+}
+
+
+def test_every_command_has_one_row_naming_the_options_it_reads():
+    rows = {command: " ".join("--" + option for option in reads.split()) for command, _, reads, _ in _COMMANDS}
+    assert rows == COMMAND_READS
+
+
+@pytest.mark.parametrize("command", COMMAND_READS)
+def test_help_lists_exactly_the_options_the_command_reads(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*command.split(), "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", capsys.readouterr().out))
+    expected = {"--help", "--out", "--format", *COMMAND_READS[command].split()}
+    if command.startswith("verify "):
+        expected.add("--grid")
+    assert listed == expected
 
 
 # (variable, value, command): a check that does not read the variable

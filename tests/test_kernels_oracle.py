@@ -26,7 +26,6 @@ from inghamsum.dirichlet import _EM_COEFFS, f_t_table, ft_partial_sum
 from inghamsum.errors import SingularFactorError
 from inghamsum.report import ReportRow
 from inghamsum.sequences import CoefficientSequence, log_index, named_sequence
-from inghamsum.sieve import spf_dtype
 from inghamsum.summation import block_sums
 
 _ROOTS = (2, 3, 10, 17, 31, 100, 316)
@@ -191,14 +190,6 @@ def test_build_sieve_matches_masked_int64_loop():
         assert np.array_equal(table.spf, spf), n
         assert np.array_equal(table.primes, primes), n
         assert not (table.spf.flags.writeable or table.primes.flags.writeable)
-
-
-def test_spf_dtype_widens_at_two_to_the_31():
-    for limit in (2, 10**8, 2**31 - 1):
-        assert spf_dtype(limit) is np.int32
-        assert np.iinfo(spf_dtype(limit)).max >= limit
-    for limit in (2**31, 2**40):
-        assert spf_dtype(limit) is np.int64
 
 
 def test_mobius_array_matches_all_prime_loop():

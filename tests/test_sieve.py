@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,8 +64,18 @@ def test_capacity_guard():
         build_sieve(1)
     with pytest.raises(CapacityError):
         build_sieve(2 * 10**8)
-    with pytest.raises(CapacityError):
-        build_sieve(2000, max_limit=1000)
+
+
+def test_mobius_array_temporaries_stay_under_2_mb():
+    # One index array over the 664,000 primes above sqrt(1e7) took 5.3 MB.
+    table = build_sieve(10**7)
+    tracemalloc.start()
+    try:
+        mu = table.mobius_array
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - mu.nbytes < 2 * 2**20, peak
 
 
 def test_mobius_examples(table_small):

@@ -40,6 +40,7 @@ from inghamsum.verify import (
     mean_report,
     theorem1_report,
     theorem1_spec_report,
+    theorem3_report,
 )
 
 from conftest import random_unit_complex, trial_primes
@@ -226,6 +227,15 @@ def test_theorem3_validation(table_small):
     bad = MultiplicativeSpec({2: 1.5}, cutoff=100, bound_check=False)
     with pytest.raises(ValueError):
         theorem3_check(bad, table_small, 100, 2.0)
+
+
+@pytest.mark.parametrize("grid", [[1000, 100], [100, 100]])
+def test_theorem3_rows_need_a_strictly_ascending_grid(grid, table_small):
+    spec = MultiplicativeSpec(cutoff=1000, default=-1.0)
+    with pytest.raises(ValueError, match="grid must be strictly ascending"):
+        mean_report(spec, table_small, grid, 2.0)
+    with pytest.raises(ValueError, match="grid must be strictly ascending"):
+        theorem3_report(spec, table_small, grid, 2.0, THEOREM3_RATIO_ENVELOPE)
 
 
 def test_theorem3_ratio_envelope_over_reference_grid(table_big):
