@@ -18,7 +18,8 @@ Exit statuses: 0 the report was written (a failed verdict shows as
 "pass": false in its summary, not in the status), 2 parse or validation
 error (a number that is nan or infinite included), 3 capacity error
 (e.g. a spec cutoff above the sieve cap), 4 numerical failure
-(quadrature non-convergence or a singular Euler factor), 5 I/O error.
+(quadrature non-convergence, a singular Euler factor, or a sum of
+finite terms that overflows), 5 I/O error.
 
 Each command reads the options of its row in ``_COMMANDS``, with --out
 and --format; its --help lists exactly these, and any other option
@@ -30,7 +31,7 @@ read its option. Every float flag, --sigma value and INGHAMSUM_* value
 read must parse and be finite, an envelope must be above 0, an alpha
 and each sigma above 1 (the --sigma list descending), and --quad-tol
 and --tail-tol must lie in (0, 1), or it exits 2 with an "error:" line
-naming it, before any sieve is built.
+naming it, before any sieve is built; so does a bad --coeffs or --spec.
 """
 
 from __future__ import annotations
@@ -274,10 +275,16 @@ def load_spec_file(path: str) -> MultiplicativeSpec | np.ndarray:
 
 def resolve_coeffs(name_or_path: str, n: int, table: SieveTable) -> CoefficientSequence:
     """A coefficient sequence from a builtin name or a JSON file."""
+    return _coeffs_builder(name_or_path, n)(table)
+
+
+def _coeffs_builder(name_or_path: str, n: int):
+    """:func:`resolve_coeffs` as a function of the table; a missing name
+    or a bad or short file fails here, before any table is built."""
     if name_or_path is None:
         raise SpecFormatError("a coefficient sequence is required (--coeffs)")
     if name_or_path in BUILTIN_SEQUENCES:
-        return named_sequence(name_or_path, n, table)
+        return lambda table: named_sequence(name_or_path, n, table)
     if not os.path.exists(name_or_path):
         raise SpecFormatError(
             f"{name_or_path!r} is neither a builtin sequence "
@@ -285,13 +292,12 @@ def resolve_coeffs(name_or_path: str, n: int, table: SieveTable) -> CoefficientS
         )
     loaded = load_spec_file(name_or_path)
     if isinstance(loaded, MultiplicativeSpec):
-        f = extend_completely_multiplicative(loaded, table, n)
-        return a_from_f(table, f)
+        return lambda table: a_from_f(table, extend_completely_multiplicative(loaded, table, n))
     if len(loaded) < n:
         raise SpecFormatError(
             f"{name_or_path}: provides {len(loaded)} coefficients, need {n}"
         )
-    return CoefficientSequence.from_values(loaded[:n])
+    return lambda table: CoefficientSequence.from_values(loaded[:n])
 
 
 def _load_multiplicative(path: str | None) -> MultiplicativeSpec:
@@ -314,8 +320,11 @@ def _spec_table(spec: MultiplicativeSpec, top: int) -> SieveTable:
 # truncation bound, and only then builds the sieve.
 
 
-def _sequence(args, n: int) -> CoefficientSequence:
-    return resolve_coeffs(args.coeffs, n, _get_table(n))
+def _sequence(args, n: int) -> tuple[CoefficientSequence, SieveTable]:
+    """The --coeffs sequence of length n, checked first, and its table up to n."""
+    build = _coeffs_builder(args.coeffs, n)
+    table = _get_table(n)
+    return build(table), table
 
 
 def _cmd_sieve(args) -> VerificationReport:
@@ -340,7 +349,7 @@ def _cmd_mean(args) -> VerificationReport:
 
 def _cmd_ingham(args) -> VerificationReport:
     grid = parse_grid(args.n)
-    values = batch_sums(_sequence(args, grid[-1]), grid)
+    values = batch_sums(_sequence(args, grid[-1])[0], grid)
     columns = {"n": np.array([v.n for v in values])}
     for name, key in (("A", "A"), ("S", "S"), ("norm_a", "normalized_A")):
         z = np.array([getattr(v, key) for v in values], dtype=np.complex128)
@@ -361,7 +370,7 @@ def _cmd_theorem1(args) -> VerificationReport:
     if args.spec:
         spec = _load_multiplicative(args.spec)
         return theorem1_spec_report(spec, _spec_table(spec, grid[-1]), grid, envelope)
-    return theorem1_report(_sequence(args, grid[-1]), grid, envelope)
+    return theorem1_report(_sequence(args, grid[-1])[0], grid, envelope)
 
 
 def _cmd_theorem2(args) -> VerificationReport:
@@ -371,7 +380,7 @@ def _cmd_theorem2(args) -> VerificationReport:
         sigma_grid = [_opt(s, "sigma", None, above=1) for s in args.sigma.split(",")]
         if any(b >= a for a, b in zip(sigma_grid, sigma_grid[1:])):
             raise SpecFormatError(f"--sigma: expected a descending list, got {args.sigma}")
-    return theorem2_conditions(_sequence(args, grid[-1]), grid, sigma_grid)
+    return theorem2_conditions(_sequence(args, grid[-1])[0], grid, sigma_grid)
 
 
 def _cmd_theorem3(args) -> VerificationReport:
@@ -384,13 +393,13 @@ def _cmd_theorem3(args) -> VerificationReport:
 
 def _cmd_wintner(args) -> VerificationReport:
     grid = parse_grid(args.n)
-    return wintner_report(_sequence(args, grid[-1]), grid)
+    return wintner_report(_sequence(args, grid[-1])[0], grid)
 
 
 def _cmd_axer(args) -> VerificationReport:
     grid = parse_grid(args.n)
     envelope = _opt(args.envelope, "envelope", AXER_BOUND)
-    return axer_report(_sequence(args, grid[-1]), grid, envelope)
+    return axer_report(_sequence(args, grid[-1])[0], grid, envelope)
 
 
 def _cmd_lemma(args) -> VerificationReport:
@@ -427,8 +436,7 @@ def _identity_report(check, n, error, scale, envelope, truncation=None, summary=
 def _cmd_sdiff(args) -> VerificationReport:
     n = parse_grid(args.n)[-1]
     envelope = _opt(args.envelope, "envelope", _IDENTITY_ENVELOPE)
-    table = _get_table(n)
-    seq = resolve_coeffs(args.coeffs, n, table)
+    seq, table = _sequence(args, n)
     error = s_difference_identity(seq, table, n)
     prefix = np.cumsum(times_log(seq.a[: n + 1], log_index(n)))
     return _identity_report("sdiff", n, error, max(1.0, float(np.max(np.abs(prefix)))), envelope)
@@ -437,16 +445,16 @@ def _cmd_sdiff(args) -> VerificationReport:
 def _cmd_sdecomp(args) -> VerificationReport:
     n = parse_grid(args.n)[-1]
     envelope = _opt(args.envelope, "envelope", _IDENTITY_ENVELOPE)
-    table = _get_table(n)
-    error = s_decomposition_identity(resolve_coeffs(args.coeffs, n, table), table, n)
+    seq, table = _sequence(args, n)
+    error = s_decomposition_identity(seq, table, n)
     return _identity_report("sdecomp", n, error, max(1.0, n * math.log(n)), envelope)
 
 
 def _cmd_smult(args) -> VerificationReport:
     n = parse_grid(args.n)[-1]
     envelope = _opt(args.envelope, "envelope", _IDENTITY_ENVELOPE)
-    table = _get_table(n)
-    error = s_multiplicative_identity(_load_multiplicative(args.spec), table, n)
+    spec = _load_multiplicative(args.spec)
+    error = s_multiplicative_identity(spec, _get_table(n), n)
     return _identity_report("smult", n, error, max(1.0, n * math.log(n)), envelope)
 
 
@@ -457,8 +465,7 @@ def _cmd_difference(args) -> VerificationReport:
     envelope = _opt(args.envelope, "envelope", 1e-5)
     # The truncation must cover n; checked before the table is built.
     truncation = _opt(args.truncation, "truncation", 10**6, int, above=n - 1)
-    table = _get_table(max(n, truncation))
-    seq = resolve_coeffs(args.coeffs, truncation, table)
+    seq, table = _sequence(args, truncation)
     res = difference_identity_check(seq, table, n, truncation, quad_tol, tail_tol)
     summary = {
         "lhs": res.lhs,
@@ -582,7 +589,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3
-    except (QuadratureError, SingularFactorError) as exc:
+    except (QuadratureError, SingularFactorError, OverflowError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 4
     except (SpecFormatError, ValueError, KeyError) as exc:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SpecFormatError
-from .sieve import SieveTable, hyperbola_cofactors
+from .sieve import SieveTable, _sign_sieve, hyperbola_cofactors
 
 BUILTIN_SEQUENCES = ("mu", "unit", "one", "liouville", "inverse-squares")
 
@@ -61,17 +61,19 @@ def times_log(a: np.ndarray, log: np.ndarray) -> np.ndarray:
     A real product is one multiply. A complex one is formed as numpy's
     complex * real forms it, (ar*l - ai*0, ar*0 + ai*l), one real product
     at a time into the views of the output, so no complex temporary is
-    made. Every chunk of a gives the same bits as the whole array.
+    made. Every chunk of a gives the same bits as the whole array, and
+    inf or nan terms come without a warning.
     """
-    if not np.iscomplexobj(a):
-        return np.multiply(log, a, out=log)
-    out = np.empty_like(a)
-    zeros = np.multiply(a.imag, 0.0)
-    np.multiply(a.real, log, out=out.real)
-    np.subtract(out.real, zeros, out=out.real)
-    np.multiply(a.real, 0.0, out=zeros)
-    np.multiply(a.imag, log, out=out.imag)
-    np.add(zeros, out.imag, out=out.imag)
+    with np.errstate(invalid="ignore", over="ignore"):
+        if not np.iscomplexobj(a):
+            return np.multiply(log, a, out=log)
+        out = np.empty_like(a)
+        zeros = np.multiply(a.imag, 0.0)
+        np.multiply(a.real, log, out=out.real)
+        np.subtract(out.real, zeros, out=out.real)
+        np.multiply(a.real, 0.0, out=zeros)
+        np.multiply(a.imag, log, out=out.imag)
+        np.add(zeros, out.imag, out=out.imag)
     return out
 
 
@@ -394,27 +396,14 @@ def extension_segments(spec: MultiplicativeSpec, table: SieveTable, n: int):
     )
 
 
-def _liouville(table: SieveTable, n: int) -> np.ndarray:
-    """Index-aligned lambda(m) = -lambda(m / spf(m)) for m <= n, as int8:
-    m / spf(m) <= m / 2, so a pass over [lo, hi) with hi <= 2 lo reads
-    only values set before it, in chunks that stay in cache."""
-    lam = np.empty(n + 1, dtype=np.int8)
-    lam[:2] = (0, 1)
-    lo = 2
-    while lo <= n:
-        hi = min(2 * lo, lo + _CHUNK, n + 1)
-        np.negative(lam[np.arange(lo, hi) // table.spf[lo:hi]], out=lam[lo:hi])
-        lo = hi
-    return lam
-
-
 def named_sequence(name: str, n: int, table: SieveTable) -> CoefficientSequence:
     """Built-in coefficient sequences of length n, by name.
 
     mu: a_k = mu(k); unit: a_1 = 1 and nothing else; one: a_k = 1;
     liouville: a_k = lambda(k) = (-1)^Omega(k); inverse-squares:
     a_k = k^-2. All but inverse-squares are stored as int8, mu as a
-    view of the sieve's read-only Mobius table (slot 0 is 0 there).
+    view of the sieve's read-only Mobius table (slot 0 is 0 there),
+    liouville from the same sign sieve, without the SPF table.
     """
     if n < 1 or n > table.limit:
         raise ValueError(f"length {n} outside [1, {table.limit}]")
@@ -426,7 +415,7 @@ def named_sequence(name: str, n: int, table: SieveTable) -> CoefficientSequence:
     elif name == "one":
         a = np.ones(n + 1, dtype=np.int8)
     elif name == "liouville":
-        a = _liouville(table, n)
+        a = _sign_sieve(table.primes, n, mobius=False)
     elif name == "inverse-squares":
         return CoefficientSequence.from_values(np.arange(1, n + 1, dtype=np.float64) ** -2.0)
     else:

@@ -8,7 +8,8 @@ numbers. Every other array, the smallest-prime-factor (SPF) table
 included, is built lazily from the primes and cached on the table, so
 a command pays only for what it reads, and the cost of e.g. a Psi
 prefix array is paid once even when a verification grid issues
-thousands of queries.
+thousands of queries. mu and Liouville's lambda share one sign sieve;
+the SPF table serves only the scalar methods and the `sieve` command.
 
 The table is immutable after construction (the backing arrays are marked
 read-only) and safe to share between threads.
@@ -22,11 +23,11 @@ import numpy as np
 
 from .errors import CapacityError
 
-# The cap on a sieve limit: the build itself holds a 50 MB odd-only bool
-# sieve and 46 MB of primes here, but the int32 SPF table, built on first
-# read, is 0.4 GB and mobius_array 0.1 GB.
+# The cap on a sieve limit: the build holds a 50 MB odd-only bool sieve
+# and 46 MB of primes here, mobius_array and liouville 0.1 GB each, and the
+# int32 SPF table, which only the scalar methods and `sieve` read, 0.4 GB.
 DEFAULT_CAPACITY = 100_000_000
-# mobius_array's cofactor pass forms its indices this many primes at a
+# The sign sieve's cofactor pass forms its indices this many primes at a
 # time. One index array over all the primes above sqrt(limit) (5.3 MB at
 # 1e7) could stay in the heap after the pass, and whether it did, which
 # the heap's layout decides, moved the peak of `verify theorem2` at 1e7
@@ -88,29 +89,11 @@ class SieveTable:
 
     @property
     def mobius_array(self) -> np.ndarray:
-        """int8 array with mobius_array[m] = mu(m); index 0 is unused.
-
-        Only the primes p <= sqrt(limit) are sieved: each flips the sign
-        on its multiples and zeroes the multiples of p^2. Every m then has
-        at most one prime factor P above sqrt(limit), with exponent 1, so
-        one pass over the cofactors q = m / P (:func:`hyperbola_cofactors`)
-        negates mu at every P q, in pieces of ``_COFACTOR_CHUNK`` primes.
-        """
+        """int8 array with mobius_array[m] = mu(m); index 0 is unused
+        (:func:`_sign_sieve`)."""
         if self._mobius_arr is None:
-            n = self.limit
-            mu = np.ones(n + 1, dtype=np.int8)
-            mu[0] = 0
-            split = int(np.searchsorted(self.primes, math.isqrt(n), "right"))
-            for p in self.primes[:split].tolist():
-                mu[p::p] *= -1
-                mu[p * p :: p * p] = 0
-            big = self.primes[split:]
-            for q, j in hyperbola_cofactors(big, n):
-                for lo in range(0, j, _COFACTOR_CHUNK):
-                    at = big[lo : min(lo + _COFACTOR_CHUNK, j)] * q
-                    mu[at] = -mu[at]
-            mu.flags.writeable = False
-            self._mobius_arr = mu
+            self._mobius_arr = _sign_sieve(self.primes, self.limit, mobius=True)
+            self._mobius_arr.flags.writeable = False
         return self._mobius_arr
 
     @property
@@ -118,15 +101,14 @@ class SieveTable:
         """float64 array with mangoldt_array[m] = Lambda(m)."""
         if self._mangoldt_arr is None:
             lam = np.zeros(self.limit + 1, dtype=np.float64)
-            if len(self.primes):
-                lam[self.primes] = np.log(self.primes.astype(np.float64))
-                root = math.isqrt(self.limit)
-                for p in self.primes[self.primes <= root].tolist():
-                    logp = math.log(p)
-                    pk = p * p
-                    while pk <= self.limit:
-                        lam[pk] = logp
-                        pk *= p
+            lam[self.primes] = np.log(self.primes.astype(np.float64))
+            root = math.isqrt(self.limit)
+            for p in self.primes[self.primes <= root].tolist():
+                logp = math.log(p)
+                pk = p * p
+                while pk <= self.limit:
+                    lam[pk] = logp
+                    pk *= p
             lam.flags.writeable = False
             self._mangoldt_arr = lam
         return self._mangoldt_arr
@@ -158,18 +140,6 @@ class SieveTable:
                 m //= p
                 e += 1
             out.append((p, e))
-        return out
-
-    def distinct_primes(self, m: int) -> list[int]:
-        """Ascending list of distinct prime divisors of m."""
-        self._check_index(m)
-        spf = self.spf
-        out: list[int] = []
-        while m > 1:
-            p = int(spf[m])
-            out.append(p)
-            while m % p == 0:
-                m //= p
         return out
 
     def mobius(self, m: int) -> int:
@@ -262,6 +232,35 @@ def hyperbola_cofactors(big: np.ndarray, n: int):
         j = int(np.searchsorted(big, n // q, "right"))
         if j:
             yield q, j
+
+
+def _sign_sieve(primes: np.ndarray, n: int, mobius: bool) -> np.ndarray:
+    """int8 s[m] = mu(m) if mobius else lambda(m) = (-1)^Omega(m) for m
+    <= n, s[0] = 0, from the ascending primes (at least those up to n).
+
+    Each prime p <= sqrt(n) flips the sign on its multiples, then zeroes
+    the multiples of p^2 (mu) or flips again on those of each p^k <= n
+    (lambda). What is left of m is 1 or one prime P > sqrt(n), so one
+    pass over the cofactors q = m / P (:func:`hyperbola_cofactors`)
+    negates s at every P q, ``_COFACTOR_CHUNK`` primes at a time.
+    """
+    s = np.ones(n + 1, dtype=np.int8)
+    s[0] = 0
+    split = int(np.searchsorted(primes, math.isqrt(n), "right"))
+    for p in primes[:split].tolist():
+        s[p::p] *= -1
+        pk = p * p
+        if mobius:
+            s[pk::pk] = 0
+        while pk <= n and not mobius:
+            s[pk::pk] *= -1
+            pk *= p
+    big = primes[split:]
+    for q, j in hyperbola_cofactors(big, n):
+        for lo in range(0, j, _COFACTOR_CHUNK):
+            at = big[lo : min(lo + _COFACTOR_CHUNK, j)] * q
+            s[at] = -s[at]
+    return s
 
 
 def build_sieve(limit: int) -> SieveTable:

@@ -145,7 +145,8 @@ def _pass_sums(upper, start, c, first, q) -> list[complex]:
     lower = np.empty_like(upper)
     lower[1:] = upper[:-1]
     lower[first] = start
-    terms = _block_terms(upper.real - lower.real, upper.imag - lower.imag, q)
+    with np.errstate(invalid="ignore"):  # inf - inf in a part is nan
+        terms = _block_terms(upper.real - lower.real, upper.imag - lower.imag, q)
     sums = segment_sums(terms, c)
     return list(map(complex, sums[0::2], sums[1::2]))
 
@@ -218,7 +219,8 @@ def _cumsums_at(ends: np.ndarray, *terms) -> list[np.ndarray]:
                 runs.append(np.zeros(_CHUNK_TERMS + 1, dtype=dtype))
             run = runs[i]
             run[1 : m + 1] = chunk
-            np.cumsum(run[: m + 1], out=run[: m + 1])
+            with np.errstate(invalid="ignore", over="ignore"):
+                np.cumsum(run[: m + 1], out=run[: m + 1])
             out[i][done:upto] = run[at]
             run[0] = run[m]
         done = upto

@@ -710,7 +710,8 @@ def difference_identity_check(
     logn = math.log(n)
 
     if d_values is None:
-        d_values = sum_over_divisors(a.a[: K + 1] * log_index(K))
+        with np.errstate(over="ignore", invalid="ignore"):  # terms beyond the float range are inf
+            d_values = sum_over_divisors(a.a[: K + 1] * log_index(K))
     if s_values is None:
         s_values = np.cumsum(d_values)
 
@@ -723,7 +724,8 @@ def difference_identity_check(
     quad_error = 0.0
 
     # First sum: S(k)-weighted differences of F_t integrals, k < n.
-    prime_lists = [[]] * 2 + [table.distinct_primes(m) for m in range(2, n + 1)]
+    primes = table.primes[: np.searchsorted(table.primes, n, "right")].tolist()  # n <= 50
+    prime_lists = [[]] * 2 + [[p for p in primes if m % p == 0] for m in range(2, n + 1)]
     t1_terms = []
     for k in range(2, n):
         res = _difference_integral(prime_lists, n, k, quad_tol, tail_tol)

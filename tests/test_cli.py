@@ -702,6 +702,70 @@ def test_bad_float_flag_exits_2_before_the_sieve_is_built(flag, argv, value, mon
     assert err.startswith(f"error: --{flag}: ") and "Traceback" not in err
 
 
+# Every command that reads --coeffs, without it, and one that reads --spec.
+COEFFS_READERS = {
+    "ingham": ["ingham", "--n", "1000"],
+    "theorem1": ["verify", "theorem1", "--n", "100,1000"],
+    "theorem2": ["verify", "theorem2", "--n", "100,1000"],
+    "wintner": ["verify", "wintner", "--n", "1000"],
+    "axer": ["verify", "axer", "--n", "100,1000"],
+    "sdiff": ["identity", "sdiff", "--n", "1000"],
+    "sdecomp": ["identity", "sdecomp", "--n", "1000"],
+    "difference": ["identity", "difference", "--n", "10", "--truncation", "1000"],
+}
+# A missing --coeffs or --spec, a path that does not exist, a malformed
+# file and (for --coeffs) one with fewer coefficients than the command reads.
+BAD_SOURCES = {
+    "missing": [],
+    "no such file": [str(DATA / "missing.json")],
+    "malformed": [str(DATA / "coeffs_nan.json")],
+    "short": ["{short}"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, option, source",
+    [
+        pytest.param(argv, "--coeffs", source, id=f"{name}-{case}")
+        for name, argv in COEFFS_READERS.items()
+        for case, source in BAD_SOURCES.items()
+    ]
+    + [
+        pytest.param(["identity", "smult", "--n", "200"], "--spec", source, id=f"smult-{case}")
+        for case, source in BAD_SOURCES.items()
+        if case != "short"
+    ],
+)
+def test_bad_coeffs_and_spec_exit_2_before_the_sieve_is_built(argv, option, source, tmp_path, monkeypatch, capsys):
+    from inghamsum import cli as cli_mod
+
+    def no_sieve(limit):
+        raise AssertionError(f"sieve built up to {limit}")
+
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps({"type": "coefficients", "values": [1, 2]}))
+    monkeypatch.setattr(cli_mod, "build_sieve", no_sieve)
+    flag = [option, *(s.format(short=short) for s in source)] if source else []
+    assert main([*argv, *flag, "--out", os.devnull]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "theorem1", "--n", "10,50"],
+    ["verify", "theorem2", "--n", "10,50"],
+    ["verify", "wintner", "--n", "10,50"],
+    ["identity", "difference", "--n", "10", "--truncation", "50"],
+], ids=["theorem1", "theorem2", "wintner", "difference"])
+def test_overflowing_sum_exits_4(argv, tmp_path, capsys):
+    # Fifty finite coefficients whose sums overflow the float range.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"type": "coefficients", "values": [[1e308, 0]] * 50}))
+    assert main([*argv, "--coeffs", str(path), "--out", os.devnull]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("case", UNREAD_FLAG_COMMANDS)
 def test_unread_flag_is_named(case, capsys):
     argv, flag = UNREAD_FLAG_COMMANDS[case]

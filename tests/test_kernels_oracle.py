@@ -411,7 +411,8 @@ def _seq_prefixes(seq):
     """The whole prefix arrays of a_m and a_m log m of a sequence, with
     the arithmetic of the prefix arrays a sequence once cached (real
     storage stays real)."""
-    return np.cumsum(seq.a), np.cumsum(sequences.times_log(seq.a, log_index(seq.length)))
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.cumsum(seq.a), np.cumsum(sequences.times_log(seq.a, log_index(seq.length)))
 
 
 def _unit_prefix(n, rng):
@@ -1078,20 +1079,47 @@ def test_mu_is_a_view_of_the_sieve_mobius_table():
     assert table._spf is None
 
 
-# -- Liouville from the SPF table ------------------------------------------
+# -- Liouville from the sign sieve -----------------------------------------
+
+
+def _liouville_ref(table, n):
+    """Index-aligned lambda(m) = -lambda(m / spf(m)) for m <= n, as int8,
+    from the SPF table: m / spf(m) <= m / 2, so a pass over [lo, hi) with
+    hi <= 2 lo reads only values set before it."""
+    lam = np.empty(n + 1, dtype=np.int8)
+    lam[:2] = (0, 1)
+    lo = 2
+    while lo <= n:
+        hi = min(2 * lo, lo + 4096, n + 1)
+        np.negative(lam[np.arange(lo, hi) // table.spf[lo:hi]], out=lam[lo:hi])
+        lo = hi
+    return lam
+
+
+@pytest.mark.parametrize("n", [10, 97, 1000, 12345, 10**6, 10**7])
+def test_liouville_matches_spf_recursion(n):
+    table = ig.build_sieve(n)
+    for m in (n, n // 3):
+        got = named_sequence("liouville", m, table).a
+        assert got.dtype == np.int8 and not got.flags.writeable, m
+        assert np.array_equal(got, _liouville_ref(table, m)), m
+
+
+def test_liouville_matches_spf_recursion_near_prime_squares():
+    for n in SIEVE_LIMITS[:-1]:
+        table = ig.build_sieve(n)
+        assert np.array_equal(named_sequence("liouville", n, table).a, _liouville_ref(table, n)), n
+
 
 LIOUVILLE_SIZES = (1, 2, 3, *(2**k + d for k in (2, 3, 10, 16) for d in (-1, 0, 1)), 10**5)
 
 
-@pytest.mark.parametrize("chunk", [None, 5])
-def test_liouville_matches_complex_extension(chunk, table_medium, monkeypatch):
-    if chunk is not None:
-        monkeypatch.setattr(sequences, "_CHUNK", chunk)
+@pytest.mark.parametrize("own_table", [False, True], ids=["shared-table", "own-table"])
+def test_liouville_matches_complex_extension(own_table, table_medium):
     for n in LIOUVILLE_SIZES:
-        if chunk is not None and n > 5000:
-            continue
-        got = named_sequence("liouville", n, table_medium)
-        ref = _complex_builtin("liouville", n, table_medium)
+        table = ig.build_sieve(max(n, 2)) if own_table else table_medium
+        got = named_sequence("liouville", n, table)
+        ref = _complex_builtin("liouville", n, table)
         assert got.a.dtype == np.int8
         for g, r in zip((got.a.astype(np.float64), *_gathered(got)), (ref.a, *_gathered(ref))):
             assert np.array_equal(g.view(np.uint64), r.real.view(np.uint64)), n
@@ -1159,7 +1187,8 @@ def test_lemma_integrals_match_own_substitution(table_small, monkeypatch):
 
 @pytest.mark.parametrize("n", [10, 31, 50])
 def test_difference_integrals_match_own_substitution(n, table_small, monkeypatch):
-    prime_lists = [[]] * 2 + [table_small.distinct_primes(m) for m in range(2, n + 1)]
+    primes = table_small.primes[: np.searchsorted(table_small.primes, n, "right")].tolist()
+    prime_lists = [[]] * 2 + [[p for p in primes if m % p == 0] for m in range(2, n + 1)]
     ks = (2, 3, n // 2, n - 1)
     got = [_bits(verify._difference_integral(prime_lists, n, k, 1e-8, 1e-10)) for k in ks]
     monkeypatch.setattr(verify, "integral_zero_to_inf", _integral_zero_to_inf_ref)

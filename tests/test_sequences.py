@@ -307,7 +307,8 @@ def test_ingham_liouville_peak_memory_grows_by_at_most_8_bytes_per_integer():
     # The complex128 extension over every prime, of which liouville kept
     # the real part, grew by 46-51 bytes per integer; the float64 fill
     # from the SPF table with both prefix arrays took 27-31, without
-    # them 8-14, and the int8 fill at most 3.6.
+    # them 8-14, and the int8 fill at most 3.6; the sign sieve, which
+    # reads no SPF table, took -0.9 to 3.2 over 30 runs.
     for (lo, hi), (a, b) in zip(zip(limits, limits[1:]), zip(peaks, peaks[1:])):
         growth = (b - a) / (hi - lo)
         assert growth <= 8, (lo, hi, growth)

@@ -7,6 +7,7 @@ import pytest
 from inghamsum import CapacityError, build_sieve
 from inghamsum.dirichlet import f_t_table
 from inghamsum.sequences import named_sequence
+from inghamsum.verify import difference_identity_check
 
 from conftest import trial_divisors, trial_mangoldt, trial_mobius, trial_primes
 
@@ -43,6 +44,9 @@ def test_build_keeps_no_spf_table_until_it_is_read():
         t.mobius_array, t.mangoldt_array, t.psi_prefix
         f_t_table(t, 1.0, n)
         named_sequence("mu", n, t)
+        named_sequence("liouville", n, t)
+        k = min(n, 300)
+        difference_identity_check(named_sequence("mu", k, t), t, min(n, 10), k)
         assert t._spf is None, n
         spf = t.spf
         assert t._spf is spf and t.spf is spf and t.spf is spf, n

@@ -538,7 +538,8 @@ def test_difference_first_sum_matches_closed_form(table_small):
     mu = table_small.mobius_array
     worst = 0.0
     for n in (3, 10, 30, 50):
-        prime_lists = [[]] * 2 + [table_small.distinct_primes(m) for m in range(2, n + 1)]
+        primes = table_small.primes[: np.searchsorted(table_small.primes, n, "right")].tolist()
+        prime_lists = [[]] * 2 + [[p for p in primes if m % p == 0] for m in range(2, n + 1)]
         for k in range(2, n):
             x1, x2 = n // k, n // (k + 1)
             d = np.arange(1, x1 + 1)
