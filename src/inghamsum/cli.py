@@ -8,11 +8,14 @@ byte-identical CSV/JSON artifacts.
 Every command returns one VerificationReport, fully computed before
 ``main`` opens the output, and ``main`` is its only writer. The table
 commands (``sieve``, ``ingham``) hold their columns as arrays, and
-``main`` streams every report in chunks of ``report.CHUNK_ROWS`` rows,
-so the memory a report adds beyond its arrays (the sieve's, for
-``sieve``) is bounded by the chunk size; the bytes are the same as one
-whole-document write. ``mean`` and ``verify theorem1 --spec`` size the
-sieve to cover the spec's Euler product (see README).
+``main`` streams every report in chunks of ``report.CHUNK_ROWS`` (4096)
+rows, so the memory a report adds beyond its arrays (the sieve's, for
+``sieve``) is bounded by the chunk size, about 10 MB for ``sieve --n
+300000``; the bytes are the same as one whole-document write. ``report
+--in`` reads its JSON into such arrays, one row at a time. ``mean`` and
+``verify theorem1 --spec`` size the sieve to cover the spec's Euler
+product (see README), and a --coeffs file builds no sieve outside the
+identity checks.
 
 Exit statuses: 0 the report was written (a failed verdict shows as
 "pass": false in its summary, not in the status), 2 parse or validation
@@ -46,7 +49,7 @@ import numpy as np
 
 from .errors import CapacityError, QuadratureError, SingularFactorError, SpecFormatError
 from .quadrature import QUAD_TOL, TAIL_TOL
-from .report import Columns, VerificationReport, csv_layout
+from .report import Columns, VerificationReport, read_json_report
 from .sequences import (
     BUILTIN_SEQUENCES,
     CoefficientSequence,
@@ -275,16 +278,18 @@ def load_spec_file(path: str) -> MultiplicativeSpec | np.ndarray:
 
 def resolve_coeffs(name_or_path: str, n: int, table: SieveTable) -> CoefficientSequence:
     """A coefficient sequence from a builtin name or a JSON file."""
-    return _coeffs_builder(name_or_path, n)(table)
+    return _coeffs_builder(name_or_path, n)(lambda: table)
 
 
 def _coeffs_builder(name_or_path: str, n: int):
-    """:func:`resolve_coeffs` as a function of the table; a missing name
-    or a bad or short file fails here, before any table is built."""
+    """:func:`resolve_coeffs` as a function of a function that gives the
+    table, called only for a builtin or a spec: a coefficient file reads
+    no table. A missing name or a bad or short file fails here, before
+    any table is built."""
     if name_or_path is None:
         raise SpecFormatError("a coefficient sequence is required (--coeffs)")
     if name_or_path in BUILTIN_SEQUENCES:
-        return lambda table: named_sequence(name_or_path, n, table)
+        return lambda table_of: named_sequence(name_or_path, n, table_of())
     if not os.path.exists(name_or_path):
         raise SpecFormatError(
             f"{name_or_path!r} is neither a builtin sequence "
@@ -292,12 +297,17 @@ def _coeffs_builder(name_or_path: str, n: int):
         )
     loaded = load_spec_file(name_or_path)
     if isinstance(loaded, MultiplicativeSpec):
-        return lambda table: a_from_f(table, extend_completely_multiplicative(loaded, table, n))
+
+        def from_spec(table_of):
+            table = table_of()
+            return a_from_f(table, extend_completely_multiplicative(loaded, table, n))
+
+        return from_spec
     if len(loaded) < n:
         raise SpecFormatError(
             f"{name_or_path}: provides {len(loaded)} coefficients, need {n}"
         )
-    return lambda table: CoefficientSequence.from_values(loaded[:n])
+    return lambda table_of: CoefficientSequence.from_values(loaded[:n])
 
 
 def _load_multiplicative(path: str | None) -> MultiplicativeSpec:
@@ -320,11 +330,18 @@ def _spec_table(spec: MultiplicativeSpec, top: int) -> SieveTable:
 # truncation bound, and only then builds the sieve.
 
 
-def _sequence(args, n: int) -> tuple[CoefficientSequence, SieveTable]:
-    """The --coeffs sequence of length n, checked first, and its table up to n."""
+def _sequence(args, n: int) -> CoefficientSequence:
+    """The --coeffs sequence of length n, checked first; a builtin or a
+    spec then reads a table up to n."""
+    return _coeffs_builder(args.coeffs, n)(lambda: _get_table(n))
+
+
+def _sequence_and_table(args, n: int) -> tuple[CoefficientSequence, SieveTable]:
+    """:func:`_sequence` and a table up to n, which the identity checks
+    read whatever the source."""
     build = _coeffs_builder(args.coeffs, n)
     table = _get_table(n)
-    return build(table), table
+    return build(lambda: table), table
 
 
 def _cmd_sieve(args) -> VerificationReport:
@@ -349,7 +366,7 @@ def _cmd_mean(args) -> VerificationReport:
 
 def _cmd_ingham(args) -> VerificationReport:
     grid = parse_grid(args.n)
-    values = batch_sums(_sequence(args, grid[-1])[0], grid)
+    values = batch_sums(_sequence(args, grid[-1]), grid)
     columns = {"n": np.array([v.n for v in values])}
     for name, key in (("A", "A"), ("S", "S"), ("norm_a", "normalized_A")):
         z = np.array([getattr(v, key) for v in values], dtype=np.complex128)
@@ -370,7 +387,7 @@ def _cmd_theorem1(args) -> VerificationReport:
     if args.spec:
         spec = _load_multiplicative(args.spec)
         return theorem1_spec_report(spec, _spec_table(spec, grid[-1]), grid, envelope)
-    return theorem1_report(_sequence(args, grid[-1])[0], grid, envelope)
+    return theorem1_report(_sequence(args, grid[-1]), grid, envelope)
 
 
 def _cmd_theorem2(args) -> VerificationReport:
@@ -380,7 +397,7 @@ def _cmd_theorem2(args) -> VerificationReport:
         sigma_grid = [_opt(s, "sigma", None, above=1) for s in args.sigma.split(",")]
         if any(b >= a for a, b in zip(sigma_grid, sigma_grid[1:])):
             raise SpecFormatError(f"--sigma: expected a descending list, got {args.sigma}")
-    return theorem2_conditions(_sequence(args, grid[-1])[0], grid, sigma_grid)
+    return theorem2_conditions(_sequence(args, grid[-1]), grid, sigma_grid)
 
 
 def _cmd_theorem3(args) -> VerificationReport:
@@ -393,13 +410,13 @@ def _cmd_theorem3(args) -> VerificationReport:
 
 def _cmd_wintner(args) -> VerificationReport:
     grid = parse_grid(args.n)
-    return wintner_report(_sequence(args, grid[-1])[0], grid)
+    return wintner_report(_sequence(args, grid[-1]), grid)
 
 
 def _cmd_axer(args) -> VerificationReport:
     grid = parse_grid(args.n)
     envelope = _opt(args.envelope, "envelope", AXER_BOUND)
-    return axer_report(_sequence(args, grid[-1])[0], grid, envelope)
+    return axer_report(_sequence(args, grid[-1]), grid, envelope)
 
 
 def _cmd_lemma(args) -> VerificationReport:
@@ -423,7 +440,10 @@ def _cmd_lemma(args) -> VerificationReport:
 def _identity_report(check, n, error, scale, envelope, truncation=None, summary=None):
     """The one-row report of an identity check: it passes when error /
     scale is at most envelope. The summary defaults to that relative
-    error and the envelope."""
+    error and the envelope. OverflowError when error or scale is not
+    finite."""
+    if not (math.isfinite(error) and math.isfinite(scale)):
+        raise OverflowError(f"identity {check}: error {error} and scale {scale} must be finite")
     relative = error / scale
     passed = relative <= envelope
     row = {"check": check, "n": n, "truncation": truncation, "error": error, "scale": scale}
@@ -436,7 +456,7 @@ def _identity_report(check, n, error, scale, envelope, truncation=None, summary=
 def _cmd_sdiff(args) -> VerificationReport:
     n = parse_grid(args.n)[-1]
     envelope = _opt(args.envelope, "envelope", _IDENTITY_ENVELOPE)
-    seq, table = _sequence(args, n)
+    seq, table = _sequence_and_table(args, n)
     error = s_difference_identity(seq, table, n)
     prefix = np.cumsum(times_log(seq.a[: n + 1], log_index(n)))
     return _identity_report("sdiff", n, error, max(1.0, float(np.max(np.abs(prefix)))), envelope)
@@ -445,7 +465,7 @@ def _cmd_sdiff(args) -> VerificationReport:
 def _cmd_sdecomp(args) -> VerificationReport:
     n = parse_grid(args.n)[-1]
     envelope = _opt(args.envelope, "envelope", _IDENTITY_ENVELOPE)
-    seq, table = _sequence(args, n)
+    seq, table = _sequence_and_table(args, n)
     error = s_decomposition_identity(seq, table, n)
     return _identity_report("sdecomp", n, error, max(1.0, n * math.log(n)), envelope)
 
@@ -465,7 +485,7 @@ def _cmd_difference(args) -> VerificationReport:
     envelope = _opt(args.envelope, "envelope", 1e-5)
     # The truncation must cover n; checked before the table is built.
     truncation = _opt(args.truncation, "truncation", 10**6, int, above=n - 1)
-    seq, table = _sequence(args, truncation)
+    seq, table = _sequence_and_table(args, truncation)
     res = difference_identity_check(seq, table, n, truncation, quad_tol, tail_tol)
     summary = {
         "lhs": res.lhs,
@@ -480,36 +500,9 @@ def _cmd_difference(args) -> VerificationReport:
 def _cmd_report(args) -> VerificationReport:
     with open(args.infile, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SpecFormatError(f"{args.infile}: invalid JSON ({exc})") from None
-    if not isinstance(data, dict):
-        raise SpecFormatError(f"{args.infile}: expected a JSON object")
-    for key in ("experiment_id", "rows", "summary"):
-        if key not in data:
-            raise SpecFormatError(f"{args.infile}: missing key {key!r}")
-    rows = data["rows"]
-    if not (
-        isinstance(rows, list)
-        and rows
-        and all(isinstance(r, dict) and r.keys() == rows[0].keys() for r in rows)
-    ):
-        raise SpecFormatError(
-            f"{args.infile}: rows: expected a non-empty list of objects with the same keys"
-        )
-    pairs = [col[3:] for col in csv_layout(rows[0]) if col not in rows[0]]
-    for key in dict.fromkeys(pairs):
-        for row in rows:
-            value = row[key]
-            if value is not None and not (
-                isinstance(value, list)
-                and len(value) == 2
-                and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
-            ):
-                raise SpecFormatError(f"{args.infile}: rows: {key!r}: expected null or [re, im]")
-    if not isinstance(data["summary"], dict):
-        raise SpecFormatError(f"{args.infile}: summary: expected an object")
-    return VerificationReport(data["experiment_id"], rows, data["summary"])
+            return read_json_report(fh)
+        except ValueError as exc:
+            raise SpecFormatError(f"{args.infile}: {exc}") from None
 
 
 # -- argument wiring ----------------------------------------------------

@@ -493,19 +493,25 @@ def s_difference_identity(a: CoefficientSequence, table: SieveTable, M: int) -> 
 
     S comes from one block-decomposed query per m, the divisor sums
     from a lattice pass; the two routes share no summation structure.
+    OverflowError when a sum leaves the float range.
     """
     if not 2 <= M <= min(a.length, table.limit):
         raise ValueError(f"M = {M} outside [2, {min(a.length, table.limit)}]")
-    divisor_sums = sum_over_divisors(a.a[: M + 1] * log_index(M))
-    prefix = np.cumsum(times_log(a.a[: M + 1], log_index(M)))
-    worst = 0.0
-    prev = _block_sum(prefix, 1)
-    for m in range(2, M + 1):
-        cur = _block_sum(prefix, m)
-        err = abs(cur - prev - divisor_sums[m])
-        if err > worst:
-            worst = err
-        prev = cur
+    # A non-finite sum stays non-finite, so one check after the loop
+    # sees every overflow, including a nan error that ``>`` skips.
+    with np.errstate(over="ignore", invalid="ignore"):
+        divisor_sums = sum_over_divisors(a.a[: M + 1] * log_index(M))
+        prefix = np.cumsum(times_log(a.a[: M + 1], log_index(M)))
+        worst = 0.0
+        prev = _block_sum(prefix, 1)
+        for m in range(2, M + 1):
+            cur = _block_sum(prefix, m)
+            err = abs(cur - prev - divisor_sums[m])
+            if err > worst:
+                worst = err
+            prev = cur
+    if not (math.isfinite(worst) and np.isfinite(prefix[M]) and np.isfinite(divisor_sums).all()):
+        raise OverflowError(f"S difference identity up to {M}: a sum overflows the float range")
     return worst
 
 
@@ -515,6 +521,7 @@ def s_decomposition_identity(a: CoefficientSequence, table: SieveTable, n: int) 
     The A(k) sweep goes through batch_sums; Lambda comes from the sieve.
     Summation by parts of sum (A(k)-A(k-1)) log k leaves the middle sum
     running over k <= n-1 only (k = n telescopes into the leading term).
+    OverflowError when a sum leaves the float range.
     """
     if not 2 <= n <= min(a.length, table.limit):
         raise ValueError(f"n = {n} outside [2, {min(a.length, table.limit)}]")
@@ -523,12 +530,15 @@ def s_decomposition_identity(a: CoefficientSequence, table: SieveTable, n: int) 
     A = np.zeros(n + 1, dtype=np.complex128)
     A[1:] = [v.A for v in sums]
     k = np.arange(1, n, dtype=np.float64)
-    middle = csum(A[1:n] * np.log1p(1.0 / k))
     lam = table.mangoldt_array
     pp = np.nonzero(lam[: n + 1])[0]
-    prime_part = csum(lam[pp] * A[n // pp])
-    rhs = A[n] * math.log(n) - middle - prime_part
-    return abs(lhs - rhs)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        middle = csum(A[1:n] * np.log1p(1.0 / k))
+        prime_part = csum(lam[pp] * A[n // pp])
+        error = abs(lhs - (A[n] * math.log(n) - middle - prime_part))
+    if not math.isfinite(error):
+        raise OverflowError(f"S decomposition identity at {n}: a sum overflows the float range")
+    return error
 
 
 def s_multiplicative_identity(

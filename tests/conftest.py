@@ -97,7 +97,8 @@ def random_unit_complex(rng, n: int) -> np.ndarray:
 # -- peak memory of CLI commands ----------------------------------------
 
 # Runs in a small launcher process so that the children's peak RSS does
-# not include the RSS of the test process they would be forked from.
+# not include the RSS of the test process they would be forked from. A
+# child that fails stops the launcher with its argv, status and stderr.
 _LAUNCHER = """
 import json, os, subprocess, sys
 out = []
@@ -105,9 +106,12 @@ for argv in json.loads(sys.argv[2]):
     proc = subprocess.Popen(
         [sys.executable, "-m", "inghamsum.cli", *argv, "--out", os.devnull],
         env={**os.environ, "PYTHONPATH": sys.argv[1]},
+        stderr=subprocess.PIPE,
     )
+    err = proc.stderr.read().decode(errors="replace")
     _, status, usage = os.wait4(proc.pid, 0)
-    assert status == 0, status
+    if status:
+        sys.exit(f"{argv} exited with status {os.waitstatus_to_exitcode(status)}; stderr:\\n{err}")
     out.append(usage.ru_maxrss * 1024)
 print(json.dumps(out))
 """
@@ -115,11 +119,12 @@ print(json.dumps(out))
 
 def cli_peak_rss(src, argvs) -> list[int]:
     """Peak RSS in bytes of each CLI command (an argv without --out), each
-    run as a fresh process with the package imported from src."""
+    run as a fresh process with the package imported from src; an
+    AssertionError names a command that fails."""
     done = subprocess.run(
         [sys.executable, "-c", _LAUNCHER, str(src), json.dumps(argvs)],
         capture_output=True,
         text=True,
-        check=True,
     )
+    assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)

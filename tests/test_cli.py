@@ -409,6 +409,16 @@ def test_report_csv_equals_direct_csv(tmp_path, cmd):
     assert again == direct
 
 
+@pytest.mark.parametrize("cmd", RENDERED_COMMANDS.values(), ids=RENDERED_COMMANDS)
+def test_report_json_equals_its_input(tmp_path, cmd):
+    _, direct = run_cli(cmd + ["--format", "json"], tmp_path, "report.json")
+    rc, again = run_cli(
+        ["report", "--in", str(tmp_path / "report.json"), "--format", "json"], tmp_path, "again.json"
+    )
+    assert rc == 0
+    assert again == direct
+
+
 def test_report_rejects_malformed_rows(tmp_path, capsys):
     path = tmp_path / "bad.json"
     _, payload = run_cli(["verify", "axer", "--coeffs", "one", "--n", "10,100", "--format", "json"], tmp_path)
@@ -751,19 +761,47 @@ def test_bad_coeffs_and_spec_exit_2_before_the_sieve_is_built(argv, option, sour
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "theorem1", "--n", "10,50"],
-    ["verify", "theorem2", "--n", "10,50"],
-    ["verify", "wintner", "--n", "10,50"],
-    ["identity", "difference", "--n", "10", "--truncation", "50"],
-], ids=["theorem1", "theorem2", "wintner", "difference"])
-def test_overflowing_sum_exits_4(argv, tmp_path, capsys):
-    # Fifty finite coefficients whose sums overflow the float range.
+# Fifty finite coefficients whose sums overflow the float range.
+HUGE = [[1e308, 0]] * 50
+# Finite sums whose largest |S|, the scale of the sdiff error, is not:
+# a_50 log 50 has parts of 1.5e308.
+HUGE_MODULUS = [[0, 0]] * 49 + [[1.5e308 / math.log(50)] * 2]
+
+
+@pytest.mark.parametrize("argv, values", [
+    (["verify", "theorem1", "--n", "10,50"], HUGE),
+    (["verify", "theorem2", "--n", "10,50"], HUGE),
+    (["verify", "wintner", "--n", "10,50"], HUGE),
+    (["identity", "difference", "--n", "10", "--truncation", "50"], HUGE),
+    (["identity", "sdiff", "--n", "50"], HUGE),
+    (["identity", "sdecomp", "--n", "50"], HUGE),
+    (["identity", "sdiff", "--n", "50"], HUGE_MODULUS),
+], ids=["theorem1", "theorem2", "wintner", "difference", "sdiff", "sdecomp", "sdiff-scale"])
+def test_overflowing_sum_exits_4(argv, values, tmp_path, capsys):
     path = tmp_path / "huge.json"
-    path.write_text(json.dumps({"type": "coefficients", "values": [[1e308, 0]] * 50}))
+    path.write_text(json.dumps({"type": "coefficients", "values": values}))
     assert main([*argv, "--coeffs", str(path), "--out", os.devnull]) == 4
     err = capsys.readouterr().err
     assert err.startswith("numerical error: ") and "Traceback" not in err
+
+
+# The commands that read --coeffs but no sieve of their own.
+TABLELESS_COEFFS_READERS = ("ingham", "theorem1", "theorem2", "wintner", "axer")
+
+
+@pytest.mark.parametrize("name", TABLELESS_COEFFS_READERS)
+def test_coefficient_file_builds_no_sieve(name, tmp_path, monkeypatch):
+    from inghamsum import cli as cli_mod
+
+    def no_sieve(limit):
+        raise AssertionError(f"sieve built up to {limit}")
+
+    path = tmp_path / "ones.json"
+    path.write_text(json.dumps({"type": "coefficients", "values": [1] * 1000}))
+    monkeypatch.setattr(cli_mod, "build_sieve", no_sieve)
+    out = tmp_path / "out.json"
+    assert main([*COEFFS_READERS[name], "--coeffs", str(path), "--format", "json", "--out", str(out)]) == 0
+    assert json.loads(out.read_bytes())["rows"]
 
 
 @pytest.mark.parametrize("case", UNREAD_FLAG_COMMANDS)

@@ -230,6 +230,95 @@ def test_columns_reject_ragged_and_complex():
         Columns({"z": np.zeros(2, dtype=np.complex128)})
 
 
+# -- report --in ---------------------------------------------------------
+
+# Every kind of column the reader meets: an all-int column that turns
+# float in a later block, bool, null, an int beyond int64, non-finite
+# floats, [re, im] pairs and an unchanging string.
+HAND_ROWS = [
+    {
+        "n": i,
+        "x": i if i < 20 else i / 4,
+        "ok": i % 3 == 0,
+        "none": None,
+        "big": 2**63 + i if i == 33 else i,
+        "v": [math.inf, -math.inf, math.nan, -0.0][i % 4] if i % 5 == 0 else i * 1e-300,
+        "z": None if i % 7 == 0 else [i, -0.5],
+        "family": "f",
+    }
+    for i in range(1, 50)
+]
+
+
+def _read_back(tmp_path, text, fmt):
+    path = tmp_path / "in.json"
+    path.write_text(text, encoding="utf-8")
+    return _cli_bytes(tmp_path, ["report", "--in", str(path)], fmt)
+
+
+def test_hand_written_report_renders_as_the_whole_document_route(tmp_path, small_chunks):
+    text = old_json_bytes("hand", HAND_ROWS, SUMMARY).decode()
+    assert _read_back(tmp_path, text, "json") == text.encode()
+    assert _read_back(tmp_path, text, "csv") == old_csv_bytes(HAND_ROWS)
+
+
+def test_report_reads_typed_columns(tmp_path, small_chunks):
+    path = tmp_path / "in.json"
+    path.write_bytes(old_json_bytes("hand", HAND_ROWS, SUMMARY))
+    with open(path, encoding="utf-8") as fh:
+        table = report_mod.read_json_report(fh).rows
+    dtypes = {k: v.dtype.kind if isinstance(v, np.ndarray) else "list" for k, v in table.data.items()}
+    assert dtypes == {
+        "n": "i", "x": "list", "ok": "b", "none": "list", "big": "list", "v": "f", "z": "list", "family": "list",
+    }
+    assert len(table) == len(HAND_ROWS)
+
+
+@pytest.mark.parametrize("piece", [1, 7, 64])
+def test_report_reads_any_layout_in_small_pieces(tmp_path, monkeypatch, small_chunks, piece):
+    # Numbers, literals and strings split across pieces; compact and
+    # spread-out whitespace, keys in another order and a repeated key.
+    monkeypatch.setattr(report_mod, "_READ_CHARS", piece)
+    rows = [{"b": r["v"], "a": r["n"], "z": r["z"]} for r in HAND_ROWS]
+    rows[3] = {"z": rows[3]["z"], "a": rows[3]["a"], "b": rows[3]["b"]}
+    body = json.dumps({"summary": {}, "rows": rows}, separators=(",", ":"))[1:-1]
+    text = '\n { "rows" : 5 , "experiment_id":12345,\t' + body + ' }\r\n'
+    expected = old_json_bytes(12345, [{k: r[k] for k in ("b", "a", "z")} for r in rows], {})
+    assert _read_back(tmp_path, text, "json") == expected
+
+
+def test_report_json_of_a_sieve_past_two_chunks_equals_its_input(tmp_path):
+    n = 2 * report_mod.CHUNK_ROWS + 5 + 1  # m = 2..n
+    direct = _cli_bytes(tmp_path, ["sieve", "--n", str(n)], "json")
+    (tmp_path / "in.json").write_bytes(direct)
+    assert _cli_bytes(tmp_path, ["report", "--in", str(tmp_path / "in.json")], "json") == direct
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "", "[1]", "{", '{"rows": [{"a": 1}]', '{"experiment_id": 1, "rows": [{"a": 1}], "summary": {}} x',
+        '{"experiment_id": 1, "rows": [{"a": 1}], "summary": {},}', '{1: 2}', '{"a" 1}',
+        '{"experiment_id": 1, "rows": [{"a": 1} {"a": 2}], "summary": {}}',
+        '{"rows": [{"a": 1}], "summary": {}}', '{"experiment_id": 1, "rows": [{"a": 1}]}',
+        '{"experiment_id": 1, "rows": [{"a": 1}, {"b": 1}], "summary": {}}',
+        '{"experiment_id": 1, "rows": [{"a": 1}, 2], "summary": {}}',
+        '{"experiment_id": 1, "rows": [2], "summary": {}}',
+        '{"experiment_id": 1, "rows": [{"a": 1}], "rows": {}, "summary": {}}',
+        '{"experiment_id": 1, "rows": [{"a": 1}], "summary": []}',
+        '{"experiment_id": 1, "rows": [{"z": [1, 2]}, {"z": [true, 2]}], "summary": {}}',
+    ],
+)
+def test_malformed_report_exits_2(tmp_path, monkeypatch, capsys, text):
+    monkeypatch.setattr(report_mod, "_READ_CHARS", 5)
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["report", "--in", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_failing_command_leaves_no_file(tmp_path):
     out = tmp_path / "never.csv"
     assert main(["sieve", "--n", "1", "--out", str(out)]) == 3
@@ -255,3 +344,31 @@ def test_sieve_peak_memory_grows_by_at_most_100_bytes_per_integer():
         for lo, hi in zip(limits, limits[1:]):
             growth = (peaks[f"{fmt}-{hi}"] - peaks[f"{fmt}-{lo}"]) / (hi - lo)
             assert growth <= 100, (fmt, lo, hi, growth)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB is Linux behaviour")
+def test_sieve_peak_memory_at_300000_is_at_most_15_mb_above_1000():
+    # With chunks of 2**16 rows the gap was about 39 MB (CSV) and 47 MB
+    # (JSON); with 2**12 it is about 9 and 11, the sieve arrays and
+    # columns.
+    peaks = sieve_peak_rss(SRC, (1000, 300_000))
+    for fmt in ("csv", "json"):
+        gap = peaks[f"{fmt}-300000"] - peaks[f"{fmt}-1000"]
+        assert gap <= 15 * 2**20, (fmt, gap)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB is Linux behaviour")
+def test_report_in_peak_memory_grows_by_at_most_250_bytes_per_row(tmp_path):
+    # Parsing the whole document into dict rows grew by about 430 bytes
+    # per row; typed columns read in pieces hold about 40 (five int64 or
+    # float64 cells).
+    limits = (100_001, 200_001)  # 100k and 200k rows
+    inputs = []
+    for n in limits:
+        inputs.append(tmp_path / f"sieve-{n}.json")
+        assert main(["sieve", "--n", str(n), "--format", "json", "--out", str(inputs[-1])]) == 0
+    argvs = [["report", "--in", str(path), "--format", fmt] for path in inputs for fmt in ("csv", "json")]
+    peaks = cli_peak_rss(SRC, argvs)
+    for i, fmt in enumerate(("csv", "json")):
+        growth = (peaks[2 + i] - peaks[i]) / (limits[1] - limits[0])
+        assert growth <= 250, (fmt, growth)
