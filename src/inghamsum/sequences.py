@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SpecFormatError
-from .sieve import SieveTable, _sign_sieve, hyperbola_cofactors
+from .sieve import _COFACTOR_CHUNK, SieveTable, _sign_sieve, hyperbola_cofactors
 
 BUILTIN_SEQUENCES = ("mu", "unit", "one", "liouville", "inverse-squares")
 
@@ -216,9 +216,11 @@ def _divisor_lattice(weights: np.ndarray, f: np.ndarray | None = None) -> np.nda
 
     Hyperbola split at r = isqrt(N): every d <= r is one strided
     slice-add over its multiples; every larger d has cofactor q <= N/(r+1),
-    so those are handled as one fancy-indexed add per q, q descending.
-    Each out[m] therefore still accumulates its terms in ascending d,
-    which keeps the result bit-identical to one strided pass per d.
+    so those are handled as fancy-indexed adds per q, q descending, in
+    slices of at most ``_COFACTOR_CHUNK`` of the d, so that no index or
+    term array of the pass is N-sized. Each product d q occurs once per
+    q, so each out[m] still accumulates its terms in ascending d, which
+    keeps the result bit-identical to one strided pass per d.
     """
     n = weights.size - 1
     out = np.zeros(n + 1, dtype=np.complex128)
@@ -230,7 +232,9 @@ def _divisor_lattice(weights: np.ndarray, f: np.ndarray | None = None) -> np.nda
     big = nz[split:]
     wbig = weights[big]
     for q, k in hyperbola_cofactors(big, n):
-        out[big[:k] * q] += wbig[:k] if f is None else wbig[:k] * f[q]
+        for lo in range(0, k, _COFACTOR_CHUNK):
+            hi = min(lo + _COFACTOR_CHUNK, k)
+            out[big[lo:hi] * q] += wbig[lo:hi] if f is None else wbig[lo:hi] * f[q]
     return out
 
 

@@ -28,7 +28,8 @@ from .errors import CapacityError
 # int32 SPF table, which only the scalar methods and `sieve` read, 0.4 GB.
 DEFAULT_CAPACITY = 100_000_000
 # The sign sieve's cofactor pass forms its indices this many primes at a
-# time. One index array over all the primes above sqrt(limit) (5.3 MB at
+# time, and the divisor lattice's cofactor adds this many d at a time.
+# One index array over all the primes above sqrt(limit) (5.3 MB at
 # 1e7) could stay in the heap after the pass, and whether it did, which
 # the heap's layout decides, moved the peak of `verify theorem2` at 1e7
 # by 8 MB.

@@ -193,36 +193,38 @@ def _check_point(seq: CoefficientSequence, n: int) -> None:
         raise ValueError(f"n = {n} outside [1, {seq.length}]")
 
 
-def _cumsums_at(ends: np.ndarray, *terms) -> list[np.ndarray]:
-    """For each ``terms(lo, hi)``, which gives its terms at m = lo..hi-1,
+def _cumsums_at(ends: np.ndarray, terms) -> list[np.ndarray]:
+    """For each of the term arrays that ``terms(lo, hi)`` gives at m =
+    lo..hi-1 (one per sum, so a chunk's shared factors are formed once),
     the prefix sums from m = 0 at the ascending ``ends``, bit for bit
     those of ``np.cumsum`` over the whole term array, from one pass up
     to ends[-1] in chunks of _CHUNK_TERMS. Each chunk is a cumulative
-    sum seeded with the value carried from the chunk before, which does
-    not change the sequential sums. The sums are at least float64: an
-    int8 chunk is copied into float64 running sums, exactly, before it
-    is summed."""
+    sum whose first term is added to the value carried from the chunk
+    before, which does not change the sequential sums. The sums are at
+    least float64. A chunk that owns its memory, is writeable and has
+    the dtype of its sums is summed in place, so the term functions give
+    fresh arrays they do not read again; any other chunk (a view of a
+    sequence, an int8 one) is copied first, exactly."""
     top = int(ends[-1]) + 1
     out: list[np.ndarray] = []
-    runs: list[np.ndarray] = []
+    carry: list = []
     done = 0
     for lo in range(0, top, _CHUNK_TERMS):
         hi = min(lo + _CHUNK_TERMS, top)
-        m = hi - lo
         upto = int(np.searchsorted(ends, hi))
-        at = ends[done:upto] - (lo - 1)
-        for i, fn in enumerate(terms):
-            chunk = fn(lo, hi)
+        at = ends[done:upto] - lo
+        for i, chunk in enumerate(terms(lo, hi)):
             if not lo:
                 dtype = np.result_type(chunk.dtype, np.float64)
                 out.append(np.empty(ends.size, dtype=dtype))
-                runs.append(np.zeros(_CHUNK_TERMS + 1, dtype=dtype))
-            run = runs[i]
-            run[1 : m + 1] = chunk
+                carry.append(dtype.type(0))
+            if not (chunk.dtype == out[i].dtype and chunk.flags.owndata and chunk.flags.writeable):
+                chunk = chunk.astype(out[i].dtype)
             with np.errstate(invalid="ignore", over="ignore"):
-                np.cumsum(run[: m + 1], out=run[: m + 1])
-            out[i][done:upto] = run[at]
-            run[0] = run[m]
+                chunk[0] = carry[i] + chunk[0]
+                np.cumsum(chunk, out=chunk)
+            out[i][done:upto] = chunk[at]
+            carry[i] = chunk[-1]
         done = upto
     return out
 
@@ -243,7 +245,7 @@ def _prefixes_at(a: np.ndarray, ends: np.ndarray, parts: str = "AS") -> list[np.
         return times_log(a[lo:hi], np.log(log, out=log))
 
     fns = {"A": lambda lo, hi: a[lo:hi], "S": alog}
-    return _cumsums_at(ends, *(fns[p] for p in parts))
+    return _cumsums_at(ends, lambda lo, hi: [fns[p](lo, hi) for p in parts])
 
 
 def _grid_sums(seq: CoefficientSequence, grid, parts: str = "AS") -> list:

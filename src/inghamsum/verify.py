@@ -455,7 +455,7 @@ def check_axer(a: CoefficientSequence, grid) -> np.ndarray:
         raise ValueError("grid must be strictly ascending")
     if grid[0] < 1 or grid[-1] > a.length:
         raise ValueError(f"grid outside [1, {a.length}]")
-    (prefix_abs,) = _cumsums_at(grid, lambda lo, hi: np.abs(a.a[lo:hi]))
+    (prefix_abs,) = _cumsums_at(grid, lambda lo, hi: [np.abs(a.a[lo:hi])])
     return prefix_abs / grid
 
 
@@ -579,19 +579,22 @@ class _SeriesTail:
     where Z(u, M) is the zeta tail from M. The quotients ceil((K+2)/j)
     take O(sqrt K) distinct values, so G costs one exponential sweep
     plus a segmented reduction per quadrature node.
+
+    The weights a_j log j are formed only at the nonzero a_j with
+    2 <= j <= K, which are exactly the nonzero weights: |log j| > 1/2
+    there, so the product of a nonzero a_j (a subnormal one included)
+    never rounds to zero.
     """
 
     _SMALL = 64
 
     def __init__(self, a: CoefficientSequence, K: int, s_k: complex):
+        js = np.flatnonzero(a.a[2 : K + 1]) + 2
+        self.K = K
+        self.log_js = np.log(js.astype(np.float64))
         # complex128 even for a real sequence: np.dot and np.add.reduceat
         # of real weights differ from the complex ones in the last bit.
-        w = np.array(a.a[: K + 1] * log_index(K), dtype=np.complex128)
-        js = np.nonzero(w)[0]
-        js = js[js >= 2]
-        self.K = K
-        self.wj = w[js]
-        self.log_js = np.log(js.astype(np.float64))
+        self.wj = np.array(a.a[js] * self.log_js, dtype=np.complex128)
         m_ceil = -(-(K + 2) // js)
         # js ascending makes the quotient sequence nonincreasing.
         cuts = np.flatnonzero(np.diff(m_ceil)) + 1
@@ -700,8 +703,13 @@ def difference_identity_check(
     the series converges at a practical rate. The sums stop at K =
     truncation (n <= K <= a.length); quad_tol and tail_tol lie in (0, 1).
 
-    s_values / d_values (index-aligned S(k) and S(k) - S(k-1) up to K)
-    can be precomputed once per sequence and shared across n.
+    The differences D(k) = S(k) - S(k-1), the divisor sums of a_j log j,
+    come from one lattice pass up to K, and S(k) is gathered from them
+    in chunks (:func:`summation._cumsums_at`) only at the k it reads,
+    2..n and K, bit for bit ``np.cumsum`` of D; D is dropped before the
+    series tail is set up. A caller may still pass whole index-aligned
+    arrays s_values / d_values (S(k) and D(k) up to K), precomputed once
+    per sequence and shared across n; those are read at the same k.
     """
     for name, tol in (("quad_tol", quad_tol), ("tail_tol", tail_tol)):
         if not 0 < tol < 1:
@@ -723,7 +731,9 @@ def difference_identity_check(
         with np.errstate(over="ignore", invalid="ignore"):  # terms beyond the float range are inf
             d_values = sum_over_divisors(a.a[: K + 1] * log_index(K))
     if s_values is None:
-        s_values = np.cumsum(d_values)
+        at = np.unique([*range(2, n + 1), K])
+        (s_at,) = _cumsums_at(at, lambda lo, hi: [d_values[lo:hi]])
+        s_values = dict(zip(at.tolist(), s_at))
 
     # Left side: the Dirichlet value is exact for the stored sequence.
     A_n = ingham_A(a, n)
@@ -755,6 +765,7 @@ def difference_identity_check(
     if ks.size:
         log_ks = np.log(ks.astype(np.float64))
         dk = d_values[ks]
+        d_values = None
         bound_h = float(np.dot(np.abs(dk), ks.astype(np.float64) ** -sigma))
         kmin = float(ks[0])
 
@@ -839,14 +850,28 @@ def lemma_ratio_suite(
 
     Returns one row per grid cell: family, t, x, k, value, bound, ratio,
     pass (ratio <= envelope).
+
+    Every grid is checked before any table is built: t > 0, k >= 2,
+    2 <= x and 1 <= vx, and x and vx at most the sieve limit. Per t, the
+    four prefix sums that families (i)-(iii) read (of f_t(d)/d, d^-t,
+    mu(d) d^(-1-t) and mu(d) d^(-1-t) log d) are gathered at the sorted
+    set of the x from one chunked pass (:func:`summation._cumsums_at`),
+    bit for bit their whole cumulative sums, so apart from the f_t table
+    of the current t no array of length max(x_grid) is held.
     """
+    for t in t_grid:
+        if not t > 0:
+            raise ValueError(f"t_grid value {t} must be positive")
+    for k in k_grid:
+        if not k >= 2:
+            raise ValueError(f"k_grid value {k} must be at least 2")
+    for name, grid, low in (("x_grid", x_grid, 2), ("vx_grid", vx_grid, 1)):
+        for x in grid:
+            if not low <= x <= table.limit:
+                raise ValueError(f"{name} value {x} outside [{low}, sieve limit {table.limit}]")
     x_max = max(x_grid)
-    if x_max > table.limit:
-        raise ValueError(f"grid maximum {x_max} exceeds sieve limit {table.limit}")
-    mu = table.mobius_array[: x_max + 1]
-    d = np.arange(x_max + 1, dtype=np.float64)
-    d[0] = 1.0
-    logd = np.log(d)
+    xs = np.unique(np.asarray(x_grid, dtype=np.int64))
+    mu = table.mobius_array
     rows: list[dict] = []
 
     def add(family, t, x, k, value, bound):
@@ -867,14 +892,18 @@ def lemma_ratio_suite(
     for t in t_grid:
         ft = f_t_table(table, t, x_max)
         inv_zeta = 1.0 / zeta_real(1.0 + t)
-        q_prefix = np.cumsum(ft.values / d)
-        dt_prefix = np.cumsum(d**-t)
-        mu_d1t = mu * d ** (-1.0 - t)
-        p1_prefix = np.cumsum(mu_d1t)
-        p2_prefix = np.cumsum(mu_d1t * logd)
+
+        def terms(lo, hi):
+            d = np.arange(lo, hi, dtype=np.float64)
+            if not lo:
+                d[0] = 1.0
+            mu_d1t = mu[lo:hi] * d ** (-1.0 - t)
+            return ft.values[lo:hi] / d, d**-t, mu_d1t, mu_d1t * np.log(d)
+
+        sums = _cumsums_at(xs, terms)
         for x in x_grid:
+            q_x, dt_x, p1_x, p2_x = (float(s[np.searchsorted(xs, x)]) for s in sums)
             logx = math.log(x)
-            q_x = float(q_prefix[x])
             add("sum_ft_over_m", t, x, None, q_x, 1.0 + t * logx)
             add(
                 "partial_sums",
@@ -882,9 +911,9 @@ def lemma_ratio_suite(
                 x,
                 None,
                 abs(float(ft.prefix[x]) - x * inv_zeta),
-                x ** (1.0 - t) + float(dt_prefix[x]),
+                x ** (1.0 - t) + dt_x,
             )
-            mu_log_sum = logx * float(p1_prefix[x]) - float(p2_prefix[x])
+            mu_log_sum = logx * p1_x - p2_x
             add("mu_log_identity", t, x, None, abs(q_x - mu_log_sum), 1.0)
             add(
                 "doubling_increment",
@@ -894,6 +923,7 @@ def lemma_ratio_suite(
                 float(ft.prefix[x]) - ft.F(x / 2.0),
                 x * (1.0 / logx + t),
             )
+        del ft  # this t's table goes before the next one is built
 
     for k in k_grid:
 

@@ -98,7 +98,9 @@ def random_unit_complex(rng, n: int) -> np.ndarray:
 
 # Runs in a small launcher process so that the children's peak RSS does
 # not include the RSS of the test process they would be forked from. A
-# child that fails stops the launcher with its argv, status and stderr.
+# child that fails stops the launcher with its argv, status and stderr;
+# what a child prints goes to /dev/null, so only the launcher's JSON
+# reaches its stdout.
 _LAUNCHER = """
 import json, os, subprocess, sys
 out = []
@@ -106,6 +108,7 @@ for argv in json.loads(sys.argv[2]):
     proc = subprocess.Popen(
         [sys.executable, "-m", "inghamsum.cli", *argv, "--out", os.devnull],
         env={**os.environ, "PYTHONPATH": sys.argv[1]},
+        stdout=subprocess.DEVNULL,
         stderr=subprocess.PIPE,
     )
     err = proc.stderr.read().decode(errors="replace")

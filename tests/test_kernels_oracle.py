@@ -24,9 +24,12 @@ from inghamsum.accumulate import csum, rsum
 from inghamsum.cli import parse_grid, resolve_coeffs
 from inghamsum.dirichlet import _EM_COEFFS, f_t_table, ft_partial_sum
 from inghamsum.errors import SingularFactorError
+from inghamsum.quadrature import QUAD_TOL, TAIL_TOL
 from inghamsum.report import ReportRow
 from inghamsum.sequences import CoefficientSequence, log_index, named_sequence
 from inghamsum.summation import block_sums
+
+from conftest import random_unit_complex
 
 _ROOTS = (2, 3, 10, 17, 31, 100, 316)
 SIZES = sorted(
@@ -1231,6 +1234,269 @@ def test_difference_identity_matches_old_integrators(table_small, monkeypatch):
     monkeypatch.setattr(verify, "integral_zero_to_inf", _integral_zero_to_inf_ref)
     monkeypatch.setattr(verify._SeriesTail, "_zeta_tails", _zeta_tails_ref)
     assert got == _bits(ig.difference_identity_check(seq, table_small, 10, 1000))
+
+
+# -- chunked gathers for the lemma and the difference identity ------------
+
+
+def _lemma_ratio_suite_ref(
+    table,
+    envelope=verify.LEMMA_ENVELOPE,
+    quad_tol=QUAD_TOL,
+    tail_tol=TAIL_TOL,
+    t_grid=verify.LEMMA_T_GRID,
+    x_grid=verify.LEMMA_X_GRID,
+    k_grid=verify.LEMMA_K_GRID,
+    vx_grid=verify.LEMMA_VX_GRID,
+):
+    """lemma_ratio_suite with whole arrays: d, log d, mu(d) d^(-1-t) and
+    the four prefix arrays over every d <= max(x_grid), per t."""
+    x_max = max(x_grid)
+    if x_max > table.limit:
+        raise ValueError(f"grid maximum {x_max} exceeds sieve limit {table.limit}")
+    mu = table.mobius_array[: x_max + 1]
+    d = np.arange(x_max + 1, dtype=np.float64)
+    d[0] = 1.0
+    logd = np.log(d)
+    rows = []
+
+    def add(family, t, x, k, value, bound):
+        ratio = value / bound
+        rows.append(
+            {
+                "family": family,
+                "t": t,
+                "x": x,
+                "k": k,
+                "value": value,
+                "bound": bound,
+                "ratio": ratio,
+                "pass": ratio <= envelope,
+            }
+        )
+
+    for t in t_grid:
+        ft = f_t_table(table, t, x_max)
+        inv_zeta = 1.0 / dirichlet.zeta_real(1.0 + t)
+        q_prefix = np.cumsum(ft.values / d)
+        dt_prefix = np.cumsum(d**-t)
+        mu_d1t = mu * d ** (-1.0 - t)
+        p1_prefix = np.cumsum(mu_d1t)
+        p2_prefix = np.cumsum(mu_d1t * logd)
+        for x in x_grid:
+            logx = math.log(x)
+            q_x = float(q_prefix[x])
+            add("sum_ft_over_m", t, x, None, q_x, 1.0 + t * logx)
+            add(
+                "partial_sums",
+                t,
+                x,
+                None,
+                abs(float(ft.prefix[x]) - x * inv_zeta),
+                x ** (1.0 - t) + float(dt_prefix[x]),
+            )
+            mu_log_sum = logx * float(p1_prefix[x]) - float(p2_prefix[x])
+            add("mu_log_identity", t, x, None, abs(q_x - mu_log_sum), 1.0)
+            add(
+                "doubling_increment",
+                t,
+                x,
+                None,
+                float(ft.prefix[x]) - ft.F(x / 2.0),
+                x * (1.0 / logx + t),
+            )
+
+    for k in k_grid:
+
+        def rhs_integrand(t, k=k):
+            w = float(k) ** -t - float(k + 1) ** -t
+            if w == 0.0 or t <= 0.0:
+                return 0.0
+            return w / dirichlet.zeta_real(1.0 + t)
+
+        i2 = quadrature.integral_zero_to_inf(
+            rhs_integrand, rate=float(k), bound=1.0, quad_tol=quad_tol, tail_tol=tail_tol
+        )
+        for x in vx_grid:
+            value = abs(verify._comparison_lhs(table, k, x) - x * i2.value)
+            bound = x / (k * math.log(x * k) ** 2)
+            add("integrated_comparison", None, x, k, value, bound)
+
+    return rows
+
+
+def _lemma_bits(rows):
+    return [
+        (r["family"], r["t"], r["x"], r["k"], r["pass"], _bits([r["value"], r["bound"], r["ratio"]]))
+        for r in rows
+    ]
+
+
+# Grid tops on both sides of the 2**16-term chunks of the gather, and
+# unsorted and repeated x, which the gather reads from their sorted set.
+LEMMA_GRIDS = {
+    "chunk-edges": dict(
+        t_grid=(1e-3, 0.5, 1.0, 2.0, 10.0),
+        x_grid=(2, 3, 65_535, 65_536, 65_537, 99_999, 100_000),
+        k_grid=(),
+        vx_grid=(),
+    ),
+    "unsorted-repeated": dict(t_grid=(0.1,), x_grid=(1_000, 100, 77_777, 100, 2), k_grid=(3,), vx_grid=(500, 1)),
+}
+
+
+@pytest.mark.parametrize("chunk", [1_000, 1 << 16])
+@pytest.mark.parametrize("grids", LEMMA_GRIDS)
+def test_lemma_suite_matches_whole_arrays(grids, chunk, table_medium, monkeypatch):
+    monkeypatch.setattr(summation, "_CHUNK_TERMS", chunk)
+    got = ig.lemma_ratio_suite(table_medium, **LEMMA_GRIDS[grids])
+    assert _lemma_bits(got) == _lemma_bits(_lemma_ratio_suite_ref(table_medium, **LEMMA_GRIDS[grids]))
+
+
+def test_lemma_suite_default_grids_match_whole_arrays(table_big):
+    # The `lemma` command's suite, up to x = 1e6.
+    assert _lemma_bits(ig.lemma_ratio_suite(table_big)) == _lemma_bits(_lemma_ratio_suite_ref(table_big))
+
+
+def _divisor_lattice_ref(weights, f=None):
+    """_divisor_lattice with one fancy-indexed add over all the d above
+    sqrt(N) per cofactor q."""
+    n = weights.size - 1
+    out = np.zeros(n + 1, dtype=np.complex128)
+    nz = np.flatnonzero(weights[1:]) + 1
+    r = math.isqrt(max(n, 0))
+    split = int(np.searchsorted(nz, r, "right"))
+    for d, w in zip(nz[:split].tolist(), weights[nz[:split]].tolist()):
+        out[d::d] += w if f is None else w * f[1 : n // d + 1]
+    big = nz[split:]
+    wbig = weights[big]
+    for q, k in ig.sieve.hyperbola_cofactors(big, n):
+        out[big[:k] * q] += wbig[:k] if f is None else wbig[:k] * f[q]
+    return out
+
+
+def _lattice_cases(n, table, rng):
+    mu = table.mobius_array[: n + 1]
+    f = _input("dense-complex", n, rng)
+    f[1::7] = f[1::7].real
+    f[2::11] = complex(-0.0, 0.0)
+    return [(_input("dense-real", n, rng), None), (_input("sparse-complex", n, rng), None), (mu, None), (mu, f)]
+
+
+@pytest.mark.parametrize("chunk", [7, 1_000, 1 << 16])
+def test_divisor_lattice_matches_unsliced_adds(chunk, table_medium, rng, monkeypatch):
+    monkeypatch.setattr(sequences, "_COFACTOR_CHUNK", chunk)
+    sizes = (1, 2, 97, 1_000, 4_099, *((99_991,) if chunk > 7 else ()))
+    for n in sizes:
+        for weights, f in _lattice_cases(n, table_medium, rng):
+            _same_bits(sequences._divisor_lattice(weights, f), _divisor_lattice_ref(weights, f))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("chunk", [7, 1 << 16])
+def test_divisor_lattice_matches_unsliced_adds_on_inf_and_nan(chunk, table_small, rng, monkeypatch):
+    monkeypatch.setattr(sequences, "_COFACTOR_CHUNK", chunk)
+    n = 5_003
+    f = _input("dense-complex", n, rng)
+    f[[71, 2_500, 4_999]] = (complex(math.inf, 0.0), complex(math.nan, -0.0), complex(0.0, -math.inf))
+    weights = _input("dense-real", n, rng)
+    weights[[89, 3_001]] = (math.inf, math.nan)
+    for w, ff in ((weights, None), (table_small.mobius_array[: n + 1], f)):
+        _same_bits(sequences._divisor_lattice(w, ff), _divisor_lattice_ref(w, ff))
+
+
+def _series_tail_ref(a, K, s_k):
+    """A _SeriesTail as its constructor built it, from a complex128 copy
+    of a_j log j over every j <= K."""
+    tail = object.__new__(verify._SeriesTail)
+    w = np.array(a.a[: K + 1] * log_index(K), dtype=np.complex128)
+    js = np.nonzero(w)[0]
+    js = js[js >= 2]
+    tail.K = K
+    tail.wj = w[js]
+    tail.log_js = np.log(js.astype(np.float64))
+    m_ceil = -(-(K + 2) // js)
+    cuts = np.flatnonzero(np.diff(m_ceil)) + 1
+    tail.starts = np.concatenate(([0], cuts))
+    tail.seg_m = m_ceil[tail.starts].astype(np.float64)
+    tail.small_m = np.arange(2, tail._SMALL, dtype=np.float64)
+    tail.s_edge = s_k + csum(
+        np.array([a.a[d] * math.log(d) for d in verify._divisors_trial(K + 1) if 2 <= d <= K])
+    )
+    tail.edge = float(K + 1)
+    return tail
+
+
+_TINY = 5e-324  # the smallest subnormal: |log j| > 1/2 keeps a_j log j nonzero
+
+
+def _special_sequence(rng, n, complex_values):
+    """A sequence with signed zeros, subnormals and inf and nan entries at
+    both ends and in the middle, and random values elsewhere."""
+    if complex_values:
+        values = random_unit_complex(rng, n)
+        special = [
+            complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), _TINY, -_TINY,
+            complex(0.0, _TINY), complex(-_TINY, -0.0), complex(math.inf, 0.0),
+            complex(0.0, -math.inf), complex(math.nan, 0.0), complex(1.0, math.nan),
+        ]
+    else:
+        values = rng.standard_normal(n)
+        special = [-0.0, 0.0, _TINY, -_TINY, 2 * _TINY, math.inf, -math.inf, math.nan]
+    for j, v in zip((0, 1, 2, n // 2, n // 2 + 1, n - 3, n - 2, n - 1, 7, 11, 13), special):
+        values[j] = v
+    return CoefficientSequence.from_values(values)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_series_tail_matches_whole_weight_copy(table_small, rng):
+    mu = named_sequence("mu", 5_000, table_small)
+    for seq in (_special_sequence(rng, 5_000, True), _special_sequence(rng, 5_000, False), mu):
+        for K in (5, 1_000, 2_501, 4_999, 5_000):
+            got, ref = verify._SeriesTail(seq, K, 0.5j), _series_tail_ref(seq, K, 0.5j)
+            assert vars(got).keys() == vars(ref).keys()
+            for key, value in vars(ref).items():
+                mine = getattr(got, key)
+                if isinstance(value, np.ndarray):
+                    assert mine.dtype == value.dtype, (K, key)
+                    assert mine.tobytes() == value.tobytes(), (K, key)
+                else:
+                    assert _bits(mine) == _bits(value), (K, key)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_series_tail_weight_of_a_nonzero_coefficient_is_nonzero():
+    # The weights are formed only at the nonzero a_j, j >= 2: there
+    # |log j| >= log 2 > 1/2, so |a_j log j| is more than half of |a_j|
+    # and rounds to at least the smallest subnormal, never to zero.
+    assert math.log(2) > 0.5
+    log_j = np.log(np.arange(2, 1_000, dtype=np.float64))
+    for a in (_TINY, -_TINY, 2 * _TINY, complex(0.0, _TINY), complex(-_TINY, -0.0)):
+        w = np.array(a * log_j, dtype=np.complex128)
+        assert np.all(w != 0), a
+    seq = _special_sequence(np.random.default_rng(3), 1_000, True)
+    tail = verify._SeriesTail(seq, 1_000, 0j)
+    assert tail.wj.size == np.count_nonzero(seq.a[2:]) and np.all(tail.wj != 0)
+
+
+@pytest.mark.parametrize("chunk", [7, 1 << 16])
+def test_difference_identity_gathers_the_whole_cumsum(chunk, table_small, rng, monkeypatch):
+    # S(k) is gathered from D(k) at k = 2..n and K only; the whole
+    # np.cumsum(D) passed in gives the same bits. K = n reads one k twice.
+    monkeypatch.setattr(summation, "_CHUNK_TERMS", chunk)
+    cx = _special_sequence(rng, 3_000, True).a.copy()
+    cx[np.isinf(cx) | np.isnan(cx)] = 0.25 - 0.5j  # finite, signed zeros and subnormals kept
+    cx = CoefficientSequence.from_index_aligned(cx)
+    cases = (
+        (named_sequence("mu", 3_000, table_small), 10, 3_000),
+        (named_sequence("liouville", 3_000, table_small), 7, 2_999),
+        (cx, 12, 3_000),
+        (cx, 12, 12),
+    )
+    for seq, n, K in cases:
+        d = sum_over_divisors(seq.a[: K + 1] * log_index(K))
+        whole = ig.difference_identity_check(seq, table_small, n, K, s_values=np.cumsum(d), d_values=d)
+        assert _bits(ig.difference_identity_check(seq, table_small, n, K)) == _bits(whole), (n, K)
 
 
 # -- one prime-value selector for MultiplicativeSpec -----------------------

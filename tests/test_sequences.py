@@ -314,6 +314,32 @@ def test_ingham_liouville_peak_memory_grows_by_at_most_8_bytes_per_integer():
         assert growth <= 8, (lo, hi, growth)
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB is Linux behaviour")
+def test_difference_mu_peak_memory_grows_by_at_most_60_bytes_per_integer():
+    limits = (200_000, 400_000, 800_000)
+    argvs = [
+        ["identity", "difference", "--coeffs", "mu", "--n", "10", "--truncation", str(k), "--format", "json"]
+        for k in limits
+    ]
+    peaks = cli_peak_rss(SRC, argvs)
+    # np.cumsum of the complex128 divisor sums, their whole nonzero
+    # places and a complex128 copy of a_j log j in the series tail grew
+    # by 93-96 bytes per integer of the truncation; S(k) gathered at the
+    # k read, the sums dropped before the tail, the tail's weights formed
+    # at the nonzero a_j alone and the lattice's cofactor adds in slices
+    # take 50-52.
+    for (lo, hi), (a, b) in zip(zip(limits, limits[1:]), zip(peaks, peaks[1:])):
+        growth = (b - a) / (hi - lo)
+        assert growth <= 60, (lo, hi, growth)
+
+
+def test_cli_peak_rss_of_a_command_that_prints():
+    # `report --help` writes to stdout, which once ran into the
+    # launcher's JSON and raised a bare JSONDecodeError.
+    (peak,) = cli_peak_rss(SRC, [["report", "--help"]])
+    assert peak > 0
+
+
 # Grid tops above the extension's segment (2**18 integers), whose fixed
 # 4 MB would otherwise read as growth.
 _SPEC_LIMITS = (1_000_000, 2_000_000, 4_000_000)

@@ -1,5 +1,7 @@
 import cmath
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -484,6 +486,50 @@ def test_lemma_suite_small_grid(table_small):
         "doubling_increment",
         "integrated_comparison",
     }
+
+
+@pytest.mark.parametrize(
+    "grids, message",
+    [
+        (dict(x_grid=(100, 1)), "x_grid value 1 outside [2, sieve limit 10000]"),
+        (dict(x_grid=(0, 100)), "x_grid value 0 outside [2, sieve limit 10000]"),
+        (dict(x_grid=(100, 10_001)), "x_grid value 10001 outside [2, sieve limit 10000]"),
+        (dict(x_grid=(100,), vx_grid=(1_000, 10_001)), "vx_grid value 10001 outside [1, sieve limit 10000]"),
+        (dict(x_grid=(100,), vx_grid=(0,)), "vx_grid value 0 outside [1, sieve limit 10000]"),
+        (dict(t_grid=(1.0, 0.0)), "t_grid value 0.0 must be positive"),
+        (dict(k_grid=(2, 0)), "k_grid value 0 must be at least 2"),
+        (dict(k_grid=(1,)), "k_grid value 1 must be at least 2"),
+    ],
+)
+def test_lemma_suite_checks_every_grid_before_any_table(grids, message, table_small, monkeypatch):
+    # x = 1 raised ZeroDivisionError and x = 0 "math domain error"; a vx
+    # above the limit raised only after all the t-grid work.
+    def boom(*args):
+        raise AssertionError("table work before the grid check")
+
+    monkeypatch.setattr("inghamsum.verify.f_t_table", boom)
+    monkeypatch.setattr("inghamsum.verify.integral_zero_to_inf", boom)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        lemma_ratio_suite(table_small, **grids)
+
+
+def test_lemma_suite_memory_grows_by_at_most_32_bytes_per_integer():
+    # Traced peaks at x tops 2e5 and 4e5 on one 4e5 table. About ten
+    # float64 arrays of length max(x) + 1 (d, log d, the terms and four
+    # prefix arrays) grew by 89 bytes per integer; the gather at the x
+    # alone, beside one f_t table (values and prefix), by 10.6.
+    table = ig.build_sieve(400_000)
+    table.mobius_array
+    peaks = []
+    for top in (200_000, 400_000):
+        tracemalloc.start()
+        try:
+            lemma_ratio_suite(table, t_grid=(0.1, 1.0), x_grid=(100, top), k_grid=(), vx_grid=())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    growth = (peaks[1] - peaks[0]) / 200_000
+    assert growth <= 32, (peaks, growth)
 
 
 def test_trend_policy_defaults():
