@@ -3,7 +3,9 @@
 Commands: sieve, mean, ingham, verify {theorem1,theorem2,theorem3,
 wintner,axer}, lemma, identity {sdiff,sdecomp,smult,difference}, report.
 Outputs are deterministic: the same configuration and build produce
-byte-identical CSV/JSON artifacts.
+byte-identical CSV/JSON artifacts. The library makes no BLAS call, and
+the difference identity's reductions are numpy pairwise sums in a fixed
+order, so an artifact does not depend on the BLAS thread count.
 
 Every command returns one VerificationReport, fully computed before
 ``main`` opens the output, and ``main`` is its only writer. The table
@@ -34,7 +36,8 @@ read its option. Every float flag, --sigma value and INGHAMSUM_* value
 read must parse and be finite, an envelope must be above 0, an alpha
 and each sigma above 1 (the --sigma list descending), and --quad-tol
 and --tail-tol must lie in (0, 1), or it exits 2 with an "error:" line
-naming it, before any sieve is built; so does a bad --coeffs or --spec.
+naming it, before any sieve is built; so does a bad --coeffs or --spec,
+and a --n grid with a value below 1.
 """
 
 from __future__ import annotations
@@ -128,7 +131,8 @@ def _opt(value, name: str, default, cast=float, above=None):
 
 
 def parse_grid(text: str) -> list[int]:
-    """Grid syntax: explicit '10,100,1000' or geometric 'a:b:xF', all finite."""
+    """Grid syntax: explicit '10,100,1000' or geometric 'a:b:xF', all
+    finite and at least 1."""
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
@@ -143,9 +147,12 @@ def parse_grid(text: str) -> list[int]:
             raise SpecFormatError(f"grid {text!r}: need 1 <= start <= end, factor > 1")
         return _geometric_grid(start, top, factor)
     try:
-        out = [round(float(x)) for x in text.split(",") if x.strip()]
+        values = [float(x) for x in text.split(",") if x.strip()]
+        out = [round(x) for x in values]
     except (ValueError, OverflowError) as exc:
         raise SpecFormatError(f"grid {text!r}: {exc}") from None
+    if any(not x >= 1 for x in values):
+        raise SpecFormatError(f"grid {text!r}: values must be >= 1")
     if not out or any(b <= a for a, b in zip(out, out[1:])):
         raise SpecFormatError(f"grid {text!r}: must be strictly ascending")
     return out

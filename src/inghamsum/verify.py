@@ -564,6 +564,67 @@ def s_multiplicative_identity(
 # -- the exact difference identity -------------------------------------
 
 
+def _real_parts(w: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """w[at] as a float64 real part and an imaginary part, each gathered
+    into its own contiguous array, without a complex copy. The imaginary
+    part is None when no entry of w has a nonzero one, so a real
+    sequence gives the same parts whatever its storage."""
+    if not np.iscomplexobj(w):
+        return w[at].astype(np.float64, copy=False), None
+    return w.real[at], (w.imag[at] if w.imag.any() else None)
+
+
+def _modulus(re: np.ndarray, im: np.ndarray | None) -> np.ndarray:
+    """|re + i im| entrywise, im = None meaning zero."""
+    return np.abs(re) if im is None else np.hypot(re, im)
+
+
+def _power_sum(
+    re: np.ndarray,
+    im: np.ndarray | None,
+    log_k: np.ndarray,
+    u: float,
+    starts: np.ndarray | None = None,
+    z: np.ndarray | None = None,
+) -> complex:
+    """sum_k w_k k^-u, w_k = re_k + i im_k and log_k = log k; with segment
+    starts and one factor z_s per segment, sum_s z_s sum_{k in s} w_k k^-u.
+
+    One exponential, real products and numpy pairwise sums, each part
+    apart: no BLAS call, so the order of every addition is fixed and the
+    value does not depend on the thread count."""
+    e = np.multiply(log_k, -u)
+    np.exp(e, out=e)
+
+    def reduce(terms: np.ndarray) -> float:
+        if starts is not None:
+            terms = np.add.reduceat(terms, starts)
+            terms *= z
+        return float(np.add.reduce(terms))
+
+    imag = 0.0 if im is None else reduce(im * e)
+    # The real products overwrite e: a second array of len(log_k) per
+    # call, once freed, is given back to the system and faulted in again
+    # at the next quadrature node.
+    return complex(reduce(np.multiply(re, e, out=e)), imag)
+
+
+class _SeriesHead:
+    """The k <= K part of the beta series after summation by parts: the
+    integrand sum_k D(k) k^-u / zeta(u) over the given k, all with
+    D(k) != 0, and its bound sum_k |D(k)| k^-sigma."""
+
+    def __init__(self, d_values: np.ndarray, ks: np.ndarray):
+        self.log_ks = np.log(ks.astype(np.float64))
+        self.d_re, self.d_im = _real_parts(d_values, ks)
+
+    def integrand(self, u: float) -> complex:
+        return _power_sum(self.d_re, self.d_im, self.log_ks, u) / zeta_real(u)
+
+    def bound(self, sigma: float) -> float:
+        return _power_sum(_modulus(self.d_re, self.d_im), None, self.log_ks, sigma).real
+
+
 class _SeriesTail:
     """The k > K remainder of the S(k)-weighted beta series, computed
     exactly by reorganizing over divisors.
@@ -578,7 +639,7 @@ class _SeriesTail:
 
     where Z(u, M) is the zeta tail from M. The quotients ceil((K+2)/j)
     take O(sqrt K) distinct values, so G costs one exponential sweep
-    plus a segmented reduction per quadrature node.
+    plus a segmented reduction per quadrature node (:func:`_power_sum`).
 
     The weights a_j log j are formed only at the nonzero a_j with
     2 <= j <= K, which are exactly the nonzero weights: |log j| > 1/2
@@ -592,9 +653,11 @@ class _SeriesTail:
         js = np.flatnonzero(a.a[2 : K + 1]) + 2
         self.K = K
         self.log_js = np.log(js.astype(np.float64))
-        # complex128 even for a real sequence: np.dot and np.add.reduceat
-        # of real weights differ from the complex ones in the last bit.
-        self.wj = np.array(a.a[js] * self.log_js, dtype=np.complex128)
+        # Real and imaginary parts apart, the latter only for a complex
+        # sequence: a real one costs one real pass per node.
+        re, im = _real_parts(a.a, js)
+        self.w_re = re * self.log_js
+        self.w_im = None if im is None else im * self.log_js
         m_ceil = -(-(K + 2) // js)
         # js ascending makes the quotient sequence nonincreasing.
         cuts = np.flatnonzero(np.diff(m_ceil)) + 1
@@ -617,16 +680,13 @@ class _SeriesTail:
         return z
 
     def integrand(self, u: float) -> complex:
-        pw = self.wj * np.exp(-u * self.log_js)
-        seg = np.add.reduceat(pw, self.starts)
-        total = complex(np.dot(seg, self._zeta_tails(u)))
+        total = _power_sum(self.w_re, self.w_im, self.log_js, u, self.starts, self._zeta_tails(u))
         total += self.s_edge * self.edge**-u
         return total / zeta_real(u)
 
     def bound(self, sigma: float) -> float:
-        pw = np.abs(self.wj) * np.exp(-sigma * self.log_js)
-        seg = np.add.reduceat(pw, self.starts)
-        total = float(np.dot(seg, self._zeta_tails(sigma)))
+        w = _modulus(self.w_re, self.w_im)
+        total = _power_sum(w, None, self.log_js, sigma, self.starts, self._zeta_tails(sigma)).real
         return total + abs(self.s_edge) * self.edge**-sigma
 
 
@@ -710,6 +770,12 @@ def difference_identity_check(
     series tail is set up. A caller may still pass whole index-aligned
     arrays s_values / d_values (S(k) and D(k) up to K), precomputed once
     per sequence and shared across n; those are read at the same k.
+
+    The integrands and their bounds (:class:`_SeriesHead`,
+    :class:`_SeriesTail`) hold D(k) and a_j log j as real parts, plus
+    imaginary parts for a complex sequence only, and reduce them with
+    :func:`_power_sum`: no BLAS call, so the result does not depend on
+    the thread count.
     """
     for name, tol in (("quad_tol", quad_tol), ("tail_tol", tail_tol)):
         if not 0 < tol < 1:
@@ -763,17 +829,15 @@ def difference_identity_check(
     tail_correction = 0j
     tail_slack = 0.0
     if ks.size:
-        log_ks = np.log(ks.astype(np.float64))
-        dk = d_values[ks]
+        head = _SeriesHead(d_values, ks)
         d_values = None
-        bound_h = float(np.dot(np.abs(dk), ks.astype(np.float64) ** -sigma))
-        kmin = float(ks[0])
-
-        def h(u: float) -> complex:
-            return complex(np.dot(dk, np.exp(-u * log_ks))) / zeta_real(u)
-
         res_h = integral_sigma_to_inf(
-            h, sigma, rate=kmin, bound=bound_h, quad_tol=quad_tol, tail_tol=tail_tol
+            head.integrand,
+            sigma,
+            rate=float(ks[0]),
+            bound=head.bound(sigma),
+            quad_tol=quad_tol,
+            tail_tol=tail_tol,
         )
         beta_edge = integral_sigma_to_inf(
             lambda u: float(K + 1) ** -u / zeta_real(u),

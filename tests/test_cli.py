@@ -64,8 +64,12 @@ def test_parse_grid_errors():
     for bad in (
         "", "5,4", "1e3:1e6:10", "10:5:x2", "abc",
         "inf", "nan", "1e400", "1:inf:x2", "1:nan:x2", "1:10:xnan", "1:1.7976931348623157e308:x2",
+        "0", "-3", "0.4", "0,5", "-1:10:x2",
     ):
         with pytest.raises(SpecFormatError):
+            parse_grid(bad)
+    for bad in ("0", "-3", "0.4", "0,5", "0.99,2", "1,-0.0"):
+        with pytest.raises(SpecFormatError, match=re.escape(f"grid {bad!r}: values must be >= 1")):
             parse_grid(bad)
 
 
@@ -303,6 +307,34 @@ def test_example_commands_deterministic(tmp_path):
         rc2, second = run_cli(list(cmd), tmp_path, "b_" + name)
         assert rc1 == rc2 == 0
         assert first == second
+
+
+@pytest.mark.parametrize("coeffs", ["mu", "complex-file"])
+def test_difference_artifact_does_not_depend_on_the_blas_thread_count(coeffs, tmp_path):
+    # OpenBLAS splits a dot product of more than 10,000 terms across its
+    # threads; the difference identity's reductions make no BLAS call, so
+    # one and two threads write the same bytes.
+    truncation = 100_000
+    if coeffs == "complex-file":
+        truncation = 20_000
+        rng = np.random.default_rng(11)
+        z = np.exp(2j * np.pi * rng.random(truncation)) / np.arange(1, truncation + 1) ** 2
+        coeffs = _coefficient_file(tmp_path, [[v.real, v.imag] for v in z.tolist()])
+    argv = ["identity", "difference", "--coeffs", coeffs, "--n", "10", "--truncation", str(truncation)]
+    env = {k: v for k, v in os.environ.items() if not k.startswith("INGHAMSUM_")}
+    artifacts = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "inghamsum.cli", *argv, "--format", "json", "--out", str(out)],
+            capture_output=True,
+            text=True,
+            timeout=300,
+            env={**env, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert proc.returncode == 0, proc.stderr
+        artifacts.append(out.read_bytes())
+    assert artifacts[0] == artifacts[1]
 
 
 def test_ingham_mu_unit_column(tmp_path):
@@ -710,6 +742,42 @@ def test_bad_float_flag_exits_2_before_the_sieve_is_built(flag, argv, value, mon
     assert main([*argv, f"--{flag}={value}", "--out", os.devnull]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: --{flag}: ") and "Traceback" not in err
+
+
+# Every command that reads a grid (--n), without it.
+GRID_READERS = {
+    "sieve": ["sieve"],
+    "mean": ["mean", "--spec", F2ZERO],
+    "ingham": ["ingham", "--coeffs", "mu"],
+    "theorem1": ["verify", "theorem1", "--coeffs", "mu"],
+    "theorem1-spec": ["verify", "theorem1", "--spec", F2ZERO],
+    "theorem2": ["verify", "theorem2", "--coeffs", "mu"],
+    "theorem3": ["verify", "theorem3", "--spec", F2ZERO],
+    "wintner": ["verify", "wintner", "--coeffs", "mu"],
+    "axer": ["verify", "axer", "--coeffs", "mu"],
+    "sdiff": ["identity", "sdiff", "--coeffs", "mu"],
+    "sdecomp": ["identity", "sdecomp", "--coeffs", "mu"],
+    "smult": ["identity", "smult", "--spec", F2ZERO],
+    "difference": ["identity", "difference", "--coeffs", "mu", "--truncation", "1000"],
+}
+
+
+def test_grid_readers_cover_every_command_that_reads_n():
+    reads_n = {command for command, _, reads, _ in _COMMANDS if "n" in reads.split()}
+    assert reads_n == {" ".join(argv[:2] if argv[0] in ("verify", "identity") else argv[:1]) for argv in GRID_READERS.values()}
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "0.4", "0,5"])
+@pytest.mark.parametrize("name", GRID_READERS)
+def test_grid_value_below_1_exits_2_before_the_sieve_is_built(name, value, monkeypatch, capsys):
+    from inghamsum import cli as cli_mod
+
+    def no_sieve(limit):
+        raise AssertionError(f"sieve built up to {limit}")
+
+    monkeypatch.setattr(cli_mod, "build_sieve", no_sieve)
+    assert main([*GRID_READERS[name], "--n", value, "--out", os.devnull]) == 2
+    assert capsys.readouterr().err == f"error: grid {value!r}: values must be >= 1\n"
 
 
 # Every command that reads --coeffs, without it, and one that reads --spec.

@@ -7,6 +7,7 @@ copies of the (0, inf) substitution and of the Euler-Maclaurin tail, and
 per-prime loops that call MultiplicativeSpec.value_at and skip f(p) = 1
 themselves."""
 
+import ast
 import json
 import math
 import random
@@ -1406,15 +1407,19 @@ def test_divisor_lattice_matches_unsliced_adds_on_inf_and_nan(chunk, table_small
 
 
 def _series_tail_ref(a, K, s_k):
-    """A _SeriesTail as its constructor built it, from a complex128 copy
-    of a_j log j over every j <= K."""
+    """A _SeriesTail as its constructor built it, from whole copies of
+    the real and imaginary parts of a_j log j over every j <= K; the
+    imaginary part is None for a sequence with no nonzero one."""
     tail = object.__new__(verify._SeriesTail)
-    w = np.array(a.a[: K + 1] * log_index(K), dtype=np.complex128)
-    js = np.nonzero(w)[0]
+    values = np.asarray(a.a, dtype=np.complex128)
+    re = values.real[: K + 1] * log_index(K)
+    im = values.imag[: K + 1] * log_index(K)
+    js = np.flatnonzero((re != 0) | (im != 0))
     js = js[js >= 2]
     tail.K = K
-    tail.wj = w[js]
     tail.log_js = np.log(js.astype(np.float64))
+    tail.w_re = re[js]
+    tail.w_im = im[js] if values.imag.any() else None
     m_ceil = -(-(K + 2) // js)
     cuts = np.flatnonzero(np.diff(m_ceil)) + 1
     tail.starts = np.concatenate(([0], cuts))
@@ -1476,7 +1481,177 @@ def test_series_tail_weight_of_a_nonzero_coefficient_is_nonzero():
         assert np.all(w != 0), a
     seq = _special_sequence(np.random.default_rng(3), 1_000, True)
     tail = verify._SeriesTail(seq, 1_000, 0j)
-    assert tail.wj.size == np.count_nonzero(seq.a[2:]) and np.all(tail.wj != 0)
+    assert tail.w_re.size == tail.w_im.size == np.count_nonzero(seq.a[2:])
+    assert np.all((tail.w_re != 0) | (tail.w_im != 0))
+
+
+# The four integrand bodies of the difference identity as they were, each
+# a BLAS dot product: the k > K tail and its bound (weights w_j = a_j log j
+# summed per segment of equal quotient, then dotted with the zeta tails),
+# and the k <= K series h and its bound over the divisor sums D(k).
+
+
+def _complex_weights(tail):
+    return tail.w_re + 0j if tail.w_im is None else tail.w_re + 1j * tail.w_im
+
+
+def _tail_integrand_ref(tail, u):
+    pw = _complex_weights(tail) * np.exp(-u * tail.log_js)
+    seg = np.add.reduceat(pw, tail.starts)
+    total = complex(np.dot(seg, tail._zeta_tails(u)))
+    total += tail.s_edge * tail.edge**-u
+    return total / dirichlet.zeta_real(u)
+
+
+def _tail_bound_ref(tail, sigma):
+    pw = np.abs(_complex_weights(tail)) * np.exp(-sigma * tail.log_js)
+    seg = np.add.reduceat(pw, tail.starts)
+    total = float(np.dot(seg, tail._zeta_tails(sigma)))
+    return total + abs(tail.s_edge) * tail.edge**-sigma
+
+
+def _head_integrand_ref(dk, log_ks, u):
+    return complex(np.dot(dk, np.exp(-u * log_ks))) / dirichlet.zeta_real(u)
+
+
+def _head_bound_ref(dk, ks, sigma):
+    return float(np.dot(np.abs(dk), ks.astype(np.float64) ** -sigma))
+
+
+# Any order of summing n terms x_i is within (n - 1) eps sum |x_i| of the
+# exact sum (to first order), BLAS's threaded dot included; the old and
+# the new sum of the same terms then differ by at most twice that. The
+# slack of 8 covers the few ulps by which a term itself may differ (|w|
+# by np.abs or np.hypot, k^-u by a power or an exponential) and the final
+# products and quotient.
+_EPS = np.finfo(np.float64).eps
+
+
+def _order_bound(terms_abs, extra=0):
+    return (2 * (len(terms_abs) + extra) + 8) * _EPS * math.fsum(terms_abs)
+
+
+_US = (1.0 + 1.0 / math.log(50), 1.25, 1.0 + 1.0 / math.log(2), 2.0, 3.5, 8.0, 30.0)
+
+
+def _difference_cases(table, rng, K):
+    cx = CoefficientSequence.from_values(random_unit_complex(rng, K) / np.arange(1, K + 1) ** 0.5)
+    real = CoefficientSequence.from_values(rng.standard_normal(K))
+    return (named_sequence("mu", K, table), named_sequence("liouville", K, table), real, cx)
+
+
+@pytest.mark.parametrize("K", [1_000, 99_991])
+def test_series_tail_integrands_match_blas_dot(K, table_medium, rng):
+    # Above 10,000 terms OpenBLAS may split the old dot across threads.
+    for seq in _difference_cases(table_medium, rng, K):
+        tail = verify._SeriesTail(seq, K, 0.25 - 0.5j)
+        w_abs = np.abs(_complex_weights(tail))
+        seg_of = np.repeat(np.arange(tail.starts.size), np.diff([*tail.starts, w_abs.size]))
+        for u in _US:
+            z = tail._zeta_tails(u)
+            terms = w_abs * np.exp(-u * tail.log_js) * z[seg_of]
+            edge = abs(tail.s_edge) * tail.edge**-u
+            tol = _order_bound([*terms, edge], tail.starts.size) / dirichlet.zeta_real(u)
+            got, ref = tail.integrand(u), _tail_integrand_ref(tail, u)
+            assert abs(got.real - ref.real) <= tol and abs(got.imag - ref.imag) <= tol, (K, u)
+            got, ref = tail.bound(u), _tail_bound_ref(tail, u)
+            assert abs(got - ref) <= _order_bound([*terms, edge], tail.starts.size), (K, u)
+
+
+@pytest.mark.parametrize("K", [1_000, 99_991])
+def test_series_head_integrands_match_blas_dot(K, table_medium, rng):
+    for seq in _difference_cases(table_medium, rng, K):
+        d = sum_over_divisors(seq.a[: K + 1] * log_index(K))
+        ks = np.flatnonzero(d)
+        ks = ks[ks >= 2]
+        log_ks = np.log(ks.astype(np.float64))
+        head = verify._SeriesHead(d, ks)
+        assert head.d_re.dtype == np.float64 and head.d_re.tobytes() == d[ks].real.tobytes()
+        if np.iscomplexobj(seq.a):
+            assert head.d_im.dtype == np.float64 and head.d_im.tobytes() == d[ks].imag.tobytes()
+        else:
+            assert head.d_im is None
+        for u in _US:
+            terms = np.abs(d[ks]) * np.exp(-u * log_ks)
+            got, ref = head.integrand(u), _head_integrand_ref(d[ks], log_ks, u)
+            tol = _order_bound(terms) / dirichlet.zeta_real(u)
+            assert abs(got.real - ref.real) <= tol and abs(got.imag - ref.imag) <= tol, (K, u)
+            assert abs(head.bound(u) - _head_bound_ref(d[ks], ks, u)) <= _order_bound(terms), (K, u)
+
+
+def _power_sum_ref(re, im, log_k, u, starts=None, z=None):
+    """verify._power_sum as the old bodies formed it: complex weights and
+    a BLAS dot product."""
+    pw = (re + 0j if im is None else re + 1j * im) * np.exp(-u * log_k)
+    if starts is None:
+        return complex(np.dot(pw, np.ones(pw.size)))
+    return complex(np.dot(np.add.reduceat(pw, starts), z))
+
+
+def test_difference_identity_matches_blas_dot_integrands(table_medium, rng, monkeypatch):
+    # The whole check with every reduction formed as the old bodies formed
+    # it: the left side keeps its bits, and the right side moves by what
+    # the last bits of thousands of integrand values add up to (1.2e-14 at
+    # most here).
+    K = 99_991
+    cx = CoefficientSequence.from_values(random_unit_complex(rng, K) / np.arange(1, K + 1) ** 2)
+    for seq, n in ((named_sequence("mu", K, table_medium), 10), (cx, 30), (cx, 7)):
+        got = ig.difference_identity_check(seq, table_medium, n, K)
+        with monkeypatch.context() as m:
+            m.setattr(verify, "_power_sum", _power_sum_ref)
+            ref = ig.difference_identity_check(seq, table_medium, n, K)
+        assert _bits(got.lhs) == _bits(ref.lhs)
+        for key in ("rhs", "tail_correction"):
+            assert abs(getattr(got, key) - getattr(ref, key)) <= 1e-12, (n, key)
+
+
+# numpy calls that may go to BLAS, whose threads reduce in an order that
+# depends on their count: as np.<name>, and as an array method.
+_BLAS_NAMES = {"dot", "matmul", "inner", "vdot", "tensordot", "einsum", "vecdot", "matvec", "vecmat"}
+
+
+def _blas_calls(source):
+    """(line, what) of every BLAS-backed call, import or operator in source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Attribute):
+            chain, value = [node.attr], node.value
+            while isinstance(value, ast.Attribute):
+                chain.append(value.attr)
+                value = value.value
+            if isinstance(value, ast.Name):
+                chain.append(value.id)
+            chain.reverse()
+            if chain[0] in ("np", "numpy") and len(chain) > 1 and (chain[1] in _BLAS_NAMES or chain[1] == "linalg"):
+                found.append((node.lineno, ".".join(chain)))
+            elif chain[-1] in _BLAS_NAMES and chain[0] not in ("np", "numpy"):
+                found.append((node.lineno, ".".join(chain)))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            names = {a.name for a in node.names}
+            if node.module.startswith("numpy.linalg") or names & (_BLAS_NAMES | {"linalg"}):
+                found.append((node.lineno, f"from {node.module} import"))
+        elif isinstance(node, ast.Import) and any(a.name.startswith("numpy.linalg") for a in node.names):
+            found.append((node.lineno, "import numpy.linalg"))
+    return found
+
+
+def test_blas_call_finder_sees_every_form():
+    forms = [
+        "np.dot(a, b)", "numpy.matmul(a, b)", "np.inner(a, b)", "np.vdot(a, b)", "np.tensordot(a, b)",
+        "np.einsum('i,i', a, b)", "np.linalg.norm(a)", "np.vecdot(a, b)", "a @ b", "a @= b", "a.dot(b)",
+        "from numpy import dot", "from numpy.linalg import solve", "import numpy.linalg",
+    ]
+    for form in forms:
+        assert _blas_calls(form), form
+    assert not _blas_calls("np.add.reduce(a * b); np.add.reduceat(a, s); np.exp(a); np.multiply(a, b)")
+
+
+def test_the_package_makes_no_blas_call():
+    package = Path(ig.__file__).parent
+    found = {path.name: _blas_calls(path.read_text()) for path in sorted(package.glob("*.py"))}
+    assert len(found) >= 10 and not any(found.values()), {k: v for k, v in found.items() if v}
 
 
 @pytest.mark.parametrize("chunk", [7, 1 << 16])
