@@ -1,122 +1,83 @@
 """Ingham summation sums, Dirichlet series and Euler products for
 arithmetic coefficient sequences, with finite-scale verification
-harnesses for the associated Tauberian conditions."""
+harnesses for the associated Tauberian conditions.
 
-from .errors import (
-    CapacityError,
-    QuadratureError,
-    SingularFactorError,
-    SpecFormatError,
-)
-from .sieve import SieveTable, build_sieve
-from .sequences import (
-    BUILTIN_SEQUENCES,
-    CoefficientSequence,
-    MultiplicativeSpec,
-    a_from_f,
-    extend_completely_multiplicative,
-    f_from_a,
-    named_sequence,
-    sum_over_divisors,
-)
-from .summation import (
-    SummationValue,
-    WeightSequence,
-    abel_lambda_sum,
-    abel_power_sum,
-    batch_sums,
-    cumulative_sums,
-    ingham_A,
-    ingham_S,
-    ingham_series_partial,
-    tauber_weighted,
-)
-from .dirichlet import (
-    FtEvaluation,
-    euler_product,
-    f_t_table,
-    ft_partial_sum,
-    g_eval,
-    l_t,
-    mu_n_alpha,
-    zeta_real,
-    zeta_tail,
-)
-from .quadrature import QuadResult, adaptive_simpson, integral_sigma_to_inf, integral_zero_to_inf
-from .report import ReportRow, VerificationReport
-from .verify import (
-    DifferenceIdentityResult,
-    Theorem3Result,
-    WintnerResult,
-    check_axer,
-    check_wintner,
-    cond1_ratio,
-    cond2_ratio,
-    difference_identity_check,
-    lemma_ratio_suite,
-    s_decomposition_identity,
-    s_difference_identity,
-    s_multiplicative_identity,
-    theorem1_residual,
-    theorem2_conditions,
-    theorem3_check,
-)
+``import inghamsum`` loads no submodule (and so not numpy): each public
+name is read from its submodule, which is imported on the first use of
+one of its names. Nothing is cached here, so ``inghamsum.build_sieve``
+is always the current binding of ``inghamsum.sieve.build_sieve``."""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BUILTIN_SEQUENCES",
-    "CapacityError",
-    "CoefficientSequence",
-    "DifferenceIdentityResult",
-    "FtEvaluation",
-    "MultiplicativeSpec",
-    "QuadResult",
-    "QuadratureError",
-    "ReportRow",
-    "SieveTable",
-    "SingularFactorError",
-    "SpecFormatError",
-    "SummationValue",
-    "Theorem3Result",
-    "VerificationReport",
-    "WeightSequence",
-    "WintnerResult",
-    "a_from_f",
-    "abel_lambda_sum",
-    "abel_power_sum",
-    "adaptive_simpson",
-    "batch_sums",
-    "build_sieve",
-    "check_axer",
-    "check_wintner",
-    "cond1_ratio",
-    "cond2_ratio",
-    "cumulative_sums",
-    "difference_identity_check",
-    "euler_product",
-    "extend_completely_multiplicative",
-    "f_from_a",
-    "f_t_table",
-    "ft_partial_sum",
-    "g_eval",
-    "ingham_A",
-    "ingham_S",
-    "ingham_series_partial",
-    "integral_sigma_to_inf",
-    "integral_zero_to_inf",
-    "l_t",
-    "lemma_ratio_suite",
-    "mu_n_alpha",
-    "named_sequence",
-    "s_decomposition_identity",
-    "s_difference_identity",
-    "s_multiplicative_identity",
-    "sum_over_divisors",
-    "tauber_weighted",
-    "theorem1_residual",
-    "theorem2_conditions",
-    "theorem3_check",
-    "zeta_real",
-    "zeta_tail",
-]
+# Each public name and the submodule that defines it.
+_EXPORTS = {
+    "CapacityError": "errors",
+    "QuadratureError": "errors",
+    "SingularFactorError": "errors",
+    "SpecFormatError": "errors",
+    "SieveTable": "sieve",
+    "build_sieve": "sieve",
+    "BUILTIN_SEQUENCES": "sequences",
+    "CoefficientSequence": "sequences",
+    "MultiplicativeSpec": "sequences",
+    "a_from_f": "sequences",
+    "extend_completely_multiplicative": "sequences",
+    "f_from_a": "sequences",
+    "named_sequence": "sequences",
+    "sum_over_divisors": "sequences",
+    "SummationValue": "summation",
+    "WeightSequence": "summation",
+    "abel_lambda_sum": "summation",
+    "abel_power_sum": "summation",
+    "batch_sums": "summation",
+    "cumulative_sums": "summation",
+    "ingham_A": "summation",
+    "ingham_S": "summation",
+    "ingham_series_partial": "summation",
+    "tauber_weighted": "summation",
+    "FtEvaluation": "dirichlet",
+    "euler_product": "dirichlet",
+    "f_t_table": "dirichlet",
+    "ft_partial_sum": "dirichlet",
+    "g_eval": "dirichlet",
+    "l_t": "dirichlet",
+    "mu_n_alpha": "dirichlet",
+    "zeta_real": "dirichlet",
+    "zeta_tail": "dirichlet",
+    "QuadResult": "quadrature",
+    "adaptive_simpson": "quadrature",
+    "integral_sigma_to_inf": "quadrature",
+    "integral_zero_to_inf": "quadrature",
+    "ReportRow": "report",
+    "VerificationReport": "report",
+    "DifferenceIdentityResult": "verify",
+    "Theorem3Result": "verify",
+    "WintnerResult": "verify",
+    "check_axer": "verify",
+    "check_wintner": "verify",
+    "cond1_ratio": "verify",
+    "cond2_ratio": "verify",
+    "difference_identity_check": "verify",
+    "lemma_ratio_suite": "verify",
+    "s_decomposition_identity": "verify",
+    "s_difference_identity": "verify",
+    "s_multiplicative_identity": "verify",
+    "theorem1_residual": "verify",
+    "theorem2_conditions": "verify",
+    "theorem3_check": "verify",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module("." + module, __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

@@ -5,7 +5,9 @@ wintner,axer}, lemma, identity {sdiff,sdecomp,smult,difference}, report.
 Outputs are deterministic: the same configuration and build produce
 byte-identical CSV/JSON artifacts. The library makes no BLAS call, and
 the difference identity's reductions are numpy pairwise sums in a fixed
-order, so an artifact does not depend on the BLAS thread count.
+order, so an artifact does not depend on the BLAS thread count. The CLI
+sets ``OPENBLAS_NUM_THREADS=1`` unless it is already set, so no idle
+OpenBLAS worker spins at start-up; the library sets nothing.
 
 Every command returns one VerificationReport, fully computed before
 ``main`` opens the output, and ``main`` is its only writer. The table
@@ -47,6 +49,9 @@ import json
 import math
 import os
 import sys
+
+# Before numpy loads: the package makes no BLAS call (test_the_package_makes_no_blas_call).
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

@@ -178,14 +178,15 @@ def block_sums(prefix, grid) -> list[complex]:
 def _block_sum(prefix, n: int) -> complex:
     """block_sums at one point, without the bucket set-up: the block ends
     are 0..r, then n // q for q = n // (r + 1) down to 1, and
-    ``math.fsum`` rounds each part of the terms."""
+    ``math.fsum`` rounds each part of the terms, reading its row in
+    place through a memoryview."""
     r = math.isqrt(n)
     k = np.concatenate((np.arange(r + 1), n // np.arange(n // (r + 1), 0, -1)))
     ends = prefix[k]
     re, im = ends.real, ends.imag
     q = (n // k[1:]).astype(np.float64)
-    re, im = _block_terms(re[1:] - re[:-1], im[1:] - im[:-1], q).tolist()
-    return complex(math.fsum(re), math.fsum(im))
+    re, im = _block_terms(re[1:] - re[:-1], im[1:] - im[:-1], q)
+    return complex(math.fsum(memoryview(re)), math.fsum(memoryview(im)))
 
 
 def _check_point(seq: CoefficientSequence, n: int) -> None:

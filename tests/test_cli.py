@@ -337,6 +337,60 @@ def test_difference_artifact_does_not_depend_on_the_blas_thread_count(coeffs, tm
     assert artifacts[0] == artifacts[1]
 
 
+# Prints the OPENBLAS_NUM_THREADS that numpy's first import sees.
+_NUMPY_SEES = """
+import os, sys
+
+class Finder:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            sys.meta_path.remove(self)
+            print(os.environ.get("OPENBLAS_NUM_THREADS", "unset"))
+
+sys.meta_path.insert(0, Finder())
+"""
+
+
+def _fresh_python(code, threads=None):
+    """Run code in a fresh interpreter whose OPENBLAS_NUM_THREADS is
+    threads, or unset; its stdout."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("INGHAMSUM_") and k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(SRC)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "import inghamsum.cli",
+        "import runpy; sys.argv = ['inghamsum', 'sieve', '--n', '10', '--out', os.devnull]; "
+        "runpy.run_module('inghamsum.cli', run_name='__main__')",
+    ],
+    ids=["import", "python -m"],
+)
+@pytest.mark.parametrize("threads, seen", [(None, "1"), ("3", "3")])
+def test_cli_gives_numpy_one_blas_thread_unless_set(entry, threads, seen):
+    assert _fresh_python(_NUMPY_SEES + entry, threads).split() == [seen]
+
+
+def test_the_library_leaves_the_blas_thread_count_alone():
+    code = (
+        "import os, sys, inghamsum\n"
+        "print('numpy' in sys.modules)\n"
+        "inghamsum.build_sieve(100)\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS', 'unset'))\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('inghamsum.')))\n"
+    )
+    imported_numpy, numpy_sees, threads, modules = _fresh_python(_NUMPY_SEES + code).splitlines()
+    assert imported_numpy == "False"
+    assert numpy_sees == threads == "unset"
+    assert not {"inghamsum.verify", "inghamsum.dirichlet", "inghamsum.report", "inghamsum.cli"} & set(modules.split())
+
+
 def test_ingham_mu_unit_column(tmp_path):
     rc, payload = run_cli(
         ["ingham", "--coeffs", "mu", "--n", "10,100,1000", "--format", "csv"], tmp_path

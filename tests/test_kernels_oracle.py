@@ -513,6 +513,73 @@ def test_block_sums_rejects_points_outside_the_prefix():
             block_sums(prefix, grid)
 
 
+def _block_sum_tolist_ref(prefix, n):
+    """_block_sum as it was when its two rows went to math.fsum as
+    Python lists."""
+    r = math.isqrt(n)
+    k = np.concatenate((np.arange(r + 1), n // np.arange(n // (r + 1), 0, -1)))
+    ends = prefix[k]
+    re, im = ends.real, ends.imag
+    q = (n // k[1:]).astype(np.float64)
+    re, im = summation._block_terms(re[1:] - re[:-1], im[1:] - im[:-1], q).tolist()
+    return complex(math.fsum(re), math.fsum(im))
+
+
+def _raw_block_outcome(fn):
+    """The exact (re, im) bits of fn(), nan payloads and signed zeros
+    included, or the type of the exception it raised."""
+    try:
+        value = fn()
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+    return np.array([value.real, value.imag]).view(np.uint64).tolist()
+
+
+def _same_as_tolist(prefix, points, case):
+    for n in points:
+        got = _raw_block_outcome(lambda: summation._block_sum(prefix, n))
+        assert got == _raw_block_outcome(lambda: _block_sum_tolist_ref(prefix, n)), (case, n)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the inf and nan prefixes
+def test_block_sum_matches_tolist_every_n_to_3000(rng):
+    n = 3000
+    real = np.cumsum(rng.standard_normal(n + 1))
+    cases = {"real": real, "complex": _unit_prefix(n, rng)}
+    zeros = np.empty(n + 1, dtype=np.complex128)  # zero real parts: signed-zero real terms
+    zeros.real = rng.choice([0.0, -0.0], n + 1)
+    zeros.imag = np.cumsum(rng.choice([0.0, -0.0, 1.0, -1.0], n + 1))
+    cases["signed zeros"] = zeros
+    cases["negative zeros"] = np.full(n + 1, -0.0)
+    for value in (math.inf, -math.inf, math.nan):
+        for at in (1, 17, 1500, n):
+            for name, base in (("real", real), ("complex", cases["complex"])):
+                prefix = base.copy()
+                prefix[at] = value
+                cases[f"{name} {value} at {at}"] = prefix
+        prefix = cases["complex"].copy()
+        prefix[[40, 41]] = complex(0.0, value), complex(value, value)
+        cases[f"complex {value} parts"] = prefix
+    for case, prefix in cases.items():
+        _same_as_tolist(prefix, range(1, n + 1), case)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the inf and nan prefixes
+def test_block_sum_matches_tolist_near_1e6(rng):
+    n = 10**6
+    points = (999_983, 999_999, 10**6)
+    real = np.cumsum(rng.standard_normal(n + 1))
+    _same_as_tolist(real, points, "real")
+    prefix = real.copy()
+    prefix[[10, 500_000]] = math.inf, math.nan
+    _same_as_tolist(prefix, points, "real inf and nan")
+    del real, prefix
+    base = _unit_prefix(n, rng)
+    _same_as_tolist(base, points, "complex")
+    base[[10, 500_000]] = complex(0.0, -math.inf), complex(math.nan, 0.0)
+    _same_as_tolist(base, points, "complex inf and nan")
+
+
 # -- batch_sums: prefix sums gathered at the block ends -------------------
 
 
