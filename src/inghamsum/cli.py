@@ -288,16 +288,11 @@ def load_spec_file(path: str) -> MultiplicativeSpec | np.ndarray:
     )
 
 
-def resolve_coeffs(name_or_path: str, n: int, table: SieveTable) -> CoefficientSequence:
-    """A coefficient sequence from a builtin name or a JSON file."""
-    return _coeffs_builder(name_or_path, n)(lambda: table)
-
-
 def _coeffs_builder(name_or_path: str, n: int):
-    """:func:`resolve_coeffs` as a function of a function that gives the
-    table, called only for a builtin or a spec: a coefficient file reads
-    no table. A missing name or a bad or short file fails here, before
-    any table is built."""
+    """The coefficient sequence of a builtin name or a JSON file, as a
+    function of a function that gives the table, called only for a
+    builtin or a spec: a coefficient file reads no table. A missing name
+    or a bad or short file fails here, before any table is built."""
     if name_or_path is None:
         raise SpecFormatError("a coefficient sequence is required (--coeffs)")
     if name_or_path in BUILTIN_SEQUENCES:

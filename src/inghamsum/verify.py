@@ -44,7 +44,16 @@ from .sequences import (
     times_log,
 )
 from .sieve import SieveTable
-from .summation import _CHUNK_TERMS, _block_sum, _cumsums_at, batch_sums, ingham_A, ingham_S
+from .summation import (
+    _CHUNK_TERMS,
+    _block_sum,
+    _cumsums_at,
+    _grid_sums,
+    _raised,
+    batch_sums,
+    ingham_A,
+    ingham_S,
+)
 
 # Empirical envelope for the five f_t estimate families; the measured
 # suprema over the reference grid stay below 1.1 (see the acceptance
@@ -132,20 +141,19 @@ def theorem1_residual(
 ) -> float:
     """|A(n)/n - g(1 + 1/log n)|.
 
-    g is the Dirichlet sum of the coefficients truncated at a.length;
-    when the sequence derives from a multiplicative spec, pass it (with
+    g is the Dirichlet sum of the coefficients truncated at a.length,
+    and the residual is the one row of :func:`theorem1_report` at n.
+    When the sequence derives from a multiplicative spec, pass it (with
     a table) and g is taken from the exact finite Euler product instead,
     which is tail-free because factors above the cutoff equal 1.
     """
+    if spec is None:
+        return theorem1_report(a, [n], math.inf).rows[0].residual_t1
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    if spec is not None:
-        if table is None:
-            raise ValueError("spec-based evaluation needs a sieve table")
-        g = _spec_g(spec, table, n)
-    else:
-        g = g_eval(a, _sigma_of(n), a.length)
-    return abs(ingham_A(a, n) / n - g)
+    if table is None:
+        raise ValueError("spec-based evaluation needs a sieve table")
+    return abs(ingham_A(a, n) / n - _spec_g(spec, table, n))
 
 
 def _spec_g(spec: MultiplicativeSpec, table: SieveTable, n: int) -> complex:
@@ -171,12 +179,14 @@ def _theorem1_report(values, envelope: float) -> VerificationReport:
 
 def theorem1_report(a: CoefficientSequence, grid, envelope: float) -> VerificationReport:
     """A(n)/n against g(1 + 1/log n) along the grid, from coefficients:
-    the residual is :func:`theorem1_residual`'s, from one
-    :func:`batch_sums` call for every A(n) and one :func:`g_eval` pass
-    for every g; g (a truncated Dirichlet sum) is not reported."""
+    every A(n) from one chunked pass over a (:func:`summation._grid_sums`,
+    part "A" alone, so no a_m log m term is formed) and every g from one
+    :func:`g_eval` pass; g (a truncated Dirichlet sum) is not reported.
+    :func:`theorem1_residual` without a spec is one row of this."""
     if grid[0] < 2:
         raise ValueError(f"n must be >= 2, got {grid[0]}")
-    means = [v.A / v.n for v in batch_sums(a, grid)]
+    (sums,) = _grid_sums(a, grid, "A")
+    means = [A / int(n) for n, A in zip(grid, _raised(sums))]
     gs = g_eval(a, [_sigma_of(n) for n in grid], a.length)
     values = [(n, mean, None, abs(mean - g)) for n, mean, g in zip(grid, means, gs)]
     return _theorem1_report(values, envelope)
@@ -187,8 +197,8 @@ def theorem1_spec_report(
 ) -> VerificationReport:
     """A(n)/n against g(1 + 1/log n) along the grid, from a spec: A(n)
     is the sum of f(m) over m <= n, streamed from the segments of f
-    (:func:`_f_sums`) as :func:`_theorem3_rows` reads it, so no N-length
-    f is held; g is the Euler product."""
+    (:func:`_f_sums`) as :func:`_theorem3_results` reads it, so no
+    N-length f is held; g is the Euler product."""
     if grid[0] < 2:
         raise ValueError(f"n must be >= 2, got {grid[0]}")
     values = []
@@ -256,32 +266,16 @@ def theorem2_conditions(a: CoefficientSequence, n_grid, sigma_grid) -> Verificat
 
 
 def theorem3_check(
-    spec: MultiplicativeSpec,
-    table: SieveTable,
-    n: int,
-    alpha: float,
-    f_values: np.ndarray | None = None,
+    spec: MultiplicativeSpec, table: SieveTable, n: int, alpha: float
 ) -> Theorem3Result:
     """Mean-value against Euler-product bound for a multiplicative f.
 
     residual = |(1/n) sum f(m) - prod (1-1/p)/(1-f(p)/p)|, mu is the
-    Hoelder deviation, ratio their quotient. Pass precomputed f_values
-    (index-aligned, length >= n+1) to amortize extensions across calls.
+    Hoelder deviation, ratio their quotient. This is the one-point grid
+    of :func:`_theorem3_results`, so f is read segment by segment and no
+    n-length f is held.
     """
-    _check_theorem3(spec, n)
-    f = f_values if f_values is not None else extend_completely_multiplicative(spec, table, n)
-    if f.size < n + 1:
-        raise ValueError(f"f_values covers {f.size - 1} < n = {n}")
-    mean = csum(f[1 : n + 1]) / n
-    product = euler_product(spec, table, 1.0, n)
-    return _theorem3_result(mean, product, mu_n_alpha(spec, table, n, alpha))
-
-
-def _check_theorem3(spec: MultiplicativeSpec, n: int) -> None:
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
-    if spec.bound_violation() is not None:
-        raise ValueError("|f(p)| <= 1 is required for the mean-value bound")
+    return _theorem3_results(spec, table, [n], alpha)[0]
 
 
 def _theorem3_result(mean: complex, product: complex, mu: float) -> Theorem3Result:
@@ -307,36 +301,44 @@ def _f_sums(spec, table, grid) -> list[complex]:
     return prefix_csums(extension_segments(spec, table, top), grid, whole)
 
 
-def _theorem3_rows(spec, table, grid, alpha: float, envelope: float) -> list[ReportRow]:
-    """:func:`theorem3_check` at every grid point, bit for bit, from one
-    pass each for the whole grid: the sums of f from one streamed pass
-    over the segments of f read at every n (:func:`_f_sums`), the
-    products at sigma = 1 from one running product (:func:`euler_product`
-    over the grid), and mu_n(alpha) from one list of prime terms
-    (:func:`mu_n_alpha` over the grid). A row passes when its ratio is
-    finite and at most envelope."""
+def _theorem3_results(spec, table, grid, alpha: float) -> list[Theorem3Result]:
+    """The mean-value bound at every point of a strictly ascending grid,
+    from one pass each for the whole grid: the sums of f from one
+    streamed pass over the segments of f read at every n
+    (:func:`_f_sums`), the products at sigma = 1 from one running product
+    (:func:`euler_product` over the grid), and mu_n(alpha) from one list
+    of prime terms (:func:`mu_n_alpha` over the grid)."""
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly ascending")
-    _check_theorem3(spec, grid[0])
+    if grid[0] < 3:
+        raise ValueError(f"n must be >= 3, got {grid[0]}")
+    if spec.bound_violation() is not None:
+        raise ValueError("|f(p)| <= 1 is required for the mean-value bound")
     sums = _f_sums(spec, table, grid)
     products = euler_product(spec, table, 1.0, grid)
     mus = mu_n_alpha(spec, table, grid, alpha)
-    rows = []
-    for n, total, product, mu in zip(grid, sums, products, mus):
-        chk = _theorem3_result(total / n, product, mu)
-        rows.append(
-            ReportRow(
-                n=n,
-                mean=chk.mean,
-                euler_product_at_1=chk.product,
-                residual_t3=chk.residual,
-                mu_alpha=chk.mu,
-                ratio=chk.ratio,
-                ratio_infinite=chk.ratio_infinite,
-                passed=not chk.ratio_infinite and (chk.ratio or 0.0) <= envelope,
-            )
+    return [
+        _theorem3_result(total / n, product, mu)
+        for n, total, product, mu in zip(grid, sums, products, mus)
+    ]
+
+
+def _theorem3_rows(spec, table, grid, alpha: float, envelope: float) -> list[ReportRow]:
+    """:func:`_theorem3_results` as report rows; a row passes when its
+    ratio is finite and at most envelope."""
+    return [
+        ReportRow(
+            n=n,
+            mean=chk.mean,
+            euler_product_at_1=chk.product,
+            residual_t3=chk.residual,
+            mu_alpha=chk.mu,
+            ratio=chk.ratio,
+            ratio_infinite=chk.ratio_infinite,
+            passed=not chk.ratio_infinite and (chk.ratio or 0.0) <= envelope,
         )
-    return rows
+        for n, chk in zip(grid, _theorem3_results(spec, table, grid, alpha))
+    ]
 
 
 def _ratio_estimate(rows: list[ReportRow]) -> float:
@@ -743,8 +745,6 @@ def difference_identity_check(
     truncation: int,
     quad_tol: float = QUAD_TOL,
     tail_tol: float = TAIL_TOL,
-    s_values: np.ndarray | None = None,
-    d_values: np.ndarray | None = None,
 ) -> DifferenceIdentityResult:
     """Check the exact identity tying A(n), g(1+1/log n) and S-weighted
     integrals of the f_t family, at quadrature accuracy.
@@ -767,9 +767,7 @@ def difference_identity_check(
     come from one lattice pass up to K, and S(k) is gathered from them
     in chunks (:func:`summation._cumsums_at`) only at the k it reads,
     2..n and K, bit for bit ``np.cumsum`` of D; D is dropped before the
-    series tail is set up. A caller may still pass whole index-aligned
-    arrays s_values / d_values (S(k) and D(k) up to K), precomputed once
-    per sequence and shared across n; those are read at the same k.
+    series tail is set up.
 
     The integrands and their bounds (:class:`_SeriesHead`,
     :class:`_SeriesTail`) hold D(k) and a_j log j as real parts, plus
@@ -793,13 +791,11 @@ def difference_identity_check(
     sigma = _sigma_of(n)
     logn = math.log(n)
 
-    if d_values is None:
-        with np.errstate(over="ignore", invalid="ignore"):  # terms beyond the float range are inf
-            d_values = sum_over_divisors(a.a[: K + 1] * log_index(K))
-    if s_values is None:
-        at = np.unique([*range(2, n + 1), K])
-        (s_at,) = _cumsums_at(at, lambda lo, hi: [d_values[lo:hi]])
-        s_values = dict(zip(at.tolist(), s_at))
+    with np.errstate(over="ignore", invalid="ignore"):  # terms beyond the float range are inf
+        d_values = sum_over_divisors(a.a[: K + 1] * log_index(K))
+    at = np.unique([*range(2, n + 1), K])
+    (s_at,) = _cumsums_at(at, lambda lo, hi: [d_values[lo:hi]])
+    s_values = dict(zip(at.tolist(), s_at))
 
     # Left side: the Dirichlet value is exact for the stored sequence.
     A_n = ingham_A(a, n)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import inghamsum as ig
-from inghamsum.cli import _COMMANDS, load_spec_file, main, parse_grid, resolve_coeffs
+from inghamsum.cli import _COMMANDS, _coeffs_builder, load_spec_file, main, parse_grid
 from inghamsum.errors import SpecFormatError
 
 from conftest import cli_peak_rss
@@ -254,13 +254,13 @@ def test_load_spec_errors(tmp_path):
         load_spec_file(str(bad_bound))
 
 
-def test_resolve_coeffs_builtins(table_small):
-    mu = resolve_coeffs("mu", 10, table_small)
+def test_coeffs_builder_builtins(table_small):
+    mu = _coeffs_builder("mu", 10)(lambda: table_small)
     np.testing.assert_allclose(mu.values().real, [1, -1, -1, 0, -1, 1, -1, 0, 0, 1])
-    inv = resolve_coeffs("inverse-squares", 3, table_small)
+    inv = _coeffs_builder("inverse-squares", 3)(lambda: table_small)
     np.testing.assert_allclose(inv.values().real, [1, 0.25, 1 / 9])
     with pytest.raises(SpecFormatError):
-        resolve_coeffs("not-a-sequence", 10, table_small)
+        _coeffs_builder("not-a-sequence", 10)
 
 
 # -- commands and determinism -------------------------------------------

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import inghamsum as ig
 from inghamsum import a_from_f, accumulate, dirichlet, quadrature, sequences, summation, sum_over_divisors, verify
 from inghamsum.accumulate import csum, rsum
-from inghamsum.cli import parse_grid, resolve_coeffs
+from inghamsum.cli import _coeffs_builder, parse_grid
 from inghamsum.dirichlet import _EM_COEFFS, f_t_table, ft_partial_sum
 from inghamsum.errors import SingularFactorError
 from inghamsum.quadrature import QUAD_TOL, TAIL_TOL
@@ -755,7 +755,7 @@ def _grid_reader_sequences(table, tmp_path, n):
     path.write_text(json.dumps({"type": "coefficients", "values": values.tolist()}))
     yield "mu", named_sequence("mu", n, table)
     yield "inverse-squares", named_sequence("inverse-squares", n, table)
-    yield "coefficient file", resolve_coeffs(str(path), n, table)
+    yield "coefficient file", _coeffs_builder(str(path), n)(lambda: table)
 
 
 @pytest.mark.parametrize("chunk", [None, 4096])
@@ -781,6 +781,26 @@ def test_theorem1_and_wintner_match_per_point_readers(chunk, table_medium, tmp_p
                 continue
             got = verify.theorem1_report(seq, grid, 0.6)
             assert _report_bytes(got) == _report_bytes(_theorem1_report_ref(seq, grid, 0.6)), case
+
+
+def test_theorem1_forms_no_weighted_term(table_medium, monkeypatch):
+    # Theorem 1 reads A(n) alone: with a_m log m unavailable, the report
+    # and the one-point residual keep their bits.
+    mu = named_sequence("mu", 100_000, table_medium)
+    grid = parse_grid("2:100000:x3")
+    expected = _report_bytes(_theorem1_report_ref(mu, grid, 0.6))
+    residuals = {
+        n: abs(ig.ingham_A(mu, n) / n - ig.g_eval(mu, 1 + 1 / math.log(n), mu.length))
+        for n in (2, 1000, 100_000)
+    }
+
+    def boom(*args):
+        raise AssertionError("a_m log m formed")
+
+    monkeypatch.setattr(summation, "times_log", boom)
+    assert _report_bytes(verify.theorem1_report(mu, grid, 0.6)) == expected
+    for n, r in residuals.items():
+        assert repr(ig.theorem1_residual(mu, n)) == repr(r), n
 
 
 @pytest.mark.parametrize("name", ["mu", "inverse-squares"])
@@ -1723,9 +1743,15 @@ def test_the_package_makes_no_blas_call():
 
 @pytest.mark.parametrize("chunk", [7, 1 << 16])
 def test_difference_identity_gathers_the_whole_cumsum(chunk, table_small, rng, monkeypatch):
-    # S(k) is gathered from D(k) at k = 2..n and K only; the whole
-    # np.cumsum(D) passed in gives the same bits. K = n reads one k twice.
+    # S(k) is gathered from D(k) at k = 2..n and K only; reading the
+    # whole np.cumsum(D) at those k gives the same bits. K = n reads one
+    # k twice.
     monkeypatch.setattr(summation, "_CHUNK_TERMS", chunk)
+
+    def whole_cumsum_at(at, terms):
+        (d,) = terms(0, int(at[-1]) + 1)
+        return [np.cumsum(d)[at]]
+
     cx = _special_sequence(rng, 3_000, True).a.copy()
     cx[np.isinf(cx) | np.isnan(cx)] = 0.25 - 0.5j  # finite, signed zeros and subnormals kept
     cx = CoefficientSequence.from_index_aligned(cx)
@@ -1736,8 +1762,9 @@ def test_difference_identity_gathers_the_whole_cumsum(chunk, table_small, rng, m
         (cx, 12, 12),
     )
     for seq, n, K in cases:
-        d = sum_over_divisors(seq.a[: K + 1] * log_index(K))
-        whole = ig.difference_identity_check(seq, table_small, n, K, s_values=np.cumsum(d), d_values=d)
+        with monkeypatch.context() as m:
+            m.setattr(verify, "_cumsums_at", whole_cumsum_at)
+            whole = ig.difference_identity_check(seq, table_small, n, K)
         assert _bits(ig.difference_identity_check(seq, table_small, n, K)) == _bits(whole), (n, K)
 
 

@@ -16,7 +16,7 @@ import pytest
 
 import inghamsum as ig
 import inghamsum.report as report_mod
-from inghamsum.cli import main, parse_grid, resolve_coeffs
+from inghamsum.cli import _coeffs_builder, main, parse_grid
 from inghamsum.report import CSV_COLUMNS, Columns, ReportRow, VerificationReport
 
 from conftest import cli_peak_rss
@@ -87,7 +87,7 @@ def old_sieve_rows(n):
 
 
 def old_ingham_rows(coeffs, grid):
-    seq = resolve_coeffs(coeffs, grid[-1], ig.build_sieve(max(grid[-1], 2)))
+    seq = _coeffs_builder(coeffs, grid[-1])(lambda: ig.build_sieve(max(grid[-1], 2)))
     return [
         {
             "n": v.n,
