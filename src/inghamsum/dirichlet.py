@@ -183,6 +183,13 @@ def euler_product(spec: MultiplicativeSpec, table: SieveTable, sigma: float, lim
     return out[0] if np.ndim(limit) == 0 else out
 
 
+def _inverse_powers(primes: np.ndarray, s: float) -> np.ndarray:
+    """p^-s at every p as float64, each by Python's float pow (numpy's
+    vector power can differ in the last bit)."""
+    bases = primes.astype(np.float64).tolist()
+    return np.fromiter(map(pow, bases, repeat(-s)), np.float64, primes.size)
+
+
 def _euler_factors(primes: np.ndarray, values: np.ndarray, sigma: float) -> list[complex]:
     """(1 - p^-sigma)/(1 - f(p) p^-sigma) at every p, as Python complex.
 
@@ -194,8 +201,7 @@ def _euler_factors(primes: np.ndarray, values: np.ndarray, sigma: float) -> list
     Each step is one real ufunc, so nothing fuses multiply-adds. Raises
     :class:`SingularFactorError` at the first p with |d| < 1e-300.
     """
-    bases = primes.astype(np.float64).tolist()
-    pinv = np.fromiter(map(pow, bases, repeat(-sigma)), np.float64, primes.size)
+    pinv = _inverse_powers(primes, sigma)
     fr, fi = values.real, values.imag
     with np.errstate(all="ignore"):  # inf and nan follow IEEE, as in C
         dr = 1.0 - (fr * pinv - fi * 0.0)
@@ -245,7 +251,7 @@ def f_t_table(table: SieveTable, t: float, n: int) -> FtEvaluation:
     for p in primes[:split].tolist():
         values[p::p] *= 1.0 - float(p) ** -t
     big = primes[split:]
-    factors = np.array([1.0 - float(p) ** -t for p in big.tolist()])
+    factors = 1.0 - _inverse_powers(big, t)
     for q, j in hyperbola_cofactors(big, n):
         at = big[:j] * q
         values[at] *= factors[:j]

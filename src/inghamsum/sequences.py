@@ -210,9 +210,13 @@ class MultiplicativeSpec:
         return self.cutoff if self.default != 1 else max(self.prime_values, default=1)
 
 
-def _divisor_lattice(weights: np.ndarray, f: np.ndarray | None = None) -> np.ndarray:
+def _divisor_lattice(
+    weights: np.ndarray, f: np.ndarray | None = None, dtype: type = np.complex128
+) -> np.ndarray:
     """out[d q] += weights[d] * f[q] over nonzero weights[d] and d q <= N,
-    where N = weights.size - 1 and f = None means f[q] = 1 (plain add).
+    where N = weights.size - 1 and f = None means f[q] = 1 (plain add),
+    into an out of the given dtype: complex128, or float64 for real
+    weights and no f.
 
     Hyperbola split at r = isqrt(N): every d <= r is one strided
     slice-add over its multiples; every larger d has cofactor q <= N/(r+1),
@@ -220,10 +224,12 @@ def _divisor_lattice(weights: np.ndarray, f: np.ndarray | None = None) -> np.nda
     slices of at most ``_COFACTOR_CHUNK`` of the d, so that no index or
     term array of the pass is N-sized. Each product d q occurs once per
     q, so each out[m] still accumulates its terms in ascending d, which
-    keeps the result bit-identical to one strided pass per d.
+    keeps the result bit-identical to one strided pass per d. A complex
+    out adds +0.0 imaginary parts to real weights, which is exact, so a
+    float64 out holds the same bits as its real parts in half the memory.
     """
     n = weights.size - 1
-    out = np.zeros(n + 1, dtype=np.complex128)
+    out = np.zeros(n + 1, dtype=dtype)
     nz = np.flatnonzero(weights[1:]) + 1
     r = math.isqrt(max(n, 0))
     split = int(np.searchsorted(nz, r, "right"))
@@ -238,15 +244,19 @@ def _divisor_lattice(weights: np.ndarray, f: np.ndarray | None = None) -> np.nda
     return out
 
 
-def sum_over_divisors(values: np.ndarray) -> np.ndarray:
+def sum_over_divisors(values: np.ndarray, dtype: type = np.complex128) -> np.ndarray:
     """Divisor-lattice transform: out[m] = sum of values[d] over d | m.
 
     Hyperbola split (see :func:`_divisor_lattice`): one strided
     slice-add per nonzero entry d <= sqrt(N), then one fancy-indexed add
     per cofactor q for all nonzero d > sqrt(N). O(N log N) total work;
     zero coefficients cost nothing, and each out[m] sums in ascending d.
+
+    The sums are complex128 unless dtype says float64, which real values
+    may ask for: the same bits as the complex sums' real parts (their
+    imaginary parts are all +0.0), at 8 bytes per integer instead of 16.
     """
-    return _divisor_lattice(np.asarray(values))
+    return _divisor_lattice(np.asarray(values), dtype=dtype)
 
 
 def f_from_a(table: SieveTable, seq: CoefficientSequence) -> np.ndarray:

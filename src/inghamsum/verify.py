@@ -646,23 +646,33 @@ class _SeriesTail:
     The weights a_j log j are formed only at the nonzero a_j with
     2 <= j <= K, which are exactly the nonzero weights: |log j| > 1/2
     there, so the product of a nonzero a_j (a subnormal one included)
-    never rounds to zero.
+    never rounds to zero. The set-up holds no more than the arrays it
+    keeps and the nonzero places j: log j, the weights and the quotients
+    are formed in place, and the segment cuts come from a bool compare
+    of neighbouring quotients.
     """
 
     _SMALL = 64
 
     def __init__(self, a: CoefficientSequence, K: int, s_k: complex):
-        js = np.flatnonzero(a.a[2 : K + 1]) + 2
+        js = np.flatnonzero(a.a[2 : K + 1])
+        js += 2
         self.K = K
-        self.log_js = np.log(js.astype(np.float64))
+        self.log_js = js.astype(np.float64)
+        np.log(self.log_js, out=self.log_js)
         # Real and imaginary parts apart, the latter only for a complex
-        # sequence: a real one costs one real pass per node.
-        re, im = _real_parts(a.a, js)
-        self.w_re = re * self.log_js
-        self.w_im = None if im is None else im * self.log_js
-        m_ceil = -(-(K + 2) // js)
-        # js ascending makes the quotient sequence nonincreasing.
-        cuts = np.flatnonzero(np.diff(m_ceil)) + 1
+        # sequence: a real one costs one real pass per node. Both are
+        # fresh gathers, so the weights are formed in them.
+        self.w_re, self.w_im = _real_parts(a.a, js)
+        self.w_re *= self.log_js
+        if self.w_im is not None:
+            self.w_im *= self.log_js
+        # The quotients ceil((K+2)/j) overwrite js, which is not read
+        # again; js ascending makes them nonincreasing.
+        m_ceil = np.floor_divide(-(K + 2), js, out=js)
+        np.negative(m_ceil, out=m_ceil)
+        cuts = np.flatnonzero(m_ceil[1:] != m_ceil[:-1])
+        cuts += 1
         self.starts = np.concatenate(([0], cuts))
         self.seg_m = m_ceil[self.starts].astype(np.float64)
         self.small_m = np.arange(2, self._SMALL, dtype=np.float64)
@@ -767,7 +777,9 @@ def difference_identity_check(
     come from one lattice pass up to K, and S(k) is gathered from them
     in chunks (:func:`summation._cumsums_at`) only at the k it reads,
     2..n and K, bit for bit ``np.cumsum`` of D; D is dropped before the
-    series tail is set up.
+    series tail is set up. For a real sequence, a_j log j is formed in
+    log j's array and D is float64: the real parts of the complex128 D
+    bit for bit, whose imaginary parts are all +0.0.
 
     The integrands and their bounds (:class:`_SeriesHead`,
     :class:`_SeriesTail`) hold D(k) and a_j log j as real parts, plus
@@ -792,7 +804,9 @@ def difference_identity_check(
     logn = math.log(n)
 
     with np.errstate(over="ignore", invalid="ignore"):  # terms beyond the float range are inf
-        d_values = sum_over_divisors(a.a[: K + 1] * log_index(K))
+        terms = times_log(a.a[: K + 1], log_index(K))
+        d_values = sum_over_divisors(terms, dtype=terms.dtype)
+    del terms
     at = np.unique([*range(2, n + 1), K])
     (s_at,) = _cumsums_at(at, lambda lo, hi: [d_values[lo:hi]])
     s_values = dict(zip(at.tolist(), s_at))

@@ -77,6 +77,14 @@ def _same_bits(x, y):
     assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
 
 
+def _same_real_bits(x, ref):
+    """A float64 lattice x against the complex128 reference: x holds the
+    bits of its real parts, and its imaginary parts are all +0.0."""
+    assert x.dtype == np.float64 and ref.dtype == np.complex128
+    assert x.tobytes() == ref.real.tobytes()
+    assert ref.imag.tobytes() == bytes(8 * ref.size)
+
+
 def _input(kind, n, rng):
     """Index-aligned length-(n + 1) input of the given kind."""
     if kind.endswith("complex"):
@@ -133,6 +141,7 @@ def test_sum_over_divisors_hypothesis(values):
     _same_bits(sum_over_divisors(v), _sum_over_divisors_ref(v))
     re = np.ascontiguousarray(v.real)
     _same_bits(sum_over_divisors(re), _sum_over_divisors_ref(re))
+    _same_real_bits(sum_over_divisors(re, dtype=np.float64), _sum_over_divisors_ref(re))
 
 
 @settings(max_examples=60, deadline=None)
@@ -1477,7 +1486,10 @@ def test_divisor_lattice_matches_unsliced_adds(chunk, table_medium, rng, monkeyp
     sizes = (1, 2, 97, 1_000, 4_099, *((99_991,) if chunk > 7 else ()))
     for n in sizes:
         for weights, f in _lattice_cases(n, table_medium, rng):
-            _same_bits(sequences._divisor_lattice(weights, f), _divisor_lattice_ref(weights, f))
+            ref = _divisor_lattice_ref(weights, f)
+            _same_bits(sequences._divisor_lattice(weights, f), ref)
+            if f is None and not np.iscomplexobj(weights):
+                _same_real_bits(sequences._divisor_lattice(weights, dtype=np.float64), ref)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -1489,8 +1501,24 @@ def test_divisor_lattice_matches_unsliced_adds_on_inf_and_nan(chunk, table_small
     f[[71, 2_500, 4_999]] = (complex(math.inf, 0.0), complex(math.nan, -0.0), complex(0.0, -math.inf))
     weights = _input("dense-real", n, rng)
     weights[[89, 3_001]] = (math.inf, math.nan)
+    # Signed zeros among the weights, -inf beside +inf (a nan sum at
+    # their common multiples), and terms that cancel to zero exactly.
+    weights[[2, 3, 97, 4_001]] = (-0.0, 0.0, -0.0, -0.0)
+    weights[[37, 1, 5]] = (-math.inf, 1.5, -1.5)
     for w, ff in ((weights, None), (table_small.mobius_array[: n + 1], f)):
         _same_bits(sequences._divisor_lattice(w, ff), _divisor_lattice_ref(w, ff))
+    ref = _divisor_lattice_ref(weights)
+    assert np.isnan(ref[89 * 37]) and ref[5] == 0
+    _same_real_bits(sequences._divisor_lattice(weights, dtype=np.float64), ref)
+
+
+@pytest.mark.parametrize("t", [1e-3, 0.37, 1.0, 2.5, 40.0])
+def test_inverse_powers_match_python_pow(t, table_big):
+    # The Euler factors' p^-sigma and the f_t table's large-prime factors
+    # 1 - p^-t, against the list of Python float pows they replaced.
+    primes = table_big.primes
+    got = 1.0 - dirichlet._inverse_powers(primes, t)
+    assert got.tobytes() == np.array([1.0 - float(p) ** -t for p in primes.tolist()]).tobytes()
 
 
 def _series_tail_ref(a, K, s_k):

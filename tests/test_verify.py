@@ -254,6 +254,23 @@ def test_theorem3_check_holds_no_whole_f(table_big):
     assert peak < 12 * 2**20, peak
 
 
+def test_difference_identity_holds_real_divisor_sums(table_big):
+    # mu's D(k) in a float64 lattice over a_j log j formed in place, and
+    # a series tail set up without K-length temporaries: 10.8 MiB at
+    # K = 4e5, where a complex128 D(k) and those temporaries took 14.5.
+    # The first call fills the table's own caches.
+    mu = named_sequence("mu", 400_000, table_big)
+    expected = difference_identity_check(mu, table_big, 10, 400_000)
+    tracemalloc.start()
+    try:
+        res = difference_identity_check(mu, table_big, 10, 400_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res == expected
+    assert peak < 12 * 2**20, peak
+
+
 @pytest.mark.parametrize("grid", [[1000, 100], [100, 100]])
 def test_theorem3_rows_need_a_strictly_ascending_grid(grid, table_small):
     spec = MultiplicativeSpec(cutoff=1000, default=-1.0)
