@@ -16,7 +16,8 @@ commands (``sieve``, ``ingham``) hold their columns as arrays, and
 rows, so the memory a report adds beyond its arrays (the sieve's, for
 ``sieve``) is bounded by the chunk size, about 10 MB for ``sieve --n
 300000``; the bytes are the same as one whole-document write. ``report
---in`` reads its JSON into such arrays, one row at a time. ``mean`` and
+--in`` reads its JSON into such arrays, in runs of rows, as a coefficient
+file's values are read in runs (:func:`load_spec_file`). ``mean`` and
 ``verify theorem1 --spec`` size the sieve to cover the spec's Euler
 product (see README), and a --coeffs file builds no sieve outside the
 identity checks.
@@ -45,7 +46,6 @@ and a --n grid with a value below 1.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -57,7 +57,7 @@ import numpy as np
 
 from .errors import CapacityError, QuadratureError, SingularFactorError, SpecFormatError
 from .quadrature import QUAD_TOL, TAIL_TOL
-from .report import Columns, VerificationReport, read_json_report
+from .report import Columns, VerificationReport, read_json_object, read_json_report
 from .sequences import (
     BUILTIN_SEQUENCES,
     CoefficientSequence,
@@ -213,14 +213,15 @@ def _parse_pair(obj, where: str) -> complex:
         raise _bad_pair(obj, where) from None
 
 
-def _coefficients(values: list, path: str) -> np.ndarray:
-    """The items of a non-empty ``values`` list as a complex128 array.
+def _coefficients(values: list, path: str, start: int = 0) -> np.ndarray:
+    """The items of a non-empty run of a ``values`` list, the first at
+    index start, as a complex128 array.
 
-    A list of finite numbers, or of finite [re, im] pairs, is one array
+    A run of finite numbers, or of finite [re, im] pairs, is one array
     conversion; numpy infers the dtype, so only numbers and bools take
-    that route, as :func:`_pair` accepts them. Any other list is walked
+    that route, as :func:`_pair` accepts them. Any other run is walked
     item by item, which gives the same values or names the first bad
-    item.
+    item by its index in the whole list.
     """
     try:
         parts = np.array(values)
@@ -236,12 +237,34 @@ def _coefficients(values: list, path: str) -> np.ndarray:
                 z.real, z.imag = parts[:, 0], parts[:, 1]
             return z
     out = []
-    for i, v in enumerate(values):
+    for i, v in enumerate(values, start):
         try:
             out.append(_pair(v))
         except (TypeError, ValueError, OverflowError):
             raise _bad_pair(v, f"{path}: values[{i}]") from None
     return np.array(out, dtype=np.complex128)
+
+
+def _coefficient_runs(runs, path: str) -> np.ndarray | SpecFormatError | None:
+    """A ``values`` list read in runs, each converted by
+    :func:`_coefficients` and joined once, as a complex128 array (None
+    for an empty list); or the error that names its first bad item,
+    returned once the rest of the list is read, so that a JSON error
+    later in the file, or a type other than coefficients, is reported
+    first, as for a whole-document read."""
+    parts, count, bad = [], 0, None
+    for run in runs:
+        if bad is None:
+            try:
+                parts.append(_coefficients(run, path, count))
+            except SpecFormatError as exc:
+                bad, parts = exc, []
+        count += len(run)
+    if bad is not None:
+        return bad
+    if len(parts) > 1:
+        return np.concatenate(parts)
+    return parts[0] if parts else None
 
 
 def load_spec_file(path: str) -> MultiplicativeSpec | np.ndarray:
@@ -252,14 +275,21 @@ def load_spec_file(path: str) -> MultiplicativeSpec | np.ndarray:
     "bound_check": true}. Coefficients: {"type": "coefficients",
     "values": [[re, im], ...]}, returned as a complex128 array. Every
     number must be finite.
+
+    The file is read by :func:`report.read_json_object`, never whole:
+    keys in any order, and a ``values`` list in runs of about 64 KiB of
+    text, so a coefficient file's peak is about 32 bytes per value (the
+    runs' arrays and the array they join to) beyond one run's objects.
+    The whole file is read and checked, however many values a command
+    uses.
     """
     if not os.path.exists(path):
         raise SpecFormatError(f"{path}: no such spec file")
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
-            raise SpecFormatError(f"{path}: invalid JSON ({exc})") from None
+            data = read_json_object(fh, {"values": lambda runs: _coefficient_runs(runs, path)})
+        except ValueError as exc:  # invalid JSON (a too-long integer too), or not an object
+            raise SpecFormatError(f"{path}: {exc}") from None
     kind = data.get("type")
     if kind == "completely_multiplicative":
         cutoff = data.get("cutoff")
@@ -280,9 +310,11 @@ def load_spec_file(path: str) -> MultiplicativeSpec | np.ndarray:
             raise SpecFormatError(f"{path}: {exc}") from None
     if kind == "coefficients":
         values = data.get("values")
-        if not isinstance(values, list) or not values:
+        if isinstance(values, SpecFormatError):
+            raise values
+        if not isinstance(values, np.ndarray):
             raise SpecFormatError(f"{path}: values: expected a non-empty list")
-        return _coefficients(values, path)
+        return values
     raise SpecFormatError(
         f"{path}: type: expected 'completely_multiplicative' or 'coefficients', got {kind!r}"
     )

@@ -16,16 +16,21 @@ bounded by the chunk size: at 4096 rows, the 299,999-row report of
 join to the same bytes as one ``json.dumps`` (or one CSV join) of the
 whole report.
 
-:func:`read_json_report` reads a JSON report back (``report --in``)
-piece by piece, one row at a time, into a :class:`Columns` table whose
-all-bool, all-int and all-float columns are numpy arrays; so the text
-is never held whole, and its peak grows by about 90 bytes per sieve row
-rather than 350 to 480 for one dict per row.
+:func:`read_json_object` is the package's one JSON input path: it
+reads an object piece by piece, and a list value in runs of items, each
+run one ``json`` decode of about 64 KiB of text (:meth:`_JsonText.runs`).
+:func:`read_json_report` reads a JSON report back (``report --in``) with
+it, run by run, into a :class:`Columns` table whose all-bool, all-int
+and all-float columns are numpy arrays; so the text is never held whole,
+and its peak grows by about 90 bytes per sieve row rather than 350 to
+480 for one dict per row. Coefficient and spec files
+(:func:`cli.load_spec_file`) go the same way.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -45,9 +50,9 @@ CSV_COLUMNS = (
 )
 
 # Rows formatted per chunk; bounds the memory a report adds while it is
-# written, and the rows `report --in` holds as objects while it reads.
+# written.
 CHUNK_ROWS = 1 << 12
-# Characters of a JSON report read per refill of the reader's buffer.
+# Characters of a JSON text read per refill of the reader's buffer.
 _READ_CHARS = 1 << 20
 
 # Report rows sit two levels deep in the JSON document, their values three.
@@ -360,18 +365,27 @@ def csv_layout(first: dict) -> list[str]:
     return columns
 
 
-# -- reading a JSON report back -------------------------------------------
+# -- reading JSON back ----------------------------------------------------
 
 _DECODER = json.JSONDecoder()
 _WHITESPACE = json.decoder.WHITESPACE
 _ROWS_ERROR = "rows: expected a non-empty list of objects with the same keys"
 # The array dtype of a column block whose values all have this JSON type.
 _DTYPES = {bool: np.bool_, int: np.int64, float: np.float64}
+# Characters of list items decoded at once (_JsonText.runs): one run's
+# Python objects, not the file's size, bound what a list adds while it
+# is read.
+_RUN_CHARS = 1 << 16
+# What ends a buffer when the number before it may go on in the next piece.
+_NUMBER_TAIL = re.compile(r"[.eE][+-]?\Z")
+# The bracket that closes an item opening with the key.
+_CLOSERS = {"[": "]", "{": "}"}
 
 
 class _JsonText:
     """A JSON text read from a file piece by piece: values decode one at
-    a time with ``raw_decode``, and only the piece being decoded is held."""
+    a time with ``raw_decode``, the items of a list in runs (:meth:`runs`),
+    and only the piece being decoded is held."""
 
     def __init__(self, fh):
         self.fh = fh
@@ -408,19 +422,129 @@ class _JsonText:
         return c
 
     def value(self):
-        """The next JSON value. One that ends the buffer is decoded again
-        with the next piece, since a number may go on there."""
+        """The next JSON value. One that ends the buffer, or a number that
+        only a ".", "e" or "E" and perhaps a sign follow before the end of
+        the buffer (1.5 in a buffer that ends "1."), is decoded again with
+        the next piece, since the number may go on there; so is text that
+        does not decode, until the file ends. An integer too long to
+        convert is an error of the text, as in ``json.load``."""
         self.peek()
         while True:
             try:
                 value, end = _DECODER.raw_decode(self.buf, self.pos)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
                 if self._more():
                     continue
-                raise self.error(exc.msg, exc.pos) from None
-            if end < len(self.buf) or not self._more():
+                raise self.error(getattr(exc, "msg", str(exc)), getattr(exc, "pos", None)) from None
+            unfinished = end == len(self.buf) or (
+                type(value) in (int, float) and _NUMBER_TAIL.match(self.buf, end) is not None
+            )
+            if not unfinished or not self._more():
                 self.pos = end
                 return value
+
+    def runs(self) -> Iterator[list]:
+        """The items of the list at the reader's position (its "[" next),
+        as lists of consecutive items; the reader then stands after the
+        list's "]".
+
+        A run is the items in at most _RUN_CHARS characters of text, up
+        to the comma that :func:`_cut` picks, decoded by one
+        ``raw_decode`` with "[" and "]" put around them. The text parses
+        there as it does in place, so a decode that takes all of it has
+        read whole items up to that comma, and one that stops early has
+        met the list's own "]". Any other run is read again one
+        :meth:`value` at a time up to the end of its text, so an error,
+        or an item that holds such a comma, reads as in a walk of the
+        items; the items before an error in it are given first.
+        """
+        self.pos += 1
+        if self.peek() == "]":
+            self.pos += 1
+            return
+        while True:
+            while len(self.buf) - self.pos < _RUN_CHARS and self._more():
+                pass
+            text = self.buf[self.pos : self.pos + _RUN_CHARS]
+            cut = _cut(text)
+            try:
+                run, end = _DECODER.raw_decode(f"[{text[:cut]}]")
+            except ValueError:
+                run = None
+            if run and end == cut + 2 and cut < len(text):
+                self.pos += cut + 1
+                yield run
+                continue
+            if run and end < cut + 2:
+                self.pos += end - 1
+                yield run
+                return
+            stop = self.start + self.pos + cut
+            items, error, ended = [], None, False
+            try:
+                while not ended and (not items or self.start + self.pos <= stop):
+                    items.append(self.value())
+                    ended = self.take(",]", "',' delimiter") == "]"
+            except ValueError as exc:
+                error = exc
+            if items:
+                yield items
+            if error is not None:
+                raise error
+            if ended:
+                return
+
+
+def _cut(text: str) -> int:
+    """The place in text of the last comma that may end a run of items
+    like its first: a comma after "]" or "}" (and whitespace) when the
+    first item opens with "[" or "{", any comma otherwise; len(text) when
+    there is none."""
+    first = _WHITESPACE.match(text).end()
+    closer = _CLOSERS.get(text[first : first + 1])
+    at = text.rfind(",")
+    if closer is None:
+        return len(text) if at < 0 else at
+    while at >= 0:
+        before = at - 1
+        while before >= 0 and text[before] in " \t\n\r":
+            before -= 1
+        if before >= 0 and text[before] == closer:
+            return at
+        at = text.rfind(",", 0, at)
+    return len(text)
+
+
+def read_json_object(fh, lists: dict) -> dict:
+    """The JSON object that is the whole text of fh, read in pieces and
+    never held whole: keys in any order, the last value of a repeated key
+    kept. A key of lists whose value is a JSON list takes what
+    ``lists[key]`` makes of its items, given to it in runs
+    (:meth:`_JsonText.runs`), and any other value decodes whole.
+    ValueError says what is wrong with the text."""
+    text = _JsonText(fh)
+    if text.peek() != "{":
+        text.value()
+        if text.peek():
+            raise text.error("Extra data")
+        raise ValueError("expected a JSON object")
+    text.pos += 1
+    doc = {}
+    if text.peek() == "}":
+        text.pos += 1
+    else:
+        while True:
+            if text.peek() != '"':
+                raise text.error("Expecting property name enclosed in double quotes")
+            key = text.value()
+            text.take(":", "':' delimiter")
+            read = lists.get(key)
+            doc[key] = read(text.runs()) if read and text.peek() == "[" else text.value()
+            if text.take(",}", "',' delimiter") == "}":
+                break
+    if text.peek():
+        raise text.error("Extra data")
+    return doc
 
 
 def _typed(values: list):
@@ -454,34 +578,28 @@ def _is_pair(value) -> bool:
     )
 
 
-def _read_rows(text: _JsonText) -> Columns:
-    """The rows array at the reader's position (its "[" next), read one
-    row at a time into columns of CHUNK_ROWS-row blocks (:func:`_typed`).
-    The rows must be objects with the same keys, and the pair columns of
+def _read_rows(runs: Iterator[list]) -> Columns:
+    """The rows list of a report, given in runs, as columns of one typed
+    block (:func:`_typed`) per run; a column is an array when all its
+    values have one JSON type, wherever the runs were cut. The rows must
+    be objects with the same keys, and the pair columns of
     :func:`csv_layout` hold null or [re, im]."""
-    text.pos += 1
-    if text.peek() == "]":
-        raise ValueError(_ROWS_ERROR)
-    first = text.value()
-    if not isinstance(first, dict):
-        raise ValueError(_ROWS_ERROR)
-    keys = first.keys()
-    blocks = {key: [] for key in keys}
-    rows = [first]
-    count = 1
-    while True:
-        end = text.take(",]", "',' delimiter") == "]"
-        if end or len(rows) == CHUNK_ROWS:
-            for key, column in blocks.items():
-                column.append(_typed([row[key] for row in rows]))
-            rows = []
-        if end:
-            break
-        row = text.value()
-        if not isinstance(row, dict) or row.keys() != keys:
+    blocks: dict = {}
+    count = 0
+    for run in runs:
+        if not count:
+            first = run[0]
+            if not isinstance(first, dict):
+                raise ValueError(_ROWS_ERROR)
+            keys = first.keys()
+            blocks = {key: [] for key in keys}
+        if not all(isinstance(row, dict) and row.keys() == keys for row in run):
             raise ValueError(_ROWS_ERROR)
-        rows.append(row)
-        count += 1
+        for key, column in blocks.items():
+            column.append(_typed([row[key] for row in run]))
+        count += len(run)
+    if not count:
+        raise ValueError(_ROWS_ERROR)
     table = Columns({key: _joined(column) for key, column in blocks.items()}, count)
     for key in dict.fromkeys(col[3:] for col in csv_layout(first) if col not in first):
         if not all(map(_is_pair, table.data[key])):
@@ -492,30 +610,11 @@ def _read_rows(text: _JsonText) -> Columns:
 def read_json_report(fh) -> VerificationReport:
     """The report in a JSON text file, as :meth:`VerificationReport.chunks`
     writes one: an object with an experiment_id, rows (a non-empty list
-    of objects with the same keys, read as a :class:`Columns` table by
-    :func:`_read_rows`) and a summary object. The text is read in pieces
-    and never held whole; ValueError says what is wrong."""
-    text = _JsonText(fh)
-    if text.peek() != "{":
-        text.value()
-        if text.peek():
-            raise text.error("Extra data")
-        raise ValueError("expected a JSON object")
-    text.pos += 1
-    doc = {}
-    if text.peek() == "}":
-        text.pos += 1
-    else:
-        while True:
-            if text.peek() != '"':
-                raise text.error("Expecting property name enclosed in double quotes")
-            key = text.value()
-            text.take(":", "':' delimiter")
-            doc[key] = _read_rows(text) if key == "rows" and text.peek() == "[" else text.value()
-            if text.take(",}", "',' delimiter") == "}":
-                break
-    if text.peek():
-        raise text.error("Extra data")
+    of objects with the same keys, read in runs into a :class:`Columns`
+    table by :func:`_read_rows`) and a summary object. The text is read
+    by :func:`read_json_object` and never held whole; ValueError says
+    what is wrong."""
+    doc = read_json_object(fh, {"rows": _read_rows})
     for key in ("experiment_id", "rows", "summary"):
         if key not in doc:
             raise ValueError(f"missing key {key!r}")

@@ -100,9 +100,13 @@ def _block_terms(dr, di, q):
     the multiply-adds.
     """
     terms = np.empty((2, q.size))
+    re, im = terms
+    tmp = np.empty(q.size)
     with np.errstate(invalid="ignore", over="ignore"):
-        np.subtract(dr * q, di * 0.0, out=terms[0])
-        np.add(dr * 0.0, di * q, out=terms[1])
+        np.multiply(dr, q, out=re)
+        np.subtract(re, np.multiply(di, 0.0, out=tmp), out=re)
+        np.multiply(dr, 0.0, out=im)
+        np.add(im, np.multiply(di, q, out=tmp), out=im)
     return terms
 
 
@@ -177,15 +181,20 @@ def block_sums(prefix, grid) -> list[complex]:
 
 def _block_sum(prefix, n: int) -> complex:
     """block_sums at one point, without the bucket set-up: the block ends
-    are 0..r, then n // q for q = n // (r + 1) down to 1, and
-    ``math.fsum`` rounds each part of the terms, reading its row in
-    place through a memoryview."""
+    are 0..r, then n // q for q = n // (r + 1) down to 1, in one int64
+    array; the differences of the prefix sums gathered there are one
+    complex subtract, :func:`_block_terms` forms the terms, and
+    ``math.fsum`` rounds each part, reading its row in place through a
+    memoryview."""
     r = math.isqrt(n)
-    k = np.concatenate((np.arange(r + 1), n // np.arange(n // (r + 1), 0, -1)))
+    k = np.empty(r + 1 + n // (r + 1), dtype=np.int64)
+    k[: r + 1] = np.arange(r + 1)
+    np.floor_divide(n, np.arange(n // (r + 1), 0, -1), out=k[r + 1 :])
     ends = prefix[k]
-    re, im = ends.real, ends.imag
     q = (n // k[1:]).astype(np.float64)
-    re, im = _block_terms(re[1:] - re[:-1], im[1:] - im[:-1], q)
+    with np.errstate(invalid="ignore"):  # inf - inf in a part is nan
+        d = ends[1:] - ends[:-1]
+    re, im = _block_terms(d.real, d.imag, q)
     return complex(math.fsum(memoryview(re)), math.fsum(memoryview(im)))
 
 

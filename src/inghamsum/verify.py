@@ -495,20 +495,25 @@ def s_difference_identity(a: CoefficientSequence, table: SieveTable, M: int) -> 
 
     S comes from one block-decomposed query per m, the divisor sums
     from a lattice pass; the two routes share no summation structure.
-    OverflowError when a sum leaves the float range.
+    Both read one array of the terms a_m log m: the lattice pass first,
+    in float64 for a real sequence, and then the array holds their
+    prefix sums. OverflowError when a sum leaves the float range.
     """
     if not 2 <= M <= min(a.length, table.limit):
         raise ValueError(f"M = {M} outside [2, {min(a.length, table.limit)}]")
     # A non-finite sum stays non-finite, so one check after the loop
     # sees every overflow, including a nan error that ``>`` skips.
     with np.errstate(over="ignore", invalid="ignore"):
-        divisor_sums = sum_over_divisors(a.a[: M + 1] * log_index(M))
-        prefix = np.cumsum(times_log(a.a[: M + 1], log_index(M)))
+        terms = times_log(a.a[: M + 1], log_index(M))
+        divisor_sums = sum_over_divisors(terms, dtype=terms.dtype)
+        prefix = np.cumsum(terms, out=terms)
         worst = 0.0
         prev = _block_sum(prefix, 1)
         for m in range(2, M + 1):
             cur = _block_sum(prefix, m)
-            err = abs(cur - prev - divisor_sums[m])
+            # numpy's complex abs, as for complex divisor sums: a modulus
+            # beyond the float range is inf, which the check below sees.
+            err = abs(np.complex128(cur - prev) - divisor_sums[m])
             if err > worst:
                 worst = err
             prev = cur

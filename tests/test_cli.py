@@ -166,6 +166,26 @@ def test_dense_geometric_grid_peak_memory_under_20_mb():
     assert dense - plain < 20 * 2**20, (plain, dense)
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB is Linux behaviour")
+def test_coefficient_file_peak_memory_grows_by_at_most_40_bytes_per_value(tmp_path):
+    # The values list is read in runs of 64 KiB of text, each made
+    # complex128 at once and joined once: about 32 bytes per value (34
+    # measured). json.load of the whole file took about 210; float64
+    # runs joined and then copied to complex128 took about 51. Least of
+    # two interleaved runs per size.
+    rng = np.random.default_rng(3)
+    sizes = (200_000, 400_000)
+    argvs = []
+    for n in sizes:
+        path = tmp_path / f"c{n}.json"
+        path.write_text(json.dumps({"type": "coefficients", "values": rng.uniform(-1, 1, (n, 2)).tolist()}))
+        argvs.append(["ingham", "--coeffs", str(path), "--n", "1000"])
+    peaks = cli_peak_rss(SRC, argvs * 2)
+    low, high = min(peaks[0::2]), min(peaks[1::2])
+    growth = (high - low) / (sizes[1] - sizes[0])
+    assert growth <= 40, growth
+
+
 def test_load_spec_multiplicative():
     spec = load_spec_file(LIOUVILLE)
     assert isinstance(spec, ig.MultiplicativeSpec)

@@ -250,23 +250,36 @@ HAND_ROWS = [
 ]
 
 
+@pytest.fixture
+def small_runs(monkeypatch):
+    # HAND_ROWS read a row or two at a time: each column joins from
+    # several blocks, and x from int blocks and float blocks.
+    monkeypatch.setattr(report_mod, "_RUN_CHARS", 200)
+
+
 def _read_back(tmp_path, text, fmt):
     path = tmp_path / "in.json"
     path.write_text(text, encoding="utf-8")
     return _cli_bytes(tmp_path, ["report", "--in", str(path)], fmt)
 
 
-def test_hand_written_report_renders_as_the_whole_document_route(tmp_path, small_chunks):
+def test_hand_written_report_renders_as_the_whole_document_route(tmp_path, small_chunks, small_runs):
     text = old_json_bytes("hand", HAND_ROWS, SUMMARY).decode()
     assert _read_back(tmp_path, text, "json") == text.encode()
     assert _read_back(tmp_path, text, "csv") == old_csv_bytes(HAND_ROWS)
 
 
-def test_report_reads_typed_columns(tmp_path, small_chunks):
+def test_report_reads_typed_columns(tmp_path, monkeypatch, small_runs):
     path = tmp_path / "in.json"
     path.write_bytes(old_json_bytes("hand", HAND_ROWS, SUMMARY))
+    blocks = []
+    joined = report_mod._joined
+    monkeypatch.setattr(report_mod, "_joined", lambda column: blocks.append(len(column)) or joined(column))
     with open(path, encoding="utf-8") as fh:
         table = report_mod.read_json_report(fh).rows
+    assert min(blocks) > 3
+    assert table.data["x"] == [r["x"] for r in HAND_ROWS]
+    assert list(map(type, table.data["x"])) == [type(r["x"]) for r in HAND_ROWS]
     dtypes = {k: v.dtype.kind if isinstance(v, np.ndarray) else "list" for k, v in table.data.items()}
     assert dtypes == {
         "n": "i", "x": "list", "ok": "b", "none": "list", "big": "list", "v": "f", "z": "list", "family": "list",
@@ -275,7 +288,7 @@ def test_report_reads_typed_columns(tmp_path, small_chunks):
 
 
 @pytest.mark.parametrize("piece", [1, 7, 64])
-def test_report_reads_any_layout_in_small_pieces(tmp_path, monkeypatch, small_chunks, piece):
+def test_report_reads_any_layout_in_small_pieces(tmp_path, monkeypatch, small_chunks, small_runs, piece):
     # Numbers, literals and strings split across pieces; compact and
     # spread-out whitespace, keys in another order and a repeated key.
     monkeypatch.setattr(report_mod, "_READ_CHARS", piece)
@@ -285,6 +298,29 @@ def test_report_reads_any_layout_in_small_pieces(tmp_path, monkeypatch, small_ch
     text = '\n { "rows" : 5 , "experiment_id":12345,\t' + body + ' }\r\n'
     expected = old_json_bytes(12345, [{k: r[k] for k in ("b", "a", "z")} for r in rows], {})
     assert _read_back(tmp_path, text, "json") == expected
+
+
+@pytest.mark.parametrize("run", [1, 9, 100, 1000])
+def test_report_reads_rows_in_runs_of_any_size(tmp_path, monkeypatch, small_chunks, run):
+    # Runs cut between rows, or inside one, where a comma follows a "}"
+    # in a value (the nested summary-like object) or a string holds "},".
+    monkeypatch.setattr(report_mod, "_RUN_CHARS", run)
+    rows = [dict(r, note="a},{b" if r["n"] % 5 == 0 else {"k": [r["n"], None]}) for r in HAND_ROWS]
+    text = old_json_bytes("runs", rows, SUMMARY).decode()
+    assert _read_back(tmp_path, text, "json") == text.encode()
+    assert _read_back(tmp_path, text, "csv") == old_csv_bytes(rows)
+    text = old_json_bytes("hand", HAND_ROWS, SUMMARY).decode()
+    assert _read_back(tmp_path, text, "csv") == old_csv_bytes(HAND_ROWS)
+
+
+@pytest.mark.parametrize("piece", [1, 2, 3])
+def test_report_reads_numbers_cut_by_a_piece(tmp_path, monkeypatch, piece):
+    # A piece that ends "1." or "1e" ends no number: 1.5e-07 is read
+    # whole at every place the pieces may cut it.
+    monkeypatch.setattr(report_mod, "_READ_CHARS", piece)
+    for pad in range(4):
+        text = " " * pad + old_json_bytes(1.5e-07, [{"a": 1}], {}).decode()
+        assert _read_back(tmp_path, text, "json") == old_json_bytes(1.5e-07, [{"a": 1}], {})
 
 
 def test_report_json_of_a_sieve_past_two_chunks_equals_its_input(tmp_path):

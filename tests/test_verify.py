@@ -271,6 +271,25 @@ def test_difference_identity_holds_real_divisor_sums(table_big):
     assert peak < 12 * 2**20, peak
 
 
+@pytest.mark.parametrize("name, bound_mib", [("mu", 0.85), ("liouville", 1.15)])
+def test_s_difference_identity_takes_real_divisor_sums(name, bound_mib, table_medium):
+    # One float64 array of a_m log m feeds a float64 lattice and then
+    # holds its own prefix sums: 0.68 and 0.92 MiB at M = 2e4, where a
+    # second product and complex128 divisor sums took 1.05 and 1.35.
+    # The first call fills the table's own caches.
+    M = 20_000
+    seq = named_sequence(name, M, table_medium)
+    expected = s_difference_identity(seq, table_medium, M)
+    tracemalloc.start()
+    try:
+        got = s_difference_identity(seq, table_medium, M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == expected and type(got) is np.float64
+    assert peak < bound_mib * 2**20, peak
+
+
 @pytest.mark.parametrize("grid", [[1000, 100], [100, 100]])
 def test_theorem3_rows_need_a_strictly_ascending_grid(grid, table_small):
     spec = MultiplicativeSpec(cutoff=1000, default=-1.0)
