@@ -293,11 +293,14 @@ def load_spec_file(path: str) -> MultiplicativeSpec | np.ndarray:
     kind = data.get("type")
     if kind == "completely_multiplicative":
         cutoff = data.get("cutoff")
-        if not isinstance(cutoff, int) or cutoff < 1:
+        if not isinstance(cutoff, int) or isinstance(cutoff, bool) or cutoff < 1:
             raise SpecFormatError(f"{path}: cutoff: expected a positive integer")
         default = _parse_pair(data.get("default", 1.0), f"{path}: default")
+        listed = data.get("primes", {})
+        if not isinstance(listed, dict):
+            raise SpecFormatError(f"{path}: primes: expected an object")
         primes = {}
-        for key, val in data.get("primes", {}).items():
+        for key, val in listed.items():
             try:
                 p = int(key)
             except ValueError:

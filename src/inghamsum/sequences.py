@@ -221,8 +221,9 @@ def _divisor_lattice(
     Hyperbola split at r = isqrt(N): every d <= r is one strided
     slice-add over its multiples; every larger d has cofactor q <= N/(r+1),
     so those are handled as fancy-indexed adds per q, q descending, in
-    slices of at most ``_COFACTOR_CHUNK`` of the d, so that no index or
-    term array of the pass is N-sized. Each product d q occurs once per
+    slices of at most ``_COFACTOR_CHUNK`` of the d, and the products
+    w * f of a strided d in slices of as many q, so that no index or term
+    array of the pass is N-sized. Each product d q occurs once per
     q, so each out[m] still accumulates its terms in ascending d, which
     keeps the result bit-identical to one strided pass per d. A complex
     out adds +0.0 imaginary parts to real weights, which is exact, so a
@@ -230,11 +231,17 @@ def _divisor_lattice(
     """
     n = weights.size - 1
     out = np.zeros(n + 1, dtype=dtype)
-    nz = np.flatnonzero(weights[1:]) + 1
+    nz = np.flatnonzero(weights[1:])
+    nz += 1
     r = math.isqrt(max(n, 0))
     split = int(np.searchsorted(nz, r, "right"))
     for d, w in zip(nz[:split].tolist(), weights[nz[:split]].tolist()):
-        out[d::d] += w if f is None else w * f[1 : n // d + 1]
+        if f is None:
+            out[d::d] += w
+            continue
+        for lo in range(0, n // d, _COFACTOR_CHUNK):
+            hi = min(lo + _COFACTOR_CHUNK, n // d)
+            out[d * (lo + 1) : d * hi + 1 : d] += w * f[lo + 1 : hi + 1]
     big = nz[split:]
     wbig = weights[big]
     for q, k in hyperbola_cofactors(big, n):
@@ -282,13 +289,14 @@ def a_from_f(table: SieveTable, f: np.ndarray) -> CoefficientSequence:
         raise ValueError(f"array length {n} exceeds sieve limit {table.limit}")
     if n < 1:
         raise ValueError("index-aligned array must cover at least m = 1")
-    out = _divisor_lattice(table.mobius_array[: n + 1], f)
-    return CoefficientSequence.from_index_aligned(out)
+    return CoefficientSequence._from_owned(_divisor_lattice(table.mobius_array[: n + 1], f))
 
 
 _CHUNK = 4096
-# Integers per segment of a streamed extension: 4 MB of complex128 f.
-_SEGMENT = 1 << 18
+# Integers per segment of a streamed extension: 2 MB of complex128 f.
+# It also sizes the gather groups of _largest_prime_pass, so a segment
+# at 1e7 holds at most about 8 MiB of temporaries.
+_SEGMENT = 1 << 17
 
 
 def _times(v: np.ndarray, fp, real: bool) -> None:
@@ -322,11 +330,16 @@ def _largest_prime_pass(f: np.ndarray, lo: int, primes: np.ndarray, values: np.n
     factor among them. The (p, j) pairs are laid out in groups of about
     _SEGMENT, the real and the complex f(p) apart, gathered, multiplied
     by :func:`_times` (by one scalar when every f(p) of the group has the
-    same bits) and scattered back."""
+    same bits) and scattered back. Only the primes with a multiple in
+    the segment are grouped: a segment of 2**17 integers near 1e7 has
+    one for about 33 k of the 78 k primes up to 1e6."""
     top = lo + f.size - 1
+    pf = primes.astype(np.float64)
     # floor(x / p) in float64 is exact for integers with x + p < 2**53.
-    below = np.floor((max(lo, 1) - 1) / primes.astype(np.float64))
-    counts = (np.floor(top / primes.astype(np.float64)) - below).astype(np.int64)
+    below = np.floor((max(lo, 1) - 1) / pf)
+    counts = (np.floor(top / pf) - below).astype(np.int64)
+    live = np.flatnonzero(counts)
+    primes, values, counts, below = primes[live], values[live], counts[live], below[live]
     real = values.imag == 0
     for group in (real, ~real):
         p, c, fp = primes[group], counts[group], values[group]
@@ -342,7 +355,9 @@ def _largest_prime_pass(f: np.ndarray, lo: int, primes: np.ndarray, values: np.n
             pairs = int(k.sum())
             if not pairs:
                 continue
-            at = np.repeat(p[a:b], k) * (np.arange(pairs) - np.repeat(np.cumsum(k) - k - j0[a:b], k))
+            at = np.arange(pairs)  # formed in place: m - lo = p j - lo
+            at -= np.repeat(np.cumsum(k) - k - j0[a:b], k)
+            at *= np.repeat(p[a:b], k)
             at -= lo
             v = f[at]
             _times(v, fp if isinstance(fp, complex) else np.repeat(fp[a:b], k), group is real)

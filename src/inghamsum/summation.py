@@ -12,8 +12,9 @@ one route for a grid of n or (:func:`ingham_A`, :func:`ingham_S`) one n,
 lays out the blocks as numpy arrays, a few array passes per 2**14 blocks
 instead of a Python loop per block, and reads the prefix sums only at
 their distinct ends, gathered in one chunked pass over the coefficients:
-no N-length prefix array is held, only an int32 map from block end to
-gathered value. It rounds each n exactly with the bucket sums of
+no N-length prefix array is held, only the sorted distinct ends of a
+sparse grid, or an int32 map from block end to gathered value on a
+dense one. It rounds each n exactly with the bucket sums of
 :mod:`accumulate`: every value equals ``math.fsum`` over that n's block
 terms. :func:`block_sums` does the same over whole prefix arrays and is
 its oracle; its one-point form :func:`_block_sum` remains only for the
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -86,6 +88,9 @@ _CHUNK_BLOCKS = 1 << 14
 # Coefficients per chunk of the pass that gathers prefix sums at block
 # ends: each chunk's running sums and logs stay in cache.
 _CHUNK_TERMS = 1 << 16
+# A grid sorts its block ends when blocks * _SPARSE < max(grid), and
+# marks them in an int32 map otherwise (see _grid_sums).
+_SPARSE = 8
 
 
 def _block_terms(dr, di, q):
@@ -258,6 +263,16 @@ def _prefixes_at(a: np.ndarray, ends: np.ndarray, parts: str = "AS") -> list[np.
     return _cumsums_at(ends, lambda lo, hi: [fns[p](lo, hi) for p in parts])
 
 
+def _distinct(ascending: np.ndarray) -> np.ndarray:
+    """The entries of an ascending array that differ from the one before
+    them: its distinct values, without :func:`np.unique`, whose first
+    call in a process makes about 1.7 MB more resident (np.sort 0.4)."""
+    keep = np.empty(ascending.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(ascending[1:], ascending[:-1], out=keep[1:])
+    return ascending[keep]
+
+
 def _grid_sums(seq: CoefficientSequence, grid, parts: str = "AS") -> list:
     """The sums named by ``parts`` ("A", "S" or "AS") along a strictly
     ascending grid: each the list of its values or the exception its
@@ -266,10 +281,29 @@ def _grid_sums(seq: CoefficientSequence, grid, parts: str = "AS") -> list:
     :func:`ingham_S` compute only their own at a single n.
 
     The grid's blocks (:func:`_passes`) are laid out twice, each time for
-    all the parts together: once to mark their distinct ends in an int32
-    map of length max(grid) + 1, whose prefix sums one chunked pass over
-    ``seq.a`` then gathers (:func:`_prefixes_at`), and once to sum them
-    as :func:`block_sums` does, with the map giving each end's place.
+    all the parts together: once to find their distinct ends, whose
+    prefix sums one chunked pass over ``seq.a`` then gathers
+    (:func:`_prefixes_at`), and once to sum them as :func:`block_sums`
+    does, reading each block end's place among the distinct ones. The
+    places come one of two ways, picked from the grid's block count
+    (r + n // (r + 1) per n, r = isqrt(n)) and max(grid), both known
+    before any layout:
+
+    - a sparse grid, blocks * _SPARSE < max(grid) with _SPARSE = 8,
+      concatenates every pass's ends and 0, sorts them in place and
+      keeps the distinct ones, and ``np.searchsorted`` gives each end
+      its place: about 16 bytes per block (8 for each end, at most 8
+      for each distinct one);
+    - any other grid marks its ends in an int32 map of length
+      max(grid) + 1 and reads the places from it: 4 bytes per integer up
+      to max(grid), made resident by its scattered writes.
+
+    The rule takes the sort where it holds at most half the map's bytes,
+    which also keeps its O(log) lookups to grids of few blocks: a single n
+    above a few hundred, or theorem2's three points up to 1e7 (about 9 k
+    blocks), sorts; a dense sweep (1.9 M blocks up to 1e6) keeps the map.
+    Both routes gather the prefix sums at the same ends, so they give the
+    same bits.
     """
     grid = [int(n) for n in grid]
     if not grid:
@@ -279,16 +313,29 @@ def _grid_sums(seq: CoefficientSequence, grid, parts: str = "AS") -> list:
     _check_point(seq, grid[0])
     _check_point(seq, grid[-1])
     ns = np.array(grid, dtype=np.int64)
-    place = np.zeros(grid[-1] + 1, dtype=np.int32)
-    place[0] = 1  # the k1 - 1 of every n's first block
-    for _, _, ends, _ in _passes(ns):
-        place[ends] = 1
-    ends = np.flatnonzero(place)
-    place[ends] = np.arange(ends.size, dtype=np.int32)
+    blocks = sum(r + n // (r + 1) for n in grid for r in [math.isqrt(n)])
+    if blocks * _SPARSE < grid[-1]:
+        ends = np.empty(blocks + 1, dtype=np.int64)
+        ends[0] = 0  # the k1 - 1 of every n's first block
+        done = 1
+        for _, _, k2, _ in _passes(ns):
+            ends[done : done + k2.size] = k2
+            done += k2.size
+        ends.sort()
+        ends = _distinct(ends)
+        places = partial(np.searchsorted, ends)
+    else:
+        place = np.zeros(grid[-1] + 1, dtype=np.int32)
+        place[0] = 1  # the k1 - 1 of every n's first block
+        for _, _, k2, _ in _passes(ns):
+            place[k2] = 1
+        ends = np.flatnonzero(place)
+        place[ends] = np.arange(ends.size, dtype=np.int32)
+        places = place.__getitem__
     prefixes = _prefixes_at(seq.a, ends, parts)
     sums: list = [[] for _ in parts]
     for c, first, k2, q in _passes(ns):
-        at = place[k2]
+        at = places(k2)
         for i, prefix in enumerate(prefixes):
             if isinstance(sums[i], list):
                 try:

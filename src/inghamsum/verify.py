@@ -48,6 +48,7 @@ from .summation import (
     _CHUNK_TERMS,
     _block_sum,
     _cumsums_at,
+    _distinct,
     _grid_sums,
     _raised,
     batch_sums,
@@ -554,17 +555,21 @@ def s_multiplicative_identity(
     """|S(m) - sum_{k<=m} (f(k)-1) Lambda(k) * sum_{l<=m/k} f(l)|.
 
     Left side through the summation module on the inverted coefficients,
-    right side as a direct double sum over prime powers.
+    right side as a direct double sum over prime powers. The prefix sums
+    of f are read only at the m // k, so they are gathered there
+    (:func:`summation._cumsums_at`, ``np.cumsum(f)`` bit for bit) and no
+    m-length prefix array is held.
     """
     if not 2 <= m <= table.limit:
         raise ValueError(f"m = {m} outside [2, {table.limit}]")
     f = extend_completely_multiplicative(spec, table, m)
-    seq = a_from_f(table, f)
-    lhs = ingham_S(seq, m)
-    f_prefix = np.cumsum(f)
+    lhs = ingham_S(a_from_f(table, f), m)
     lam = table.mangoldt_array
     pp = np.nonzero(lam[: m + 1])[0]
-    rhs = csum((f[pp] - 1.0) * lam[pp] * f_prefix[m // pp])
+    q = m // pp  # descending, as pp ascends
+    ends = _distinct(q[::-1])
+    (f_prefix,) = _cumsums_at(ends, lambda lo, hi: [f[lo:hi]])
+    rhs = csum((f[pp] - 1.0) * lam[pp] * f_prefix[np.searchsorted(ends, q)])
     return abs(lhs - rhs)
 
 
@@ -812,7 +817,7 @@ def difference_identity_check(
         terms = times_log(a.a[: K + 1], log_index(K))
         d_values = sum_over_divisors(terms, dtype=terms.dtype)
     del terms
-    at = np.unique([*range(2, n + 1), K])
+    at = np.array(sorted({*range(2, n + 1), K}), dtype=np.int64)
     (s_at,) = _cumsums_at(at, lambda lo, hi: [d_values[lo:hi]])
     s_values = dict(zip(at.tolist(), s_at))
 
@@ -949,7 +954,7 @@ def lemma_ratio_suite(
             if not low <= x <= table.limit:
                 raise ValueError(f"{name} value {x} outside [{low}, sieve limit {table.limit}]")
     x_max = max(x_grid)
-    xs = np.unique(np.asarray(x_grid, dtype=np.int64))
+    xs = _distinct(np.sort(np.asarray(x_grid, dtype=np.int64)))
     mu = table.mobius_array
     rows: list[dict] = []
 

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,6 +93,19 @@ def floor_matrix(n: int) -> np.ndarray:
 def random_unit_complex(rng, n: int) -> np.ndarray:
     z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return z / np.maximum(np.abs(z), 1.0)
+
+
+# -- peak memory ----------------------------------------------------------
+
+
+def traced_peak(fn):
+    """fn() and the peak, in bytes, of the memory that tracemalloc saw
+    allocated while it ran (numpy reports its buffers to tracemalloc)."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # -- peak memory of CLI commands ----------------------------------------

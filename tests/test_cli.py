@@ -274,6 +274,26 @@ def test_load_spec_errors(tmp_path):
         load_spec_file(str(bad_bound))
 
 
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        # primes as a list ended in an AttributeError traceback, status 1.
+        ('"cutoff": 100, "primes": [1, 2]', "primes: expected an object"),
+        ('"cutoff": 100, "primes": "2"', "primes: expected an object"),
+        # A bool passed the int check and read as cutoff 1.
+        ('"cutoff": true', "cutoff: expected a positive integer"),
+        ('"cutoff": false', "cutoff: expected a positive integer"),
+    ],
+)
+def test_malformed_spec_exits_2_with_its_message(entries, message, tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_text(f'{{"type": "completely_multiplicative", {entries}}}')
+    with pytest.raises(SpecFormatError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        load_spec_file(str(path))
+    assert main(["mean", "--spec", str(path), "--n", "100", "--out", os.devnull]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 def test_coeffs_builder_builtins(table_small):
     mu = _coeffs_builder("mu", 10)(lambda: table_small)
     np.testing.assert_allclose(mu.values().real, [1, -1, -1, 0, -1, 1, -1, 0, 0, 1])

@@ -11,7 +11,6 @@ import ast
 import json
 import math
 import random
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +29,7 @@ from inghamsum.report import ReportRow
 from inghamsum.sequences import CoefficientSequence, log_index, named_sequence
 from inghamsum.summation import block_sums
 
-from conftest import random_unit_complex
+from conftest import random_unit_complex, traced_peak
 
 _ROOTS = (2, 3, 10, 17, 31, 100, 316)
 SIZES = sorted(
@@ -358,12 +357,7 @@ def test_sums_over_several_runs_of_bucket_sums_match_fsum(rng, monkeypatch):
 
 def test_csum_of_a_complex_array_copies_no_part_whole(rng):
     z = rng.standard_normal(10**6) + 1j * rng.standard_normal(10**6)
-    tracemalloc.start()
-    try:
-        value = csum(z)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    value, peak = traced_peak(lambda: csum(z))
     assert value == _csum_ref(z)
     # One part of z is 8 MB; the chunks copied one at a time take 0.5 MB.
     assert peak < 4 * 2**20, peak
@@ -667,6 +661,125 @@ def test_batch_sums_dense_grid_at_1e6(name, table_big):
     seq = named_sequence(name, 10**6, table_big)
     _same_batch_sums(seq.a, parse_grid("1e3:1e6:x1.002"), name)
     _same_batch_sums(seq.a, [999_983, 10**6], name)
+
+
+# -- _grid_sums: sorted block ends on sparse grids, the int32 map on dense ---
+
+
+@pytest.fixture(scope="module")
+def route_sequences():
+    """An int8 mu up to 3e6, a float64 sequence up to 1e6, complex ones
+    up to 2e5 with signed zeros, inf and nan among their values, and a
+    float64 one whose sums overflow (ValueError and OverflowError)."""
+    rng = np.random.default_rng(29)
+    mu = named_sequence("mu", 3 * 10**6, ig.build_sieve(3 * 10**6))
+    real = CoefficientSequence.from_values(rng.standard_normal(10**6))
+    z = np.exp(2j * np.pi * rng.random(2 * 10**5 + 1))
+    z[rng.random(z.size) < 0.05] = complex(-0.0, -0.0)
+    z.imag[rng.random(z.size) < 0.05] = -0.0
+    special = z.copy()
+    special[[150_001, 150_002, 170_000]] = (complex(math.inf, 0.0), complex(math.nan, -0.0), complex(0.0, -math.inf))
+    huge = rng.standard_normal(2 * 10**5 + 1) * 1e306
+    huge[150], huge[151] = 1e308, -1e308  # S overflows from n = 216 on
+    return {
+        "mu": mu,
+        "float64": real,
+        "float64, overflow": CoefficientSequence.from_index_aligned(huge),
+        "complex, signed zeros": CoefficientSequence.from_index_aligned(z),
+        "complex, inf and nan": CoefficientSequence.from_index_aligned(special),
+    }
+
+
+def _route_grids(top):
+    """Sparse grids up to top, single points on both sides of the rule,
+    and small dense grids."""
+    return [
+        [top],
+        [1],
+        [232],  # 29 blocks: the map
+        [233],  # 29 blocks: sorted
+        [240],  # 30 blocks: the map
+        [10**5, top // 3, top],
+        [1, 2, 3, 1000, top - 1, top],
+        parse_grid(f"1e2:{top}:x10"),
+        parse_grid(f"{top // 4}:{top}:x1.05"),
+        range(1, 1001),
+        parse_grid("1e3:1e5:x1.01"),
+    ]
+
+
+# The rule as the library sets it; the tests force a route with 0 (sort
+# every grid) or 10**18 (map every grid).
+SPARSE = summation._SPARSE
+
+
+def _blocks(grid):
+    return sum(math.isqrt(n) + n // (math.isqrt(n) + 1) for n in grid)
+
+
+@pytest.fixture()
+def sorted_calls(monkeypatch):
+    """The calls of summation._distinct, which only the sort route makes."""
+    calls = []
+    distinct = summation._distinct
+    monkeypatch.setattr(summation, "_distinct", lambda ends: calls.append(1) or distinct(ends))
+    return calls
+
+
+def _routed(seq, grid, parts, sparse, monkeypatch):
+    """The outcomes of _grid_sums with _SPARSE set to sparse."""
+    monkeypatch.setattr(summation, "_SPARSE", sparse)
+    return [_block_outcome(lambda: summation._raised(o)) for o in summation._grid_sums(seq, grid, parts)]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the inf and nan inputs
+@pytest.mark.parametrize("name", ["mu", "float64", "float64, overflow", "complex, signed zeros", "complex, inf and nan"])
+def test_sorted_block_ends_match_the_map(name, route_sequences, sorted_calls, monkeypatch):
+    seq = route_sequences[name]
+    for grid in _route_grids(seq.length):
+        grid = sorted(set(grid))
+        for parts in ("AS", "A", "S"):
+            case = (name, grid[:3], len(grid), parts)
+            sorted_calls.clear()
+            rule = _routed(seq, grid, parts, SPARSE, monkeypatch)
+            assert bool(sorted_calls) == (_blocks(grid) * SPARSE < grid[-1]), case
+            assert _routed(seq, grid, parts, 0, monkeypatch) == _routed(seq, grid, parts, 10**18, monkeypatch) == rule, case
+    # The map route is block_sums over the whole prefix arrays on the
+    # sequences up to 2e5, exceptions included.
+    if seq.length <= 2 * 10**5:
+        for grid in ([seq.length], [10**5, 150_001, seq.length], parse_grid(f"1e2:{seq.length}:x10")):
+            _same_batch_sums(seq.a, grid, (name, grid))
+
+
+def test_the_rule_sorts_sparse_grids_and_maps_dense_ones():
+    # theorem2-mu's grid against ingham-mu-dense's and sdecomp's.
+    def sorts(grid):
+        return _blocks(grid) * SPARSE < max(grid)
+
+    assert sorts(parse_grid("1e5:1e7:x10"))
+    assert sorts([10**6]) and sorts([233]) and not sorts([232])
+    assert not sorts(parse_grid("1e3:1e6:x1.002"))
+    assert not sorts(range(1, 5001))
+
+
+@pytest.mark.parametrize("n", [233, 999_983, 3 * 10**6])
+def test_one_point_sums_sorted_match_the_map(n, route_sequences, monkeypatch):
+    seq = route_sequences["mu"]
+    for fn in (ig.ingham_A, ig.ingham_S):
+        monkeypatch.setattr(summation, "_SPARSE", SPARSE)
+        got = _block_outcome(lambda: fn(seq, n))
+        monkeypatch.setattr(summation, "_SPARSE", 10**18)
+        assert got == _block_outcome(lambda: fn(seq, n)), (fn.__name__, n)
+
+
+def test_sorted_block_ends_hold_no_map():
+    # The int32 map of [1e5, 1e6, 4e6] is 16 MB; the sorted ends of its
+    # 6,322 blocks, with the gathered prefix sums and the passes, took
+    # 1.26 MiB (the map route 16.5 MiB).
+    mu = named_sequence("mu", 4 * 10**6, ig.build_sieve(4 * 10**6))
+    summation._grid_sums(mu, [10**5], "AS")  # numpy's sort set-up
+    _, peak = traced_peak(lambda: summation._grid_sums(mu, [10**5, 10**6, 4 * 10**6], "AS"))
+    assert peak < 3 * 2**20, peak
 
 
 def _same_one_point_sums(a, points, case=""):
@@ -2185,7 +2298,7 @@ def test_extension_segments_select_their_primes_once(table_small, monkeypatch):
 
 def _stream_grid(size):
     top = STREAM_TOPS[size]
-    edges = {7, 8, 48, 49, 50, 1000, 2999, 4099, 8198, 262_144, 262_145, top}
+    edges = {7, 8, 48, 49, 50, 1000, 2999, 4099, 8198, 131_072, 131_073, 262_144, 262_145, top}
     return sorted({n for n in edges if n <= top} | set(parse_grid(f"3:{top}:x3")))
 
 

@@ -16,11 +16,13 @@ from inghamsum import (
     extend_completely_multiplicative,
     f_from_a,
     named_sequence,
+    sequences,
     sum_over_divisors,
     summation,
 )
+from inghamsum.cli import load_spec_file
 
-from conftest import cli_peak_rss, trial_totient
+from conftest import cli_peak_rss, traced_peak, trial_totient
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -239,6 +241,16 @@ def test_named_sequences(table_small):
         named_sequence("totient", 10, table_small)
 
 
+def _least_peaks(argvs):
+    """The least peak RSS of three fresh runs of each command, the runs
+    interleaved. The peaks of the mu commands below differ by only about
+    0.5 MB in all, and a run whose pages land badly reads about 0.2 MB
+    high, which one run per grid top read as growth of up to 7.4 bytes
+    per integer (theorem2) and 6.1 (axer)."""
+    runs = cli_peak_rss(SRC, argvs * 3)
+    return [min(runs[i :: len(argvs)]) for i in range(len(argvs))]
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB is Linux behaviour")
 def test_theorem2_mu_peak_memory_grows_by_at_most_6_bytes_per_integer():
     limits = (100_000, 200_000, 400_000)
@@ -246,17 +258,13 @@ def test_theorem2_mu_peak_memory_grows_by_at_most_6_bytes_per_integer():
         ["verify", "theorem2", "--coeffs", "mu", "--n", f"1000,{n}", "--sigma", "2,1.25", "--format", "json"]
         for n in limits
     ]
-    # The least of three fresh runs per grid top, interleaved: the peaks
-    # differ by only about 0.5 MB in all, and a run whose pages land
-    # badly reads about 0.2 MB high, which one run per top read as
-    # growth of up to 7.4 bytes per integer.
-    runs = cli_peak_rss(SRC, argvs * 3)
-    peaks = [min(runs[i :: len(argvs)]) for i in range(len(argvs))]
+    peaks = _least_peaks(argvs)
     # Three complex128 arrays of mu and an unchunked g_eval grew by 93-98
     # bytes per integer, and real storage with its two prefix arrays by
     # 24-28; gathering the prefix sums at the block ends alone took 6-11
     # with a float64 copy of mu, and 1.5-3.8 with mu the sieve's int8
-    # table.
+    # table. With the grids' block ends sorted instead of marked in an
+    # int32 map, the least of three runs read -0.5 to 0.3 and 3.5-4.1.
     for (lo, hi), (a, b) in zip(zip(limits, limits[1:]), zip(peaks, peaks[1:])):
         growth = (b - a) / (hi - lo)
         assert growth <= 6, (lo, hi, growth)
@@ -266,7 +274,7 @@ def test_theorem2_mu_peak_memory_grows_by_at_most_6_bytes_per_integer():
 def test_theorem1_mu_peak_memory_grows_by_at_most_6_bytes_per_integer():
     limits = (100_000, 200_000, 400_000)
     argvs = [["verify", "theorem1", "--coeffs", "mu", "--n", f"1000,{n}", "--format", "json"] for n in limits]
-    peaks = cli_peak_rss(SRC, argvs)
+    peaks = _least_peaks(argvs)
     # A(n) per point from the cached prefix_a grew by 18-19 bytes per
     # integer; one batch_sums call, which gathers the block ends, by 7-10
     # on a float64 copy of mu, and by at most 4.1 on the int8 table.
@@ -279,7 +287,7 @@ def test_theorem1_mu_peak_memory_grows_by_at_most_6_bytes_per_integer():
 def test_wintner_mu_peak_memory_grows_by_at_most_6_bytes_per_integer():
     limits = (100_000, 200_000, 400_000)
     argvs = [["verify", "wintner", "--coeffs", "mu", "--n", f"1000,{n}", "--format", "json"] for n in limits]
-    peaks = cli_peak_rss(SRC, argvs)
+    peaks = _least_peaks(argvs)
     # Per-point terms up to each n and the cached prefix_a grew by 30-33
     # bytes per integer; the terms formed once and read at every n, with
     # A(n) from batch_sums, by 22-25; the terms formed chunk by chunk
@@ -294,7 +302,7 @@ def test_wintner_mu_peak_memory_grows_by_at_most_6_bytes_per_integer():
 def test_axer_mu_peak_memory_grows_by_at_most_6_bytes_per_integer():
     limits = (100_000, 200_000, 400_000)
     argvs = [["verify", "axer", "--coeffs", "mu", "--n", f"1000,{n}", "--format", "json"] for n in limits]
-    peaks = cli_peak_rss(SRC, argvs)
+    peaks = _least_peaks(argvs)
     # np.cumsum(np.abs(a)) over the whole sequence grew by about 24.5
     # bytes per integer; a running sum over chunks read at the grid
     # points holds no N-length array but the sequence: 8.5-14 with a
@@ -346,8 +354,8 @@ def test_cli_peak_rss_of_a_command_that_prints():
     assert peak > 0
 
 
-# Grid tops above the extension's segment (2**18 integers), whose fixed
-# 4 MB would otherwise read as growth.
+# Grid tops above the extension's segment (2**17 integers), whose fixed
+# 2 MB would otherwise read as growth.
 _SPEC_LIMITS = (1_000_000, 2_000_000, 4_000_000)
 
 
@@ -379,3 +387,23 @@ def test_mean_spec_peak_memory_grows_by_at_most_4_bytes_per_integer():
     # by 0.6-1.9.
     for lo, hi, growth in _spec_growth("mean", "--spec", str(spec), "--n", "1000,{n}"):
         assert growth <= 4, (lo, hi, growth)
+
+
+def test_each_extension_segment_at_1e7_takes_at_most_8_mib():
+    # The benchmark's seed-7 mean spec: f(p) = -1 for the 78 k primes up
+    # to the cutoff 1e6, so the largest-prime pass of a segment gathers
+    # about half a segment of (p, j) pairs. Segments of 2**18 integers,
+    # with the pairs' places formed from four temporaries, took up to
+    # 12.6 MiB each (11.6 for the one ending at 1e7); 2**17 integers, the
+    # places formed in place and only the primes with a multiple in the
+    # segment grouped, take up to 7.6 MiB.
+    spec = load_spec_file(str(Path(__file__).resolve().parent / "data" / "mean_seed7.json"))
+    segments = sequences.extension_segments(spec, ig.build_sieve(10**7), 10**7)
+    peaks = []
+    while True:
+        segment, peak = traced_peak(lambda: next(segments, None))
+        if segment is None:
+            break
+        peaks.append(peak)
+    assert len(peaks) == -(-(10**7) // sequences._SEGMENT)
+    assert max(peaks) <= 8 * 2**20, max(peaks) / 2**20

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from inghamsum.dirichlet import f_t_table
 from inghamsum.sequences import named_sequence
 from inghamsum.verify import difference_identity_check
 
-from conftest import trial_divisors, trial_mangoldt, trial_mobius, trial_primes
+from conftest import traced_peak, trial_divisors, trial_mangoldt, trial_mobius, trial_primes
 
 PSI_10 = 7.832014180505469  # 3 log 2 + 2 log 3 + log 5 + log 7
 PSI_16 = 13.488005991325322  # PSI_10 + log 11 + log 13 + log 2
@@ -73,12 +72,7 @@ def test_capacity_guard():
 def test_mobius_array_temporaries_stay_under_2_mb():
     # One index array over the 664,000 primes above sqrt(1e7) took 5.3 MB.
     table = build_sieve(10**7)
-    tracemalloc.start()
-    try:
-        mu = table.mobius_array
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    mu, peak = traced_peak(lambda: table.mobius_array)
     assert peak - mu.nbytes < 2 * 2**20, peak
 
 

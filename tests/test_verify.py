@@ -1,7 +1,6 @@
 import cmath
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +25,7 @@ from inghamsum import (
     theorem2_conditions,
     theorem3_check,
 )
-from inghamsum.accumulate import rsum
+from inghamsum.accumulate import csum, rsum
 from inghamsum.sequences import log_index, sum_over_divisors
 from inghamsum.verify import (
     AXER_BOUND,
@@ -45,7 +44,7 @@ from inghamsum.verify import (
     theorem3_report,
 )
 
-from conftest import random_unit_complex, trial_primes
+from conftest import random_unit_complex, traced_peak, trial_primes
 
 
 @pytest.fixture(scope="module")
@@ -244,12 +243,7 @@ def test_theorem3_check_holds_no_whole_f(table_big):
     # 17.4 MiB). The first call fills the table's own caches.
     spec = MultiplicativeSpec({2: 0}, cutoff=10**6)
     expected = theorem3_check(spec, table_big, 10**6, 2.0)
-    tracemalloc.start()
-    try:
-        res = theorem3_check(spec, table_big, 10**6, 2.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    res, peak = traced_peak(lambda: theorem3_check(spec, table_big, 10**6, 2.0))
     assert res == expected
     assert peak < 12 * 2**20, peak
 
@@ -261,14 +255,49 @@ def test_difference_identity_holds_real_divisor_sums(table_big):
     # The first call fills the table's own caches.
     mu = named_sequence("mu", 400_000, table_big)
     expected = difference_identity_check(mu, table_big, 10, 400_000)
-    tracemalloc.start()
-    try:
-        res = difference_identity_check(mu, table_big, 10, 400_000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    res, peak = traced_peak(lambda: difference_identity_check(mu, table_big, 10, 400_000))
     assert res == expected
     assert peak < 12 * 2**20, peak
+
+
+def _s_multiplicative_identity_ref(spec, table, m):
+    """s_multiplicative_identity with the whole np.cumsum(f)."""
+    f = ig.extend_completely_multiplicative(spec, table, m)
+    lhs = ig.ingham_S(ig.a_from_f(table, f), m)
+    f_prefix = np.cumsum(f)
+    lam = table.mangoldt_array
+    pp = np.nonzero(lam[: m + 1])[0]
+    return abs(lhs - csum((f[pp] - 1.0) * lam[pp] * f_prefix[m // pp]))
+
+
+SMULT_SPECS = (
+    MultiplicativeSpec({2: 0.5, 3: -1j}, cutoff=1000, default=-1.0),
+    MultiplicativeSpec({2: 0}, cutoff=10**6),
+    MultiplicativeSpec({5: complex(-0.0, 1.0), 7: -0.5}, cutoff=100),
+)
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_s_multiplicative_identity_matches_the_whole_prefix_array(chunk, table_small, monkeypatch):
+    if chunk:  # the m // k fall on chunk edges
+        monkeypatch.setattr(ig.summation, "_CHUNK_TERMS", chunk)
+    for spec in SMULT_SPECS:
+        for m in (2, 3, 4, 7, 8, 49, 500, 9973, 10_000):
+            assert s_multiplicative_identity(spec, table_small, m) == _s_multiplicative_identity_ref(spec, table_small, m), (spec, m)
+
+
+def test_s_multiplicative_identity_holds_no_prefix_array(table_big):
+    # f and its inverse a are 15.3 MiB each at m = 1e6. np.cumsum(f)
+    # beside them, a complex copy of a and an m-length product w * f in
+    # the divisor lattice took 50.4 MiB; prefix sums gathered at the
+    # m // k alone, the lattice's products in slices and a kept without
+    # a copy take 38.4.
+    spec = SMULT_SPECS[0]
+    m = 10**6
+    expected = _s_multiplicative_identity_ref(spec, table_big, m)
+    got, peak = traced_peak(lambda: s_multiplicative_identity(spec, table_big, m))
+    assert got == expected
+    assert peak < 42 * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize("name, bound_mib", [("mu", 0.85), ("liouville", 1.15)])
@@ -280,12 +309,7 @@ def test_s_difference_identity_takes_real_divisor_sums(name, bound_mib, table_me
     M = 20_000
     seq = named_sequence(name, M, table_medium)
     expected = s_difference_identity(seq, table_medium, M)
-    tracemalloc.start()
-    try:
-        got = s_difference_identity(seq, table_medium, M)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    got, peak = traced_peak(lambda: s_difference_identity(seq, table_medium, M))
     assert got == expected and type(got) is np.float64
     assert peak < bound_mib * 2**20, peak
 
@@ -568,14 +592,10 @@ def test_lemma_suite_memory_grows_by_at_most_32_bytes_per_integer():
     # alone, beside one f_t table (values and prefix), by 10.6.
     table = ig.build_sieve(400_000)
     table.mobius_array
-    peaks = []
-    for top in (200_000, 400_000):
-        tracemalloc.start()
-        try:
-            lemma_ratio_suite(table, t_grid=(0.1, 1.0), x_grid=(100, top), k_grid=(), vx_grid=())
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks = [
+        traced_peak(lambda: lemma_ratio_suite(table, t_grid=(0.1, 1.0), x_grid=(100, top), k_grid=(), vx_grid=()))[1]
+        for top in (200_000, 400_000)
+    ]
     growth = (peaks[1] - peaks[0]) / 200_000
     assert growth <= 32, (peaks, growth)
 
