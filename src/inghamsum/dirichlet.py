@@ -230,8 +230,10 @@ def _euler_factors(primes: np.ndarray, values: np.ndarray, sigma: float) -> list
     return quot.tolist()
 
 
-def f_t_table(table: SieveTable, t: float, n: int) -> FtEvaluation:
-    """Tabulate f_t(m) = prod over p | m of (1 - p^-t) for m <= n.
+def _f_t_values(table: SieveTable, t: float, n: int) -> np.ndarray:
+    """f_t(m) = prod over p | m of (1 - p^-t) for m <= n, index-aligned
+    (values[0] = 0), in a fresh writeable array: the values of
+    :func:`f_t_table` without their prefix sums.
 
     Each prime p <= sqrt(n) multiplies its factor into its multiples, in
     ascending p. What is left of m is at most one prime P > sqrt(n), its
@@ -255,6 +257,17 @@ def f_t_table(table: SieveTable, t: float, n: int) -> FtEvaluation:
     for q, j in hyperbola_cofactors(big, n):
         at = big[:j] * q
         values[at] *= factors[:j]
+    return values
+
+
+def f_t_table(table: SieveTable, t: float, n: int) -> FtEvaluation:
+    """Tabulate f_t(m) = prod over p | m of (1 - p^-t) for m <= n, and
+    its partial sums: the values of :func:`_f_t_values`, and their
+    ``np.cumsum``, both read-only. A reader of F_t at a few x only (the
+    lemma suite) takes the values alone and gathers their prefix sums at
+    those x, which holds no second array of length n.
+    """
+    values = _f_t_values(table, t, n)
     prefix = np.cumsum(values)
     values.flags.writeable = False
     prefix.flags.writeable = False

@@ -30,6 +30,58 @@ class QuadResult:
     depth_hits: int = 0
 
 
+class _Simpson:
+    """One run of :func:`adaptive_simpson`: the integrand, the depth
+    cap and the counts. The recursion is a method, so no function refers
+    to itself. A nested function that called itself would sit in a
+    reference cycle through its own closure cell, and hold the integrand,
+    and every array the integrand owns, until the cyclic collector ran."""
+
+    __slots__ = ("f", "max_depth", "evals", "depth_hits")
+
+    def __init__(self, f: Callable[[float], complex], max_depth: int):
+        self.f = f
+        self.max_depth = max_depth
+        self.evals = 0
+        self.depth_hits = 0
+
+    def at(self, x: float) -> complex:
+        self.evals += 1
+        return complex(self.f(x))
+
+    def refine(
+        self,
+        lo: float,
+        hi: float,
+        flo: complex,
+        fmid: complex,
+        fhi: complex,
+        whole: complex,
+        depth: int,
+        budget: float,
+    ) -> tuple[complex, float]:
+        mid = 0.5 * (lo + hi)
+        lm = 0.5 * (lo + mid)
+        rm = 0.5 * (mid + hi)
+        flm = self.at(lm)
+        frm = self.at(rm)
+        left = _simpson(flo, flm, fmid, mid - lo)
+        right = _simpson(fmid, frm, fhi, hi - mid)
+        delta = (left + right - whole) / 15.0
+        if abs(delta) <= budget:
+            return left + right + delta, abs(delta)
+        if depth >= self.max_depth:
+            self.depth_hits += 1
+            return left + right + delta, abs(delta)
+        lval, lerr = self.refine(lo, mid, flo, flm, fmid, left, depth + 1, budget / 2)
+        rval, rerr = self.refine(mid, hi, fmid, frm, fhi, right, depth + 1, budget / 2)
+        return lval + rval, lerr + rerr
+
+
+def _simpson(fa: complex, fm: complex, fb: complex, h: float) -> complex:
+    return h / 6.0 * (fa + 4.0 * fm + fb)
+
+
 def adaptive_simpson(
     f: Callable[[float], complex],
     a: float,
@@ -43,58 +95,21 @@ def adaptive_simpson(
     the Richardson error estimate. Subintervals that reach max_depth stop
     refining, contribute their local estimate to the reported error, and
     are counted in depth_hits so callers can distinguish benign endpoint
-    refinement from genuine non-convergence.
+    refinement from genuine non-convergence. No reference to f outlives
+    the call (:class:`_Simpson`), whether it returns or raises.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"quadrature tolerance must be finite and positive, got {tol}")
     if a == b:
         return QuadResult(0j, 0.0, 0)
-    evals = 0
-    depth_hits = 0
-
-    def eval_f(x: float) -> complex:
-        nonlocal evals
-        evals += 1
-        return complex(f(x))
-
-    def simpson(fa: complex, fm: complex, fb: complex, h: float) -> complex:
-        return h / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(
-        lo: float,
-        hi: float,
-        flo: complex,
-        fmid: complex,
-        fhi: complex,
-        whole: complex,
-        depth: int,
-        budget: float,
-    ) -> tuple[complex, float]:
-        nonlocal depth_hits
-        mid = 0.5 * (lo + hi)
-        lm = 0.5 * (lo + mid)
-        rm = 0.5 * (mid + hi)
-        flm = eval_f(lm)
-        frm = eval_f(rm)
-        left = simpson(flo, flm, fmid, mid - lo)
-        right = simpson(fmid, frm, fhi, hi - mid)
-        delta = (left + right - whole) / 15.0
-        if abs(delta) <= budget:
-            return left + right + delta, abs(delta)
-        if depth >= max_depth:
-            depth_hits += 1
-            return left + right + delta, abs(delta)
-        lval, lerr = recurse(lo, mid, flo, flm, fmid, left, depth + 1, budget / 2)
-        rval, rerr = recurse(mid, hi, fmid, frm, fhi, right, depth + 1, budget / 2)
-        return lval + rval, lerr + rerr
-
-    fa_v = eval_f(a)
-    fb_v = eval_f(b)
+    run = _Simpson(f, max_depth)
+    fa_v = run.at(a)
+    fb_v = run.at(b)
     mid = 0.5 * (a + b)
-    fm_v = eval_f(mid)
-    whole = simpson(fa_v, fm_v, fb_v, b - a)
-    value, err = recurse(a, b, fa_v, fm_v, fb_v, whole, 0, tol)
-    return QuadResult(value, err, evals, depth_hits)
+    fm_v = run.at(mid)
+    whole = _simpson(fa_v, fm_v, fb_v, b - a)
+    value, err = run.refine(a, b, fa_v, fm_v, fb_v, whole, 0, tol)
+    return QuadResult(value, err, run.evals, run.depth_hits)
 
 
 def _check_converged(res: QuadResult, quad_tol: float) -> None:

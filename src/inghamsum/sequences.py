@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SpecFormatError
-from .sieve import _COFACTOR_CHUNK, SieveTable, _sign_sieve, hyperbola_cofactors
+from .sieve import _COFACTOR_CHUNK, SieveTable, _sign_sieve
 
 BUILTIN_SEQUENCES = ("mu", "unit", "one", "liouville", "inverse-squares")
 
@@ -219,35 +219,39 @@ def _divisor_lattice(
     weights and no f.
 
     Hyperbola split at r = isqrt(N): every d <= r is one strided
-    slice-add over its multiples; every larger d has cofactor q <= N/(r+1),
-    so those are handled as fancy-indexed adds per q, q descending, in
-    slices of at most ``_COFACTOR_CHUNK`` of the d, and the products
-    w * f of a strided d in slices of as many q, so that no index or term
-    array of the pass is N-sized. Each product d q occurs once per
-    q, so each out[m] still accumulates its terms in ascending d, which
-    keeps the result bit-identical to one strided pass per d. A complex
-    out adds +0.0 imaginary parts to real weights, which is exact, so a
-    float64 out holds the same bits as its real parts in half the memory.
+    slice-add over its multiples, and the products w * f of a strided d
+    come in slices of at most ``_COFACTOR_CHUNK`` q. The d above r are
+    taken in runs of ``_COFACTOR_CHUNK`` integers: a run's nonzero places
+    and their weights are gathered, and every cofactor q <= N / (first d
+    of the run), descending, adds a fancy-indexed slice of them at the
+    products d q <= N. So no index or term array of the pass is N-sized.
+    Each product d q occurs once per q, and a run's d come after those
+    of the runs before it, so each out[m] still accumulates its terms in
+    ascending d, which keeps the result bit-identical to one strided
+    pass per d. A complex out adds +0.0 imaginary parts to real weights,
+    which is exact, so a float64 out holds the same bits as its real
+    parts in half the memory.
     """
     n = weights.size - 1
     out = np.zeros(n + 1, dtype=dtype)
-    nz = np.flatnonzero(weights[1:])
-    nz += 1
     r = math.isqrt(max(n, 0))
-    split = int(np.searchsorted(nz, r, "right"))
-    for d, w in zip(nz[:split].tolist(), weights[nz[:split]].tolist()):
+    small = np.flatnonzero(weights[1 : r + 1])
+    small += 1
+    for d, w in zip(small.tolist(), weights[small].tolist()):
         if f is None:
             out[d::d] += w
             continue
         for lo in range(0, n // d, _COFACTOR_CHUNK):
             hi = min(lo + _COFACTOR_CHUNK, n // d)
             out[d * (lo + 1) : d * hi + 1 : d] += w * f[lo + 1 : hi + 1]
-    big = nz[split:]
-    wbig = weights[big]
-    for q, k in hyperbola_cofactors(big, n):
-        for lo in range(0, k, _COFACTOR_CHUNK):
-            hi = min(lo + _COFACTOR_CHUNK, k)
-            out[big[lo:hi] * q] += wbig[lo:hi] if f is None else wbig[lo:hi] * f[q]
+    for lo in range(r + 1, n + 1, _COFACTOR_CHUNK):
+        big = np.flatnonzero(weights[lo : lo + _COFACTOR_CHUNK])
+        big += lo
+        w = weights[big]
+        for q in range(n // lo, 0, -1):
+            j = int(np.searchsorted(big, n // q, "right"))
+            if j:
+                out[big[:j] * q] += w[:j] if f is None else w[:j] * f[q]
     return out
 
 
@@ -256,8 +260,9 @@ def sum_over_divisors(values: np.ndarray, dtype: type = np.complex128) -> np.nda
 
     Hyperbola split (see :func:`_divisor_lattice`): one strided
     slice-add per nonzero entry d <= sqrt(N), then one fancy-indexed add
-    per cofactor q for all nonzero d > sqrt(N). O(N log N) total work;
-    zero coefficients cost nothing, and each out[m] sums in ascending d.
+    per cofactor q for each run of the nonzero d > sqrt(N). O(N log N)
+    total work; zero coefficients cost nothing, and each out[m] sums in
+    ascending d.
 
     The sums are complex128 unless dtype says float64, which real values
     may ask for: the same bits as the complex sums' real parts (their
@@ -280,7 +285,7 @@ def a_from_f(table: SieveTable, f: np.ndarray) -> CoefficientSequence:
 
     Implemented as the mu-weighted lattice pass a[e q] += mu(e) f(q),
     hyperbola-split like :func:`sum_over_divisors` (strided for
-    e <= sqrt(n), one fancy-indexed add per cofactor q above), which
+    e <= sqrt(n), fancy-indexed adds per cofactor q above), which
     round-trips with :func:`f_from_a` to machine precision.
     """
     f = np.asarray(f, dtype=np.complex128)

@@ -23,7 +23,7 @@ import numpy as np
 from .accumulate import csum, prefix_csums, rsum
 from .dirichlet import (
     euler_product,
-    f_t_table,
+    _f_t_values,
     g_eval,
     mu_n_alpha,
     zeta_real,
@@ -843,8 +843,8 @@ def difference_identity_check(
     # equals sum_{k=2..K} D(k) beta_k - S(K) beta_{K+1}, with
     # beta_k = integral over (sigma, inf) of k^-u / zeta(u); the k > K
     # remainder is added exactly through its divisor reorganization.
-    ks = np.nonzero(d_values)[0]
-    ks = ks[ks >= 2]
+    ks = np.flatnonzero(d_values[2:])
+    ks += 2
     t2 = 0j
     tail_correction = 0j
     tail_slack = 0.0
@@ -870,6 +870,7 @@ def difference_identity_check(
         s_k = complex(s_values[K])
         t2 = n * (res_h.value - s_k * beta_edge.value)
         quad_error += n * (res_h.error + abs(s_k) * beta_edge.error)
+        del head, ks  # the head's arrays go before the tail's are formed
 
         series_tail = _SeriesTail(a, K, s_k)
         tail_res = integral_sigma_to_inf(
@@ -937,11 +938,14 @@ def lemma_ratio_suite(
 
     Every grid is checked before any table is built: t > 0, k >= 2,
     2 <= x and 1 <= vx, and x and vx at most the sieve limit. Per t, the
-    four prefix sums that families (i)-(iii) read (of f_t(d)/d, d^-t,
-    mu(d) d^(-1-t) and mu(d) d^(-1-t) log d) are gathered at the sorted
-    set of the x from one chunked pass (:func:`summation._cumsums_at`),
-    bit for bit their whole cumulative sums, so apart from the f_t table
-    of the current t no array of length max(x_grid) is held.
+    five prefix sums that families (i)-(iv) read (of f_t(d)/d, d^-t,
+    mu(d) d^(-1-t), mu(d) d^(-1-t) log d, and F_t itself) are gathered
+    at the sorted distinct x and x // 2 from one chunked pass
+    (:func:`summation._cumsums_at`), bit for bit their whole cumulative
+    sums. So the f_t values of the current t
+    (:func:`dirichlet._f_t_values`, 8 bytes per integer) are the one
+    array of length max(x_grid) held: the prefix array of
+    :func:`dirichlet.f_t_table`, as long again, is never built.
     """
     for t in t_grid:
         if not t > 0:
@@ -954,7 +958,9 @@ def lemma_ratio_suite(
             if not low <= x <= table.limit:
                 raise ValueError(f"{name} value {x} outside [{low}, sieve limit {table.limit}]")
     x_max = max(x_grid)
-    xs = _distinct(np.sort(np.asarray(x_grid, dtype=np.int64)))
+    xs = np.asarray(x_grid, dtype=np.int64)
+    # F_t is read at each x and at x // 2 (family (iv)).
+    ends = _distinct(np.sort(np.concatenate((xs, xs // 2))))
     mu = table.mobius_array
     rows: list[dict] = []
 
@@ -974,7 +980,7 @@ def lemma_ratio_suite(
         )
 
     for t in t_grid:
-        ft = f_t_table(table, t, x_max)
+        ft = _f_t_values(table, t, x_max)
         inv_zeta = 1.0 / zeta_real(1.0 + t)
 
         def terms(lo, hi):
@@ -982,11 +988,12 @@ def lemma_ratio_suite(
             if not lo:
                 d[0] = 1.0
             mu_d1t = mu[lo:hi] * d ** (-1.0 - t)
-            return ft.values[lo:hi] / d, d**-t, mu_d1t, mu_d1t * np.log(d)
+            return ft[lo:hi] / d, d**-t, mu_d1t, mu_d1t * np.log(d), ft[lo:hi]
 
-        sums = _cumsums_at(xs, terms)
+        sums = _cumsums_at(ends, terms)
         for x in x_grid:
-            q_x, dt_x, p1_x, p2_x = (float(s[np.searchsorted(xs, x)]) for s in sums)
+            at = np.searchsorted(ends, x)
+            q_x, dt_x, p1_x, p2_x, f_x = (float(s[at]) for s in sums)
             logx = math.log(x)
             add("sum_ft_over_m", t, x, None, q_x, 1.0 + t * logx)
             add(
@@ -994,7 +1001,7 @@ def lemma_ratio_suite(
                 t,
                 x,
                 None,
-                abs(float(ft.prefix[x]) - x * inv_zeta),
+                abs(f_x - x * inv_zeta),
                 x ** (1.0 - t) + dt_x,
             )
             mu_log_sum = logx * p1_x - p2_x
@@ -1004,10 +1011,10 @@ def lemma_ratio_suite(
                 t,
                 x,
                 None,
-                float(ft.prefix[x]) - ft.F(x / 2.0),
+                f_x - float(sums[4][np.searchsorted(ends, x // 2)]),
                 x * (1.0 / logx + t),
             )
-        del ft  # this t's table goes before the next one is built
+        del ft  # this t's values go before the next ones are built
 
     for k in k_grid:
 

@@ -1585,12 +1585,35 @@ def _divisor_lattice_ref(weights, f=None):
     return out
 
 
+def _special_weights(n, table, rng):
+    """Sparse float64 weights with signed zeros among them, nan at a d
+    below sqrt(n), and +inf, -inf and nan at primes above it, where the
+    d are gathered run by run. Two primes above sqrt(n) have no common
+    multiple up to n, so no inf meets -inf and no warning is raised."""
+    w = _input("sparse-real", n, rng)
+    w[rng.random(n + 1) < 0.05] = -0.0
+    w[1 : n + 1 : 5] = np.copysign(0.0, w[1 : n + 1 : 5])
+    r = math.isqrt(n)
+    if r >= 3:
+        w[r - 1] = math.nan
+    big = table.primes[(table.primes > r) & (table.primes <= n)]
+    for p, value in zip(big[:: max(1, big.size // 3)].tolist(), (math.inf, -math.inf, math.nan)):
+        w[p] = value
+    return w
+
+
 def _lattice_cases(n, table, rng):
     mu = table.mobius_array[: n + 1]
     f = _input("dense-complex", n, rng)
     f[1::7] = f[1::7].real
     f[2::11] = complex(-0.0, 0.0)
-    return [(_input("dense-real", n, rng), None), (_input("sparse-complex", n, rng), None), (mu, None), (mu, f)]
+    return [
+        (_input("dense-real", n, rng), None),
+        (_input("sparse-complex", n, rng), None),
+        (_special_weights(n, table, rng), None),
+        (mu, None),
+        (mu, f),
+    ]
 
 
 @pytest.mark.parametrize("chunk", [7, 1_000, 1 << 16])

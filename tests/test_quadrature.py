@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import pytest
 from scipy.integrate import quad
@@ -112,3 +114,130 @@ def test_max_depth_exhaustion_raises():
 def test_rate_must_exceed_one():
     with pytest.raises(ValueError):
         integral_zero_to_inf(lambda t: 0.0, rate=1.0, bound=1.0, quad_tol=1e-8, tail_tol=1e-8)
+
+
+def _adaptive_simpson_ref(f, a, b, tol, max_depth=64):
+    """adaptive_simpson with its recursion a nested function that calls
+    itself, as it was written before the recursion became a method."""
+    evals = 0
+    depth_hits = 0
+
+    def eval_f(x):
+        nonlocal evals
+        evals += 1
+        return complex(f(x))
+
+    def simpson(fa, fm, fb, h):
+        return h / 6.0 * (fa + 4.0 * fm + fb)
+
+    def recurse(lo, hi, flo, fmid, fhi, whole, depth, budget):
+        nonlocal depth_hits
+        mid = 0.5 * (lo + hi)
+        lm = 0.5 * (lo + mid)
+        rm = 0.5 * (mid + hi)
+        flm = eval_f(lm)
+        frm = eval_f(rm)
+        left = simpson(flo, flm, fmid, mid - lo)
+        right = simpson(fmid, frm, fhi, hi - mid)
+        delta = (left + right - whole) / 15.0
+        if abs(delta) <= budget:
+            return left + right + delta, abs(delta)
+        if depth >= max_depth:
+            depth_hits += 1
+            return left + right + delta, abs(delta)
+        lval, lerr = recurse(lo, mid, flo, flm, fmid, left, depth + 1, budget / 2)
+        rval, rerr = recurse(mid, hi, fmid, frm, fhi, right, depth + 1, budget / 2)
+        return lval + rval, lerr + rerr
+
+    fa_v = eval_f(a)
+    fb_v = eval_f(b)
+    mid = 0.5 * (a + b)
+    fm_v = eval_f(mid)
+    whole = simpson(fa_v, fm_v, fb_v, b - a)
+    value, err = recurse(a, b, fa_v, fm_v, fb_v, whole, 0, tol)
+    return value, err, evals, depth_hits
+
+
+@pytest.mark.parametrize(
+    "f, a, b, tol, max_depth",
+    [
+        (math.exp, 0.0, 1.0, 1e-12, 64),
+        (lambda x: complex(math.cos(x), math.sin(x)), 0.0, math.pi, 1e-12, 64),
+        (lambda x: 2.0**-x / (1.0 + 40.0 * math.sin(8.0 * x) ** 2), 0.0, 30.0, 1e-13, 3),
+        (lambda x: math.sqrt(x), 0.0, 1.0, 1e-14, 64),
+    ],
+)
+def test_simpson_matches_the_nested_recursion(f, a, b, tol, max_depth):
+    res = adaptive_simpson(f, a, b, tol, max_depth)
+    assert (res.value, res.error, res.evals, res.depth_hits) == _adaptive_simpson_ref(f, a, b, tol, max_depth)
+
+
+class _Boom(Exception):
+    pass
+
+
+class _Integrand:
+    """A decaying integrand that a weakref can watch; it raises _Boom at
+    its fail_at-th call when one is given."""
+
+    def __init__(self, fn, fail_at=None):
+        self.fn = fn
+        self.fail_at = fail_at
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise _Boom
+        return self.fn(x)
+
+
+def _smooth(t):
+    return 2.0**-t - 3.0**-t
+
+
+def _stalls(t):
+    return 2.0**-t / (1.0 + 40.0 * math.sin(8.0 * t) ** 2)
+
+
+_CALLS = {
+    "simpson": lambda f: adaptive_simpson(f, 0.0, 30.0, 1e-10),
+    "sigma_to_inf": lambda f: integral_sigma_to_inf(f, 1.5, rate=2.0, bound=1.0, quad_tol=1e-10, tail_tol=1e-12),
+    "zero_to_inf": lambda f: integral_zero_to_inf(f, rate=2.0, bound=1.0, quad_tol=1e-10, tail_tol=1e-12),
+    "stalled_sigma": lambda f: integral_sigma_to_inf(
+        f, 0.5, rate=2.0, bound=1.0, quad_tol=1e-13, tail_tol=1e-13, max_depth=2
+    ),
+    "stalled_zero": lambda f: integral_zero_to_inf(f, rate=2.0, bound=1.0, quad_tol=1e-13, tail_tol=1e-13, max_depth=2),
+}
+
+
+@pytest.mark.parametrize(
+    "call, fn, fail_at, raises",
+    [
+        *((call, _smooth, None, None) for call in ("simpson", "sigma_to_inf", "zero_to_inf")),
+        *((call, _smooth, at, _Boom) for call in ("simpson", "sigma_to_inf", "zero_to_inf") for at in (1, 4, 40)),
+        *((call, _stalls, None, QuadratureError) for call in ("stalled_sigma", "stalled_zero")),
+    ],
+)
+def test_quadrature_frees_its_integrand(call, fn, fail_at, raises):
+    # With the cyclic collector off, the integrand (and every array it
+    # owns: the series head's in the difference identity) must go as
+    # soon as the quadrature returns or raises. A recursion that was a
+    # nested function calling itself held it in a reference cycle.
+    integrand = _Integrand(fn, fail_at)
+    ref = weakref.ref(integrand)
+    raised = None
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        try:
+            _CALLS[call](integrand)
+        except (_Boom, QuadratureError) as exc:
+            raised = type(exc)
+        del integrand
+        alive = ref() is not None
+    finally:
+        if enabled:
+            gc.enable()
+    assert raised is raises
+    assert not alive

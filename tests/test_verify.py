@@ -252,12 +252,14 @@ def test_difference_identity_holds_real_divisor_sums(table_big):
     # mu's D(k) in a float64 lattice over a_j log j formed in place, and
     # a series tail set up without K-length temporaries: 10.8 MiB at
     # K = 4e5, where a complex128 D(k) and those temporaries took 14.5.
+    # With the lattice's nonzero places and weights gathered per run of
+    # d, and the series head freed before the tail is set up: 7.5 MiB.
     # The first call fills the table's own caches.
     mu = named_sequence("mu", 400_000, table_big)
     expected = difference_identity_check(mu, table_big, 10, 400_000)
     res, peak = traced_peak(lambda: difference_identity_check(mu, table_big, 10, 400_000))
     assert res == expected
-    assert peak < 12 * 2**20, peak
+    assert peak < 9 * 2**20, peak
 
 
 def _s_multiplicative_identity_ref(spec, table, m):
@@ -579,17 +581,90 @@ def test_lemma_suite_checks_every_grid_before_any_table(grids, message, table_sm
     def boom(*args):
         raise AssertionError("table work before the grid check")
 
-    monkeypatch.setattr("inghamsum.verify.f_t_table", boom)
+    monkeypatch.setattr("inghamsum.verify._f_t_values", boom)
     monkeypatch.setattr("inghamsum.verify.integral_zero_to_inf", boom)
     with pytest.raises(ValueError, match=re.escape(message)):
         lemma_ratio_suite(table_small, **grids)
+
+
+def _lemma_rows_ref(table, t_grid, x_grid, envelope=5.0):
+    """Families (i)-(iv) of lemma_ratio_suite as they were read from a
+    whole f_t table: F_t(x) and F_t(x / 2) from ``ft.prefix``, the other
+    four sums gathered at the sorted distinct x."""
+    xs = np.unique(np.asarray(x_grid, dtype=np.int64))
+    mu = table.mobius_array
+    rows = []
+    for t in t_grid:
+        ft = ig.f_t_table(table, t, max(x_grid))
+        inv_zeta = 1.0 / ig.zeta_real(1.0 + t)
+
+        def terms(lo, hi):
+            d = np.arange(lo, hi, dtype=np.float64)
+            if not lo:
+                d[0] = 1.0
+            mu_d1t = mu[lo:hi] * d ** (-1.0 - t)
+            return ft.values[lo:hi] / d, d**-t, mu_d1t, mu_d1t * np.log(d)
+
+        sums = ig.summation._cumsums_at(xs, terms)
+        for x in x_grid:
+            q_x, dt_x, p1_x, p2_x = (float(s[np.searchsorted(xs, x)]) for s in sums)
+            logx = math.log(x)
+            cells = (
+                ("sum_ft_over_m", q_x, 1.0 + t * logx),
+                ("partial_sums", abs(float(ft.prefix[x]) - x * inv_zeta), x ** (1.0 - t) + dt_x),
+                ("mu_log_identity", abs(q_x - (logx * p1_x - p2_x)), 1.0),
+                ("doubling_increment", float(ft.prefix[x]) - ft.F(x / 2.0), x * (1.0 / logx + t)),
+            )
+            for family, value, bound in cells:
+                ratio = value / bound
+                rows.append(
+                    {"family": family, "t": t, "x": x, "k": None, "value": value,
+                     "bound": bound, "ratio": ratio, "pass": ratio <= envelope}
+                )
+    return rows
+
+
+def _bits(rows):
+    return [{k: v.hex() if isinstance(v, float) else v for k, v in row.items()} for row in rows]
+
+
+@pytest.mark.parametrize(
+    "chunk, x_grid",
+    [
+        (None, (2, 3, 1_001, 65_537, 131_071, 131_072, 131_073, 99_999, 262_145)),
+        (None, (100_000, 7, 2, 7, 54_321)),
+        (7, (2, 3, 5, 13, 14, 15, 29, 1_001, 999)),
+    ],
+)
+def test_lemma_suite_matches_the_f_t_prefix(chunk, x_grid, table_big, monkeypatch):
+    # F_t is gathered at the x and x // 2 instead of read from a whole
+    # prefix array; with odd x, x = 2 (x // 2 = 1), repeated x and ends
+    # on chunk edges, every row keeps its bits.
+    if chunk:
+        monkeypatch.setattr(ig.summation, "_CHUNK_TERMS", chunk)
+    t_grid = (0.05, 0.5, 1.0, 2.5, 9.0)
+    got = lemma_ratio_suite(table_big, envelope=5.0, t_grid=t_grid, x_grid=x_grid, k_grid=(), vx_grid=())
+    assert _bits(got) == _bits(_lemma_rows_ref(table_big, t_grid, x_grid))
+
+
+def test_lemma_suite_holds_no_f_t_prefix():
+    # Per t, the f_t values alone (3.1 MiB at 4e5) and the chunks of the
+    # gather: 6.1 MiB traced, where the f_t table's prefix array beside
+    # its values took 9.1.
+    table = ig.build_sieve(400_000)
+    table.mobius_array
+    _, peak = traced_peak(
+        lambda: lemma_ratio_suite(table, t_grid=(0.1, 1.0), x_grid=(100, 400_000), k_grid=(), vx_grid=())
+    )
+    assert peak < 7.5 * 2**20, peak / 2**20
 
 
 def test_lemma_suite_memory_grows_by_at_most_32_bytes_per_integer():
     # Traced peaks at x tops 2e5 and 4e5 on one 4e5 table. About ten
     # float64 arrays of length max(x) + 1 (d, log d, the terms and four
     # prefix arrays) grew by 89 bytes per integer; the gather at the x
-    # alone, beside one f_t table (values and prefix), by 10.6.
+    # alone, beside one f_t table (values and prefix), by 10.6-16; with
+    # F_t gathered too, beside the f_t values alone, by 8.
     table = ig.build_sieve(400_000)
     table.mobius_array
     peaks = [
