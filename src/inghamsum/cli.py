@@ -10,12 +10,15 @@ sets ``OPENBLAS_NUM_THREADS=1`` unless it is already set, so no idle
 OpenBLAS worker spins at start-up; the library sets nothing.
 
 Every command returns one VerificationReport, fully computed before
-``main`` opens the output, and ``main`` is its only writer. The table
-commands (``sieve``, ``ingham``) hold their columns as arrays, and
-``main`` streams every report in chunks of ``report.CHUNK_ROWS`` (4096)
-rows, so the memory a report adds beyond its arrays (the sieve's, for
-``sieve``) is bounded by the chunk size, about 10 MB for ``sieve --n
-300000``; the bytes are the same as one whole-document write. ``report
+``main`` opens the output, except for the rows of ``sieve``, and
+``main`` is its only writer. ``ingham`` holds its columns as arrays;
+``sieve`` builds its rows one segment of integers at a time
+(:meth:`SieveTable.segments`) as ``main`` writes them, so its memory
+does not grow with N beyond the primes. ``main`` streams every report
+in chunks of ``report.CHUNK_ROWS`` (4096) rows, so the memory a report
+adds beyond its arrays is bounded by the chunk size, about 5 MB for
+``sieve --n 300000``; the bytes are the same as one whole-document
+write. ``report
 --in`` reads its JSON into such arrays, in runs of rows, as a coefficient
 file's values are read in runs (:func:`load_spec_file`). ``mean`` and
 ``verify theorem1 --spec`` size the sieve to cover the spec's Euler
@@ -389,14 +392,9 @@ def _sequence_and_table(args, n: int) -> tuple[CoefficientSequence, SieveTable]:
 def _cmd_sieve(args) -> VerificationReport:
     n = parse_grid(args.n)[-1]
     table = build_sieve(n)
-    columns = {
-        "m": np.arange(2, n + 1),
-        "spf": table.spf[2:],
-        "mu": table.mobius_array[2:],
-        "mangoldt": table.mangoldt_array[2:],
-        "psi": table.psi_prefix[2:],
-    }
-    return VerificationReport("sieve", Columns(columns), {"limit": n})
+    names = ("m", "spf", "mu", "mangoldt", "psi")
+    rows = Columns.from_blocks(n - 1, lambda: (Columns(dict(zip(names, s))) for s in table.segments()))
+    return VerificationReport("sieve", rows, {"limit": n})
 
 
 def _cmd_mean(args) -> VerificationReport:

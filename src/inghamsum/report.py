@@ -6,13 +6,16 @@ complex values as [re, im] pairs, missing values as null/empty. A report
 serialized, re-parsed and re-serialized reproduces identical bytes.
 
 Every report is written column by column in chunks of CHUNK_ROWS rows
-(:meth:`VerificationReport.chunks`). Table commands (sieve, ingham)
-hold their columns as numpy arrays (:class:`Columns`); ReportRow and
-dict rows are turned into columns of JSON-ready values first, so one
-serializer writes every report. Memory beyond the columns themselves is
-bounded by the chunk size: at 4096 rows, the 299,999-row report of
-``sieve --n 300000`` peaks about 10 MB (CSV) and 11 MB (JSON) above
-``sieve --n 1000``, against 39 and 47 MB at 65,536 rows. The chunks
+(:meth:`VerificationReport.chunks`). Table commands hold their columns
+as numpy arrays (:class:`Columns`): ``ingham`` whole, ``sieve`` in
+blocks that are built as the chunks read them
+(:meth:`Columns.from_blocks`). ReportRow and dict rows are turned into
+columns of JSON-ready values first, so one serializer writes every
+report. Memory beyond the columns themselves is bounded by the chunk
+size, and beyond one block for a table in blocks: the 299,999-row
+report of ``sieve --n 300000`` peaks about 4.6 MB (CSV) and 4.8 MB
+(JSON) above ``sieve --n 1000``, against 9.8 and 11.3 MB with whole
+sieve tables and 39 and 47 MB with chunks of 65,536 rows. The chunks
 join to the same bytes as one ``json.dumps`` (or one CSV join) of the
 whole report.
 
@@ -30,8 +33,9 @@ and its peak grows by about 90 bytes per sieve row rather than 350 to
 from __future__ import annotations
 
 import json
+import math
 import re
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +62,9 @@ _READ_CHARS = 1 << 20
 # Report rows sit two levels deep in the JSON document, their values three.
 _ROW_SEP = ",\n    "
 _VALUE_NEWLINE = "\n      "
+# An [re, im] pair in a report row, as json.dumps(indent=2) writes it there.
+_PAIR = "[" + _VALUE_NEWLINE + "  %s," + _VALUE_NEWLINE + "  %s" + _VALUE_NEWLINE + "]"
+_ENCODER = json.JSONEncoder(indent=2, ensure_ascii=False)
 
 
 def jsonable(value):
@@ -91,7 +98,8 @@ class Columns:
     """A table held column by column: each column is a numpy array of
     integer, float or bool dtype, or a list of JSON-ready values, and
     all have ``length`` entries (given explicitly only for a table
-    without columns)."""
+    without columns). A table built by :meth:`from_blocks` holds no
+    columns of its own but a source of its rows in blocks."""
 
     def __init__(self, data: dict, length: int | None = None):
         self.data = dict(data)
@@ -102,6 +110,7 @@ class Columns:
         for name, values in self.data.items():
             if not isinstance(values, list) and values.dtype.kind not in "biuf":
                 raise TypeError(f"column {name!r}: unsupported dtype {values.dtype}")
+        self._blocks = None
 
     def __len__(self) -> int:
         return self.length
@@ -113,11 +122,46 @@ class Columns:
         keys = rows[0].keys() if rows else ()
         return cls({k: [jsonable(row.get(k)) for row in rows] for k in keys}, len(rows))
 
+    @classmethod
+    def from_blocks(cls, length: int, blocks: Callable[[], Iterator[Columns]]) -> Columns:
+        """A table of ``length`` rows that ``blocks()`` yields as
+        consecutive tables with the same columns, built as they are read
+        (:meth:`pieces`), so that only one block is held at a time."""
+        table = cls({}, length)
+        table._blocks = blocks
+        return table
+
     def first(self) -> dict:
         """The first row as JSON-ready values ({} for an empty table)."""
         if not self.length:
             return {}
         return {k: jsonable(v[0]) for k, v in self.data.items()}
+
+    def pieces(self, rows: int) -> Iterator[Columns]:
+        """The table as consecutive tables of ``rows`` rows, the last one
+        fewer, and at least one. A block that a piece ends inside is held
+        until the next piece; pieces of one block are views of it."""
+        held, count, given = [], 0, False
+        for block in self._blocks() if self._blocks else (self,):
+            at = 0
+            while at < len(block):
+                take = min(rows - count, len(block) - at)
+                held.append(Columns({k: v[at : at + take] for k, v in block.data.items()}, take))
+                at += take
+                count += take
+                if count == rows:
+                    yield _stacked(held, count)
+                    held, count, given = [], 0, True
+        if count or not given:
+            yield _stacked(held, count)
+
+
+def _stacked(tables: list[Columns], length: int) -> Columns:
+    """Consecutive tables with the same columns as one table."""
+    if len(tables) == 1:
+        return tables[0]
+    names = tables[0].data if tables else ()
+    return Columns({k: _joined([t.data[k] for t in tables]) for k in names}, length)
 
 
 def _float_cells(part: np.ndarray) -> list[str]:
@@ -132,13 +176,28 @@ def _float_cells(part: np.ndarray) -> list[str]:
     return cells
 
 
+def _json_float(x: float) -> str:
+    """x as ``json`` writes a float: its repr, NaN, Infinity or -Infinity."""
+    if math.isfinite(x):
+        return repr(x)
+    return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
+
+
+def _json_cell(value) -> str:
+    """A JSON-ready value as a cell of a report row: ``json.dumps(value,
+    indent=2)`` indented to the row's depth. An [re, im] pair of floats
+    is written directly; any other value goes through one shared
+    encoder, not a new one per cell."""
+    if type(value) is list and len(value) == 2 and type(value[0]) is float and type(value[1]) is float:
+        return _PAIR % (_json_float(value[0]), _json_float(value[1]))
+    return _ENCODER.encode(value).replace("\n", _VALUE_NEWLINE)
+
+
 def _cells(part, as_json: bool) -> list[str]:
     """The cells of one column chunk: a numpy slice or a list of
     JSON-ready values, formatted by :func:`csv_cell` or as JSON."""
     if isinstance(part, list):
-        if not as_json:
-            return list(map(csv_cell, part))
-        return [json.dumps(v, indent=2, ensure_ascii=False).replace("\n", _VALUE_NEWLINE) for v in part]
+        return list(map(_json_cell if as_json else csv_cell, part))
     kind = part.dtype.kind
     if kind == "b":
         return ["true" if v else "false" for v in part.tolist()]
@@ -147,18 +206,18 @@ def _cells(part, as_json: bool) -> list[str]:
     cells = _float_cells(part)
     if as_json:
         for i in np.flatnonzero(~np.isfinite(part)).tolist():
-            cells[i] = json.dumps(float(part[i]))
+            cells[i] = _json_float(float(part[i]))
     return cells
 
 
-def _json_rows(table: Columns, start: int, stop: int) -> str:
-    """Rows [start, stop) as JSON objects, joined as inside a report."""
+def _json_rows(table: Columns) -> str:
+    """The rows as JSON objects, joined as inside a report."""
     names = list(table.data)
     if not names:
-        return _ROW_SEP.join(["{}"] * (stop - start))
+        return _ROW_SEP.join(["{}"] * len(table))
     keys = (json.dumps(name, ensure_ascii=False).replace("%", "%%") for name in names)
     template = "{" + _VALUE_NEWLINE + ("," + _VALUE_NEWLINE).join(f"{k}: %s" for k in keys) + "\n    }"
-    cells = [_cells(table.data[name][start:stop], as_json=True) for name in names]
+    cells = [_cells(table.data[name], as_json=True) for name in names]
     return _ROW_SEP.join(map(template.__mod__, zip(*cells)))
 
 
@@ -168,29 +227,29 @@ def _json_item(key, value) -> str:
     return f"{json.dumps(str(key), ensure_ascii=False)}: {text}"
 
 
-def canonical_json_bytes(obj, start: int = 0, stop: int | None = None) -> bytes:
+def canonical_json_bytes(obj, rows: Columns | None = None, start: int = 0) -> bytes:
     """Canonical JSON encoding: 2-space indent, preserved key order,
     trailing newline. Parsing and re-encoding is byte-stable.
 
     A dict that holds a :class:`Columns` table (a report's rows) is
-    written in pieces: rows [start, stop) of the table, led by the text
-    before it when start is 0 and followed by the text after it when
-    stop is the table's length (the default). Consecutive row ranges
-    join to the whole document.
+    written in pieces: ``rows``, the table's rows from ``start`` on (by
+    default the whole table), led by the text before the table when
+    start is 0 and followed by the text after it when they end the
+    table. Consecutive pieces join to the whole document.
     """
     items = list(obj.items()) if isinstance(obj, dict) else []
     at = next((i for i, (_, v) in enumerate(items) if isinstance(v, Columns)), None)
     if at is None:
         return (json.dumps(jsonable(obj), indent=2, ensure_ascii=False) + "\n").encode()
     key, table = items[at]
-    stop = len(table) if stop is None else stop
+    rows = table if rows is None else rows
     parts = []
     if start == 0:
         parts += ["{", *(f"\n  {_json_item(k, v)}," for k, v in items[:at])]
         parts.append(f"\n  {json.dumps(str(key), ensure_ascii=False)}: [")
-    if stop > start:
-        parts += ["\n    " if start == 0 else _ROW_SEP, _json_rows(table, start, stop)]
-    if stop == len(table):
+    if len(rows):
+        parts += ["\n    " if start == 0 else _ROW_SEP, _json_rows(rows)]
+    if start + len(rows) == len(table):
         parts.append("\n  ]" if len(table) else "]")
         parts += [",\n  " + _json_item(k, v) for k, v in items[at + 1 :]]
         parts.append("\n}\n")
@@ -209,30 +268,29 @@ def csv_cell(value) -> str:
     return str(value)
 
 
-def _csv_cells(table: Columns, column: str, start: int, stop: int) -> list[str]:
+def _csv_cells(table: Columns, column: str) -> list[str]:
     values = table.data.get(column)
     if values is not None:
-        return _cells(values[start:stop], as_json=False)
+        return _cells(values, as_json=False)
     pair = table.data.get(column[3:]) if column[:3] in ("re_", "im_") else None
     if pair is None:
-        return [""] * (stop - start)
+        return [""] * len(table)
     i = int(column.startswith("im_"))
-    return [csv_cell(None if v is None else v[i]) for v in pair[start:stop]]
+    return [csv_cell(None if v is None else v[i]) for v in pair]
 
 
-def csv_bytes(columns, rows, start: int = 0, stop: int | None = None) -> bytes:
-    """Deterministic CSV of rows [start, stop): fixed column order, repr
-    floats, LF newlines, and the header line only when start is 0.
+def csv_bytes(columns, rows, header: bool = True) -> bytes:
+    """Deterministic CSV of rows: fixed column order, repr floats, LF
+    newlines, led by the header line when header is true.
 
     rows is a :class:`Columns` table or a list of dicts keyed alike. A
     column the rows lack is empty, except that re_k and im_k take the
     parts of the [re, im] pair under k (both empty for null).
     """
     table = rows if isinstance(rows, Columns) else Columns.from_rows(rows)
-    stop = len(table) if stop is None else stop
-    cells = [_csv_cells(table, col, start, stop) for col in columns]
+    cells = [_csv_cells(table, col) for col in columns]
     lines = list(map(",".join, zip(*cells)))
-    if start == 0:
+    if header:
         lines.insert(0, ",".join(columns))
     return ("\n".join(lines) + "\n").encode() if lines else b""
 
@@ -322,31 +380,47 @@ class VerificationReport:
         return Columns.from_rows([row.to_json_obj() for row in self.rows] if self._records else self.rows)
 
     def chunks(self, fmt: str) -> Iterator[bytes]:
-        """The report as CSV or JSON bytes, CHUNK_ROWS rows at a time.
+        """The report as CSV or JSON bytes, CHUNK_ROWS rows at a time
+        (:meth:`Columns.pieces`), each formatted as it is consumed.
 
         The CSV is flattened from the JSON form of the rows by
         :func:`csv_layout`, so a report and its JSON read back give the
-        same bytes. The columns are laid out here; the chunks are
-        formatted as they are consumed.
+        same bytes.
         """
         table = self.table()
-        n = len(table)
-        bounds = [(a, min(a + CHUNK_ROWS, n)) for a in range(0, n, CHUNK_ROWS)] or [(0, 0)]
         if fmt == "csv":
-            columns = csv_layout(table.first())
-            return (csv_bytes(columns, table, a, b) for a, b in bounds)
+            return _csv_chunks(table.pieces(CHUNK_ROWS))
         doc = {
             "experiment_id": self.experiment_id,
             "rows": table,
             "summary": self.summary,
         }
-        return (canonical_json_bytes(doc, a, b) for a, b in bounds)
+        return _json_chunks(doc, table.pieces(CHUNK_ROWS))
 
     def to_json_bytes(self) -> bytes:
         return b"".join(self.chunks("json"))
 
     def to_csv_bytes(self) -> bytes:
         return b"".join(self.chunks("csv"))
+
+
+def _csv_chunks(pieces: Iterator[Columns]) -> Iterator[bytes]:
+    """The CSV of consecutive pieces of a table, laid out from its first
+    row; no piece is held past its own chunk."""
+    columns = None
+    for piece in pieces:
+        header = columns is None
+        if header:
+            columns = csv_layout(piece.first())
+        yield csv_bytes(columns, piece, header)
+
+
+def _json_chunks(doc: dict, pieces: Iterator[Columns]) -> Iterator[bytes]:
+    """The JSON of doc, one piece of its table's rows at a time."""
+    start = 0
+    for piece in pieces:
+        yield canonical_json_bytes(doc, piece, start)
+        start += len(piece)
 
 
 def csv_layout(first: dict) -> list[str]:

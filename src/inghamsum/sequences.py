@@ -449,7 +449,7 @@ def named_sequence(name: str, n: int, table: SieveTable) -> CoefficientSequence:
     elif name == "one":
         a = np.ones(n + 1, dtype=np.int8)
     elif name == "liouville":
-        a = _sign_sieve(table.primes, n, mobius=False)
+        a = _sign_sieve(table.primes, 0, n, mobius=False)
     elif name == "inverse-squares":
         return CoefficientSequence.from_values(np.arange(1, n + 1, dtype=np.float64) ** -2.0)
     else:

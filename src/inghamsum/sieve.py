@@ -9,7 +9,13 @@ included, is built lazily from the primes and cached on the table, so
 a command pays only for what it reads, and the cost of e.g. a Psi
 prefix array is paid once even when a verification grid issues
 thousands of queries. mu and Liouville's lambda share one sign sieve;
-the SPF table serves only the scalar methods and the `sieve` command.
+the SPF table serves only the scalar methods.
+
+Each table comes from one kernel over a segment [lo, hi] of the
+integers: the whole table is its kernel over [0, limit], and
+:meth:`SieveTable.segments` (the `sieve` command's rows) runs the same
+kernels over SEGMENT integers at a time, so it holds no array as long
+as the table.
 
 The table is immutable after construction (the backing arrays are marked
 read-only) and safe to share between threads.
@@ -18,6 +24,7 @@ read-only) and safe to share between threads.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -25,8 +32,12 @@ from .errors import CapacityError
 
 # The cap on a sieve limit: the build holds a 50 MB odd-only bool sieve
 # and 46 MB of primes here, mobius_array and liouville 0.1 GB each, and the
-# int32 SPF table, which only the scalar methods and `sieve` read, 0.4 GB.
+# int32 SPF table, which only the scalar methods read, 0.4 GB.
 DEFAULT_CAPACITY = 100_000_000
+# Integers per segment of SieveTable.segments. The five arrays of a
+# segment take 27 bytes per integer, 1.8 MB here; 2**18 integers would
+# add about 7 MB to the peak of `sieve --n 300000`.
+SEGMENT = 1 << 16
 # The sign sieve's cofactor pass forms its indices this many primes at a
 # time, and the divisor lattice's cofactor adds this many d at a time.
 # One index array over all the primes above sqrt(limit) (5.3 MB at
@@ -34,6 +45,10 @@ DEFAULT_CAPACITY = 100_000_000
 # the heap's layout decides, moved the peak of `verify theorem2` at 1e7
 # by 8 MB.
 _COFACTOR_CHUNK = 1 << 16
+# The sign sieve's cofactor pass takes a cofactor's run of primes as one
+# slice from this length up; a slice costs one Python step, about the
+# gathered indices of 200 to 300 primes.
+_SHORT_RUN = 256
 
 
 class SieveTable:
@@ -71,21 +86,11 @@ class SieveTable:
 
     @property
     def spf(self) -> np.ndarray:
-        """The smallest-prime-factor table (see the class attributes).
-
-        Walked in descending order, each prime p <= sqrt(limit) stores p
-        on its multiples from p^2 up, so the smallest prime factor of
-        every composite is written last; then each prime stores itself.
-        """
+        """The smallest-prime-factor table (see the class attributes;
+        :func:`_spf_segment`)."""
         if self._spf is None:
-            n = self.limit
-            spf = np.zeros(n + 1, dtype=np.int32)
-            split = int(np.searchsorted(self.primes, math.isqrt(n), "right"))
-            for p in self.primes[:split][::-1].tolist():
-                spf[p * p :: p] = p
-            spf[self.primes] = self.primes
-            spf.flags.writeable = False
-            self._spf = spf
+            self._spf = _spf_segment(self.primes, 0, self.limit)
+            self._spf.flags.writeable = False
         return self._spf
 
     @property
@@ -93,35 +98,47 @@ class SieveTable:
         """int8 array with mobius_array[m] = mu(m); index 0 is unused
         (:func:`_sign_sieve`)."""
         if self._mobius_arr is None:
-            self._mobius_arr = _sign_sieve(self.primes, self.limit, mobius=True)
+            self._mobius_arr = _sign_sieve(self.primes, 0, self.limit, mobius=True)
             self._mobius_arr.flags.writeable = False
         return self._mobius_arr
 
     @property
     def mangoldt_array(self) -> np.ndarray:
-        """float64 array with mangoldt_array[m] = Lambda(m)."""
+        """float64 array with mangoldt_array[m] = Lambda(m)
+        (:func:`_mangoldt_segment`)."""
         if self._mangoldt_arr is None:
-            lam = np.zeros(self.limit + 1, dtype=np.float64)
-            lam[self.primes] = np.log(self.primes.astype(np.float64))
-            root = math.isqrt(self.limit)
-            for p in self.primes[self.primes <= root].tolist():
-                logp = math.log(p)
-                pk = p * p
-                while pk <= self.limit:
-                    lam[pk] = logp
-                    pk *= p
-            lam.flags.writeable = False
-            self._mangoldt_arr = lam
+            self._mangoldt_arr = _mangoldt_segment(self.primes, 0, self.limit)
+            self._mangoldt_arr.flags.writeable = False
         return self._mangoldt_arr
 
     @property
     def psi_prefix(self) -> np.ndarray:
-        """float64 array with psi_prefix[m] = Psi(m) = sum_{j<=m} Lambda(j)."""
+        """float64 array with psi_prefix[m] = Psi(m) = sum_{j<=m} Lambda(j)
+        (:func:`_psi_segment`)."""
         if self._psi_prefix is None:
-            pref = np.cumsum(self.mangoldt_array)
-            pref.flags.writeable = False
-            self._psi_prefix = pref
+            self._psi_prefix = _psi_segment(self.mangoldt_array, 0.0)
+            self._psi_prefix.flags.writeable = False
         return self._psi_prefix
+
+    def segments(self) -> Iterator[tuple[np.ndarray, ...]]:
+        """m (int64), spf, mu, Lambda and Psi for m from 2 to limit, as
+        arrays over consecutive segments of SEGMENT integers, each built
+        by the kernels of the whole tables with Psi carried from one
+        segment to the next; each has the whole tables' values, bit for
+        bit."""
+        carry = 0.0  # Psi(1)
+        for lo in range(2, self.limit + 1, SEGMENT):
+            hi = min(lo + SEGMENT - 1, self.limit)
+            lam = _mangoldt_segment(self.primes, lo, hi)
+            psi = _psi_segment(lam, carry)
+            carry = float(psi[-1])
+            yield (
+                np.arange(lo, hi + 1, dtype=np.int64),
+                _spf_segment(self.primes, lo, hi),
+                _sign_sieve(self.primes, lo, hi, mobius=True),
+                lam,
+                psi,
+            )
 
     # -- scalar arithmetic functions ------------------------------------
 
@@ -235,33 +252,119 @@ def hyperbola_cofactors(big: np.ndarray, n: int):
             yield q, j
 
 
-def _sign_sieve(primes: np.ndarray, n: int, mobius: bool) -> np.ndarray:
-    """int8 s[m] = mu(m) if mobius else lambda(m) = (-1)^Omega(m) for m
-    <= n, s[0] = 0, from the ascending primes (at least those up to n).
+def _start(lo: int, step: int, first: int) -> int:
+    """The offset from lo of the first multiple of step that is at least
+    lo and at least first, itself a multiple of step."""
+    return max(first, -(-lo // step) * step) - lo
 
-    Each prime p <= sqrt(n) flips the sign on its multiples, then zeroes
-    the multiples of p^2 (mu) or flips again on those of each p^k <= n
-    (lambda). What is left of m is 1 or one prime P > sqrt(n), so one
-    pass over the cofactors q = m / P (:func:`hyperbola_cofactors`)
-    negates s at every P q, ``_COFACTOR_CHUNK`` primes at a time.
+
+def _primes_in(primes: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The primes in [lo, hi] and their offsets from lo; at lo = 0 the
+    offsets are the primes themselves, not an N-length copy."""
+    inside = primes[np.searchsorted(primes, lo) : np.searchsorted(primes, hi, "right")]
+    return inside, (inside - lo if lo else inside)
+
+
+def _spf_segment(primes: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """int32 spf[m - lo] = the smallest prime factor of m for lo <= m <=
+    hi, 0 at m = 0, 1, from the ascending primes (at least those up to
+    hi).
+
+    Walked in descending order, each prime p <= sqrt(hi) stores p on its
+    multiples from p^2 up, so the smallest prime factor of every
+    composite is written last; then each prime stores itself.
     """
-    s = np.ones(n + 1, dtype=np.int8)
-    s[0] = 0
-    split = int(np.searchsorted(primes, math.isqrt(n), "right"))
+    spf = np.zeros(hi - lo + 1, dtype=np.int32)
+    split = int(np.searchsorted(primes, math.isqrt(hi), "right"))
+    for p in primes[:split][::-1].tolist():
+        spf[_start(lo, p, p * p) :: p] = p
+    inside, at = _primes_in(primes, lo, hi)
+    spf[at] = inside
+    return spf
+
+
+def _sign_sieve(primes: np.ndarray, lo: int, hi: int, mobius: bool) -> np.ndarray:
+    """int8 s[m - lo] = mu(m) if mobius else lambda(m) = (-1)^Omega(m)
+    for lo <= m <= hi, 0 at m = 0, from the ascending primes (at least
+    those up to hi).
+
+    Each prime p <= sqrt(hi) flips the sign on its multiples, then zeroes
+    the multiples of p^2 (mu) or flips again on those of each p^k <= hi
+    (lambda). What is left of m is 1 or one prime P > sqrt(hi), so one
+    pass over the cofactors q = m / P <= hi // (isqrt(hi) + 1) negates s
+    at every P q in [lo, hi]: the primes P of a cofactor are a run of
+    the primes, and a run of at least ``_SHORT_RUN`` is taken as
+    ``big[i:j] * q``, ``_COFACTOR_CHUNK`` primes at a time, while the
+    shorter runs, most of those over a short segment, are gathered
+    together into index arrays of at most ``_COFACTOR_CHUNK``.
+    """
+    s = np.ones(hi - lo + 1, dtype=np.int8)
+    if lo == 0:
+        s[0] = 0
+    root = math.isqrt(hi)
+    split = int(np.searchsorted(primes, root, "right"))
     for p in primes[:split].tolist():
-        s[p::p] *= -1
+        s[_start(lo, p, p) :: p] *= -1
         pk = p * p
         if mobius:
-            s[pk::pk] = 0
-        while pk <= n and not mobius:
-            s[pk::pk] *= -1
+            s[_start(lo, pk, pk) :: pk] = 0
+        while pk <= hi and not mobius:
+            s[_start(lo, pk, pk) :: pk] *= -1
             pk *= p
-    big = primes[split:]
-    for q, j in hyperbola_cofactors(big, n):
-        for lo in range(0, j, _COFACTOR_CHUNK):
-            at = big[lo : min(lo + _COFACTOR_CHUNK, j)] * q
+    big = primes[split : np.searchsorted(primes, hi, "right")]
+    qs = np.arange(hi // (root + 1), 0, -1)
+    starts = np.searchsorted(big, -(-lo // qs))
+    ends = np.searchsorted(big, hi // qs, "right")
+    runs = ends - starts
+    long = runs >= _SHORT_RUN
+    for q, i, j in zip(qs[long], starts[long], ends[long]):
+        for a in range(i, j, _COFACTOR_CHUNK):
+            at = big[a : min(a + _COFACTOR_CHUNK, j)] * q
+            at -= lo
             s[at] = -s[at]
+    short = np.flatnonzero(~long & (runs > 0))
+    step = _COFACTOR_CHUNK // _SHORT_RUN
+    for g in range(0, short.size, step):
+        k = short[g : g + step]
+        run = runs[k]
+        at = np.repeat(starts[k] - (np.cumsum(run) - run), run)
+        at += np.arange(at.size)
+        at = big[at]
+        at *= np.repeat(qs[k], run)
+        at -= lo
+        s[at] = -s[at]
     return s
+
+
+def _mangoldt_segment(primes: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """float64 lam[m - lo] = Lambda(m) for lo <= m <= hi, from the
+    ascending primes (at least those up to hi): ``np.log`` at the primes
+    and ``math.log(p)`` at the higher powers of each p <= sqrt(hi). The
+    two logs differ in the last bit at some primes, so each value keeps
+    its route."""
+    lam = np.zeros(hi - lo + 1, dtype=np.float64)
+    inside, at = _primes_in(primes, lo, hi)
+    lam[at] = np.log(inside.astype(np.float64))
+    for p in primes[: np.searchsorted(primes, math.isqrt(hi), "right")].tolist():
+        logp = math.log(p)
+        pk = p * p
+        while pk <= hi:
+            if pk >= lo:
+                lam[pk - lo] = logp
+            pk *= p
+    return lam
+
+
+def _psi_segment(lam: np.ndarray, carry: float) -> np.ndarray:
+    """float64 Psi over a segment: the running sums of its Lambda values
+    lam, carried on from Psi = carry just before it. Each value adds one
+    term to the one before, as ``np.cumsum`` of the whole Lambda table
+    does, so segments give the whole table's bits."""
+    psi = np.empty(lam.size + 1, dtype=np.float64)
+    psi[0] = carry
+    psi[1:] = lam
+    np.cumsum(psi, out=psi)
+    return psi[1:]
 
 
 def build_sieve(limit: int) -> SieveTable:

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import inghamsum as ig
-from inghamsum import a_from_f, accumulate, dirichlet, quadrature, sequences, summation, sum_over_divisors, verify
+from inghamsum import a_from_f, accumulate, dirichlet, quadrature, sequences, sieve, summation, sum_over_divisors, verify
 from inghamsum.accumulate import csum, rsum
 from inghamsum.cli import _coeffs_builder, parse_grid
 from inghamsum.dirichlet import _EM_COEFFS, f_t_table, ft_partial_sum
@@ -164,6 +164,33 @@ def _build_sieve_ref(limit):
     return spf, np.nonzero((spf == idx) & (idx >= 2))[0].astype(np.int64)
 
 
+def _spf_ref(table):
+    """spf as one int32 table: each p <= sqrt(limit), in descending order,
+    stores p on its multiples from p^2 up, then each prime stores itself."""
+    n = table.limit
+    spf = np.zeros(n + 1, dtype=np.int32)
+    split = int(np.searchsorted(table.primes, math.isqrt(n), "right"))
+    for p in table.primes[:split][::-1].tolist():
+        spf[p * p :: p] = p
+    spf[table.primes] = table.primes
+    return spf
+
+
+def _mangoldt_ref(table):
+    """Lambda as one table: np.log at the primes, math.log(p) at the
+    higher powers of p."""
+    lam = np.zeros(table.limit + 1, dtype=np.float64)
+    lam[table.primes] = np.log(table.primes.astype(np.float64))
+    root = math.isqrt(table.limit)
+    for p in table.primes[table.primes <= root].tolist():
+        logp = math.log(p)
+        pk = p * p
+        while pk <= table.limit:
+            lam[pk] = logp
+            pk *= p
+    return lam
+
+
 def _mobius_product_ref(table):
     """mu from the primes p <= sqrt(limit) and an integer product of the
     small prime divisors: a squarefree m whose product falls short of m
@@ -202,6 +229,35 @@ def test_build_sieve_matches_masked_int64_loop():
         assert np.array_equal(table.spf, spf), n
         assert np.array_equal(table.primes, primes), n
         assert not (table.spf.flags.writeable or table.primes.flags.writeable)
+
+
+def _same_array(got, ref):
+    return got.dtype == ref.dtype and np.array_equal(got.view(np.uint8), ref.view(np.uint8))
+
+
+@pytest.mark.parametrize("segment", [7, 64, sieve.SEGMENT])
+def test_sieve_segments_match_whole_table_loops(monkeypatch, segment):
+    # Each segment's m, spf, mu, Lambda and Psi against the whole-table
+    # loops, bit for bit and in dtype; limits that end a segment, one
+    # before that, and all of SIEVE_LIMITS for the segments in use.
+    default = segment == sieve.SEGMENT
+    limits = set(SIEVE_LIMITS) if default else {n for n in SIEVE_LIMITS if n <= 2000}
+    monkeypatch.setattr(sieve, "SEGMENT", segment)
+    for n in sorted(limits | {k * segment + e for k in (1, 2, 3) for e in (0, 1)}):
+        table = ig.build_sieve(n)
+        lam = _mangoldt_ref(table)
+        refs = (np.arange(n + 1, dtype=np.int64), _spf_ref(table), _mobius_ref(table), lam, np.cumsum(lam))
+        lo = 2
+        for columns in table.segments():
+            hi = min(lo + segment, n + 1)
+            for got, ref in zip(columns, refs, strict=True):
+                assert _same_array(got, ref[lo:hi]), (n, lo)
+            lo = hi
+        assert lo == n + 1, n
+        if default:
+            assert _same_array(table.mangoldt_array, lam), n
+            assert _same_array(table.psi_prefix, refs[-1]), n
+            assert _same_array(table.spf, refs[1]), n
 
 
 def test_mobius_array_matches_all_prime_loop():

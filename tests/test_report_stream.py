@@ -16,6 +16,7 @@ import pytest
 
 import inghamsum as ig
 import inghamsum.report as report_mod
+import inghamsum.sieve as sieve_mod
 from inghamsum.cli import _coeffs_builder, main, parse_grid
 from inghamsum.report import CSV_COLUMNS, Columns, ReportRow, VerificationReport
 
@@ -116,14 +117,26 @@ def small_chunks(monkeypatch):
     return 16
 
 
+@pytest.fixture(params=[8, 40], ids=["segment-8", "segment-40"])
+def small_segments(request, monkeypatch):
+    # Segments smaller and larger than a small chunk; 40 rows are not a
+    # whole number of chunks, so chunks also straddle segments.
+    monkeypatch.setattr(sieve_mod, "SEGMENT", request.param)
+    return request.param
+
+
 # -- byte identity ------------------------------------------------------
 
 
 @pytest.mark.parametrize("offset", [None, -1, 0, 1])
-def test_sieve_bytes_equal_old_route(tmp_path, small_chunks, offset):
+def test_sieve_bytes_equal_old_route(tmp_path, small_chunks, small_segments, offset):
     # offset None covers N = 2 and 3; otherwise the table has chunk - 1,
-    # chunk or chunk + 1 rows (m = 2..N).
-    limits = (2, 3) if offset is None else (small_chunks + 1 + offset,)
+    # chunk or chunk + 1 rows (m = 2..N), and ends one row before, at or
+    # one row after the end of its first, second or third segment.
+    if offset is None:
+        limits = (2, 3)
+    else:
+        limits = (small_chunks + 1 + offset, *(k * small_segments + 1 + offset for k in (1, 2, 3)))
     for n in limits:
         rows = old_sieve_rows(n)
         argv = ["sieve", "--n", str(n)]
@@ -180,7 +193,7 @@ def test_dict_row_report_bytes_equal_old_route(small_chunks):
             "family": "f%s" % (i % 3),
             "t": None if i % 2 else 0.5 * i,
             "x": i,
-            "z": [float(i), -1.5] if i % 4 else None,
+            "z": [[float(i), -1.5], [math.nan, -0.0], [math.inf, -math.inf]][i % 3] if i % 4 else None,
             "value": np.float64(i / 7),
             "ok": bool(i % 5),
             "w": np.bool_(i % 2),
@@ -221,6 +234,31 @@ def test_chunks_join_to_whole_report(small_chunks):
     assert len(chunks) == 6
     assert b"".join(chunks) == report.to_json_bytes()
     assert json.loads(b"".join(chunks))["rows"][-1] == {"x": (n - 1) / 3}
+
+
+@pytest.mark.parametrize("sizes", [(5, 0, 17, 3, 16, 1), (16, 16), (40,), (0,)])
+def test_table_in_blocks_equals_whole_table(small_chunks, sizes):
+    # Blocks of any size, empty ones too, against the same rows held whole;
+    # the list column joins across blocks, the array columns concatenate.
+    n = sum(sizes)
+    whole = {
+        "m": np.arange(n),
+        "v": np.arange(n) / 7,
+        "z": [None if i % 3 else [i / 3, -0.0] for i in range(n)],
+    }
+
+    def blocks():
+        at = 0
+        for size in sizes:
+            yield Columns({k: v[at : at + size] for k, v in whole.items()}, size)
+            at += size
+
+    streamed = VerificationReport("t", Columns.from_blocks(n, blocks), SUMMARY)
+    report = VerificationReport("t", Columns(whole, n), SUMMARY)
+    for fmt in ("csv", "json"):
+        chunks = list(streamed.chunks(fmt))
+        assert len(chunks) == max(1, -(-n // small_chunks)), fmt
+        assert b"".join(chunks) == b"".join(report.chunks(fmt)), fmt
 
 
 def test_columns_reject_ragged_and_complex():
@@ -375,7 +413,8 @@ def test_sieve_peak_memory_grows_by_at_most_100_bytes_per_integer():
     limits = (100_000, 200_000, 400_000)
     peaks = sieve_peak_rss(SRC, limits)
     # The whole-document route grew by about 490 (CSV) and 1670 (JSON)
-    # bytes per integer; the sieve arrays alone take about 40.
+    # bytes per integer, and whole sieve tables by about 28; rows built
+    # segment by segment grow by 0.6 to 11 (the 1e5 to 2e5 step the most).
     for fmt in ("csv", "json"):
         for lo, hi in zip(limits, limits[1:]):
             growth = (peaks[f"{fmt}-{hi}"] - peaks[f"{fmt}-{lo}"]) / (hi - lo)
@@ -385,12 +424,23 @@ def test_sieve_peak_memory_grows_by_at_most_100_bytes_per_integer():
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB is Linux behaviour")
 def test_sieve_peak_memory_at_300000_is_at_most_15_mb_above_1000():
     # With chunks of 2**16 rows the gap was about 39 MB (CSV) and 47 MB
-    # (JSON); with 2**12 it is about 9 and 11, the sieve arrays and
-    # columns.
+    # (JSON); with 2**12 it was about 9 and 11, the whole sieve tables
+    # and columns; with rows built segment by segment it is about 5.
     peaks = sieve_peak_rss(SRC, (1000, 300_000))
     for fmt in ("csv", "json"):
         gap = peaks[f"{fmt}-300000"] - peaks[f"{fmt}-1000"]
         assert gap <= 15 * 2**20, (fmt, gap)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB is Linux behaviour")
+def test_sieve_peak_memory_grows_by_at_most_4_bytes_per_integer():
+    # Whole sieve tables grew by about 28 bytes per integer. Rows built
+    # segment by segment hold only the primes up to N across segments.
+    limits = (400_000, 1_600_000)
+    peaks = sieve_peak_rss(SRC, limits)
+    for fmt in ("csv", "json"):
+        growth = (peaks[f"{fmt}-{limits[1]}"] - peaks[f"{fmt}-{limits[0]}"]) / (limits[1] - limits[0])
+        assert growth <= 4, (fmt, growth)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB is Linux behaviour")

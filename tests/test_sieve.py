@@ -46,6 +46,7 @@ def test_build_keeps_no_spf_table_until_it_is_read():
         named_sequence("liouville", n, t)
         k = min(n, 300)
         difference_identity_check(named_sequence("mu", k, t), t, min(n, 10), k)
+        list(t.segments())
         assert t._spf is None, n
         spf = t.spf
         assert t._spf is spf and t.spf is spf and t.spf is spf, n
