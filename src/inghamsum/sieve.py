@@ -360,6 +360,8 @@ def _psi_segment(lam: np.ndarray, carry: float) -> np.ndarray:
     lam, carried on from Psi = carry just before it. Each value adds one
     term to the one before, as ``np.cumsum`` of the whole Lambda table
     does, so segments give the whole table's bits."""
+    if carry == 0.0:  # 0.0 + x is x for every Lambda value x >= 0
+        return np.cumsum(lam)
     psi = np.empty(lam.size + 1, dtype=np.float64)
     psi[0] = carry
     psi[1:] = lam
