@@ -19,7 +19,7 @@ import numpy as np
 
 from .accumulate import ExactSum, csum, rsum
 from .sequences import CoefficientSequence, MultiplicativeSpec
-from .sieve import SieveTable, hyperbola_cofactors
+from .sieve import SieveTable, _big_prime_multiples
 from .summation import _block_terms
 from .errors import SingularFactorError
 
@@ -237,10 +237,10 @@ def _f_t_values(table: SieveTable, t: float, n: int) -> np.ndarray:
 
     Each prime p <= sqrt(n) multiplies its factor into its multiples, in
     ascending p. What is left of m is at most one prime P > sqrt(n), its
-    largest, so one pass over the cofactors q = m / P
-    (:func:`sieve.hyperbola_cofactors`) multiplies 1 - P^-t in last and
-    keeps the ascending order of the factors. Every factor is formed by
-    Python's float pow (numpy's vector power can differ in the last bit).
+    largest, so the big-prime pass (:func:`sieve._big_prime_multiples`)
+    multiplies 1 - P^-t in last and keeps the ascending order of the
+    factors. Every factor is formed by Python's float pow (numpy's vector
+    power can differ in the last bit).
     """
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
@@ -253,10 +253,11 @@ def _f_t_values(table: SieveTable, t: float, n: int) -> np.ndarray:
     for p in primes[:split].tolist():
         values[p::p] *= 1.0 - float(p) ** -t
     big = primes[split:]
-    factors = 1.0 - _inverse_powers(big, t)
-    for q, j in hyperbola_cofactors(big, n):
-        at = big[:j] * q
-        values[at] *= factors[:j]
+
+    def times(at, factors):
+        values[at] *= factors
+
+    _big_prime_multiples(big, 0, n, times, 1.0 - _inverse_powers(big, t))
     return values
 
 

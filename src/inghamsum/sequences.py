@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SpecFormatError
-from .sieve import _COFACTOR_CHUNK, SieveTable, _sign_sieve
+from .sieve import _COFACTOR_CHUNK, SieveTable, _big_prime_multiples, _sign_sieve
 
 BUILTIN_SEQUENCES = ("mu", "unit", "one", "liouville", "inverse-squares")
 
@@ -244,6 +244,8 @@ def _divisor_lattice(
         for lo in range(0, n // d, _COFACTOR_CHUNK):
             hi = min(lo + _COFACTOR_CHUNK, n // d)
             out[d * (lo + 1) : d * hi + 1 : d] += w * f[lo + 1 : hi + 1]
+    # Not the sieve's big-prime pass: these d need not be prime, so two of
+    # them can share a product d q, and each out[m] must add in ascending d.
     for lo in range(r + 1, n + 1, _COFACTOR_CHUNK):
         big = np.flatnonzero(weights[lo : lo + _COFACTOR_CHUNK])
         big += lo
@@ -299,8 +301,6 @@ def a_from_f(table: SieveTable, f: np.ndarray) -> CoefficientSequence:
 
 _CHUNK = 4096
 # Integers per segment of a streamed extension: 2 MB of complex128 f.
-# It also sizes the gather groups of _largest_prime_pass, so a segment
-# at 1e7 holds at most about 8 MiB of temporaries.
 _SEGMENT = 1 << 17
 
 
@@ -332,41 +332,25 @@ def _largest_prime_pass(f: np.ndarray, lo: int, primes: np.ndarray, values: np.n
     """f[m - lo] *= f(p) for every multiple m = p j >= 1 in the segment of
     f, p one of the primes, each above the square root of the segment's
     top: p is then the largest prime factor of m, and m has no other
-    factor among them. The (p, j) pairs are laid out in groups of about
-    _SEGMENT, the real and the complex f(p) apart, gathered, multiplied
-    by :func:`_times` (by one scalar when every f(p) of the group has the
-    same bits) and scattered back. Only the primes with a multiple in
-    the segment are grouped: a segment of 2**17 integers near 1e7 has
-    one for about 33 k of the 78 k primes up to 1e6."""
-    top = lo + f.size - 1
-    pf = primes.astype(np.float64)
-    # floor(x / p) in float64 is exact for integers with x + p < 2**53.
-    below = np.floor((max(lo, 1) - 1) / pf)
-    counts = (np.floor(top / pf) - below).astype(np.int64)
-    live = np.flatnonzero(counts)
-    primes, values, counts, below = primes[live], values[live], counts[live], below[live]
+    factor among them. The real and the complex f(p) go through the
+    big-prime pass (:func:`sieve._big_prime_multiples`) apart; each of
+    its groups is gathered, multiplied by :func:`_times` (by one scalar
+    when every f(p) of the pass has the same bits) and scattered back."""
     real = values.imag == 0
     for group in (real, ~real):
-        p, c, fp = primes[group], counts[group], values[group]
-        if not p.size:
+        fp = values[group]
+        if not fp.size:
             continue
-        j0 = below[group].astype(np.int64) + 1
+        scalar = None
         if np.all(fp.view(np.int64).reshape(-1, 2) == fp[:1].view(np.int64)):
-            fp = complex(fp[0])
-        ends = np.cumsum(c)
-        cuts = np.searchsorted(ends, np.arange(_SEGMENT, ends[-1], _SEGMENT)).tolist()
-        for a, b in zip([0, *cuts], [*cuts, p.size]):
-            k = c[a:b]
-            pairs = int(k.sum())
-            if not pairs:
-                continue
-            at = np.arange(pairs)  # formed in place: m - lo = p j - lo
-            at -= np.repeat(np.cumsum(k) - k - j0[a:b], k)
-            at *= np.repeat(p[a:b], k)
-            at -= lo
-            v = f[at]
-            _times(v, fp if isinstance(fp, complex) else np.repeat(fp[a:b], k), group is real)
-            f[at] = v
+            scalar, fp = complex(fp[0]), None
+
+        def times(at, v):
+            w = f[at]
+            _times(w, scalar if v is None else v, group is real)
+            f[at] = w
+
+        _big_prime_multiples(primes[group], lo, lo + f.size - 1, times, fp)
 
 
 def extend_completely_multiplicative(

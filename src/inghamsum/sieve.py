@@ -11,6 +11,12 @@ prefix array is paid once even when a verification grid issues
 thousands of queries. mu and Liouville's lambda share one sign sieve;
 the SPF table serves only the scalar methods.
 
+Every m <= N has at most one prime factor P > sqrt(N), with exponent 1.
+One kernel (:func:`_big_prime_multiples`) walks the products P q and
+applies P's factor at each m once: the sign sieve, f_t
+(:mod:`dirichlet`) and the completely multiplicative extension
+(:mod:`sequences`) all end with it.
+
 Each table comes from one kernel over a segment [lo, hi] of the
 integers: the whole table is its kernel over [0, limit], and
 :meth:`SieveTable.segments` (the `sieve` command's rows) runs the same
@@ -24,7 +30,7 @@ read-only) and safe to share between threads.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 
 import numpy as np
 
@@ -38,16 +44,16 @@ DEFAULT_CAPACITY = 100_000_000
 # segment take 27 bytes per integer, 1.8 MB here; 2**18 integers would
 # add about 7 MB to the peak of `sieve --n 300000`.
 SEGMENT = 1 << 16
-# The sign sieve's cofactor pass forms its indices this many primes at a
-# time, and the divisor lattice's cofactor adds this many d at a time.
+# The big-prime pass forms its indices this many primes at a time, and
+# the divisor lattice's cofactor adds this many d at a time.
 # One index array over all the primes above sqrt(limit) (5.3 MB at
 # 1e7) could stay in the heap after the pass, and whether it did, which
 # the heap's layout decides, moved the peak of `verify theorem2` at 1e7
 # by 8 MB.
 _COFACTOR_CHUNK = 1 << 16
-# The sign sieve's cofactor pass takes a cofactor's run of primes as one
-# slice from this length up; a slice costs one Python step, about the
-# gathered indices of 200 to 300 primes.
+# The big-prime pass takes a cofactor's run of primes as one slice from
+# this length up; a slice costs one Python step, about the gathered
+# indices of 200 to 300 primes.
 _SHORT_RUN = 256
 
 
@@ -235,23 +241,6 @@ class SieveTable:
         return f"SieveTable(limit={self.limit}, primes={len(self.primes)})"
 
 
-def hyperbola_cofactors(big: np.ndarray, n: int):
-    """Yield (q, j) for q = n // (r + 1) down to 1, r = isqrt(n), where
-    big[:j] are the entries of ``big`` at most n // q.
-
-    ``big`` holds ascending integers above r, so every product b q <= n
-    of an entry and a cofactor is some big[:j] * q, and once each: a walk
-    over the q replaces a loop over the entries. q = 1 comes last.
-    """
-    if big.size == 0:
-        return
-    r = math.isqrt(n)
-    for q in range(n // (r + 1), 0, -1):
-        j = int(np.searchsorted(big, n // q, "right"))
-        if j:
-            yield q, j
-
-
 def _start(lo: int, step: int, first: int) -> int:
     """The offset from lo of the first multiple of step that is at least
     lo and at least first, itself a multiple of step."""
@@ -290,19 +279,14 @@ def _sign_sieve(primes: np.ndarray, lo: int, hi: int, mobius: bool) -> np.ndarra
 
     Each prime p <= sqrt(hi) flips the sign on its multiples, then zeroes
     the multiples of p^2 (mu) or flips again on those of each p^k <= hi
-    (lambda). What is left of m is 1 or one prime P > sqrt(hi), so one
-    pass over the cofactors q = m / P <= hi // (isqrt(hi) + 1) negates s
-    at every P q in [lo, hi]: the primes P of a cofactor are a run of
-    the primes, and a run of at least ``_SHORT_RUN`` is taken as
-    ``big[i:j] * q``, ``_COFACTOR_CHUNK`` primes at a time, while the
-    shorter runs, most of those over a short segment, are gathered
-    together into index arrays of at most ``_COFACTOR_CHUNK``.
+    (lambda). What is left of m is 1 or one prime P > sqrt(hi), so the
+    big-prime pass (:func:`_big_prime_multiples`) negates s at every
+    P q in [lo, hi].
     """
     s = np.ones(hi - lo + 1, dtype=np.int8)
     if lo == 0:
         s[0] = 0
-    root = math.isqrt(hi)
-    split = int(np.searchsorted(primes, root, "right"))
+    split = int(np.searchsorted(primes, math.isqrt(hi), "right"))
     for p in primes[:split].tolist():
         s[_start(lo, p, p) :: p] *= -1
         pk = p * p
@@ -312,16 +296,41 @@ def _sign_sieve(primes: np.ndarray, lo: int, hi: int, mobius: bool) -> np.ndarra
             s[_start(lo, pk, pk) :: pk] *= -1
             pk *= p
     big = primes[split : np.searchsorted(primes, hi, "right")]
-    qs = np.arange(hi // (root + 1), 0, -1)
+
+    def negate(at, _):
+        s[at] = -s[at]
+
+    _big_prime_multiples(big, lo, hi, negate)
+    return s
+
+
+def _big_prime_multiples(
+    big: np.ndarray, lo: int, hi: int, apply: Callable, values: np.ndarray | None = None
+) -> None:
+    """apply(at, v) on groups of at most ``_COFACTOR_CHUNK`` offsets
+    at = P q - lo, which together hold every P of ``big`` (ascending
+    primes above isqrt(hi)) times every q >= 1 with P q in [lo, hi],
+    once; v is ``values`` gathered at each P, or None without values.
+
+    No two such products are equal, so each m takes at most one P, and
+    the order of the groups changes no value. q runs from
+    hi // (isqrt(hi) + 1) down to 1, and the P of one q are a run of
+    ``big``: a run of at least ``_SHORT_RUN`` is taken as
+    ``big[i:j] * q``, ``_COFACTOR_CHUNK`` primes at a time, and the
+    shorter runs, most of those over a short segment, are gathered
+    together.
+    """
+    qs = np.arange(hi // (math.isqrt(hi) + 1), 0, -1)
     starts = np.searchsorted(big, -(-lo // qs))
     ends = np.searchsorted(big, hi // qs, "right")
     runs = ends - starts
     long = runs >= _SHORT_RUN
     for q, i, j in zip(qs[long], starts[long], ends[long]):
         for a in range(i, j, _COFACTOR_CHUNK):
-            at = big[a : min(a + _COFACTOR_CHUNK, j)] * q
+            b = min(a + _COFACTOR_CHUNK, j)
+            at = big[a:b] * q
             at -= lo
-            s[at] = -s[at]
+            apply(at, None if values is None else values[a:b])
     short = np.flatnonzero(~long & (runs > 0))
     step = _COFACTOR_CHUNK // _SHORT_RUN
     for g in range(0, short.size, step):
@@ -329,11 +338,11 @@ def _sign_sieve(primes: np.ndarray, lo: int, hi: int, mobius: bool) -> np.ndarra
         run = runs[k]
         at = np.repeat(starts[k] - (np.cumsum(run) - run), run)
         at += np.arange(at.size)
+        v = None if values is None else values[at]
         at = big[at]
         at *= np.repeat(qs[k], run)
         at -= lo
-        s[at] = -s[at]
-    return s
+        apply(at, v)
 
 
 def _mangoldt_segment(primes: np.ndarray, lo: int, hi: int) -> np.ndarray:

@@ -24,7 +24,7 @@ plus a cumulative sum (:func:`cumulative_sums`). The lattice pass is
 hyperbola-split: strided slice-adds for divisors d <= sqrt(N), one
 vectorized add per cofactor N/d for the rest. The Mobius table behind
 a_from_f sieves only the primes up to sqrt(N) and fixes the sign of the
-numbers with one larger prime factor in a single prime-cofactor pass.
+numbers with one larger prime factor in the sieve's big-prime pass.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -15,7 +16,7 @@ import inghamsum as ig
 from inghamsum.cli import _COMMANDS, _coeffs_builder, load_spec_file, main, parse_grid
 from inghamsum.errors import SpecFormatError
 
-from conftest import cli_peak_rss
+from conftest import cli_peak_rss, traced_peak
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -186,6 +187,21 @@ def test_coefficient_file_peak_memory_grows_by_at_most_40_bytes_per_value(tmp_pa
     assert growth <= 40, growth
 
 
+def test_coefficient_file_traced_peak_grows_by_at_most_32_bytes_per_value(tmp_path):
+    # The traced peak, which page placement does not move: 25-26 bytes
+    # per value in process; json.load of the whole file took 192.
+    rng = np.random.default_rng(3)
+    sizes = (200_000, 400_000)
+    peaks = []
+    for n in sizes:
+        path = tmp_path / f"c{n}.json"
+        path.write_text(json.dumps({"type": "coefficients", "values": rng.uniform(-1, 1, (n, 2)).tolist()}))
+        argv = ["ingham", "--coeffs", str(path), "--n", "1000", "--out", os.devnull]
+        peaks.append(traced_peak(lambda: main(argv))[1])
+    growth = (peaks[1] - peaks[0]) / (sizes[1] - sizes[0])
+    assert growth <= 32, growth
+
+
 def test_load_spec_multiplicative():
     spec = load_spec_file(LIOUVILLE)
     assert isinstance(spec, ig.MultiplicativeSpec)
@@ -311,6 +327,35 @@ def test_example_commands_match_golden(tmp_path):
         rc, payload = run_cli(list(cmd), tmp_path, name)
         assert rc == 0
         assert payload == (GOLDEN / name).read_bytes(), f"golden mismatch: {name}"
+
+
+# Outputs of the big-prime pass that no other golden pins: f_t up to 1e6
+# (lemma) and Liouville's lambda from the sign sieve. The extension and
+# mu at 1e7 are pinned by the scale goldens below.
+BIG_PRIME_GOLDEN_COMMANDS = {
+    "lemma.json": ["lemma", "--format", "json"],
+    "identity_sdecomp_liouville.json": [
+        "identity", "sdecomp", "--coeffs", "liouville", "--n", "5000", "--format", "json",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", BIG_PRIME_GOLDEN_COMMANDS)
+def test_big_prime_pass_commands_match_golden(name, tmp_path):
+    rc, payload = run_cli(list(BIG_PRIME_GOLDEN_COMMANDS[name]), tmp_path, name)
+    assert rc == 0
+    assert payload == (GOLDEN / name).read_bytes(), f"golden mismatch: {name}"
+
+
+def test_sieve_rows_past_one_segment_match_their_digest(tmp_path):
+    # The rows are built 65,536 integers at a time from m = 2, so the
+    # second segment holds the one row m = 65538. The 2.26 MB CSV is
+    # pinned by its sha256.
+    rc, payload = run_cli(["sieve", "--n", "65538", "--format", "csv"], tmp_path)
+    assert rc == 0
+    assert hashlib.sha256(payload).hexdigest() == (
+        "b3cf7e20766d8aa4ea09fa232fad6e81c15328cb9737170f919e4dc2addfe201"
+    )
 
 
 # Two commands of the benchmark at N = 1e7, the first on the benchmark's

@@ -1636,8 +1636,10 @@ def _divisor_lattice_ref(weights, f=None):
         out[d::d] += w if f is None else w * f[1 : n // d + 1]
     big = nz[split:]
     wbig = weights[big]
-    for q, k in ig.sieve.hyperbola_cofactors(big, n):
-        out[big[:k] * q] += wbig[:k] if f is None else wbig[:k] * f[q]
+    for q in range(n // (r + 1), 0, -1):
+        k = int(np.searchsorted(big, n // q, "right"))
+        if k:
+            out[big[:k] * q] += wbig[:k] if f is None else wbig[:k] * f[q]
     return out
 
 

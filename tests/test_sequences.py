@@ -1,4 +1,5 @@
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from inghamsum import (
     sum_over_divisors,
     summation,
 )
-from inghamsum.cli import load_spec_file
+from inghamsum.cli import load_spec_file, main
 
 from conftest import cli_peak_rss, traced_peak, trial_totient
 
@@ -251,6 +252,20 @@ def _least_peaks(argvs):
     return [min(runs[i :: len(argvs)]) for i in range(len(argvs))]
 
 
+def _traced_growth(*argv):
+    """Bytes of traced peak per integer between consecutive grid tops n
+    of the command, run in process by cli.main, each "{n}" in argv
+    filled in. tracemalloc sees numpy's buffers and not where the pages
+    land, so the peaks do not move from run to run as RSS does."""
+    limits = (200_000, 400_000, 800_000)
+    peaks = [
+        traced_peak(lambda: main([*(arg.format(n=n) for arg in argv), "--out", os.devnull]))[1]
+        for n in limits
+    ]
+    pairs = zip(zip(limits, limits[1:]), zip(peaks, peaks[1:]))
+    return [(lo, hi, (b - a) / (hi - lo)) for (lo, hi), (a, b) in pairs]
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB is Linux behaviour")
 def test_theorem2_mu_peak_memory_grows_by_at_most_6_bytes_per_integer():
     limits = (100_000, 200_000, 400_000)
@@ -270,6 +285,14 @@ def test_theorem2_mu_peak_memory_grows_by_at_most_6_bytes_per_integer():
         assert growth <= 6, (lo, hi, growth)
 
 
+def test_theorem2_mu_traced_peak_grows_by_at_most_2_bytes_per_integer():
+    # mu is the sieve's int8 table: 0.15-1.0 bytes per integer. A float64
+    # copy of mu took 7.1-8.0.
+    argv = ("verify", "theorem2", "--coeffs", "mu", "--n", "1000,{n}", "--sigma", "2,1.25", "--format", "json")
+    for lo, hi, growth in _traced_growth(*argv):
+        assert growth <= 2, (lo, hi, growth)
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB is Linux behaviour")
 def test_theorem1_mu_peak_memory_grows_by_at_most_6_bytes_per_integer():
     # One step from 1e5 to 8e5: the +-0.3 MB that page placement moves a
@@ -287,6 +310,12 @@ def test_theorem1_mu_peak_memory_grows_by_at_most_6_bytes_per_integer():
         assert growth <= 6, (lo, hi, growth)
 
 
+def test_theorem1_mu_traced_peak_grows_by_at_most_2_bytes_per_integer():
+    # 0.99-1.05 bytes per integer; a float64 copy of mu took 8.0-8.1.
+    for lo, hi, growth in _traced_growth("verify", "theorem1", "--coeffs", "mu", "--n", "1000,{n}", "--format", "json"):
+        assert growth <= 2, (lo, hi, growth)
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB is Linux behaviour")
 def test_wintner_mu_peak_memory_grows_by_at_most_6_bytes_per_integer():
     limits = (100_000, 200_000, 400_000)
@@ -300,6 +329,12 @@ def test_wintner_mu_peak_memory_grows_by_at_most_6_bytes_per_integer():
     for (lo, hi), (a, b) in zip(zip(limits, limits[1:]), zip(peaks, peaks[1:])):
         growth = (b - a) / (hi - lo)
         assert growth <= 6, (lo, hi, growth)
+
+
+def test_wintner_mu_traced_peak_grows_by_at_most_2_bytes_per_integer():
+    # 0.97-0.99 bytes per integer; a float64 copy of mu took 8.0.
+    for lo, hi, growth in _traced_growth("verify", "wintner", "--coeffs", "mu", "--n", "1000,{n}", "--format", "json"):
+        assert growth <= 2, (lo, hi, growth)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB is Linux behaviour")
@@ -398,11 +433,12 @@ def test_mean_spec_peak_memory_grows_by_at_most_4_bytes_per_integer():
 def test_each_extension_segment_at_1e7_takes_at_most_8_mib():
     # The benchmark's seed-7 mean spec: f(p) = -1 for the 78 k primes up
     # to the cutoff 1e6, so the largest-prime pass of a segment gathers
-    # about half a segment of (p, j) pairs. Segments of 2**18 integers,
-    # with the pairs' places formed from four temporaries, took up to
+    # about half a segment of products p j. Segments of 2**18 integers,
+    # with the products' places formed from four temporaries, took up to
     # 12.6 MiB each (11.6 for the one ending at 1e7); 2**17 integers, the
-    # places formed in place and only the primes with a multiple in the
-    # segment grouped, take up to 7.6 MiB.
+    # places formed in place in groups of about 2**17 products, up to
+    # 7.6 MiB; the sieve's big-prime pass, in groups of at most 2**16,
+    # takes up to 3.6 MiB.
     spec = load_spec_file(str(Path(__file__).resolve().parent / "data" / "mean_seed7.json"))
     segments = sequences.extension_segments(spec, ig.build_sieve(10**7), 10**7)
     peaks = []
